@@ -18,10 +18,8 @@ from .geometry import wrap_angle
 from .identify import (
     METHOD_GEOMETRIC,
     METHOD_OPTIMIZATION,
-    AmbiguousParent,
     IdentifyConfig,
     IdentifyError,
-    NoToolModule,
     build_chain,
     build_tree,
     to_descriptor,
@@ -130,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (NoToolModule, AmbiguousParent) as exc:
+    except IdentifyError as exc:
         print(
             f"identification failed in build_chain: {type(exc).__name__}: {exc}",
             file=sys.stderr,
@@ -141,7 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         DatabaseError,
         SceneParseError,
         SynthError,
-        IdentifyError,
         ValueError,
         OSError,
     ) as exc:

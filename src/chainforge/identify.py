@@ -52,8 +52,6 @@ REASON_MISSING_MASTER = "MissingMaster"
 METHOD_GEOMETRIC = "geometric"
 METHOD_OPTIMIZATION = "optimization"
 
-THETA_GRID_STEP = 5.0
-THETA_TOL = 1e-6
 LIMIT_SLACK = 2.0
 
 
@@ -548,67 +546,43 @@ class _PairModel:
         return float(np.linalg.norm(model[:3, 3] - self._observed[:3, 3]))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = THETA_TOL) -> tuple[float, float]:
-    """Minimize a unimodal scalar function on [lo, hi]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+def _minimize_sinusoid(f, limits: tuple[float, float]) -> float:
+    """Minimizer on the joint limits of f, where f(t)**2 = a + b cos t + c sin t.
 
-
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    count = max(int(math.ceil((hi - lo) / step)), 1)
-    return np.linspace(lo, hi, count + 1)
-
-
-def _minimize_theta(f, limits: tuple[float, float]) -> tuple[float, float]:
-    """Grid seed at 5 degrees, then golden-section inside the best cell."""
+    The weight mask is uniform on the rotation block and on the translation
+    column, so the squared pose metric is linear in the entries of a single
+    joint rotation: three evaluations fix a, b and c, and the one minimum on
+    the circle lies at atan2(-c, -b).  When the limits exclude it, the
+    sinusoid is monotone toward it from either end, so the better endpoint
+    wins.
+    """
+    g0, g90, g180 = (f(t) ** 2 for t in (0.0, 90.0, 180.0))
+    a = (g0 + g180) / 2.0
+    b = (g0 - g180) / 2.0
+    c = g90 - a
     lo, hi = limits
-    grid = _grid(lo, hi, THETA_GRID_STEP)
-    values = [f(t) for t in grid]
-    k = int(np.argmin(values))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-    return _golden_section(f, float(a), float(b))
+    theta = math.degrees(math.atan2(-c, -b))
+    theta += 360.0 * math.ceil((lo - theta) / 360.0)
+    if theta <= hi:
+        return theta
+    g_lo, g_hi = (b * math.cos(math.radians(t)) + c * math.sin(math.radians(t)) for t in limits)
+    return lo if g_lo <= g_hi else hi
 
 
-def _minimize_two(model: "_PairModel", angle: float) -> tuple[float, float, float]:
+def _minimize_two(model: "_PairModel", angle: float) -> tuple[float, float]:
     """Both joint states enter the pair transform: solve them in sequence.
 
     The child master position depends only on the parent state (the child
     factor contributes a fixed translation), so the parent angle comes from
-    a translation-only fit, after which the child angle is a plain 1-D
-    search on the full metric.
+    a translation-only fit and the child angle from the full metric at that
+    parent angle; each is then re-solved once with the other held fixed.
+    Every step is a closed-form fit over the full joint limits.
     """
-    theta_n, _ = _minimize_theta(
-        lambda t: model.position_residual(angle, t), model.limits_n
-    )
-    theta_c, _ = _minimize_theta(
-        lambda t: model.residual(angle, theta_n, t), model.limits_c
-    )
-    theta_n, _ = _golden_section(
-        lambda t: model.residual(angle, t, theta_c),
-        max(theta_n - THETA_GRID_STEP, model.limits_n[0]),
-        min(theta_n + THETA_GRID_STEP, model.limits_n[1]),
-    )
-    theta_c, f_min = _golden_section(
-        lambda t: model.residual(angle, theta_n, t),
-        max(theta_c - THETA_GRID_STEP, model.limits_c[0]),
-        min(theta_c + THETA_GRID_STEP, model.limits_c[1]),
-    )
-    return theta_n, theta_c, f_min
+    theta_n = _minimize_sinusoid(lambda t: model.position_residual(angle, t), model.limits_n)
+    theta_c = _minimize_sinusoid(lambda t: model.residual(angle, theta_n, t), model.limits_c)
+    theta_n = _minimize_sinusoid(lambda t: model.residual(angle, t, theta_c), model.limits_n)
+    theta_c = _minimize_sinusoid(lambda t: model.residual(angle, theta_n, t), model.limits_c)
+    return theta_n, theta_c
 
 
 def find_parent_optimization(
@@ -622,10 +596,12 @@ def find_parent_optimization(
     """Pick the parent by minimizing the weighted pose metric.
 
     Enumerates neighbor, install directions, and the four connection
-    angles; joint angles that influence the pair transform are refined by
-    golden-section search from a 5-degree grid.  The best candidate is
-    accepted only when its residual stays within the configured threshold;
-    exact residual ties resolve toward the lower marker id.
+    angles; joint angles that influence the pair transform are solved in
+    closed form within their joint limits, and the residual is the metric
+    at the solved states.  A hypothesis whose bundle pair is misaligned is
+    skipped.  The best candidate is accepted only when its residual stays
+    within the configured threshold; exact residual ties resolve toward the
+    lower marker id.
     """
     best: tuple[float, int, ParentMatch] | None = None
     for cand in neighbors(child, pool, db, cfg):
@@ -640,21 +616,24 @@ def find_parent_optimization(
             for d_c in child_dirs:
                 if not ct.can_child(d_c):
                     continue
-                model = _PairModel(cand, d_p, child, d_c, child_theta, cfg)
+                try:
+                    model = _PairModel(cand, d_p, child, d_c, child_theta, cfg)
+                except NonCollinearBundles:
+                    # A misaligned bundle pair disqualifies this hypothesis only.
+                    continue
                 for angle in CONNECTION_ANGLES:
-                    theta_n = 0.0
+                    theta_n = theta_c = 0.0
                     if model.has_theta_n and model.has_theta_c:
-                        theta_n, _, f_min = _minimize_two(model, angle)
+                        theta_n, theta_c = _minimize_two(model, angle)
                     elif model.has_theta_n:
-                        theta_n, f_min = _minimize_theta(
+                        theta_n = _minimize_sinusoid(
                             lambda t: model.residual(angle, theta_n=t), model.limits_n
                         )
                     elif model.has_theta_c:
-                        _, f_min = _minimize_theta(
+                        theta_c = _minimize_sinusoid(
                             lambda t: model.residual(angle, theta_c=t), model.limits_c
                         )
-                    else:
-                        f_min = model.residual(angle)
+                    f_min = model.residual(angle, theta_n, theta_c)
                     if model.measured_parent_theta is not None:
                         reported = model.measured_parent_theta
                     elif model.has_theta_n:

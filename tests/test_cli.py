@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from chainforge import cli
 from chainforge.cli import main
+from chainforge.identify import AmbiguousParent, LimitExceeded, NonCollinearBundles
 from chainforge.module_db import default_database, save_database
 
 
@@ -148,6 +150,23 @@ class TestIdentify:
         code = main(["identify", "--scene", str(scene), "--db", str(db_path)])
         assert code == 2
         assert "NoToolModule" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            NonCollinearBundles("bundle axes misaligned"),
+            LimitExceeded("angle far outside limits"),
+            AmbiguousParent("G-001", ["T-001", "T-002"]),
+        ],
+    )
+    def test_identify_errors_exit_2(self, scene_path, db_path, monkeypatch, capsys, error):
+        def fail(*_args, **_kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "build_chain", fail)
+        code = main(["identify", "--scene", str(scene_path), "--db", str(db_path)])
+        assert code == 2
+        assert type(error).__name__ in capsys.readouterr().err
 
     def test_missing_db_exit_1(self, scene_path, tmp_path, capsys):
         code = main(

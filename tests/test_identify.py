@@ -1,13 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
-from chainforge.geometry import Pose, axis_angle, compose, rot_x
+from chainforge.geometry import CONNECTION_ANGLES, Pose, axis_angle, compose, rot_x, wrap_angle
 from chainforge.identify import (
     REASON_DUPLICATE,
     REASON_ORPHAN,
     REASON_UNKNOWN_MARKER,
     AmbiguousParent,
+    DetectedModule,
     IdentifyConfig,
     LimitExceeded,
     NonCollinearBundles,
@@ -21,16 +27,23 @@ from chainforge.identify import (
     neighbors,
     to_descriptor,
     validate_markers,
+    _minimize_sinusoid,
+    _PairModel,
 )
 from chainforge.module_db import INVERTED, UPRIGHT
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
-from helpers import make_two_branch_scene, random_chain_case
+from helpers import make_corpus, make_two_branch_scene, random_base, random_chain_case
 
 
 def detected_by_serial(obs, db):
     detected, rejected = validate_markers(obs, db)
     return {d.serial: d for d in detected}, detected, rejected
+
+
+def _detected(db, code: str, pose: Pose) -> DetectedModule:
+    record = db.records_of_type(code)[0]
+    return DetectedModule(record=record, module_type=db.types[code], master_pose=pose)
 
 
 class TestValidateMarkers:
@@ -216,6 +229,21 @@ class TestFindParentOptimization:
         match = find_parent_optimization(child, [by["T-001"]], db, IdentifyConfig())
         assert match.theta == pytest.approx(33.0, abs=1e-3)
 
+    def test_misaligned_bundles_reject_one_hypothesis(self, db):
+        # A nearby collinear joint whose bundles disagree on the joint axis
+        # drops out of the search; the true parent is still found.
+        obs = synthesize(parse("T-G0"), [33.0], db)
+        by, _, _ = detected_by_serial(obs, db)
+        child = by["G-001"]
+        decoy = _detected(
+            db, "I", Pose.from_translation(child.origin + np.array([0.0, 0.0, 60.0]))
+        )
+        decoy.output_pose = Pose.from_rotation(rot_x(30.0))
+        assert decoy in neighbors(child, [decoy], db, IdentifyConfig())
+        match = find_parent_optimization(child, [decoy, by["T-001"]], db, IdentifyConfig())
+        assert match.module.serial == "T-001"
+        assert match.theta == pytest.approx(33.0, abs=1e-9)
+
     def test_local_optimality_certificate(self, db):
         # The returned residual is a local minimum: nudging the solved joint
         # state by one degree or switching the connection angle never improves.
@@ -237,6 +265,128 @@ class TestFindParentOptimization:
         for angle in CONNECTION_ANGLES:
             if angle != match.connection_angle:
                 assert model.residual(angle, theta_n=match.theta) >= best
+
+
+def _sinusoid_fit(f):
+    """Coefficients (a, b, c) of f(t)**2 = a + b cos t + c sin t from three samples."""
+    g0, g90, g180 = (f(t) ** 2 for t in (0.0, 90.0, 180.0))
+    a = (g0 + g180) / 2.0
+    return a, (g0 - g180) / 2.0, g90 - a
+
+
+def _sinusoid(a, b, c, t):
+    rad = math.radians(t)
+    return a + b * math.cos(rad) + c * math.sin(rad)
+
+
+class TestClosedFormFit:
+    ANY_CODES = ["T", "t", "I", "i", "L", "l", "A", "G", "g", "W", "S"]
+
+    @given(
+        parent_code=st.sampled_from(ANY_CODES),
+        parent_dir=st.sampled_from([UPRIGHT, INVERTED]),
+        child_code=st.sampled_from(ANY_CODES),
+        child_dir=st.sampled_from([UPRIGHT, INVERTED]),
+        angle=st.sampled_from(CONNECTION_ANGLES),
+        seed=st.integers(0, 2**32 - 1),
+        other=st.floats(-180.0, 180.0),
+        probes=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_squared_residual_is_a_sinusoid(
+        self, db, parent_code, parent_dir, child_code, child_dir, angle, seed, other, probes
+    ):
+        # Holds for any observed transform, so the two module poses are drawn
+        # independently; no output bundle is seen, so collinear joints stay free.
+        pt, ct = db.types[parent_code], db.types[child_code]
+        assume(parent_dir in pt.directions() and pt.can_parent(parent_dir))
+        assume(child_dir in ct.directions() and ct.can_child(child_dir))
+        rng = np.random.default_rng(seed)
+        parent = _detected(db, parent_code, random_base(rng))
+        child = _detected(db, child_code, random_base(rng))
+        model = _PairModel(parent, parent_dir, child, child_dir, None, IdentifyConfig())
+        assume(model.has_theta_n or model.has_theta_c)
+        free = []
+        if model.has_theta_n:
+            free.append(lambda t: model.residual(angle, t, other))
+            free.append(lambda t: model.position_residual(angle, t))
+        if model.has_theta_c:
+            free.append(lambda t: model.residual(angle, other, t))
+        for f in free:
+            a, b, c = _sinusoid_fit(f)
+            for t in probes:
+                assert f(t) ** 2 == pytest.approx(
+                    _sinusoid(a, b, c, t), rel=1e-9, abs=1e-9 * a
+                )
+
+    @given(
+        a_excess=st.floats(0.0, 10.0),
+        amplitude=st.floats(0.0, 10.0),
+        phase=st.floats(-180.0, 180.0),
+        lo=st.floats(-540.0, 300.0),
+        width=st.floats(1.0, 400.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_scan_of_sinusoids(self, a_excess, amplitude, phase, lo, width):
+        def f(t):
+            return math.sqrt(a_excess + amplitude * (1.0 + math.cos(math.radians(t - phase))))
+
+        limits = (lo, lo + width)
+        theta = _minimize_sinusoid(f, limits)
+        assert limits[0] <= theta <= limits[1]
+        scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
+        g_scan = a_excess + amplitude * (1.0 + np.cos(np.radians(scan - phase)))
+        assert f(theta) ** 2 <= float(g_scan.min()) + 1e-9
+
+    @pytest.mark.parametrize(
+        "limits, expected",
+        [
+            ((-120.0, 120.0), 33.0),  # interior minimum
+            ((40.0, 100.0), 40.0),  # limits above the minimum: lower endpoint
+            ((-100.0, 20.0), 20.0),  # limits below the minimum: upper endpoint
+            ((150.0, 400.0), 393.0),  # limits past 180 hold the minimum one turn on
+        ],
+    )
+    def test_matches_dense_scan_of_pair_residual(self, db, limits, expected):
+        obs = synthesize(parse("T-g90"), [33.0], db)
+        by, _, _ = detected_by_serial(obs, db)
+        cfg = IdentifyConfig()
+        model = _PairModel(by["T-001"], UPRIGHT, by["g-001"], UPRIGHT, None, cfg)
+
+        def f(t):
+            return model.residual(90.0, theta_n=t)
+
+        theta = _minimize_sinusoid(f, limits)
+        scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
+        values = [f(t) for t in scan]
+        best = int(np.argmin(values))
+        assert theta == pytest.approx(expected, abs=1e-9)
+        assert abs(theta - scan[best]) <= 0.01
+        assert f(theta) <= values[best] + 1e-12
+
+    def test_solved_states_exact_on_corpus_slice(self, db):
+        # Closed-form fits recover every solved joint state to round-off on
+        # the first 50 scenes of the criterion-2 corpus.
+        cfg = IdentifyConfig(method="optimization")
+        solved = 0
+        max_err = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for desc, _canonical, thetas, base in make_corpus(db, 50, 20260808):
+                chain = build_chain(synthesize(desc, thetas, db, base=base), db, cfg)
+                joint_thetas = iter(thetas)
+                truth = {
+                    link.module.serial: next(joint_thetas)
+                    for entry, link in zip(desc.entries, chain.links)
+                    if db.types[entry.type_code].is_joint
+                }
+                for link in chain.links:
+                    if link.solver_theta is not None:
+                        solved += 1
+                        err = abs(wrap_angle(link.solver_theta - truth[link.module.serial]))
+                        max_err = max(max_err, err)
+        assert solved > 50
+        assert max_err <= 1e-9
 
 
 class TestEstimateJointAngle:
