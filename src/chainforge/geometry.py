@@ -60,7 +60,13 @@ def wrap_angle(deg: float) -> float:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform: orthonormal rotation plus millimetre translation."""
+    """Rigid transform: orthonormal rotation plus millimetre translation.
+
+    The constructor validates its input and is the path for every pose that
+    enters from outside: files, noise draws and callers of the package.
+    Transforms derived from valid poses or exact rotations inside the
+    package go through `_trusted`, which skips the checks.
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -83,9 +89,23 @@ class Pose:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
+    @classmethod
+    def _trusted(cls, rotation: np.ndarray, translation: np.ndarray) -> "Pose":
+        """Unchecked pose over arrays known to be a proper rotation and a 3-vector.
+
+        The arrays are frozen in place, not copied: the caller hands over
+        arrays that nothing else writes to.
+        """
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "rotation", rotation)
+        object.__setattr__(pose, "translation", translation)
+        return pose
+
     @staticmethod
     def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
+        return Pose._trusted(np.eye(3), np.zeros(3))
 
     @staticmethod
     def from_rotation(r: np.ndarray) -> "Pose":
@@ -117,12 +137,14 @@ class Pose:
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Homogeneous composition a * b."""
-    return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
+    return Pose._trusted(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def invert(p: Pose) -> Pose:
     rt = p.rotation.T
-    return Pose(rt, -rt @ p.translation)
+    # np.array keeps the transpose's Fortran order, and with it the BLAS
+    # rounding of every product the inverse enters.
+    return Pose._trusted(np.array(rt), -rt @ p.translation)
 
 
 def relative(n: Pose, c: Pose) -> Pose:
@@ -247,6 +269,42 @@ def matrix_to_quat(r: np.ndarray) -> np.ndarray:
     if q[3] < 0.0:
         q = -q
     return q / np.linalg.norm(q)
+
+
+def finite_number(value) -> float:
+    """A JSON number (not a bool) as a finite float; ValueError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"expected a finite number, got {value!r:.40}")
+
+
+def pose_to_json(p: Pose) -> dict:
+    """File form of a pose: translation `t` in mm, quaternion `q` as (x, y, z, w)."""
+    return {
+        "t": [float(v) for v in p.translation],
+        "q": [float(v) for v in matrix_to_quat(p.rotation)],
+    }
+
+
+def pose_from_json(t, q) -> Pose:
+    """Checked pose from the `t` and `q` values of the file form.
+
+    Raises ValueError unless `t` is a list of 3 and `q` a list of 4 finite
+    numbers and the quaternion's norm is nonzero and finite.
+    """
+    for name, values, n in (("t", t, 3), ("q", q, 4)):
+        if not isinstance(values, list) or len(values) != n:
+            raise ValueError(f"{name} must be a list of {n} numbers")
+    q = [finite_number(v) for v in q]
+    if not math.isfinite(sum(v * v for v in q)):
+        # quat_to_matrix would normalize by an infinite norm into the identity.
+        raise ValueError("q is too large to normalize")
+    return Pose(quat_to_matrix(q), np.array([finite_number(v) for v in t]))
 
 
 def rpy_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:

@@ -120,7 +120,6 @@ class DetectedModule:
     module_type: ModuleType
     master_pose: Pose
     output_pose: Pose | None = None
-    claimed: bool = False
 
     @property
     def serial(self) -> str:
@@ -242,9 +241,13 @@ def constraint_check(
     Upright perpendicular-joint parents are exempt from the parent-side
     collinearity test (their output link swings the child off-axis), and
     inverted perpendicular-joint children are exempt from the child-side
-    test for the mirror-image reason.
+    test for the mirror-image reason.  A candidate at the child's own
+    origin defines no direction and is rejected.
     """
-    u = unit_between(parent_cand.master_pose, child.master_pose)
+    try:
+        u = unit_between(parent_cand.master_pose, child.master_pose)
+    except DegenerateGeometry:
+        return ConstraintResult(False, reason="coincident origins")
     dist = float(np.linalg.norm(child.origin - parent_cand.origin))
     pt = parent_cand.module_type
     ct = child.module_type
@@ -319,7 +322,7 @@ def _effective_frame(module: DetectedModule, direction: str, side: str) -> Pose:
                 f"absorb the joint roll"
             )
             return module.master_pose
-        return Pose(module.output_pose.rotation, module.master_pose.translation)
+        return Pose._trusted(module.output_pose.rotation, module.master_pose.translation)
     return module.master_pose
 
 
@@ -562,7 +565,9 @@ def _minimize_sinusoid(f, limits: tuple[float, float]) -> float:
     c = g90 - a
     lo, hi = limits
     theta = math.degrees(math.atan2(-c, -b))
-    theta += 360.0 * math.ceil((lo - theta) / 360.0)
+    # The max covers a shift that rounding leaves just short of lo (for a
+    # denormal lo - theta the quotient underflows to 0).
+    theta = max(theta + 360.0 * math.ceil((lo - theta) / 360.0), lo)
     if theta <= hi:
         return theta
     g_lo, g_hi = (b * math.cos(math.radians(t)) + c * math.sin(math.radians(t)) for t in limits)
@@ -671,19 +676,19 @@ def _grow_branch(
     detected: list[DetectedModule],
     db: ModuleDatabase,
     cfg: IdentifyConfig,
-) -> list[ChainLink]:
-    """Walk from an end-effector toward the base, returning base-first links.
+) -> tuple[list[ChainLink], set[str]]:
+    """Walk from an end-effector toward the base.
 
-    Uses and updates the modules' claimed flags; the caller resets them.
+    Returns the base-first links and the serials the walk claimed.
     """
-    start.claimed = True
+    claimed = {start.serial}
     links_end_first: list[ChainLink] = []
     child = start
     child_direction: str | None = None
     child_theta: float | None = None
     solver_thetas: dict[str, float | None] = {}
     while True:
-        pool = [m for m in detected if not m.claimed]
+        pool = [m for m in detected if m.serial not in claimed]
         match = _find_parent(child, pool, db, cfg, child_direction, child_theta)
         if match is None:
             links_end_first.append(
@@ -704,12 +709,12 @@ def _grow_branch(
             )
         )
         parent = match.module
-        parent.claimed = True
+        claimed.add(parent.serial)
         solver_thetas[parent.serial] = match.theta
         child = parent
         child_direction = match.parent_direction
         child_theta = match.theta
-    return list(reversed(links_end_first))
+    return list(reversed(links_end_first)), claimed
 
 
 def _estimate_chain_angles(chain: IdentifiedChain, cfg: IdentifyConfig):
@@ -742,15 +747,13 @@ def build_chain(
     """
     cfg.check_against(db)
     detected, rejected = validate_markers(observations, db)
-    for m in detected:
-        m.claimed = False
     tools = [m for m in detected if m.module_type.is_tool]
     if not tools:
         raise NoToolModule("no tool module detected; cannot start chain construction")
     start = min(tools, key=lambda m: m.record.master_marker_id)
-    links = _grow_branch(start, detected, db, cfg)
+    links, claimed = _grow_branch(start, detected, db, cfg)
     for m in detected:
-        if not m.claimed:
+        if m.serial not in claimed:
             rejected.append((m.record.master_marker_id, REASON_ORPHAN))
     chain = IdentifiedChain(links=links, rejected_markers=rejected)
     _estimate_chain_angles(chain, cfg)
@@ -779,10 +782,8 @@ def build_tree(
     branches: list[IdentifiedChain] = []
     claimed_anywhere: set[str] = set()
     for tool in tools:
-        for m in detected:
-            m.claimed = False
-        links = _grow_branch(tool, detected, db, cfg)
-        claimed_anywhere.update(link.module.serial for link in links)
+        links, claimed = _grow_branch(tool, detected, db, cfg)
+        claimed_anywhere |= claimed
         branches.append(IdentifiedChain(links=links, rejected_markers=[]))
     orphans = [
         (m.record.master_marker_id, REASON_ORPHAN)

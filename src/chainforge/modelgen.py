@@ -20,9 +20,9 @@ from .geometry import (
     Pose,
     axis_angle,
     compose,
-    matrix_to_quat,
     matrix_to_rpy,
-    quat_to_matrix,
+    pose_from_json,
+    pose_to_json,
     relative,
     rpy_to_matrix,
 )
@@ -290,17 +290,6 @@ def model_world_frames(model: RobotModel, base_pose: Pose | None = None) -> dict
     return frames
 
 
-def _pose_to_json(p: Pose) -> dict:
-    return {
-        "t": [float(v) for v in p.translation],
-        "q": [float(v) for v in matrix_to_quat(p.rotation)],
-    }
-
-
-def _pose_from_json(obj) -> Pose:
-    return Pose(quat_to_matrix(obj["q"]), np.asarray(obj["t"], dtype=float))
-
-
 def write_model(model: RobotModel, path, fmt: str | None = None):
     """Write a model as robot-description XML or as its JSON mirror.
 
@@ -328,7 +317,7 @@ def _write_model_json(model: RobotModel, path: str):
                 "type": j.joint_type,
                 "parent": j.parent,
                 "child": j.child,
-                "origin": _pose_to_json(j.origin),
+                "origin": pose_to_json(j.origin),
                 "axis": list(j.axis),
                 "limits_deg": None if j.limits is None else list(j.limits),
                 "angle_deg": j.angle,
@@ -412,7 +401,7 @@ def _read_model_json(text: str) -> RobotModel:
             joint_type=j["type"],
             parent=j["parent"],
             child=j["child"],
-            origin=_pose_from_json(j["origin"]),
+            origin=pose_from_json(j["origin"]["t"], j["origin"]["q"]),
             axis=tuple(float(v) for v in j["axis"]),
             limits=None if j["limits_deg"] is None else tuple(j["limits_deg"]),
             angle=j["angle_deg"],

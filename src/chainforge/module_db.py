@@ -19,9 +19,10 @@ import numpy as np
 from .geometry import (
     Pose,
     compose,
+    finite_number,
     invert,
-    matrix_to_quat,
-    quat_to_matrix,
+    pose_from_json,
+    pose_to_json,
     rot_x,
     rot_y,
     rot_z,
@@ -67,7 +68,7 @@ class EmptyCatalog(DatabaseError):
 
 def connection_transform(angle_deg: float) -> Pose:
     """Transform across a mated connector pair for a given connection angle."""
-    return compose(Pose.from_rotation(rot_y(angle_deg)), MATING_FLIP)
+    return compose(Pose._trusted(rot_y(angle_deg), np.zeros(3)), MATING_FLIP)
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,9 @@ class ModuleType:
     def joint_rotation(self, theta_deg: float) -> Pose:
         """Rotation about the joint axis: y for collinear, z for perpendicular."""
         if self.kind == KIND_JOINT_COLLINEAR:
-            return Pose.from_rotation(rot_y(theta_deg))
+            return Pose._trusted(rot_y(theta_deg), np.zeros(3))
         if self.kind == KIND_JOINT_PERPENDICULAR:
-            return Pose.from_rotation(rot_z(theta_deg))
+            return Pose._trusted(rot_z(theta_deg), np.zeros(3))
         return Pose.identity()
 
     def parentward_to_master(self, direction: str, theta_deg: float = 0.0) -> Pose:
@@ -178,7 +179,6 @@ class ModuleDatabase:
             self.types[mt.code] = mt
         self.records: list[ModuleRecord] = list(records)
         self._by_marker: dict[int, MarkerHit] = {}
-        self._pair_cache: dict[tuple[str, str], float] = {}
         seen_serials: set[str] = set()
         for rec in self.records:
             if rec.serial in seen_serials:
@@ -197,6 +197,14 @@ class ModuleDatabase:
             self._index_marker(rec.master_marker_id, MarkerHit(rec, False))
             if rec.output_marker_id is not None:
                 self._index_marker(rec.output_marker_id, MarkerHit(rec, True))
+        self._pair_bounds: dict[tuple[str, str], float] = {
+            (pc, cc): _mated_distance(p, c)
+            for pc, p in self.types.items()
+            for cc, c in self.types.items()
+        }
+        if not np.isfinite(list(self._pair_bounds.values())).all():
+            raise DatabaseValidationError("master offsets too large: a pair bound overflows")
+        self._max_bound: float = max(self._pair_bounds.values(), default=0.0)
 
     def _index_marker(self, marker_id: int, hit: MarkerHit):
         if marker_id < 0:
@@ -223,58 +231,58 @@ class ModuleDatabase:
         Evaluated at zero joint angle over every parentable/childable install
         combination the catalog allows.
         """
-        key = (parent_code, child_code)
-        if key in self._pair_cache:
-            return self._pair_cache[key]
-        p = self.types[parent_code]
-        c = self.types[child_code]
-        best = 0.0
-        found = False
-        for dp in p.directions():
-            if not p.can_parent(dp):
-                continue
-            for dc in c.directions():
-                if not c.can_child(dc):
-                    continue
-                t = compose(
-                    compose(p.master_to_childward(dp, 0.0), connection_transform(0.0)),
-                    c.parentward_to_master(dc, 0.0),
-                )
-                best = max(best, float(np.linalg.norm(t.translation)))
-                found = True
-        if not found:
-            # No legal mating (e.g. two tools pointing the wrong way); keep a
-            # zero bound so such pairs can never pass a distance check.
-            best = 0.0
-        self._pair_cache[key] = best
-        return best
+        return self._pair_bounds[parent_code, child_code]
 
     def max_connected_distance(self) -> float:
         """Largest master-to-master distance over all ordered type pairs."""
         if not self.types:
             raise EmptyCatalog("catalog has no module types")
-        return max(
-            self.pair_connected_distance(pc, cc)
-            for pc in self.types
-            for cc in self.types
-        )
+        return self._max_bound
 
 
-def _pose_to_json(p: Pose) -> dict:
-    return {
-        "t": [float(v) for v in p.translation],
-        "q": [float(v) for v in matrix_to_quat(p.rotation)],
-    }
+def _mated_distance(p: ModuleType, c: ModuleType) -> float:
+    """Bound behind `ModuleDatabase.pair_connected_distance`.
+
+    A pair with no legal mating (e.g. two tools pointing the wrong way)
+    keeps a zero bound, so it can never pass a distance check.
+    """
+    best = 0.0
+    for dp in p.directions():
+        if not p.can_parent(dp):
+            continue
+        for dc in c.directions():
+            if not c.can_child(dc):
+                continue
+            t = compose(
+                compose(p.master_to_childward(dp, 0.0), connection_transform(0.0)),
+                c.parentward_to_master(dc, 0.0),
+            )
+            best = max(best, float(np.linalg.norm(t.translation)))
+    return best
 
 
 def _pose_from_json(obj, where: str) -> Pose:
     if not isinstance(obj, dict) or set(obj) != {"t", "q"}:
         raise DatabaseValidationError(f"{where}: pose must have exactly keys 't' and 'q'")
-    t = obj["t"]
-    q = obj["q"]
-    if len(t) != 3 or len(q) != 4:
-        raise DatabaseValidationError(f"{where}: pose needs t[3] and q[4]")
-    return Pose(quat_to_matrix(q), np.asarray(t, dtype=float))
+    try:
+        return pose_from_json(obj["t"], obj["q"])
+    except ValueError as exc:
+        raise DatabaseValidationError(f"{where}: {exc}") from exc
+
+
+def _number(value, where: str) -> float:
+    try:
+        return finite_number(value)
+    except ValueError as exc:
+        raise DatabaseValidationError(f"{where}: {exc}") from exc
+
+
+def _typed(value, kinds: tuple[type, ...], where: str):
+    """The value itself when it is one of `kinds`; bools count only as bool."""
+    if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
+        return value
+    names = " or ".join(k.__name__ for k in kinds)
+    raise DatabaseValidationError(f"{where}: expected {names}, got {value!r:.40}")
 
 
 _TYPE_KEYS = {
@@ -290,7 +298,9 @@ _TYPE_KEYS = {
 _MODULE_KEYS = {"serial", "type_code", "bus_id", "master_marker_id", "output_marker_id"}
 
 
-def _check_keys(obj: dict, allowed: set, required: set, where: str):
+def _check_keys(obj, allowed: set, required: set, where: str):
+    if not isinstance(obj, dict):
+        raise DatabaseValidationError(f"{where}: expected an object")
     unknown = set(obj) - allowed
     if unknown:
         raise DatabaseValidationError(f"{where}: unknown key {sorted(unknown)[0]!r}")
@@ -299,48 +309,59 @@ def _check_keys(obj: dict, allowed: set, required: set, where: str):
         raise DatabaseValidationError(f"{where}: missing key {sorted(missing)[0]!r}")
 
 
+def _type_from_json(entry, where: str) -> ModuleType:
+    _check_keys(entry, _TYPE_KEYS, _TYPE_KEYS - {"joint_limits_deg"}, where)
+    limits = entry.get("joint_limits_deg")
+    if limits is not None:
+        if not isinstance(limits, list) or len(limits) != 2:
+            raise DatabaseValidationError(f"{where}: joint_limits_deg must be [min, max]")
+        limits = tuple(_number(v, f"{where}.joint_limits_deg") for v in limits)
+    return ModuleType(
+        code=_typed(entry["code"], (str,), f"{where}.code"),
+        kind=_typed(entry["kind"], (str,), f"{where}.kind"),
+        body_length=_number(entry["body_length_mm"], f"{where}.body_length_mm"),
+        master_offset_input=_pose_from_json(entry["master_offset_input"], where),
+        master_offset_output=_pose_from_json(entry["master_offset_output"], where),
+        joint_limits=limits,
+        invertible=_typed(entry["invertible"], (bool,), f"{where}.invertible"),
+        dual_bundle=_typed(entry["dual_bundle"], (bool,), f"{where}.dual_bundle"),
+    )
+
+
+def _record_from_json(entry, where: str) -> ModuleRecord:
+    _check_keys(entry, _MODULE_KEYS, _MODULE_KEYS - {"output_marker_id"}, where)
+    return ModuleRecord(
+        serial=_typed(entry["serial"], (str,), f"{where}.serial"),
+        type_code=_typed(entry["type_code"], (str,), f"{where}.type_code"),
+        bus_id=_typed(entry["bus_id"], (int,), f"{where}.bus_id"),
+        master_marker_id=_typed(entry["master_marker_id"], (int,), f"{where}.master_marker_id"),
+        output_marker_id=_typed(
+            entry.get("output_marker_id"), (int, type(None)), f"{where}.output_marker_id"
+        ),
+    )
+
+
 def load_database(path) -> ModuleDatabase:
-    """Load and validate a module database file."""
+    """Load and validate a module database file.
+
+    Every malformed document raises a DatabaseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatabaseParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"types", "modules"}:
         raise DatabaseValidationError(
             f"{path}: top level must be an object with keys 'types' and 'modules'"
         )
-    types = []
-    for i, entry in enumerate(doc["types"]):
-        where = f"types[{i}]"
-        _check_keys(entry, _TYPE_KEYS, _TYPE_KEYS - {"joint_limits_deg"}, where)
-        limits = entry.get("joint_limits_deg")
-        types.append(
-            ModuleType(
-                code=entry["code"],
-                kind=entry["kind"],
-                body_length=float(entry["body_length_mm"]),
-                master_offset_input=_pose_from_json(entry["master_offset_input"], where),
-                master_offset_output=_pose_from_json(entry["master_offset_output"], where),
-                joint_limits=None if limits is None else (float(limits[0]), float(limits[1])),
-                invertible=bool(entry["invertible"]),
-                dual_bundle=bool(entry["dual_bundle"]),
-            )
-        )
-    records = []
-    for i, entry in enumerate(doc["modules"]):
-        where = f"modules[{i}]"
-        _check_keys(entry, _MODULE_KEYS, _MODULE_KEYS - {"output_marker_id"}, where)
-        out = entry.get("output_marker_id")
-        records.append(
-            ModuleRecord(
-                serial=str(entry["serial"]),
-                type_code=str(entry["type_code"]),
-                bus_id=int(entry["bus_id"]),
-                master_marker_id=int(entry["master_marker_id"]),
-                output_marker_id=None if out is None else int(out),
-            )
-        )
+    for key in ("types", "modules"):
+        if not isinstance(doc[key], list):
+            raise DatabaseValidationError(f"{path}: {key!r} must be an array")
+    types = [_type_from_json(entry, f"types[{i}]") for i, entry in enumerate(doc["types"])]
+    records = [
+        _record_from_json(entry, f"modules[{i}]") for i, entry in enumerate(doc["modules"])
+    ]
     return ModuleDatabase(types, records)
 
 
@@ -352,8 +373,8 @@ def save_database(db: ModuleDatabase, path):
                 "code": mt.code,
                 "kind": mt.kind,
                 "body_length_mm": mt.body_length,
-                "master_offset_input": _pose_to_json(mt.master_offset_input),
-                "master_offset_output": _pose_to_json(mt.master_offset_output),
+                "master_offset_input": pose_to_json(mt.master_offset_input),
+                "master_offset_output": pose_to_json(mt.master_offset_output),
                 "joint_limits_deg": None if mt.joint_limits is None else list(mt.joint_limits),
                 "invertible": mt.invertible,
                 "dual_bundle": mt.dual_bundle,

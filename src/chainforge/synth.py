@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import Pose, axis_angle, compose, matrix_to_quat, quat_to_matrix
+from .geometry import Pose, axis_angle, compose, pose_from_json, pose_to_json, quat_to_matrix
 from .module_db import (
     INVERTED,
     UPRIGHT,
@@ -265,26 +265,24 @@ def _spurious_markers(
 
 def write_scene(path, observations: list[MarkerObservation]):
     """Write observations as a JSON array at full float precision."""
-    doc = [
-        {
-            "marker_id": obs.marker_id,
-            "t": [float(v) for v in obs.pose.translation],
-            "q": [float(v) for v in matrix_to_quat(obs.pose.rotation)],
-        }
-        for obs in observations
-    ]
+    doc = [{"marker_id": obs.marker_id, **pose_to_json(obs.pose)} for obs in observations]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def read_scene(path) -> list[MarkerObservation]:
-    """Read a scene file written by write_scene."""
+    """Read a scene file written by write_scene.
+
+    Every malformed document raises SceneParseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SceneParseError(exc.msg, exc.lineno, exc.colno) from exc
+        except (ValueError, RecursionError) as exc:
+            raise SceneParseError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, list):
         raise SceneParseError("scene file must contain a JSON array")
     observations = []
@@ -293,14 +291,12 @@ def read_scene(path) -> list[MarkerObservation]:
             raise SceneParseError(
                 f"observation {i} must have exactly keys marker_id, t, q"
             )
-        t = entry["t"]
-        q = entry["q"]
-        if len(t) != 3 or len(q) != 4:
-            raise SceneParseError(f"observation {i} needs t[3] and q[4]")
-        observations.append(
-            MarkerObservation(
-                int(entry["marker_id"]),
-                Pose(quat_to_matrix(q), np.asarray(t, dtype=float)),
-            )
-        )
+        marker_id = entry["marker_id"]
+        if not isinstance(marker_id, int) or isinstance(marker_id, bool) or marker_id < 0:
+            raise SceneParseError(f"observation {i}: marker_id must be a non-negative integer")
+        try:
+            pose = pose_from_json(entry["t"], entry["q"])
+        except ValueError as exc:
+            raise SceneParseError(f"observation {i}: {exc}") from exc
+        observations.append(MarkerObservation(marker_id, pose))
     return observations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chainforge.descriptor import ChainDescriptor, ChainEntry, serialize
 from chainforge.geometry import Pose, axis_angle, compose
@@ -145,3 +146,23 @@ def make_two_branch_scene(rng: np.random.Generator, db: ModuleDatabase):
     )
     arm2_serials = grow(side_connector, arm2)
     return observations, trunk_serials, arm1_serials, arm2_serials
+
+
+# Any JSON value Python's json module reads, including NaN, infinities and
+# integers too large for a float; plus short lists, which reach the
+# per-element checks of vector fields.
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10**300, max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+field_values = json_values | st.lists(_json_scalars, min_size=2, max_size=4)

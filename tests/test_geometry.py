@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chainforge.geometry import (
     CONNECTION_ANGLES,
+    ORTHONORMALITY_TOL,
     DegenerateGeometry,
     Pose,
     WeightMatrix,
@@ -18,6 +19,7 @@ from chainforge.geometry import (
     matrix_to_quat,
     matrix_to_rpy,
     pose_distance,
+    pose_from_json,
     quat_to_matrix,
     raw_connection_angle,
     relative,
@@ -79,6 +81,57 @@ class TestCompose:
     def test_inverse_law(self, ta):
         a = pose_from(ta)
         assert compose(a, invert(a)).approx_equal(I, tol=1e-9)
+
+
+class TestTrustedPath:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["compose", "invert", "relative"]), rotation_strategy),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_derived_poses_stay_valid(self, steps):
+        # compose, invert and relative skip the constructor's checks; what
+        # they build from validated poses must pass those checks unchanged.
+        p = I
+        for op, t in steps:
+            q = pose_from(t)
+            if op == "compose":
+                p = compose(p, q)
+            elif op == "invert":
+                p = invert(p)
+            else:
+                p = relative(q, p)
+            r = p.rotation
+            assert np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMALITY_TOL
+            assert np.linalg.det(r) > 0.0
+            assert not r.flags.writeable and not p.translation.flags.writeable
+            checked = Pose(r, p.translation)
+            assert np.array_equal(checked.rotation, r)
+            assert np.array_equal(checked.translation, p.translation)
+
+
+class TestPoseFromJson:
+    def test_unit_quaternion(self):
+        p = pose_from_json([1, 2, 3], [0.0, 0.0, math.sin(math.pi / 4), math.cos(math.pi / 4)])
+        assert p.approx_equal(Pose(rot_z(90.0), [1.0, 2.0, 3.0]), tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "t, q",
+        [
+            ([0, 0], [0, 0, 0, 1]),
+            ([0, 0, 0], [0, 0, 0, 0]),
+            ([0, 0, float("nan")], [0, 0, 0, 1]),
+            ([0, 0, 0], [0, 0, True, 1]),
+            # The squared norm overflows: normalizing would give the identity.
+            ([0, 0, 0], [1e300, 1e300, 0, 0]),
+        ],
+    )
+    def test_rejects(self, t, q):
+        with pytest.raises(ValueError):
+            pose_from_json(t, q)
 
 
 class TestRelative:

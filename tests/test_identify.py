@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
@@ -30,7 +30,7 @@ from chainforge.identify import (
     _minimize_sinusoid,
     _PairModel,
 )
-from chainforge.module_db import INVERTED, UPRIGHT
+from chainforge.module_db import INVERTED, UPRIGHT, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import make_corpus, make_two_branch_scene, random_base, random_chain_case
@@ -152,6 +152,15 @@ class TestConstraintCheck:
             by["L-001"], by["G-001"], db, IdentifyConfig(), child_direction=INVERTED
         )
         assert not result.satisfied
+
+    def test_coincident_candidate_rejected(self, db):
+        obs = synthesize(parse("L-G0"), [], db)
+        by, _, _ = detected_by_serial(obs, db)
+        child = by["G-001"]
+        decoy = _detected(db, "T", child.master_pose)
+        result = constraint_check(decoy, child, db, IdentifyConfig())
+        assert not result.satisfied
+        assert result.reason == "coincident origins"
 
 
 class TestFindParentGeometric:
@@ -280,13 +289,15 @@ def _sinusoid(a, b, c, t):
 
 
 class TestClosedFormFit:
-    ANY_CODES = ["T", "t", "I", "i", "L", "l", "A", "G", "g", "W", "S"]
+    # Every (type, install direction) that can take each side of a pair, so
+    # that drawing them needs no filtering.
+    _TYPES = default_database().types.values()
+    PARENT_SIDES = [(t.code, d) for t in _TYPES for d in t.directions() if t.can_parent(d)]
+    CHILD_SIDES = [(t.code, d) for t in _TYPES for d in t.directions() if t.can_child(d)]
 
     @given(
-        parent_code=st.sampled_from(ANY_CODES),
-        parent_dir=st.sampled_from([UPRIGHT, INVERTED]),
-        child_code=st.sampled_from(ANY_CODES),
-        child_dir=st.sampled_from([UPRIGHT, INVERTED]),
+        parent_side=st.sampled_from(PARENT_SIDES),
+        child_side=st.sampled_from(CHILD_SIDES),
         angle=st.sampled_from(CONNECTION_ANGLES),
         seed=st.integers(0, 2**32 - 1),
         other=st.floats(-180.0, 180.0),
@@ -294,13 +305,11 @@ class TestClosedFormFit:
     )
     @settings(max_examples=300, deadline=None)
     def test_squared_residual_is_a_sinusoid(
-        self, db, parent_code, parent_dir, child_code, child_dir, angle, seed, other, probes
+        self, db, parent_side, child_side, angle, seed, other, probes
     ):
         # Holds for any observed transform, so the two module poses are drawn
         # independently; no output bundle is seen, so collinear joints stay free.
-        pt, ct = db.types[parent_code], db.types[child_code]
-        assume(parent_dir in pt.directions() and pt.can_parent(parent_dir))
-        assume(child_dir in ct.directions() and ct.can_child(child_dir))
+        (parent_code, parent_dir), (child_code, child_dir) = parent_side, child_side
         rng = np.random.default_rng(seed)
         parent = _detected(db, parent_code, random_base(rng))
         child = _detected(db, child_code, random_base(rng))
@@ -326,6 +335,7 @@ class TestClosedFormFit:
         lo=st.floats(-540.0, 300.0),
         width=st.floats(1.0, 400.0),
     )
+    @example(a_excess=0.0, amplitude=5e-324, phase=151.0, lo=5e-324, width=1.0)
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_scan_of_sinusoids(self, a_excess, amplitude, phase, lo, width):
         def f(t):
@@ -527,6 +537,18 @@ class TestBuildChain:
         observed = {o.marker_id for o in obs}
         assert in_links | rejected == observed
         assert not in_links & rejected
+
+    @pytest.mark.parametrize("method", ["geometric", "optimization"])
+    def test_coincident_decoy_is_orphaned(self, db, method):
+        # An unused registered module (T-003, marker 12) observed exactly at
+        # the tool's pose: neither back end may abort on it.
+        desc = parse("I-T'0-T'0-A0-t0-i0-g0")
+        obs = synthesize(desc, [15.0, -40.0, 55.0, 20.0, -40.0], db, cfg=SceneConfig(seed=7))
+        tool = next(o for o in obs if o.marker_id == 55)
+        obs.append(MarkerObservation(12, tool.pose))
+        chain = build_chain(obs, db, IdentifyConfig(method=method))
+        assert serialize(to_descriptor(chain)) == serialize(desc)
+        assert (12, REASON_ORPHAN) in chain.rejected_markers
 
     def test_pool_strictly_decreases(self, db):
         # Termination on a long chain plus distractor fragment.

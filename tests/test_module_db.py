@@ -2,13 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chainforge.geometry import Pose, compose, rot_x
+from chainforge.cli import main
+from chainforge.geometry import CONNECTION_ANGLES, ORTHONORMALITY_TOL, Pose, compose, rot_x
 from chainforge.module_db import (
     EmptyCatalog,
     INVERTED,
     KIND_TOOL,
     UPRIGHT,
+    DatabaseError,
     DatabaseParseError,
     DatabaseValidationError,
     ModuleDatabase,
@@ -20,6 +24,8 @@ from chainforge.module_db import (
     load_database,
     save_database,
 )
+
+from helpers import field_values
 
 
 def test_default_catalog_shape(db):
@@ -105,11 +111,14 @@ def test_max_connected_distance_default(db):
     assert db.max_connected_distance() == pytest.approx(150.0)
 
 
-def test_max_connected_distance_brute_force(db):
+def test_max_connected_distance_brute_force():
     # Independent enumeration over ordered type pairs and install options.
+    db = default_database()
+    before = {name: repr(value) for name, value in vars(db).items()}
     best = 0.0
     for p in db.types.values():
         for c in db.types.values():
+            pair = 0.0
             for dp in p.directions():
                 if not p.can_parent(dp):
                     continue
@@ -120,8 +129,28 @@ def test_max_connected_distance_brute_force(db):
                         compose(p.master_to_childward(dp, 0.0), connection_transform(0.0)),
                         c.parentward_to_master(dc, 0.0),
                     )
-                    best = max(best, float(np.linalg.norm(t.translation)))
+                    pair = max(pair, float(np.linalg.norm(t.translation)))
+            assert db.pair_connected_distance(p.code, c.code) == pytest.approx(pair)
+            best = max(best, pair)
+    assert len(db.types) ** 2 == 121
     assert db.max_connected_distance() == pytest.approx(best)
+    # Queries read precomputed bounds: the database holds no cache that fills.
+    assert not hasattr(db, "_pair_cache")
+    assert {name: repr(value) for name, value in vars(db).items()} == before
+
+
+def test_trusted_catalog_transforms_are_valid(db):
+    poses = [connection_transform(a) for a in CONNECTION_ANGLES]
+    for mt in db.types.values():
+        for theta in (-120.0, -33.3, 0.0, 90.0, 120.0):
+            poses.append(mt.joint_rotation(theta))
+            for d in mt.directions():
+                poses += [mt.parentward_to_master(d, theta), mt.master_to_childward(d, theta)]
+    for p in poses:
+        r = p.rotation
+        assert np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMALITY_TOL
+        assert np.linalg.det(r) > 0.0
+        assert not r.flags.writeable and not p.translation.flags.writeable
 
 
 def test_tool_only_catalog_hand_sum():
@@ -151,6 +180,22 @@ def test_single_type_catalog(db):
 def test_empty_catalog():
     with pytest.raises(EmptyCatalog):
         ModuleDatabase([], []).max_connected_distance()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_offsets_rejected():
+    huge = ModuleType(
+        code="L",
+        kind="link",
+        body_length=150.0,
+        master_offset_input=Pose(rot_x(180.0), [1e308, 0.0, 0.0]),
+        master_offset_output=Pose(np.eye(3), [0.0, 75.0, 0.0]),
+        joint_limits=None,
+        invertible=True,
+        dual_bundle=False,
+    )
+    with pytest.raises(DatabaseValidationError, match="overflows"):
+        ModuleDatabase([huge], [])
 
 
 def test_max_distance_ignores_registry(db):
@@ -201,3 +246,61 @@ def test_joint_limit_invariants():
         centered_type("L", "link", 100.0, (-90.0, 90.0), True, False)
     with pytest.raises(DatabaseValidationError):
         centered_type("L", "link", -5.0, None, True, False)
+
+
+# (path into the saved default database, as keys and indices) of every field
+# a database file carries; modules[12] is I-001, a dual-bundle joint.
+_TYPE_FIELDS = [
+    "code", "kind", "body_length_mm", "master_offset_input", "master_offset_output",
+    "joint_limits_deg", "invertible", "dual_bundle",
+]
+_MODULE_FIELDS = ["serial", "type_code", "bus_id", "master_marker_id", "output_marker_id"]
+_DB_FIELDS = (
+    [("types",), ("modules",)]
+    + [("types", 2, key) for key in _TYPE_FIELDS]
+    + [("types", 2, "master_offset_input", key) for key in ("t", "q")]
+    + [("modules", 12, key) for key in _MODULE_FIELDS]
+)
+
+
+@pytest.fixture(scope="module")
+def saved_db_doc(tmp_path_factory, db):
+    path = tmp_path_factory.mktemp("db-fuzz") / "db.json"
+    save_database(db, path)
+    return path, path.read_text()
+
+
+@given(field=st.sampled_from(_DB_FIELDS), value=field_values)
+@example(field=("types",), value=3)
+@example(field=("modules", 12, "master_marker_id"), value=1.5)
+@example(field=("modules", 12, "master_marker_id"), value=True)
+@example(field=("types", 2, "body_length_mm"), value=float("nan"))
+@settings(max_examples=150, deadline=None)
+# Offsets near the float limit overflow numpy norms to inf, which the
+# database rejects; the overflow warning itself is expected.
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_any_field_value_loads_or_raises_typed(saved_db_doc, field, value):
+    path, text = saved_db_doc
+    doc = json.loads(text)
+    owner = doc
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = value
+    path.write_text(json.dumps(doc))
+    try:
+        load_database(path)
+    except DatabaseError:
+        assert main(["db-validate", "--db", str(path)]) == 1
+    else:
+        assert main(["db-validate", "--db", str(path)]) == 0
+
+
+@pytest.mark.parametrize("marker_id", [1.5, True, "30", None])
+def test_non_integer_marker_id_rejected(tmp_path, db, marker_id):
+    path = tmp_path / "db.json"
+    save_database(db, path)
+    doc = json.loads(path.read_text())
+    doc["modules"][0]["master_marker_id"] = marker_id
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatabaseValidationError, match="master_marker_id"):
+        load_database(path)

@@ -1,6 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chainforge.cli import main
 from chainforge.descriptor import parse
 from chainforge.geometry import (
     Pose,
@@ -22,7 +27,7 @@ from chainforge.synth import (
     write_scene,
 )
 
-from helpers import random_chain_case
+from helpers import field_values, random_chain_case
 
 
 class TestForwardPoses:
@@ -196,3 +201,53 @@ class TestSceneFiles:
     def test_negative_marker_rejected(self):
         with pytest.raises(ValueError):
             MarkerObservation(-1, Pose.identity())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, db):
+    from chainforge.module_db import save_database
+
+    path = tmp_path_factory.mktemp("scene-fuzz")
+    save_database(db, path / "db.json")
+    obs = synthesize(parse("I-T0-G0"), [10.0, 20.0], db, cfg=SceneConfig(seed=7))
+    write_scene(path / "valid.json", obs)
+    return path
+
+
+class TestSceneBoundary:
+    @given(index=st.integers(0, 3), field=st.sampled_from(["marker_id", "t", "q"]),
+           value=field_values)
+    @example(index=0, field="t", value=5)
+    @example(index=1, field="marker_id", value=1.5)
+    @example(index=1, field="marker_id", value=True)
+    @example(index=2, field="q", value=[0.0, 0.0, 0.0, 0.0])
+    @example(index=2, field="t", value=[10**400, 0, 0])
+    @settings(max_examples=150, deadline=None)
+    # Coordinates near the float limit overflow numpy norms to inf, which
+    # identification handles; the overflow warning itself is expected.
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_any_field_value_parses_or_raises_typed(self, fuzz_dir, index, field, value):
+        doc = json.loads((fuzz_dir / "valid.json").read_text())
+        doc[index][field] = value
+        path = fuzz_dir / "scene.json"
+        path.write_text(json.dumps(doc))
+        argv = ["identify", "--scene", str(path), "--db", str(fuzz_dir / "db.json")]
+        try:
+            read_scene(path)
+        except SceneParseError:
+            assert main(argv) == 1
+        else:
+            assert main(argv) in (0, 1, 2)
+
+    @pytest.mark.parametrize("marker_id", [1.5, True, 3.0, "3", None])
+    def test_non_integer_marker_id_rejected(self, tmp_path, marker_id):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps([{"marker_id": marker_id, "t": [0, 0, 0], "q": [0, 0, 0, 1]}]))
+        with pytest.raises(SceneParseError, match="marker_id"):
+            read_scene(path)
+
+    def test_invalid_utf8_rejected(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_bytes(b"[\xff]")
+        with pytest.raises(SceneParseError):
+            read_scene(path)
