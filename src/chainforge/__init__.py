@@ -35,7 +35,7 @@ from .identify import (
     to_descriptor,
     validate_markers,
 )
-from .modelgen import RobotModel, generate_model, read_model, write_model
+from .modelgen import ModelParseError, RobotModel, generate_model, read_model, write_model
 from .module_db import (
     INVERTED,
     UPRIGHT,

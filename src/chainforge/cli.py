@@ -129,10 +129,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handler(args)
     except IdentifyError as exc:
-        print(
-            f"identification failed in build_chain: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
+        stage = "build_tree" if getattr(args, "tree", False) else "build_chain"
+        print(f"identification failed in {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_IDENTIFICATION
     except (
         ChainSyntaxError,

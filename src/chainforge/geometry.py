@@ -115,13 +115,6 @@ class Pose:
     def from_translation(t) -> "Pose":
         return Pose(np.eye(3), np.asarray(t, dtype=float))
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4) or np.abs(m[3] - [0, 0, 0, 1]).max() > 1e-9:
-            raise ValueError("expected a homogeneous 4x4 matrix")
-        return Pose(m[:3, :3], m[:3, 3])
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +54,8 @@ METHOD_GEOMETRIC = "geometric"
 METHOD_OPTIMIZATION = "optimization"
 
 LIMIT_SLACK = 2.0
+# Pose-metric residuals this close to the best one tie in the optimization back end.
+RESIDUAL_TIE = 1e-9
 
 
 class IdentifyError(Exception):
@@ -452,142 +455,152 @@ def estimate_joint_angle(
     return theta
 
 
-def _rot4(axis: int, deg: float) -> np.ndarray:
-    """Homogeneous rotation about the y (axis=1) or z (axis=2) base axis."""
-    rad = math.radians(deg)
-    c, s = math.cos(rad), math.sin(rad)
-    m = np.eye(4)
-    if axis == 1:
-        m[0, 0], m[0, 2], m[2, 0], m[2, 2] = c, s, -s, c
-    else:
-        m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, -s, s, c
+# Connector transforms of the four connection angles, stacked in CONNECTION_ANGLES order.
+_CONN_STACK = np.stack([connection_transform(angle).matrix() for angle in CONNECTION_ANGLES])
+
+# Coordinate plane (a, b) that a rotation about base axis y (1) or z (2) turns a into b in.
+_PLANE = {1: (2, 0), 2: (0, 1)}
+
+
+def _rotations(axis: int, deg: np.ndarray) -> np.ndarray:
+    """Homogeneous rotations about the y (axis=1) or z (axis=2) base axis, one per angle."""
+    a, b = _PLANE[axis]
+    rad = np.radians(deg)
+    m = np.zeros((len(rad), 4, 4))
+    m[:, axis, axis] = m[:, 3, 3] = 1.0
+    m[:, a, a] = m[:, b, b] = np.cos(rad)
+    m[:, b, a] = np.sin(rad)
+    m[:, a, b] = -m[:, b, a]
     return m
 
 
-_CONN_MATS = {angle: connection_transform(angle).matrix() for angle in CONNECTION_ANGLES}
+def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndarray:
+    """Joint states on the limits minimizing const - 2<R(t), H[k]>, one per H[k].
+
+    For one free joint the squared pose metric has this form, the one-axis
+    case of Wahba's problem, with H the weighted cross-covariance of the
+    observed and modeled frames.  <R(t), H> = p cos t + q sin t + const
+    peaks at atan2(q, p); when the limits exclude that, the sinusoid is
+    monotone toward it from either end, so the better endpoint wins.
+    """
+    a, b = _PLANE[axis]
+    p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
+    lo, hi = limits
+    theta = np.degrees(np.arctan2(q, p))
+    # The maximum covers a shift that rounding leaves just short of lo (for a
+    # denormal lo - theta the quotient underflows to 0).
+    theta = np.maximum(theta + 360.0 * np.ceil((lo - theta) / 360.0), lo)
+    ends = np.radians(limits)
+    at_ends = np.outer(p, np.cos(ends)) + np.outer(q, np.sin(ends))
+    return np.where(theta <= hi, theta, np.where(at_ends[:, 0] >= at_ends[:, 1], lo, hi))
+
+
+class _Side(NamedTuple):
+    """One side's factor of the pair transform; axis is None when no joint state is free."""
+
+    matrix: np.ndarray
+    axis: int | None = None
+    limits: tuple[float, float] | None = None
+
+    @staticmethod
+    def free(mt: ModuleType, matrix: np.ndarray) -> "_Side":
+        return _Side(matrix, 1 if mt.is_collinear_joint else 2, mt.joint_limits)
+
+
+def _parent_side(
+    module: DetectedModule, direction: str, eps2: float
+) -> tuple[_Side, float | None]:
+    """Parent factor and the joint roll measured from the bundle pair, if any.
+
+    Only an upright joint's state enters the parent factor.  When an upright
+    collinear joint's output bundle is seen, the factor is the observed
+    master-to-output transform, so the roll drops out of the model.
+    """
+    mt = module.module_type
+    free = mt.is_joint and direction == UPRIGHT
+    if free and mt.is_collinear_joint and module.output_pose is not None:
+        roll = _measure_collinear_theta(module, eps2)
+        return _Side(relative(module.master_pose, module.output_pose).matrix()), roll
+    factor = mt.master_to_childward(direction).matrix()
+    return (_Side.free(mt, factor) if free else _Side(factor)), None
+
+
+def _child_side(module: DetectedModule, direction: str, theta: float | None, eps2: float) -> _Side:
+    """Child factor.  Only an inverted joint's state enters it: measured from
+    its bundle pair when both are seen, else the state solved one link down
+    the chain (theta), else free."""
+    mt = module.module_type
+    if not (mt.is_joint and direction == INVERTED):
+        return _Side(mt.parentward_to_master(direction).matrix())
+    if mt.is_collinear_joint and module.output_pose is not None:
+        theta = _measure_collinear_theta(module, eps2)
+    if theta is None:
+        return _Side.free(mt, mt.parentward_to_master(direction).matrix())
+    return _Side(mt.parentward_to_master(direction, theta).matrix())
 
 
 class _PairModel:
-    """Matrix-level model of the parent-to-child transform for one hypothesis.
+    """The parent-to-child transform of one hypothesis at all four connection angles.
 
-    The pair transform is parent childward factor, connector transform,
-    child parentward factor.  Joint angles appear in the model only where
-    they influence this transform: the parent's when it is an upright
-    joint, the child's when it is an inverted joint.  When a collinear
-    joint's roll can be measured from its own bundle pair it is measured,
-    not searched; an upright collinear parent with a visible output bundle
-    additionally re-anchors the observation on that bundle so its roll
-    drops out of the model altogether.
+    Layer k is Rn(theta_n) B[k] Rc(-theta_c): B[k] chains the parent factor,
+    the k-th connector transform and the child factor, and Rn, Rc turn the
+    free joint states (parentward_to_master(INVERTED, t) ends in rot(-t)).
+    The metric is invariant under a rigid motion of both frames, so the
+    observation is always the child master seen from the parent master.
     """
 
-    def __init__(
-        self,
-        parent: DetectedModule,
-        parent_direction: str,
-        child: DetectedModule,
-        child_direction: str,
-        child_theta: float | None,
-        cfg: IdentifyConfig,
-    ):
-        pt = parent.module_type
-        ct = child.module_type
-        self.measured_parent_theta: float | None = None
-        anchor = parent.master_pose
-        self.has_theta_n = pt.is_joint and parent_direction == UPRIGHT
-        self.parent_axis = 1 if pt.is_collinear_joint else 2
-        if self.has_theta_n and pt.is_collinear_joint and parent.output_pose is not None:
-            self.measured_parent_theta = _measure_collinear_theta(parent, cfg.epsilon2)
-            anchor = parent.output_pose
-            self._parent_const = np.eye(4)
-            self.has_theta_n = False
-        elif self.has_theta_n:
-            self._parent_const = pt.master_offset_output.matrix()
-        else:
-            self._parent_const = pt.master_to_childward(parent_direction, 0.0).matrix()
+    def __init__(self, parent: _Side, child: _Side, observed: np.ndarray, weights: WeightMatrix):
+        self.parent, self.child = parent, child
+        self._base = parent.matrix @ _CONN_STACK @ child.matrix
+        self._observed = observed
+        self._weights = weights
 
-        self.has_theta_c = ct.is_joint and child_direction == INVERTED
-        self.child_axis = 1 if ct.is_collinear_joint else 2
-        theta_c_known = 0.0
-        if self.has_theta_c:
-            if ct.is_collinear_joint and child.output_pose is not None:
-                theta_c_known = _measure_collinear_theta(child, cfg.epsilon2)
-                self.has_theta_c = False
-            elif child_theta is not None:
-                theta_c_known = child_theta
-                self.has_theta_c = False
-        if self.has_theta_c:
-            self._child_const = ct.master_offset_output.matrix()
-            self._child_inv_base = np.linalg.inv(self._child_const)
-        elif ct.is_joint and child_direction == INVERTED:
-            self._child_fixed = ct.parentward_to_master(child_direction, theta_c_known).matrix()
-        else:
-            self._child_fixed = ct.parentward_to_master(child_direction, 0.0).matrix()
+    def _stack(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
+        m = self._base
+        if self.parent.axis is not None:
+            m = _rotations(self.parent.axis, theta_n) @ m
+        if self.child.axis is not None:
+            m = m @ _rotations(self.child.axis, -theta_c)
+        return m
 
-        self._observed = relative(anchor, child.master_pose).matrix()
-        self._mask = cfg.weights.mask()
-        self.limits_n = pt.joint_limits
-        self.limits_c = ct.joint_limits
+    def residual(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
+        """Weighted pose metric at one joint state per connection angle (ignored if fixed)."""
+        diff = self._weights.mask() * (self._stack(theta_n, theta_c) - self._observed)
+        return np.sqrt((diff * diff).sum(axis=(1, 2)))
 
-    def _parent_mat(self, theta_n: float) -> np.ndarray:
-        if self.has_theta_n:
-            return _rot4(self.parent_axis, theta_n) @ self._parent_const
-        return self._parent_const
+    def parent_cross(self, theta_c: np.ndarray, position_only: bool = False) -> np.ndarray:
+        """H of the metric in theta_n: Rn has no translation, so the model is
+        Rn X and H = w_o^2 O_r X_r^T + w_t^2 O_t X_t^T."""
+        x, o, w = self._stack(np.zeros(len(theta_c)), theta_c), self._observed, self._weights
+        h = w.w_t**2 * o[:3, 3, None] * x[:, None, :3, 3]
+        if position_only:
+            return h
+        return h + w.w_o**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
 
-    def _child_mat(self, theta_c: float) -> np.ndarray:
-        if self.has_theta_c:
-            # parentward_to_master(INVERTED, t) = output_offset^-1 * rot(-t)
-            return self._child_inv_base @ _rot4(self.child_axis, -theta_c)
-        return self._child_fixed
+    def child_cross(self, theta_n: np.ndarray) -> np.ndarray:
+        """H of the metric in theta_c: Rc turns only the modeled rotation, Y_r Rc(-theta_c),
+        so H = w_o^2 O_r^T Y_r."""
+        y = self._stack(theta_n, np.zeros(len(theta_n)))
+        return self._weights.w_o**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
 
-    def residual(self, angle: float, theta_n: float = 0.0, theta_c: float = 0.0) -> float:
-        model = self._parent_mat(theta_n) @ _CONN_MATS[angle] @ self._child_mat(theta_c)
-        return float(np.linalg.norm(self._mask * (model - self._observed)))
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Free joint states at each connection angle in closed form; 0 where fixed.
 
-    def position_residual(self, angle: float, theta_n: float) -> float:
-        """Translation-only residual; independent of the child joint state."""
-        model = self._parent_mat(theta_n) @ _CONN_MATS[angle] @ self._child_mat(0.0)
-        return float(np.linalg.norm(model[:3, 3] - self._observed[:3, 3]))
-
-
-def _minimize_sinusoid(f, limits: tuple[float, float]) -> float:
-    """Minimizer on the joint limits of f, where f(t)**2 = a + b cos t + c sin t.
-
-    The weight mask is uniform on the rotation block and on the translation
-    column, so the squared pose metric is linear in the entries of a single
-    joint rotation: three evaluations fix a, b and c, and the one minimum on
-    the circle lies at atan2(-c, -b).  When the limits exclude it, the
-    sinusoid is monotone toward it from either end, so the better endpoint
-    wins.
-    """
-    g0, g90, g180 = (f(t) ** 2 for t in (0.0, 90.0, 180.0))
-    a = (g0 + g180) / 2.0
-    b = (g0 - g180) / 2.0
-    c = g90 - a
-    lo, hi = limits
-    theta = math.degrees(math.atan2(-c, -b))
-    # The max covers a shift that rounding leaves just short of lo (for a
-    # denormal lo - theta the quotient underflows to 0).
-    theta = max(theta + 360.0 * math.ceil((lo - theta) / 360.0), lo)
-    if theta <= hi:
-        return theta
-    g_lo, g_hi = (b * math.cos(math.radians(t)) + c * math.sin(math.radians(t)) for t in limits)
-    return lo if g_lo <= g_hi else hi
-
-
-def _minimize_two(model: "_PairModel", angle: float) -> tuple[float, float]:
-    """Both joint states enter the pair transform: solve them in sequence.
-
-    The child master position depends only on the parent state (the child
-    factor contributes a fixed translation), so the parent angle comes from
-    a translation-only fit and the child angle from the full metric at that
-    parent angle; each is then re-solved once with the other held fixed.
-    Every step is a closed-form fit over the full joint limits.
-    """
-    theta_n = _minimize_sinusoid(lambda t: model.position_residual(angle, t), model.limits_n)
-    theta_c = _minimize_sinusoid(lambda t: model.residual(angle, theta_n, t), model.limits_c)
-    theta_n = _minimize_sinusoid(lambda t: model.residual(angle, t, theta_c), model.limits_n)
-    theta_c = _minimize_sinusoid(lambda t: model.residual(angle, theta_n, t), model.limits_c)
-    return theta_n, theta_c
+        When both are free, the child master position depends only on the
+        parent state, so theta_n comes from a translation-only fit and
+        theta_c from the full metric at that theta_n; each is then re-solved
+        once with the other held fixed.  Every step spans the full limits.
+        """
+        p, c = self.parent, self.child
+        theta_n = theta_c = np.zeros(len(CONNECTION_ANGLES))
+        if p.axis is not None and c.axis is not None:
+            theta_n = _fit_joint(p.axis, self.parent_cross(theta_c, position_only=True), p.limits)
+            theta_c = _fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+        if p.axis is not None:
+            theta_n = _fit_joint(p.axis, self.parent_cross(theta_c), p.limits)
+        if c.axis is not None:
+            theta_c = _fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+        return theta_n, theta_c
 
 
 def find_parent_optimization(
@@ -600,75 +613,50 @@ def find_parent_optimization(
 ) -> ParentMatch | None:
     """Pick the parent by minimizing the weighted pose metric.
 
-    Enumerates neighbor, install directions, and the four connection
-    angles; joint angles that influence the pair transform are solved in
-    closed form within their joint limits, and the residual is the metric
-    at the solved states.  A hypothesis whose bundle pair is misaligned is
-    skipped.  The best candidate is accepted only when its residual stays
-    within the configured threshold; exact residual ties resolve toward the
-    lower marker id.
+    Enumerates neighbor and install directions and scores each hypothesis
+    at all four connection angles at once; joint angles that influence the
+    pair transform are solved in closed form within their joint limits,
+    and the residual is the metric at the solved states.  A hypothesis
+    whose bundle pair is misaligned is skipped.  The best candidate is
+    accepted only when its residual stays within the configured threshold.
+    Residuals within RESIDUAL_TIE of the best tie; ties resolve toward the
+    lower marker id, then toward the smallest total solved joint roll, the
+    geometric back end's convention of absorbing an unobservable roll into
+    the connection angle.
     """
-    best: tuple[float, int, ParentMatch] | None = None
+    ct = child.module_type
+    child_sides = []
+    for d_c in (child_direction,) if child_direction is not None else ct.directions():
+        try:
+            if ct.can_child(d_c):
+                child_sides.append((d_c, _child_side(child, d_c, child_theta, cfg.epsilon2)))
+        except NonCollinearBundles:
+            pass  # a misaligned bundle pair disqualifies its own hypotheses only
+    scored = []
     for cand in neighbors(child, pool, db, cfg):
         pt = cand.module_type
-        ct = child.module_type
-        child_dirs = (
-            (child_direction,) if child_direction is not None else ct.directions()
-        )
-        for d_p in pt.directions():
-            if not pt.can_parent(d_p):
+        observed = relative(cand.master_pose, child.master_pose).matrix()
+        for d_p in filter(pt.can_parent, pt.directions()):
+            try:
+                parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
+            except NonCollinearBundles:
                 continue
-            for d_c in child_dirs:
-                if not ct.can_child(d_c):
-                    continue
-                try:
-                    model = _PairModel(cand, d_p, child, d_c, child_theta, cfg)
-                except NonCollinearBundles:
-                    # A misaligned bundle pair disqualifies this hypothesis only.
-                    continue
-                for angle in CONNECTION_ANGLES:
-                    theta_n = theta_c = 0.0
-                    if model.has_theta_n and model.has_theta_c:
-                        theta_n, theta_c = _minimize_two(model, angle)
-                    elif model.has_theta_n:
-                        theta_n = _minimize_sinusoid(
-                            lambda t: model.residual(angle, theta_n=t), model.limits_n
-                        )
-                    elif model.has_theta_c:
-                        theta_c = _minimize_sinusoid(
-                            lambda t: model.residual(angle, theta_c=t), model.limits_c
-                        )
-                    f_min = model.residual(angle, theta_n, theta_c)
-                    if model.measured_parent_theta is not None:
-                        reported = model.measured_parent_theta
-                    elif model.has_theta_n:
-                        reported = theta_n
-                    else:
-                        reported = None
-                    match = ParentMatch(
-                        cand, angle, d_p, d_c, theta=reported, f_value=f_min
-                    )
-                    key = (f_min, cand.record.master_marker_id)
-                    if best is None or key < (best[0], best[1]):
-                        best = (f_min, cand.record.master_marker_id, match)
-    if best is None or best[0] > cfg.f_threshold:
+            for d_c, child_side in child_sides:
+                model = _PairModel(parent_side, child_side, observed, cfg.weights)
+                theta_n, theta_c = model.solve()
+                f = model.residual(theta_n, theta_c)
+                for k, angle in enumerate(CONNECTION_ANGLES):
+                    t_n, t_c = float(theta_n[k]), float(theta_c[k])
+                    theta = measured if parent_side.axis is None else t_n
+                    match = ParentMatch(cand, angle, d_p, d_c, theta=theta, f_value=float(f[k]))
+                    roll = abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
+                    scored.append((match, cand.record.master_marker_id, roll))
+    if not scored:
         return None
-    return best[2]
-
-
-def _find_parent(
-    child: DetectedModule,
-    pool: list[DetectedModule],
-    db: ModuleDatabase,
-    cfg: IdentifyConfig,
-    child_direction: str | None,
-    child_theta: float | None,
-) -> ParentMatch | None:
-    if cfg.method == METHOD_OPTIMIZATION:
-        return find_parent_optimization(
-            child, pool, db, cfg, child_direction=child_direction, child_theta=child_theta
-        )
-    return find_parent_geometric(child, pool, db, cfg, child_direction=child_direction)
+    f_best = min(match.f_value for match, _, _ in scored)
+    tied = (s for s in scored if s[0].f_value <= f_best + RESIDUAL_TIE)
+    match = min(tied, key=lambda s: s[1:])[0]
+    return match if match.f_value <= cfg.f_threshold else None
 
 
 def _grow_branch(
@@ -685,33 +673,25 @@ def _grow_branch(
     links_end_first: list[ChainLink] = []
     child = start
     child_direction: str | None = None
-    child_theta: float | None = None
-    solver_thetas: dict[str, float | None] = {}
+    child_theta: float | None = None  # the child's state as solved when it was matched
     while True:
         pool = [m for m in detected if m.serial not in claimed]
-        match = _find_parent(child, pool, db, cfg, child_direction, child_theta)
+        if cfg.method == METHOD_OPTIMIZATION:
+            match = find_parent_optimization(child, pool, db, cfg, child_direction, child_theta)
+        else:
+            match = find_parent_geometric(child, pool, db, cfg, child_direction)
         if match is None:
             links_end_first.append(
-                ChainLink(
-                    module=child,
-                    connection_angle=None,
-                    direction=child_direction or UPRIGHT,
-                    solver_theta=solver_thetas.get(child.serial),
-                )
+                ChainLink(child, None, child_direction or UPRIGHT, solver_theta=child_theta)
             )
             break
         links_end_first.append(
             ChainLink(
-                module=child,
-                connection_angle=match.connection_angle,
-                direction=match.child_direction,
-                solver_theta=solver_thetas.get(child.serial),
+                child, match.connection_angle, match.child_direction, solver_theta=child_theta
             )
         )
-        parent = match.module
-        claimed.add(parent.serial)
-        solver_thetas[parent.serial] = match.theta
-        child = parent
+        claimed.add(match.module.serial)
+        child = match.module
         child_direction = match.parent_direction
         child_theta = match.theta
     return list(reversed(links_end_first)), claimed

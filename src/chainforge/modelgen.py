@@ -20,6 +20,7 @@ from .geometry import (
     Pose,
     axis_angle,
     compose,
+    finite_number,
     matrix_to_rpy,
     pose_from_json,
     pose_to_json,
@@ -37,6 +38,10 @@ VISUAL_RADIUS = 25.0
 
 class InconsistentChain(Exception):
     """The chain cannot form a valid model (duplicate names, bad limits)."""
+
+
+class ModelParseError(Exception):
+    """A model file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -172,30 +177,19 @@ def _emit_module(
     def attach(child_name: str, child_frame: Pose, revolute_axis=None):
         if is_root:
             return
-        if revolute_axis is None:
-            joints.append(
-                ModelJoint(
-                    name=f"j_{serial}",
-                    joint_type=JOINT_FIXED,
-                    parent=prev.chainward_name,
-                    child=child_name,
-                    origin=relative(prev.link_frame, child_frame),
-                    axis=(0.0, 0.0, 1.0),
-                )
+        revolute = revolute_axis is not None
+        joints.append(
+            ModelJoint(
+                name=f"j_{serial}",
+                joint_type=JOINT_REVOLUTE if revolute else JOINT_FIXED,
+                parent=prev.chainward_name,
+                child=child_name,
+                origin=relative(prev.link_frame, child_frame),
+                axis=revolute_axis if revolute else (0.0, 0.0, 1.0),
+                limits=mt.joint_limits if revolute else None,
+                angle=theta if revolute else None,
             )
-        else:
-            joints.append(
-                ModelJoint(
-                    name=f"j_{serial}",
-                    joint_type=JOINT_REVOLUTE,
-                    parent=prev.chainward_name,
-                    child=child_name,
-                    origin=relative(prev.link_frame, child_frame),
-                    axis=revolute_axis,
-                    limits=mt.joint_limits,
-                    angle=theta,
-                )
-            )
+        )
 
     if mt.dual_bundle:
         in_name, out_name = f"{serial}_in", f"{serial}_out"
@@ -383,73 +377,105 @@ def _write_model_xml(model: RobotModel, path: str):
 
 
 def read_model(path) -> RobotModel:
-    """Read a model in either format written by write_model."""
-    path = str(path)
+    """Read a model in either format written by write_model.
+
+    Every malformed document raises ModelParseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("<"):
-        return _read_model_xml(text)
-    return _read_model_json(text)
+        try:
+            text = fh.read()
+            return (_read_model_xml if text.lstrip().startswith("<") else _read_model_json)(text)
+        except (ValueError, RecursionError, ET.ParseError) as exc:
+            raise ModelParseError(f"{path}: {exc}") from exc
+
+
+def _field(doc, key: str, kind: type = object):
+    """doc[key], which must be present and of JSON type `kind`."""
+    if not isinstance(doc, dict) or key not in doc or not isinstance(doc[key], kind):
+        raise ValueError(f"expected {key!r} holding a {kind.__name__}")
+    return doc[key]
+
+
+def _numbers(values, n: int, what: str) -> tuple[float, ...]:
+    if not isinstance(values, list) or len(values) != n:
+        raise ValueError(f"{what} must hold {n} numbers")
+    return tuple(finite_number(v) for v in values)
+
+
+def _joint_type(value: str) -> str:
+    if value not in (JOINT_REVOLUTE, JOINT_FIXED):
+        raise ValueError(f"unknown joint type {value!r:.40}")
+    return value
 
 
 def _read_model_json(text: str) -> RobotModel:
     doc = json.loads(text)
-    links = [ModelLink(l["name"], float(l["visual_length_mm"])) for l in doc["links"]]
-    joints = [
-        ModelJoint(
-            name=j["name"],
-            joint_type=j["type"],
-            parent=j["parent"],
-            child=j["child"],
-            origin=pose_from_json(j["origin"]["t"], j["origin"]["q"]),
-            axis=tuple(float(v) for v in j["axis"]),
-            limits=None if j["limits_deg"] is None else tuple(j["limits_deg"]),
-            angle=j["angle_deg"],
-        )
-        for j in doc["joints"]
+    links = [
+        ModelLink(_field(l, "name", str), finite_number(_field(l, "visual_length_mm")))
+        for l in _field(doc, "links", list)
     ]
-    return RobotModel(doc["name"], links, joints, doc["metadata"])
+    joints = []
+    for j in _field(doc, "joints", list):
+        origin, limits, angle = (_field(j, key) for key in ("origin", "limits_deg", "angle_deg"))
+        joints.append(
+            ModelJoint(
+                name=_field(j, "name", str),
+                joint_type=_joint_type(_field(j, "type", str)),
+                parent=_field(j, "parent", str),
+                child=_field(j, "child", str),
+                origin=pose_from_json(_field(origin, "t"), _field(origin, "q")),
+                axis=_numbers(_field(j, "axis"), 3, "axis"),
+                limits=None if limits is None else _numbers(limits, 2, "limits_deg"),
+                angle=None if angle is None else finite_number(angle),
+            )
+        )
+    return RobotModel(_field(doc, "name", str), links, joints, _field(doc, "metadata", dict))
+
+
+def _attr(el: ET.Element, path: str, key: str, n: int | None = None):
+    """Attribute `key` of the element at `path` below `el`; n finite numbers when n is given."""
+    found = el.find(path)
+    if found is None or found.get(key) is None:
+        raise ValueError(f"<{el.tag}> lacks {path}/@{key}")
+    text = found.get(key)
+    return text if n is None else _numbers([float(v) for v in text.split()], n, f"@{key}")
 
 
 def _read_model_xml(text: str) -> RobotModel:
     robot = ET.fromstring(text)
-    links = []
-    for el in robot.findall("link"):
-        cylinder = el.find("./visual/geometry/cylinder")
-        length = 0.0 if cylinder is None else float(cylinder.get("length")) * 1000.0
-        links.append(ModelLink(el.get("name"), length))
+    cylinder = "./visual/geometry/cylinder"
+    links = [
+        ModelLink(
+            _attr(el, ".", "name"),
+            0.0 if el.find(cylinder) is None else _attr(el, cylinder, "length", 1)[0] * 1000.0,
+        )
+        for el in robot.findall("link")
+    ]
     meta_el = robot.find("metadata")
     blob = json.loads(meta_el.text) if meta_el is not None and meta_el.text else {}
-    angles = blob.get("joint_angles_deg", {})
+    if not isinstance(blob, dict):
+        raise ValueError("<metadata> must hold a JSON object")
+    blob = {"joint_angles_deg": {}, "metadata": {}, **blob}
+    angles = _field(blob, "joint_angles_deg", dict)
     joints = []
     for el in robot.findall("joint"):
-        origin_el = el.find("origin")
-        xyz = np.array([float(v) for v in origin_el.get("xyz").split()]) * 1000.0
-        rpy = [float(v) for v in origin_el.get("rpy").split()]
-        axis_el = el.find("axis")
-        axis = (
-            tuple(float(v) for v in axis_el.get("xyz").split())
-            if axis_el is not None
-            else (0.0, 0.0, 1.0)
-        )
-        limit_el = el.find("limit")
-        limits = None
-        if limit_el is not None:
-            limits = (
-                math.degrees(float(limit_el.get("lower"))),
-                math.degrees(float(limit_el.get("upper"))),
-            )
-        name = el.get("name")
+        name = _attr(el, ".", "name")
+        angle = angles.get(name)
         joints.append(
             ModelJoint(
                 name=name,
-                joint_type=el.get("type"),
-                parent=el.find("parent").get("link"),
-                child=el.find("child").get("link"),
-                origin=Pose(rpy_to_matrix(*rpy), xyz),
-                axis=axis,
-                limits=limits,
-                angle=angles.get(name),
+                joint_type=_joint_type(_attr(el, ".", "type")),
+                parent=_attr(el, "parent", "link"),
+                child=_attr(el, "child", "link"),
+                origin=Pose(
+                    rpy_to_matrix(*_attr(el, "origin", "rpy", 3)),
+                    np.array(_attr(el, "origin", "xyz", 3)) * 1000.0,
+                ),
+                axis=(0.0, 0.0, 1.0) if el.find("axis") is None else _attr(el, "axis", "xyz", 3),
+                limits=None if el.find("limit") is None else tuple(
+                    math.degrees(_attr(el, "limit", key, 1)[0]) for key in ("lower", "upper")
+                ),
+                angle=None if angle is None else finite_number(angle),
             )
         )
-    return RobotModel(robot.get("name"), links, joints, blob.get("metadata", {}))
+    return RobotModel(_attr(robot, ".", "name"), links, joints, _field(blob, "metadata", dict))

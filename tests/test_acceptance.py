@@ -192,6 +192,25 @@ def test_criterion_4_noise_robustness(db, noise_trials):
     assert within >= 0.95
 
 
+@pytest.mark.parametrize("draw", [8, 38])
+def test_dropout_roll_ties_resolve_like_geometric(db, noise_trials, draw):
+    # With 5% dropout these criterion-4 draws lose the output bundle of an
+    # upright collinear joint, so only its roll plus the connection angle is
+    # observable and several optimization hypotheses tie; both back ends
+    # must absorb the roll into the connection angle the same way.
+    desc, trials = noise_trials
+    thetas, seed = trials[draw]
+    cfg = SceneConfig(sigma_pos=2.0, sigma_rot=2.0, dropout_prob=0.05, seed=seed)
+    obs = synthesize(desc, thetas, db, cfg=cfg)
+    links = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method in ("geometric", "optimization"):
+            chain = build_chain(obs, db, IdentifyConfig(method=method))
+            links.append([(l.module.serial, l.connection_angle, l.direction) for l in chain.links])
+    assert links[1] == links[0]
+
+
 def test_criterion_5_false_positive_elimination(db, noise_trials):
     desc, trials = noise_trials
     mismatches = 0

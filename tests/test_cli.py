@@ -151,6 +151,16 @@ class TestIdentify:
         assert code == 2
         assert "NoToolModule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, stage", [([], "build_chain"), (["--tree"], "build_tree")])
+    def test_failure_names_its_stage(self, tmp_path, db_path, capsys, flags, stage):
+        scene = tmp_path / "notool.json"
+        synth = ["synth", "--chain", "L-l0", "--db", str(db_path), "--seed", "2"]
+        assert main([*synth, "--out", str(scene)]) == 0
+        capsys.readouterr()
+        code = main(["identify", "--scene", str(scene), "--db", str(db_path), *flags])
+        assert code == 2
+        assert f"identification failed in {stage}: NoToolModule" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "error",
         [

@@ -7,7 +7,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
-from chainforge.geometry import CONNECTION_ANGLES, Pose, axis_angle, compose, rot_x, wrap_angle
+from chainforge.geometry import (
+    CONNECTION_ANGLES,
+    Pose,
+    axis_angle,
+    compose,
+    pose_distance,
+    relative,
+    rot_x,
+    rot_y,
+    rot_z,
+    wrap_angle,
+)
 from chainforge.identify import (
     REASON_DUPLICATE,
     REASON_ORPHAN,
@@ -27,10 +38,12 @@ from chainforge.identify import (
     neighbors,
     to_descriptor,
     validate_markers,
-    _minimize_sinusoid,
+    _child_side,
+    _fit_joint,
     _PairModel,
+    _parent_side,
 )
-from chainforge.module_db import INVERTED, UPRIGHT, default_database
+from chainforge.module_db import INVERTED, UPRIGHT, connection_transform, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import make_corpus, make_two_branch_scene, random_base, random_chain_case
@@ -256,36 +269,60 @@ class TestFindParentOptimization:
     def test_local_optimality_certificate(self, db):
         # The returned residual is a local minimum: nudging the solved joint
         # state by one degree or switching the connection angle never improves.
-        from chainforge.geometry import CONNECTION_ANGLES
-        from chainforge.identify import _PairModel
-
         obs = synthesize(parse("T-g90"), [47.0], db)
         by, detected, _ = detected_by_serial(obs, db)
         child = by["g-001"]
         cfg = IdentifyConfig()
         match = find_parent_optimization(child, [by["T-001"]], db, cfg)
-        model = _PairModel(
-            match.module, match.parent_direction, child, match.child_direction, None, cfg
-        )
-        best = model.residual(match.connection_angle, theta_n=match.theta)
+        model = _pair_model(match.module, match.parent_direction, child, match.child_direction)
+        k = CONNECTION_ANGLES.index(match.connection_angle)
+
+        def f(theta_n):
+            return model.residual(np.full(4, theta_n), np.zeros(4))
+
+        best = f(match.theta)[k]
         assert best == pytest.approx(match.f_value, abs=1e-9)
         for delta in (-1.0, 1.0):
-            assert model.residual(match.connection_angle, theta_n=match.theta + delta) >= best
-        for angle in CONNECTION_ANGLES:
+            assert f(match.theta + delta)[k] >= best
+        for j, angle in enumerate(CONNECTION_ANGLES):
             if angle != match.connection_angle:
-                assert model.residual(angle, theta_n=match.theta) >= best
+                assert f(match.theta)[j] >= best
+
+    @pytest.mark.parametrize("theta", [30.0, 60.0, -60.0, 150.0, -170.0])
+    def test_unobservable_roll_goes_to_the_connection_angle(self, db, theta):
+        # Without its output bundle, an upright collinear parent shows only
+        # its roll plus the connection angle; the four hypotheses tie, and
+        # the back ends agree on absorbing the roll into the connection angle.
+        obs = synthesize(parse("I-G0"), [theta], db)
+        output_marker = db.records_of_type("I")[0].output_marker_id
+        obs = [o for o in obs if o.marker_id != output_marker]
+        by, detected, _ = detected_by_serial(obs, db)
+        child = by["G-001"]
+        cfg = IdentifyConfig()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            geo = find_parent_geometric(child, [by["I-001"]], db, cfg)
+        opt = find_parent_optimization(child, [by["I-001"]], db, cfg)
+        assert opt.connection_angle == geo.connection_angle
+        assert abs(wrap_angle(opt.theta)) <= 45.0
+        assert opt.f_value == pytest.approx(0.0, abs=1e-9)
 
 
-def _sinusoid_fit(f):
-    """Coefficients (a, b, c) of f(t)**2 = a + b cos t + c sin t from three samples."""
-    g0, g90, g180 = (f(t) ** 2 for t in (0.0, 90.0, 180.0))
-    a = (g0 + g180) / 2.0
-    return a, (g0 - g180) / 2.0, g90 - a
+def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
+    """One hypothesis's model, built the way find_parent_optimization builds it."""
+    parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
+    child_side = _child_side(child, child_dir, None, cfg.epsilon2)
+    observed = relative(parent.master_pose, child.master_pose).matrix()
+    return _PairModel(parent_side, child_side, observed, cfg.weights)
 
 
-def _sinusoid(a, b, c, t):
-    rad = math.radians(t)
-    return a + b * math.cos(rad) + c * math.sin(rad)
+def _joint_rotation(module_type, t):
+    return rot_y(t) if module_type.is_collinear_joint else rot_z(t)
+
+
+def _inner(r, h):
+    """<R, H[k]> for every layer k of a stack H."""
+    return np.einsum("ij,kij->k", r, h)
 
 
 class TestClosedFormFit:
@@ -298,51 +335,124 @@ class TestClosedFormFit:
     @given(
         parent_side=st.sampled_from(PARENT_SIDES),
         child_side=st.sampled_from(CHILD_SIDES),
-        angle=st.sampled_from(CONNECTION_ANGLES),
+        seed=st.integers(0, 2**32 - 1),
+        theta_n=st.lists(st.floats(-360.0, 360.0), min_size=4, max_size=4),
+        theta_c=st.lists(st.floats(-360.0, 360.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_residual_matches_pose_distance(
+        self, db, parent_side, child_side, seed, theta_n, theta_c
+    ):
+        # Layer k of the stacked residual is the weighted pose metric of the
+        # pair transform composed from the catalog at the k-th connection
+        # angle and the k-th joint states.
+        (parent_code, parent_dir), (child_code, child_dir) = parent_side, child_side
+        rng = np.random.default_rng(seed)
+        parent = _detected(db, parent_code, random_base(rng))
+        child = _detected(db, child_code, random_base(rng))
+        cfg = IdentifyConfig()
+        got = _pair_model(parent, parent_dir, child, child_dir).residual(
+            np.array(theta_n), np.array(theta_c)
+        )
+        observed = relative(parent.master_pose, child.master_pose)
+        pt, ct = parent.module_type, child.module_type
+        for k, angle in enumerate(CONNECTION_ANGLES):
+            parent_factor = pt.master_to_childward(parent_dir, theta_n[k])
+            modeled = compose(
+                compose(parent_factor, connection_transform(angle)),
+                ct.parentward_to_master(child_dir, theta_c[k]),
+            )
+            expected = pose_distance(modeled, observed, cfg.weights)
+            assert got[k] == pytest.approx(expected, rel=1e-12)
+
+    @given(
+        parent_side=st.sampled_from(PARENT_SIDES),
+        child_side=st.sampled_from(CHILD_SIDES),
         seed=st.integers(0, 2**32 - 1),
         other=st.floats(-180.0, 180.0),
         probes=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=8),
     )
     @settings(max_examples=300, deadline=None)
     def test_squared_residual_is_a_sinusoid(
-        self, db, parent_side, child_side, angle, seed, other, probes
+        self, db, parent_side, child_side, seed, other, probes
     ):
+        # The squared metric in one free joint state t is const - 2<R(t), H>
+        # with H the model's cross-covariance, at every connection angle.
         # Holds for any observed transform, so the two module poses are drawn
         # independently; no output bundle is seen, so collinear joints stay free.
         (parent_code, parent_dir), (child_code, child_dir) = parent_side, child_side
         rng = np.random.default_rng(seed)
         parent = _detected(db, parent_code, random_base(rng))
         child = _detected(db, child_code, random_base(rng))
-        model = _PairModel(parent, parent_dir, child, child_dir, None, IdentifyConfig())
-        assume(model.has_theta_n or model.has_theta_c)
+        model = _pair_model(parent, parent_dir, child, child_dir)
+        assume(model.parent.axis is not None or model.child.axis is not None)
+        pt, ct = parent.module_type, child.module_type
+        held = np.full(4, other)
+        observed = relative(parent.master_pose, child.master_pose).translation
+        w_t = IdentifyConfig().weights.w_t
+
+        def position_metric(t):
+            # Translation part of the metric, composed from the catalog.
+            return np.array([
+                w_t**2 * float(np.sum((compose(
+                    compose(pt.master_to_childward(parent_dir, t), connection_transform(a)),
+                    ct.parentward_to_master(child_dir, other),
+                ).translation - observed) ** 2))
+                for a in CONNECTION_ANGLES
+            ])
+
         free = []
-        if model.has_theta_n:
-            free.append(lambda t: model.residual(angle, t, other))
-            free.append(lambda t: model.position_residual(angle, t))
-        if model.has_theta_c:
-            free.append(lambda t: model.residual(angle, other, t))
-        for f in free:
-            a, b, c = _sinusoid_fit(f)
+        if model.parent.axis is not None:
+            free.append((
+                pt,
+                lambda t: model.residual(np.full(4, t), held) ** 2,
+                model.parent_cross(held),
+            ))
+            free.append((pt, position_metric, model.parent_cross(held, position_only=True)))
+        if model.child.axis is not None:
+            free.append((
+                ct,
+                lambda t: model.residual(held, np.full(4, t)) ** 2,
+                model.child_cross(held),
+            ))
+        for module_type, g, h in free:
+            const = g(0.0) + 2.0 * _inner(np.eye(3), h)
+            mean = (g(0.0) + g(180.0)) / 2.0
             for t in probes:
-                assert f(t) ** 2 == pytest.approx(
-                    _sinusoid(a, b, c, t), rel=1e-9, abs=1e-9 * a
-                )
+                predicted = const - 2.0 * _inner(_joint_rotation(module_type, t), h)
+                for k in range(4):
+                    assert g(t)[k] == pytest.approx(predicted[k], rel=1e-9, abs=1e-9 * mean[k])
 
     @given(
+        code=st.sampled_from(("I", "T")),
         a_excess=st.floats(0.0, 10.0),
         amplitude=st.floats(0.0, 10.0),
         phase=st.floats(-180.0, 180.0),
         lo=st.floats(-540.0, 300.0),
         width=st.floats(1.0, 400.0),
     )
-    @example(a_excess=0.0, amplitude=5e-324, phase=151.0, lo=5e-324, width=1.0)
+    @example(code="T", a_excess=0.0, amplitude=5e-324, phase=151.0, lo=5e-324, width=1.0)
     @settings(max_examples=200, deadline=None)
-    def test_matches_dense_scan_of_sinusoids(self, a_excess, amplitude, phase, lo, width):
+    def test_matches_dense_scan_of_sinusoids(
+        self, db, code, a_excess, amplitude, phase, lo, width
+    ):
+        # f(t)^2 = a_excess + amplitude (1 + cos(t - phase)) written in the
+        # H-form const - 2 (p cos t + q sin t) about a collinear (I, y) or
+        # perpendicular (T, z) joint axis.
         def f(t):
             return math.sqrt(a_excess + amplitude * (1.0 + math.cos(math.radians(t - phase))))
 
+        module_type = db.types[code]
+
+        def r(t):
+            return _joint_rotation(module_type, t)
+
+        p = -amplitude * math.cos(math.radians(phase)) / 2.0
+        q = -amplitude * math.sin(math.radians(phase)) / 2.0
+        # <R(t), R(0) - R(180)> = 4 cos t and <R(t), R(90) - R(-90)> = 4 sin t.
+        h = (p * (r(0.0) - r(180.0)) + q * (r(90.0) - r(-90.0))) / 4.0
         limits = (lo, lo + width)
-        theta = _minimize_sinusoid(f, limits)
+        theta = float(_fit_joint(1 if code == "I" else 2, h[None], limits)[0])
         assert limits[0] <= theta <= limits[1]
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         g_scan = a_excess + amplitude * (1.0 + np.cos(np.radians(scan - phase)))
@@ -360,13 +470,14 @@ class TestClosedFormFit:
     def test_matches_dense_scan_of_pair_residual(self, db, limits, expected):
         obs = synthesize(parse("T-g90"), [33.0], db)
         by, _, _ = detected_by_serial(obs, db)
-        cfg = IdentifyConfig()
-        model = _PairModel(by["T-001"], UPRIGHT, by["g-001"], UPRIGHT, None, cfg)
+        model = _pair_model(by["T-001"], UPRIGHT, by["g-001"], UPRIGHT)
+        k = CONNECTION_ANGLES.index(90.0)
+        zero = np.zeros(4)
 
         def f(t):
-            return model.residual(90.0, theta_n=t)
+            return model.residual(np.full(4, t), zero)[k]
 
-        theta = _minimize_sinusoid(f, limits)
+        theta = float(_fit_joint(model.parent.axis, model.parent_cross(zero), limits)[k])
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         values = [f(t) for t in scan]
         best = int(np.argmin(values))

@@ -1,5 +1,10 @@
+import json
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import Pose
@@ -8,6 +13,7 @@ from chainforge.modelgen import (
     InconsistentChain,
     JOINT_FIXED,
     JOINT_REVOLUTE,
+    ModelParseError,
     generate_model,
     model_world_frames,
     read_model,
@@ -15,7 +21,7 @@ from chainforge.modelgen import (
 )
 from chainforge.synth import forward_poses, synthesize
 
-from helpers import PAPER_CHAINS, make_two_branch_scene, random_base
+from helpers import PAPER_CHAINS, field_values, make_two_branch_scene, random_base
 
 
 def chain_for(db, text, thetas, assignment=None):
@@ -168,3 +174,148 @@ class TestModelFiles:
         model = generate_model(chain_for(db, "L-G0", []), db)
         with pytest.raises(ValueError):
             write_model(model, tmp_path / "a.bin", fmt="yaml")
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory, db):
+    """A directory holding one written model in each format."""
+    model = generate_model(chain_for(db, "I-T0-G0", [25.0, -40.0]), db)
+    directory = tmp_path_factory.mktemp("model-files")
+    write_model(model, directory / "robot.json")
+    write_model(model, directory / "robot.xml")
+    return directory
+
+
+def _json_paths(doc, prefix=()):
+    """Path (keys and indices) of every field of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield prefix + (key,)
+            yield from _json_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+
+
+class TestModelParseErrors:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {"name": "x", "links": 3},
+            lambda doc: {k: v for k, v in doc.items() if k != "joints"},
+            lambda doc: [doc],
+            lambda doc: {**doc, "joints": [{**doc["joints"][0], "limits_deg": [0.0, 1.0, 2.0]}]},
+            lambda doc: {**doc, "joints": [{**doc["joints"][0], "axis": [0.0, 1.0]}]},
+            lambda doc: {**doc, "joints": [{**doc["joints"][0], "angle_deg": float("inf")}]},
+            lambda doc: {**doc, "joints": [{**doc["joints"][0], "axis": ["0", 1.0, 0.0]}]},
+            lambda doc: {**doc, "joints": [{**doc["joints"][0], "type": "prismatic"}]},
+        ],
+    )
+    def test_malformed_json_raises_typed(self, model_dir, edit):
+        path = model_dir / "edited.json"
+        path.write_text(json.dumps(edit(json.loads((model_dir / "robot.json").read_text()))))
+        with pytest.raises(ModelParseError):
+            read_model(path)
+
+    @pytest.mark.parametrize(
+        "parent, attr, value",
+        [
+            ("joint/origin/..", "name", None),  # missing attribute
+            ("joint/origin", "xyz", "abc 0 0"),  # non-numeric
+            ("joint/origin", "rpy", "nan 0 0"),  # non-finite
+            ("joint/limit", "lower", "1e999"),  # overflows to inf
+            ("joint/axis", "xyz", "0 1"),  # wrong length
+            ("joint/parent", "link", None),
+            ("joint/origin/..", "type", "prismatic"),
+            ("link/visual/geometry/cylinder", "length", "inf"),
+        ],
+    )
+    def test_malformed_xml_raises_typed(self, model_dir, parent, attr, value):
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        el = root.find(parent)
+        if value is None:
+            del el.attrib[attr]
+        else:
+            el.set(attr, value)
+        path = model_dir / "edited.xml"
+        path.write_text(ET.tostring(root, encoding="unicode"))
+        with pytest.raises(ModelParseError):
+            read_model(path)
+
+    @pytest.mark.parametrize("element", ["joint/origin", "joint/parent", "metadata"])
+    def test_missing_or_malformed_xml_element_raises_typed(self, model_dir, element):
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        el = root.find(element)
+        if element == "metadata":
+            el.text = "[1, 2"
+        else:
+            root.find(element + "/..").remove(el)
+        path = model_dir / "edited.xml"
+        path.write_text(ET.tostring(root, encoding="unicode"))
+        with pytest.raises(ModelParseError):
+            read_model(path)
+
+    def test_truncated_xml_raises_typed(self, model_dir):
+        text = (model_dir / "robot.xml").read_text()
+        path = model_dir / "edited.xml"
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ModelParseError):
+            read_model(path)
+
+    @given(data=st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_any_bytes_read_back_or_raise_typed(self, model_dir, data):
+        path = model_dir / "bytes.model"
+        path.write_bytes(data)
+        try:
+            read_model(path)
+        except ModelParseError:
+            pass
+
+    @given(data=st.data(), value=field_values | st.just(_DELETE))
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_field_value_reads_back_or_raises_typed(self, model_dir, data, value):
+        doc = json.loads((model_dir / "robot.json").read_text())
+        field = data.draw(st.sampled_from(list(_json_paths(doc))))
+        owner = doc
+        for key in field[:-1]:
+            owner = owner[key]
+        if value is _DELETE:
+            del owner[field[-1]]
+        else:
+            owner[field[-1]] = value
+        path = model_dir / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        try:
+            read_model(path)
+        except ModelParseError:
+            pass
+
+    @given(
+        data=st.data(),
+        value=st.none() | st.text(max_size=12) | field_values.map(json.dumps),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_xml_attribute_or_element_reads_back_or_raises_typed(
+        self, model_dir, data, value
+    ):
+        # A target is an attribute, or an element's text (None); a None value
+        # deletes the attribute or the element.
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        parents = {child: el for el in root.iter() for child in el}
+        targets = [(el, attr) for el in root.iter() for attr in [*el.attrib, None]]
+        el, attr = data.draw(st.sampled_from(targets))
+        if attr is not None and value is None:
+            del el.attrib[attr]
+        elif attr is not None:
+            el.set(attr, value)
+        elif value is None and el in parents:
+            parents[el].remove(el)
+        else:
+            el.text = value
+        path = model_dir / "fuzzed.xml"
+        path.write_text(ET.tostring(root, encoding="unicode"))
+        try:
+            read_model(path)
+        except ModelParseError:
+            pass
