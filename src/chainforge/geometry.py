@@ -58,6 +58,44 @@ def wrap_angle(deg: float) -> float:
     return 180.0 - (180.0 - deg) % 360.0
 
 
+class InvalidPose(ValueError):
+    """A pose failed the constructor's checks; `index` is its place in the checked stack."""
+
+    index = 0
+
+
+_EYE = np.eye(3)
+_EYE.setflags(write=False)
+
+
+def _checked_rotations(r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Pose checks over rotations (n, 3, 3) and translations (n, 3), fixing drift in place.
+
+    The first pose that is non-finite, drifts past 1e-2 or is improper raises.
+    """
+    drift = np.abs(r.transpose(0, 2, 1) @ r - _EYE).max()  # of the worst pose
+    if drift <= ORTHONORMALITY_TOL and np.isfinite(t).all() and np.linalg.det(r).min() >= 0.0:
+        return r  # finite, within the tolerance and proper throughout
+    if len(r) > 1:  # one pose at a time, so that the first failing pose raises
+        for i in range(len(r)):
+            try:
+                _checked_rotations(r[i : i + 1], t[i : i + 1])
+            except InvalidPose as exc:
+                exc.index = i
+                raise
+        return r
+    if not (np.isfinite(r).all() and np.isfinite(t).all()):
+        raise InvalidPose("pose has non-finite entries")
+    if drift > 1e-2:
+        raise InvalidPose("rotation is not close to orthonormal")
+    if drift > ORTHONORMALITY_TOL:
+        u, _, vt = np.linalg.svd(r)
+        r[:] = u @ vt
+    if np.linalg.det(r[0]) < 0.0:
+        raise InvalidPose("rotation must be proper (det +1)")
+    return r
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: orthonormal rotation plus millimetre translation.
@@ -72,18 +110,9 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=float).reshape(3, 3)
-        t = np.array(self.translation, dtype=float).reshape(3)
-        if not (np.isfinite(r).all() and np.isfinite(t).all()):
-            raise ValueError("pose has non-finite entries")
-        drift = np.abs(r.T @ r - np.eye(3)).max()
-        if drift > 1e-2:
-            raise ValueError("rotation is not close to orthonormal")
-        if drift > ORTHONORMALITY_TOL:
-            u, _, vt = np.linalg.svd(r)
-            r = u @ vt
-        if np.linalg.det(r) < 0.0:
-            raise ValueError("rotation must be proper (det +1)")
+        r = np.array(self.rotation, dtype=float).reshape(1, 3, 3)
+        t = np.array(self.translation, dtype=float).reshape(1, 3)
+        r, t = _checked_rotations(r, t)[0], t[0]
         r.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "rotation", r)
@@ -220,19 +249,21 @@ def discretize_angle(raw: float) -> float:
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    """Unit quaternion (x, y, z, w) to rotation matrix."""
-    x, y, z, w = np.asarray(q, dtype=float)
-    n = math.sqrt(x * x + y * y + z * z + w * w)
-    if n < 1e-12:
+    """Unit quaternion (x, y, z, w) to rotation matrix; an (n, 4) stack gives (n, 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    x, y, z, w = q.T
+    n = np.sqrt(x * x + y * y + z * z + w * w)
+    if (n < 1e-12).any():
         raise ValueError("zero-norm quaternion")
     x, y, z, w = x / n, y / n, z / n, w / n
-    return np.array(
+    r = np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
             [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+    return r if q.ndim == 1 else np.ascontiguousarray(r.transpose(2, 0, 1))
 
 
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:
@@ -284,8 +315,8 @@ def pose_to_json(p: Pose) -> dict:
     }
 
 
-def pose_from_json(t, q) -> Pose:
-    """Checked pose from the `t` and `q` values of the file form.
+def pose_fields(t, q) -> tuple[list[float], list[float]]:
+    """The `t` and `q` values of a pose's file form as lists of floats.
 
     Raises ValueError unless `t` is a list of 3 and `q` a list of 4 finite
     numbers and the quaternion's norm is nonzero and finite.
@@ -293,11 +324,29 @@ def pose_from_json(t, q) -> Pose:
     for name, values, n in (("t", t, 3), ("q", q, 4)):
         if not isinstance(values, list) or len(values) != n:
             raise ValueError(f"{name} must be a list of {n} numbers")
-    q = [finite_number(v) for v in q]
-    if not math.isfinite(sum(v * v for v in q)):
+    x, y, z, w = q = [finite_number(v) for v in q]
+    norm2 = x * x + y * y + z * z + w * w
+    if not math.isfinite(norm2):
         # quat_to_matrix would normalize by an infinite norm into the identity.
         raise ValueError("q is too large to normalize")
-    return Pose(quat_to_matrix(q), np.array([finite_number(v) for v in t]))
+    if math.sqrt(norm2) < 1e-12:
+        raise ValueError("zero-norm quaternion")
+    return [finite_number(v) for v in t], q
+
+
+def poses_from_fields(fields: list[tuple[list[float], list[float]]]) -> list[Pose]:
+    """Poses from `pose_fields` results, built and checked as one stack (InvalidPose)."""
+    if not fields:
+        return []
+    t = np.array([f[0] for f in fields])
+    r = _checked_rotations(quat_to_matrix([f[1] for f in fields]), t)
+    # Each pose owns fresh arrays, as one built by the constructor does.
+    return [Pose._trusted(ri.copy(), ti.copy()) for ri, ti in zip(r, t)]
+
+
+def pose_from_json(t, q) -> Pose:
+    """Checked pose from the `t` and `q` values of the file form (ValueError)."""
+    return poses_from_fields([pose_fields(t, q)])[0]
 
 
 def rpy_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:

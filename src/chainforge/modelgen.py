@@ -321,59 +321,60 @@ def _write_model_json(model: RobotModel, path: str):
         "metadata": model.metadata,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+# ElementTree's escapes, applied in one pass.  Attribute values also escape
+# quotes and the whitespace that attribute-value normalization would lose.
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+_ATTR_ESCAPES = _TEXT_ESCAPES | str.maketrans(
+    {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+
+
+def _escaped(text: str) -> str:
+    return text.translate(_ATTR_ESCAPES)
+
+
+def _floats(values) -> str:
+    return " ".join(repr(float(v)) for v in values)
 
 
 def _write_model_xml(model: RobotModel, path: str):
-    robot = ET.Element("robot", name=model.name)
+    """Render the model as one indented XML document and write it at once."""
+    parts = [f"<?xml version='1.0' encoding='utf-8'?>\n<robot name=\"{_escaped(model.name)}\">"]
     for link in model.links:
-        el = ET.SubElement(robot, "link", name=link.name)
+        name = _escaped(link.name)
         if link.visual_length > 0.0:
-            geom = ET.SubElement(ET.SubElement(el, "visual"), "geometry")
-            ET.SubElement(
-                geom,
-                "cylinder",
-                length=repr(link.visual_length / 1000.0),
-                radius=repr(VISUAL_RADIUS / 1000.0),
+            parts.append(
+                f'\n  <link name="{name}">\n    <visual>\n      <geometry>\n'
+                f'        <cylinder length="{link.visual_length / 1000.0!r}"'
+                f' radius="{VISUAL_RADIUS / 1000.0!r}" />\n'
+                "      </geometry>\n    </visual>\n  </link>"
             )
+        else:
+            parts.append(f'\n  <link name="{name}" />')
     for joint in model.joints:
-        el = ET.SubElement(robot, "joint", name=joint.name, type=joint.joint_type)
-        ET.SubElement(el, "parent", link=joint.parent)
-        ET.SubElement(el, "child", link=joint.child)
-        rpy = matrix_to_rpy(joint.origin.rotation)
-        xyz_m = joint.origin.translation / 1000.0
-        ET.SubElement(
-            el,
-            "origin",
-            xyz=" ".join(repr(float(v)) for v in xyz_m),
-            rpy=" ".join(repr(float(v)) for v in rpy),
+        parts.append(
+            f'\n  <joint name="{_escaped(joint.name)}" type="{_escaped(joint.joint_type)}">'
+            f'\n    <parent link="{_escaped(joint.parent)}" />'
+            f'\n    <child link="{_escaped(joint.child)}" />'
+            f'\n    <origin xyz="{_floats(joint.origin.translation / 1000.0)}"'
+            f' rpy="{_floats(matrix_to_rpy(joint.origin.rotation))}" />'
         )
         if joint.joint_type == JOINT_REVOLUTE:
-            ET.SubElement(el, "axis", xyz=" ".join(repr(float(v)) for v in joint.axis))
             lo, hi = joint.limits
-            ET.SubElement(
-                el,
-                "limit",
-                lower=repr(math.radians(lo)),
-                upper=repr(math.radians(hi)),
-                effort="0",
-                velocity="0",
+            parts.append(
+                f'\n    <axis xyz="{_floats(joint.axis)}" />'
+                f'\n    <limit lower="{math.radians(lo)!r}" upper="{math.radians(hi)!r}"'
+                ' effort="0" velocity="0" />'
             )
-    meta = ET.SubElement(robot, "metadata")
-    meta.text = json.dumps(
-        {
-            "metadata": model.metadata,
-            "joint_angles_deg": {
-                j.name: j.angle for j in model.joints if j.angle is not None
-            },
-        }
-    )
-    tree = ET.ElementTree(robot)
-    ET.indent(tree)
-    tree.write(path, encoding="unicode", xml_declaration=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n")
+        parts.append("\n  </joint>")
+    angles = {j.name: j.angle for j in model.joints if j.angle is not None}
+    meta = json.dumps({"metadata": model.metadata, "joint_angles_deg": angles})
+    parts.append(f"\n  <metadata>{meta.translate(_TEXT_ESCAPES)}</metadata>\n</robot>\n")
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write("".join(parts))
 
 
 def read_model(path) -> RobotModel:

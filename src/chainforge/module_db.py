@@ -393,8 +393,7 @@ def save_database(db: ModuleDatabase, path):
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def centered_type(

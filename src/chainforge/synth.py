@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import Pose, axis_angle, compose, pose_from_json, pose_to_json, quat_to_matrix
+from .geometry import InvalidPose, Pose, axis_angle, compose, pose_fields, pose_to_json
+from .geometry import poses_from_fields, quat_to_matrix
 from .module_db import (
     INVERTED,
     UPRIGHT,
@@ -267,8 +268,7 @@ def write_scene(path, observations: list[MarkerObservation]):
     """Write observations as a JSON array at full float precision."""
     doc = [{"marker_id": obs.marker_id, **pose_to_json(obs.pose)} for obs in observations]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def read_scene(path) -> list[MarkerObservation]:
@@ -285,7 +285,7 @@ def read_scene(path) -> list[MarkerObservation]:
             raise SceneParseError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, list):
         raise SceneParseError("scene file must contain a JSON array")
-    observations = []
+    marker_ids, fields = [], []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or set(entry) != {"marker_id", "t", "q"}:
             raise SceneParseError(
@@ -295,8 +295,12 @@ def read_scene(path) -> list[MarkerObservation]:
         if not isinstance(marker_id, int) or isinstance(marker_id, bool) or marker_id < 0:
             raise SceneParseError(f"observation {i}: marker_id must be a non-negative integer")
         try:
-            pose = pose_from_json(entry["t"], entry["q"])
+            fields.append(pose_fields(entry["t"], entry["q"]))
         except ValueError as exc:
             raise SceneParseError(f"observation {i}: {exc}") from exc
-        observations.append(MarkerObservation(marker_id, pose))
-    return observations
+        marker_ids.append(marker_id)
+    try:
+        poses = poses_from_fields(fields)
+    except InvalidPose as exc:
+        raise SceneParseError(f"observation {exc.index}: {exc}") from exc
+    return [MarkerObservation(m, p) for m, p in zip(marker_ids, poses)]

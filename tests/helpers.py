@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import math
+import xml.etree.ElementTree as ET
+
 import numpy as np
 from hypothesis import strategies as st
 
 from chainforge.descriptor import ChainDescriptor, ChainEntry, serialize
-from chainforge.geometry import Pose, axis_angle, compose
+from chainforge.geometry import ORTHONORMALITY_TOL, Pose, axis_angle, compose, matrix_to_rpy
+from chainforge.modelgen import JOINT_REVOLUTE, VISUAL_RADIUS
 from chainforge.module_db import INVERTED, UPRIGHT, ModuleDatabase, connection_transform
 from chainforge.synth import MarkerObservation, SceneConfig, forward_poses, synthesize
 
@@ -166,3 +171,118 @@ json_values = st.recursive(
     max_leaves=12,
 )
 field_values = json_values | st.lists(_json_scalars, min_size=2, max_size=4)
+
+
+# --- Reference implementations ----------------------------------------------
+# Straightforward one-element forms of code that the package runs batched or
+# renders directly.  Tests require the package to match them bit for bit.
+
+
+def reference_quat_to_matrix(q) -> np.ndarray:
+    """Unit quaternion (x, y, z, w) to rotation matrix, in scalar arithmetic."""
+    x, y, z, w = np.asarray(q, dtype=float)
+    n = math.sqrt(x * x + y * y + z * z + w * w)
+    if n < 1e-12:
+        raise ValueError("zero-norm quaternion")
+    x, y, z, w = x / n, y / n, z / n, w / n
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def reference_pose_check(rotation, translation) -> np.ndarray:
+    """The pose checks on one pose, in order; returns the checked rotation."""
+    r = np.array(rotation, dtype=float).reshape(3, 3)
+    t = np.array(translation, dtype=float).reshape(3)
+    if not (np.isfinite(r).all() and np.isfinite(t).all()):
+        raise ValueError("pose has non-finite entries")
+    drift = np.abs(r.T @ r - np.eye(3)).max()
+    if drift > 1e-2:
+        raise ValueError("rotation is not close to orthonormal")
+    if drift > ORTHONORMALITY_TOL:
+        u, _, vt = np.linalg.svd(r)
+        r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        raise ValueError("rotation must be proper (det +1)")
+    return r
+
+
+def reference_write_model_xml(model, path):
+    """The model's XML built as an ElementTree, indented and written by it."""
+    robot = ET.Element("robot", name=model.name)
+    for link in model.links:
+        el = ET.SubElement(robot, "link", name=link.name)
+        if link.visual_length > 0.0:
+            geom = ET.SubElement(ET.SubElement(el, "visual"), "geometry")
+            ET.SubElement(
+                geom,
+                "cylinder",
+                length=repr(link.visual_length / 1000.0),
+                radius=repr(VISUAL_RADIUS / 1000.0),
+            )
+    for joint in model.joints:
+        el = ET.SubElement(robot, "joint", name=joint.name, type=joint.joint_type)
+        ET.SubElement(el, "parent", link=joint.parent)
+        ET.SubElement(el, "child", link=joint.child)
+        rpy = matrix_to_rpy(joint.origin.rotation)
+        xyz_m = joint.origin.translation / 1000.0
+        ET.SubElement(
+            el,
+            "origin",
+            xyz=" ".join(repr(float(v)) for v in xyz_m),
+            rpy=" ".join(repr(float(v)) for v in rpy),
+        )
+        if joint.joint_type == JOINT_REVOLUTE:
+            ET.SubElement(el, "axis", xyz=" ".join(repr(float(v)) for v in joint.axis))
+            lo, hi = joint.limits
+            ET.SubElement(
+                el,
+                "limit",
+                lower=repr(math.radians(lo)),
+                upper=repr(math.radians(hi)),
+                effort="0",
+                velocity="0",
+            )
+    meta = ET.SubElement(robot, "metadata")
+    meta.text = json.dumps(
+        {
+            "metadata": model.metadata,
+            "joint_angles_deg": {
+                j.name: j.angle for j in model.joints if j.angle is not None
+            },
+        }
+    )
+    tree = ET.ElementTree(robot)
+    ET.indent(tree)
+    tree.write(path, encoding="unicode", xml_declaration=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+
+
+def record_writes(monkeypatch, module) -> list[str]:
+    """Route `open` in `module` through a recorder; returns every string written."""
+    writes: list[str] = []
+    real_open = open
+
+    class Recorder:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(
+        module, "open", lambda *args, **kwargs: Recorder(real_open(*args, **kwargs)), raising=False
+    )
+    return writes

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from chainforge.geometry import (
     CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
     DegenerateGeometry,
+    InvalidPose,
     Pose,
+    _checked_rotations,
     WeightMatrix,
     axis_angle,
     circular_difference,
@@ -32,6 +35,8 @@ from chainforge.geometry import (
     y_axis,
     z_axis,
 )
+
+from helpers import reference_pose_check, reference_quat_to_matrix
 
 I = Pose.identity()
 
@@ -167,6 +172,56 @@ class TestPoseValidation:
         assert np.abs(p.rotation.T @ p.rotation - np.eye(3)).max() <= 1e-9
 
 
+class TestBatchedPoseCheck:
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["exact", "drift", "skewed", "improper", "nan", "inf_t"]),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stack_matches_one_by_one_checks(self, kinds, seed):
+        # The stacked check must fix, keep or reject exactly as the checks
+        # run on one pose at a time, and name the first pose they reject.
+        rng = np.random.default_rng(seed)
+        rotations, translations = [], []
+        for kind in kinds:
+            r = axis_angle(rng.normal(size=3), float(rng.uniform(0.0, 180.0)))
+            t = rng.uniform(-100.0, 100.0, size=3)
+            if kind == "drift":
+                r = r + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-12.0, -2.5)
+            elif kind == "skewed":
+                r = r + rng.normal(size=(3, 3)) * 0.1
+            elif kind == "improper":
+                r = -r
+            elif kind == "nan":
+                r[rng.integers(3), rng.integers(3)] = np.nan
+            elif kind == "inf_t":
+                t[rng.integers(3)] = np.inf
+            rotations.append(r)
+            translations.append(t)
+        expected, failure = [], None
+        for i, (r, t) in enumerate(zip(rotations, translations)):
+            try:
+                expected.append(reference_pose_check(r, t))
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    Pose(r, t)
+                failure = failure or (i, str(exc))
+            else:
+                assert Pose(r, t).rotation.tobytes() == expected[-1].tobytes()
+        stack = np.array(rotations)
+        if failure is None:
+            checked = _checked_rotations(stack, np.array(translations))
+            assert checked.tobytes() == np.array(expected).tobytes()
+        else:
+            with pytest.raises(InvalidPose) as exc:
+                _checked_rotations(stack, np.array(translations))
+            assert (exc.value.index, str(exc.value)) == failure
+
+
 class TestPoseDistance:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(5)
@@ -288,6 +343,20 @@ class TestQuaternions:
         q = matrix_to_quat(r)
         assert np.abs(quat_to_matrix(q) - r).max() < 1e-12
         assert np.linalg.norm(q) == pytest.approx(1.0)
+
+    @given(st.lists(st.lists(st.floats(-1e100, 1e100), min_size=4, max_size=4), min_size=1,
+                    max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_equals_scalar_formula(self, quats):
+        # Row k of a stacked conversion is bit-identical to the scalar formula.
+        try:
+            expected = [reference_quat_to_matrix(q) for q in quats]
+        except ValueError:
+            with pytest.raises(ValueError, match="zero-norm"):
+                quat_to_matrix(quats)
+            return
+        assert quat_to_matrix(quats).tobytes() == np.array(expected).tobytes()
+        assert quat_to_matrix(quats[0]).tobytes() == expected[0].tobytes()
 
     def test_rpy_round_trip(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,7 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,14 @@ from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import Pose
-from chainforge.identify import build_chain, build_tree, to_descriptor
+from chainforge.identify import IdentifyConfig, build_chain, build_tree, to_descriptor
+from chainforge import modelgen
 from chainforge.modelgen import (
     InconsistentChain,
     JOINT_FIXED,
     JOINT_REVOLUTE,
     ModelParseError,
+    RobotModel,
     generate_model,
     model_world_frames,
     read_model,
@@ -21,7 +25,17 @@ from chainforge.modelgen import (
 )
 from chainforge.synth import forward_poses, synthesize
 
-from helpers import PAPER_CHAINS, field_values, make_two_branch_scene, random_base
+from helpers import (
+    PAPER_CHAINS,
+    field_values,
+    make_corpus,
+    make_two_branch_scene,
+    random_base,
+    record_writes,
+    reference_write_model_xml,
+)
+
+GOLDEN_XML = Path(__file__).parent / "golden" / "manipulator.xml"
 
 
 def chain_for(db, text, thetas, assignment=None):
@@ -319,3 +333,110 @@ class TestModelParseErrors:
             read_model(path)
         except ModelParseError:
             pass
+
+
+def golden_manipulator_model(db) -> RobotModel:
+    """The paper's manipulator with every number rounded, so the model is the same everywhere.
+
+    Rounding keeps the last bits of BLAS and libm results out of the file.
+    """
+    text, thetas, _ = PAPER_CHAINS[0]
+    model = generate_model(chain_for(db, text, thetas), db, name="manipulator")
+
+    def snap(values, digits):
+        return np.round(values, digits) + 0.0  # + 0.0 turns -0.0 into 0.0
+
+    joints = [
+        replace(
+            j,
+            origin=Pose(snap(j.origin.rotation, 12), snap(j.origin.translation, 6)),
+            angle=None if j.angle is None else round(j.angle, 6),
+        )
+        for j in model.joints
+    ]
+    metadata = {"description": [text], "method": "geometric", "scene": 'a&b <"1">.json'}
+    return RobotModel(model.name, model.links, joints, metadata)
+
+
+@pytest.fixture(scope="module")
+def golden_model(db):
+    return golden_manipulator_model(db)
+
+
+@pytest.fixture(scope="module")
+def xml_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("xml-writer")
+
+
+# Names biased toward the characters XML escapes, non-ASCII text, a lone
+# surrogate (written as a character reference) and NUL.
+_names = st.text(
+    alphabet=st.sampled_from(list("&<>\"'\r\n\t") + ["é", "∑", "😀", "\ud800", "\x00"])
+    | st.characters(),
+    min_size=1,
+)
+
+
+class TestXmlWriter:
+    """write_model's XML equals the ElementTree reference's bytes."""
+
+    @staticmethod
+    def written_bytes(model, directory) -> bytes:
+        ours, reference = directory / "ours.xml", directory / "reference.xml"
+        write_model(model, ours)
+        reference_write_model_xml(model, reference)
+        assert ours.read_bytes() == reference.read_bytes()
+        return ours.read_bytes()
+
+    @pytest.mark.parametrize("method", ["geometric", "optimization"])
+    def test_corpus_models_match_reference(self, db, tmp_path, method):
+        cfg = IdentifyConfig(method=method)
+        for desc, _canonical, thetas, base in make_corpus(db, 50, 20260808):
+            chain = build_chain(synthesize(desc, thetas, db, base=base), db, cfg)
+            model = generate_model(chain, db, metadata={"method": method})
+            self.written_bytes(model, tmp_path)
+
+    def test_tree_model_matches_reference(self, db, tmp_path):
+        obs, *_ = make_two_branch_scene(np.random.default_rng(77), db)
+        self.written_bytes(generate_model(build_tree(obs, db), db), tmp_path)
+
+    def test_root_swing_link_matches_reference(self, db, tmp_path):
+        # An upright perpendicular joint at the root carries its swing on a
+        # massless link, which has no visual and renders self-closed.
+        model = generate_model(chain_for(db, "T-G0", [30.0]), db)
+        assert b'\n  <link name="T-001_swing" />\n' in self.written_bytes(model, tmp_path)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_names_match_reference(self, golden_model, xml_dir, data):
+        def name():
+            return data.draw(_names)
+
+        model = RobotModel(
+            name(),
+            [replace(l, name=name()) for l in golden_model.links],
+            [replace(j, name=name(), parent=name(), child=name()) for j in golden_model.joints],
+            {name(): name(), "description": [name()]},
+        )
+        self.written_bytes(model, xml_dir)
+
+    def test_golden_file(self, golden_model, tmp_path):
+        # A fixed file, so that a change in ElementTree cannot move the
+        # reference and the writer together.
+        path = tmp_path / "robot.xml"
+        write_model(golden_model, path)
+        assert path.read_bytes() == GOLDEN_XML.read_bytes()
+
+
+class TestWritesOnce:
+    @pytest.mark.parametrize("suffix, indent", [(".json", 2), (".xml", None)])
+    def test_model_file_written_in_one_call(self, db, tmp_path, monkeypatch, suffix, indent):
+        model = generate_model(chain_for(db, "I-T0-G0", [25.0, -40.0]), db)
+        path = tmp_path / f"robot{suffix}"
+        writes = record_writes(monkeypatch, modelgen)
+        write_model(model, path)
+        assert len(writes) == 1
+        text = path.read_text(encoding="utf-8")
+        assert writes[0] == text
+        if indent is not None:
+            assert text == json.dumps(json.loads(text), indent=indent) + "\n"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainforge import module_db
 from chainforge.cli import main
 from chainforge.geometry import CONNECTION_ANGLES, ORTHONORMALITY_TOL, Pose, compose, rot_x
 from chainforge.module_db import (
@@ -25,7 +26,7 @@ from chainforge.module_db import (
     save_database,
 )
 
-from helpers import field_values
+from helpers import field_values, record_writes
 
 
 def test_default_catalog_shape(db):
@@ -304,3 +305,12 @@ def test_non_integer_marker_id_rejected(tmp_path, db, marker_id):
     path.write_text(json.dumps(doc))
     with pytest.raises(DatabaseValidationError, match="master_marker_id"):
         load_database(path)
+
+
+def test_save_database_writes_once(db, tmp_path, monkeypatch):
+    path = tmp_path / "db.json"
+    writes = record_writes(monkeypatch, module_db)
+    save_database(db, path)
+    text = path.read_text(encoding="utf-8")
+    assert writes == [text]
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"

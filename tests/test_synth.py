@@ -1,14 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chainforge import synth
 from chainforge.cli import main
 from chainforge.descriptor import parse
 from chainforge.geometry import (
     Pose,
+    quat_to_matrix,
     raw_connection_angle,
     relative,
     rot_y,
@@ -27,7 +30,7 @@ from chainforge.synth import (
     write_scene,
 )
 
-from helpers import field_values, random_chain_case
+from helpers import field_values, random_chain_case, record_writes, reference_quat_to_matrix
 
 
 class TestForwardPoses:
@@ -239,6 +242,55 @@ class TestSceneBoundary:
         else:
             assert main(argv) in (0, 1, 2)
 
+    def test_first_bad_observation_is_named(self, tmp_path):
+        # The zero quaternion of observation 2 is found before the bad key of
+        # observation 3, as a one-by-one reader would find it.
+        doc = [{"marker_id": i, "t": [0, 0, i], "q": [0, 0, 0, 1]} for i in range(5)]
+        doc[2]["q"] = [0, 0, 0, 0]
+        doc[3] = {"marker_id": 3, "t": [0, 0, 0], "quat": [0, 0, 0, 1]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneParseError, match=r"^observation 2: zero-norm quaternion$"):
+            read_scene(path)
+
+    @given(
+        markers=st.lists(
+            st.tuples(
+                st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+                    lambda v: sum(x * x for x in v) > 1e-2
+                ),
+                st.floats(-11.0, 150.0),
+                st.booleans(),
+                st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_poses_equal_one_by_one_construction(self, fuzz_dir, markers):
+        # Quaternions with norms from 1e-11 to 1e150 and either sign of w;
+        # every pose must equal, bit for bit, the pose the constructor builds
+        # from the scalar quaternion formula.
+        doc = []
+        for i, (direction, exponent, negative_w, t) in enumerate(markers):
+            norm = math.sqrt(sum(v * v for v in direction))
+            q = [v / norm * 10.0**exponent for v in direction]
+            q[3] = -abs(q[3]) if negative_w else abs(q[3])
+            doc.append({"marker_id": i, "t": t, "q": q})
+        path = fuzz_dir / "unnormalized.json"
+        path.write_text(json.dumps(doc))
+        observations = read_scene(path)
+        assert [o.marker_id for o in observations] == list(range(len(doc)))
+        for entry, obs in zip(doc, observations):
+            t = np.array(entry["t"], dtype=float)
+            for rotation in (reference_quat_to_matrix(entry["q"]), quat_to_matrix(entry["q"])):
+                expected = Pose(rotation, t)
+                assert obs.pose.rotation.tobytes() == expected.rotation.tobytes()
+                assert obs.pose.translation.tobytes() == expected.translation.tobytes()
+            assert not obs.pose.rotation.flags.writeable
+            assert not obs.pose.translation.flags.writeable
+
     @pytest.mark.parametrize("marker_id", [1.5, True, 3.0, "3", None])
     def test_non_integer_marker_id_rejected(self, tmp_path, marker_id):
         path = tmp_path / "scene.json"
@@ -251,3 +303,13 @@ class TestSceneBoundary:
         path.write_bytes(b"[\xff]")
         with pytest.raises(SceneParseError):
             read_scene(path)
+
+
+def test_write_scene_writes_once(db, tmp_path, monkeypatch):
+    obs = synthesize(parse("I-T0-G0"), [10.0, 20.0], db, cfg=SceneConfig(sigma_pos=1.0, seed=3))
+    path = tmp_path / "scene.json"
+    writes = record_writes(monkeypatch, synth)
+    write_scene(path, obs)
+    text = path.read_text(encoding="utf-8")
+    assert writes == [text]
+    assert text == json.dumps(json.loads(text), indent=1) + "\n"
