@@ -223,11 +223,11 @@ def raw_connection_angle(p: Pose, c: Pose) -> float:
     u = unit_between(p, c)
     zp = z_axis(p)
     zc = z_axis(c)
-    dot = float(np.clip(zp @ zc, -1.0, 1.0))
-    ang = math.degrees(math.acos(dot))
-    if float(np.cross(zp, zc) @ u) >= 0.0:
-        return ang
-    return -ang
+    ang = math.degrees(math.acos(min(max(float(zp @ zc), -1.0), 1.0)))
+    # z_p x z_c in the IEEE operations of np.cross, without its overhead.
+    (a0, a1, a2), (b0, b1, b2) = zp.tolist(), zc.tolist()
+    triple = float(u.dot([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]))
+    return ang if triple >= 0.0 else -ang
 
 
 def circular_difference(a: float, b: float) -> float:
@@ -255,6 +255,8 @@ def quat_to_matrix(q) -> np.ndarray:
     n = np.sqrt(x * x + y * y + z * z + w * w)
     if (n < 1e-12).any():
         raise ValueError("zero-norm quaternion")
+    if not np.isfinite(n).all():
+        raise ValueError("quaternion norm is not finite")
     x, y, z, w = x / n, y / n, z / n, w / n
     r = np.array(
         [
@@ -327,7 +329,6 @@ def pose_fields(t, q) -> tuple[list[float], list[float]]:
     x, y, z, w = q = [finite_number(v) for v in q]
     norm2 = x * x + y * y + z * z + w * w
     if not math.isfinite(norm2):
-        # quat_to_matrix would normalize by an infinite norm into the identity.
         raise ValueError("q is too large to normalize")
     if math.sqrt(norm2) < 1e-12:
         raise ValueError("zero-norm quaternion")

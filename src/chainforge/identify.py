@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +33,6 @@ from .geometry import (
     rot_y,
     unit_between,
     wrap_angle,
-    y_axis,
-    z_axis,
 )
 from .module_db import (
     INVERTED,
@@ -115,14 +114,28 @@ class IdentifyConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DetectedModule:
-    """A registered module recognized in the scene, with its observed poses."""
+    """A registered module recognized in the scene, with its observed poses.
+
+    Construction takes what the pair tests read: `floats` holds the master
+    origin, y-axis and z-axis as nine floats, and `twist` the roll and tilt
+    of a seen output bundle (see `_bundle_twist`).
+    """
 
     record: ModuleRecord
     module_type: ModuleType
     master_pose: Pose
     output_pose: Pose | None = None
+    floats: array = field(init=False, repr=False, compare=False)
+    twist: tuple[float, float] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _, y, z = self.master_pose.rotation.T.tolist()
+        floats = array("d", self.master_pose.translation.tolist() + y + z)
+        twist = None if self.output_pose is None else _bundle_twist(self)
+        object.__setattr__(self, "floats", floats)
+        object.__setattr__(self, "twist", twist)
 
     @property
     def serial(self) -> str:
@@ -133,7 +146,7 @@ class DetectedModule:
         return self.master_pose.translation
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ChainLink:
     """One chain position: module, connection angle, install direction, state."""
 
@@ -144,7 +157,7 @@ class ChainLink:
     solver_theta: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdentifiedChain:
     """Links ordered base to end plus everything that was rejected."""
 
@@ -179,13 +192,14 @@ def validate_markers(
 ) -> tuple[list[DetectedModule], list[tuple[int, str]]]:
     """Split observations into recognized modules and rejected markers.
 
-    Output-bundle markers merge into their module's entry; unknown ids and
-    repeat sightings are rejected, keeping the first observation of each id.
+    Output-bundle markers merge into their module's entry, in the order
+    the master markers were seen; unknown ids and repeat sightings are
+    rejected, keeping the first observation of each id.
     """
     rejected: list[tuple[int, str]] = []
     seen_ids: set[int] = set()
-    modules: dict[str, DetectedModule] = {}
-    pending_outputs: dict[str, Pose] = {}
+    masters: dict[str, tuple[ModuleRecord, Pose]] = {}
+    outputs: dict[str, tuple[ModuleRecord, Pose]] = {}
     for obs in observations:
         if obs.marker_id in seen_ids:
             rejected.append((obs.marker_id, REASON_DUPLICATE))
@@ -195,23 +209,13 @@ def validate_markers(
         if hit is None:
             rejected.append((obs.marker_id, REASON_UNKNOWN_MARKER))
             continue
-        serial = hit.record.serial
-        if hit.is_output:
-            if serial in modules:
-                modules[serial].output_pose = obs.pose
-            else:
-                pending_outputs[serial] = obs.pose
-        else:
-            modules[serial] = DetectedModule(
-                record=hit.record,
-                module_type=db.type_of(hit.record),
-                master_pose=obs.pose,
-                output_pose=pending_outputs.pop(serial, None),
-            )
-    for serial, _pose in pending_outputs.items():
-        rec = next(r for r in db.records if r.serial == serial)
-        rejected.append((rec.output_marker_id, REASON_MISSING_MASTER))
-    return list(modules.values()), rejected
+        (outputs if hit.is_output else masters)[hit.record.serial] = (hit.record, obs.pose)
+    modules = [
+        DetectedModule(rec, db.type_of(rec), pose, outputs.pop(serial, (None, None))[1])
+        for serial, (rec, pose) in masters.items()
+    ]
+    rejected += [(rec.output_marker_id, REASON_MISSING_MASTER) for rec, _ in outputs.values()]
+    return modules, rejected
 
 
 def neighbors(
@@ -222,11 +226,18 @@ def neighbors(
 ) -> list[DetectedModule]:
     """Pool members close enough to be directly connected to the child."""
     bound = db.max_connected_distance() + cfg.epsilon1
+    x, y, z = child.floats[:3]
     return [
         m
         for m in pool
-        if m is not child and np.linalg.norm(m.origin - child.origin) <= bound
+        if m is not child
+        and math.hypot(m.floats[0] - x, m.floats[1] - y, m.floats[2] - z) <= bound
     ]
+
+
+def _dot(floats: array, k: int, u: list[float]) -> float:
+    """Dot product of u with the 3-vector that starts at floats[k]."""
+    return floats[k] * u[0] + floats[k + 1] * u[1] + floats[k + 2] * u[2]
 
 
 def constraint_check(
@@ -245,21 +256,23 @@ def constraint_check(
     collinearity test (their output link swings the child off-axis), and
     inverted perpendicular-joint children are exempt from the child-side
     test for the mirror-image reason.  A candidate at the child's own
-    origin defines no direction and is rejected.
+    origin defines no direction and is rejected.  Every quantity here meets
+    only a threshold or a sign test, so it is taken in float arithmetic.
     """
-    try:
-        u = unit_between(parent_cand.master_pose, child.master_pose)
-    except DegenerateGeometry:
+    p, c = parent_cand.floats, child.floats
+    d = (c[0] - p[0], c[1] - p[1], c[2] - p[2])
+    dist = math.hypot(*d)
+    if dist <= 1e-6:
         return ConstraintResult(False, reason="coincident origins")
-    dist = float(np.linalg.norm(child.origin - parent_cand.origin))
     pt = parent_cand.module_type
     ct = child.module_type
     pair_bound = db.pair_connected_distance(pt.code, ct.code)
     if dist > pair_bound + cfg.epsilon1:
         return ConstraintResult(False, reason="distance")
 
-    yp_dot = float(y_axis(parent_cand.master_pose) @ u)
-    yc_dot = float(y_axis(child.master_pose) @ u)
+    u = [v / dist for v in d]
+    yp_dot = _dot(p, 3, u)
+    yc_dot = _dot(c, 3, u)
     collinear = 1.0 - cfg.epsilon2
     # Same angular tolerance viewed from the joint axis: a swung link stays
     # exactly in the plane normal to its joint's z-axis.
@@ -269,7 +282,7 @@ def constraint_check(
         # Upright perpendicular joint: the child hangs off the swung output
         # link; it must lie in the swing plane, but no y-collinearity holds.
         parent_direction = UPRIGHT
-        if abs(float(z_axis(parent_cand.master_pose) @ u)) > in_plane:
+        if abs(_dot(p, 6, u)) > in_plane:
             return ConstraintResult(False, reason="child off the parent swing plane")
     else:
         if abs(yp_dot) < collinear:
@@ -283,7 +296,7 @@ def constraint_check(
     def inverted_perpendicular_child() -> ConstraintResult:
         # The master link of an inverted perpendicular joint swings about its
         # own z-axis, so the parent ray must lie in that swing plane.
-        if abs(float(z_axis(child.master_pose) @ u)) > in_plane:
+        if abs(_dot(c, 6, u)) > in_plane:
             return ConstraintResult(False, reason="parent off the child swing plane")
         return ConstraintResult(True, parent_direction, INVERTED)
 
@@ -388,22 +401,28 @@ def find_parent_geometric(
     return ParentMatch(cand, angle, result.parent_direction, child_dir)
 
 
+def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
+    """Roll about the link axis of the master-to-output rotation, and the tilt
+    left after removing that roll, in degrees; measured once per module."""
+    r = relative(module.master_pose, module.output_pose).rotation
+    roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
+    residual = rot_y(-roll) @ r
+    return roll, math.degrees(
+        math.acos(float(np.clip((np.trace(residual) - 1.0) / 2.0, -1.0, 1.0)))
+    )
+
+
 def _measure_collinear_theta(module: DetectedModule, epsilon2: float) -> float:
     """Joint angle of a dual-bundle module from its two bundle poses.
 
     The relative bundle rotation must be a twist about the shared link
-    axis; whatever rotation remains after removing the measured twist is
-    the misalignment, bounded by the angular budget of epsilon2.
+    axis; whatever rotation remains after removing the measured twist (the
+    tilt the module measured when it was built) is the misalignment,
+    bounded by the angular budget of epsilon2.
     """
-    if module.output_pose is None:
+    if module.twist is None:
         raise NonCollinearBundles(f"{module.serial}: output bundle was not observed")
-    rel = relative(module.master_pose, module.output_pose)
-    r = rel.rotation
-    theta = math.degrees(math.atan2(r[0, 2], r[0, 0]))
-    residual = rot_y(-theta) @ r
-    tilt = math.degrees(
-        math.acos(float(np.clip((np.trace(residual) - 1.0) / 2.0, -1.0, 1.0)))
-    )
+    theta, tilt = module.twist
     if tilt > math.degrees(math.acos(1.0 - epsilon2)):
         raise NonCollinearBundles(
             f"{module.serial}: bundle axes misaligned by {tilt:.1f} degrees"
@@ -521,7 +540,7 @@ def _parent_side(
     if free and mt.is_collinear_joint and module.output_pose is not None:
         roll = _measure_collinear_theta(module, eps2)
         return _Side(relative(module.master_pose, module.output_pose).matrix()), roll
-    factor = mt.master_to_childward(direction).matrix()
+    factor = mt.matrices["out", direction]
     return (_Side.free(mt, factor) if free else _Side(factor)), None
 
 
@@ -531,11 +550,11 @@ def _child_side(module: DetectedModule, direction: str, theta: float | None, eps
     the chain (theta), else free."""
     mt = module.module_type
     if not (mt.is_joint and direction == INVERTED):
-        return _Side(mt.parentward_to_master(direction).matrix())
+        return _Side(mt.matrices["in", direction])
     if mt.is_collinear_joint and module.output_pose is not None:
         theta = _measure_collinear_theta(module, eps2)
     if theta is None:
-        return _Side.free(mt, mt.parentward_to_master(direction).matrix())
+        return _Side.free(mt, mt.matrices["in", direction])
     return _Side(mt.parentward_to_master(direction, theta).matrix())
 
 
@@ -697,20 +716,22 @@ def _grow_branch(
     return list(reversed(links_end_first)), claimed
 
 
-def _estimate_chain_angles(chain: IdentifiedChain, cfg: IdentifyConfig):
-    links = chain.links
+def _estimate_chain_angles(
+    links: list[ChainLink], cfg: IdentifyConfig
+) -> tuple[list[ChainLink], list[str]]:
+    """The links with their joint angles, and a warning per angle left unestimated."""
+    estimated, notes = [], []
     for i, link in enumerate(links):
-        if not link.module.module_type.is_joint:
-            continue
-        parent = links[i - 1].module if i > 0 else None
-        child = links[i + 1].module if i + 1 < len(links) else None
-        try:
-            link.joint_angle = estimate_joint_angle(
-                link.module, link.direction, parent, child, cfg
-            )
-        except (NonCollinearBundles, LimitExceeded, DegenerateGeometry) as exc:
-            link.joint_angle = None
-            chain.warnings.append(f"joint angle of {link.module.serial}: {exc}")
+        if link.module.module_type.is_joint:
+            parent = links[i - 1].module if i > 0 else None
+            child = links[i + 1].module if i + 1 < len(links) else None
+            try:
+                theta = estimate_joint_angle(link.module, link.direction, parent, child, cfg)
+                link = replace(link, joint_angle=theta)
+            except (NonCollinearBundles, LimitExceeded, DegenerateGeometry) as exc:
+                notes.append(f"joint angle of {link.module.serial}: {exc}")
+        estimated.append(link)
+    return estimated, notes
 
 
 def build_chain(
@@ -735,9 +756,8 @@ def build_chain(
     for m in detected:
         if m.serial not in claimed:
             rejected.append((m.record.master_marker_id, REASON_ORPHAN))
-    chain = IdentifiedChain(links=links, rejected_markers=rejected)
-    _estimate_chain_angles(chain, cfg)
-    return chain
+    links, notes = _estimate_chain_angles(links, cfg)
+    return IdentifiedChain(links, rejected, notes)
 
 
 def build_tree(
@@ -759,20 +779,17 @@ def build_tree(
     )
     if not tools:
         raise NoToolModule("no tool module detected; cannot start tree construction")
-    branches: list[IdentifiedChain] = []
-    claimed_anywhere: set[str] = set()
-    for tool in tools:
-        links, claimed = _grow_branch(tool, detected, db, cfg)
-        claimed_anywhere |= claimed
-        branches.append(IdentifiedChain(links=links, rejected_markers=[]))
-    orphans = [
+    walks = [_grow_branch(tool, detected, db, cfg) for tool in tools]
+    claimed_anywhere = set().union(*(claimed for _, claimed in walks))
+    rejected += [
         (m.record.master_marker_id, REASON_ORPHAN)
         for m in detected
         if m.serial not in claimed_anywhere
     ]
-    for branch in branches:
-        branch.rejected_markers = list(rejected) + list(orphans)
-        _estimate_chain_angles(branch, cfg)
+    branches = []
+    for links, _ in walks:
+        links, notes = _estimate_chain_angles(links, cfg)
+        branches.append(IdentifiedChain(links, list(rejected), notes))
     return branches
 
 

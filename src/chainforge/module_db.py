@@ -11,12 +11,13 @@ by the connection angle followed by a fixed 180-degree flip about x.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import (
+    CONNECTION_ANGLES,
     Pose,
     compose,
     finite_number,
@@ -67,8 +68,18 @@ class EmptyCatalog(DatabaseError):
 
 
 def connection_transform(angle_deg: float) -> Pose:
-    """Transform across a mated connector pair for a given connection angle."""
-    return compose(Pose._trusted(rot_y(angle_deg), np.zeros(3)), MATING_FLIP)
+    """Transform across a mated connector pair for a given connection angle.
+
+    The CONNECTION_ANGLES read a table that this composition built at import.
+    """
+    pose = _CONNECTIONS.get(angle_deg)
+    if pose is None:
+        pose = compose(Pose._trusted(rot_y(angle_deg), np.zeros(3)), MATING_FLIP)
+    return pose
+
+
+_CONNECTIONS: dict[float, Pose] = {}
+_CONNECTIONS.update({a: connection_transform(a) for a in CONNECTION_ANGLES})
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,10 @@ class ModuleType:
     joint_limits: tuple[float, float] | None
     invertible: bool
     dual_bundle: bool
+    # Zero-state frames, built with the type: parentward_to_master(d) under
+    # ("in", d), master_to_childward(d) under ("out", d); their 4x4 matrices.
+    frames: dict[tuple[str, str], Pose] = field(init=False, repr=False, compare=False)
+    matrices: dict[tuple[str, str], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -98,6 +113,14 @@ class ModuleType:
             raise DatabaseValidationError(
                 f"type {self.code!r}: joint_limits only apply to joint kinds"
             )
+        object.__setattr__(self, "frames", {})  # the methods compose while it is empty
+        frames = {(side, d): frame(d) for d in (UPRIGHT, INVERTED) for side, frame in
+                  (("in", self.parentward_to_master), ("out", self.master_to_childward))}
+        matrices = {key: pose.matrix() for key, pose in frames.items()}
+        for m in matrices.values():
+            m.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def is_joint(self) -> bool:
@@ -130,12 +153,16 @@ class ModuleType:
         joint; inverted modules are entered through the output connector, so
         the joint state appears on the way in.
         """
+        if theta_deg == 0.0 and ("in", direction) in self.frames:
+            return self.frames["in", direction]
         if direction == UPRIGHT:
             return self.master_offset_input
         return compose(invert(self.master_offset_output), self.joint_rotation(-theta_deg))
 
     def master_to_childward(self, direction: str, theta_deg: float = 0.0) -> Pose:
         """Transform from the master frame to the child-facing connector frame."""
+        if theta_deg == 0.0 and ("out", direction) in self.frames:
+            return self.frames["out", direction]
         if direction == UPRIGHT:
             return compose(self.joint_rotation(theta_deg), self.master_offset_output)
         return invert(self.master_offset_input)

@@ -167,9 +167,7 @@ def forward_poses(
             )
         output = None
         if mt.dual_bundle:
-            output = compose(
-                master, compose(mt.joint_rotation(theta), mt.master_offset_output)
-            )
+            output = compose(master, mt.master_to_childward(UPRIGHT, theta))
         placements.append(ModulePlacement(record.serial, master, output))
         childward = compose(master, mt.master_to_childward(direction, theta))
     return placements

@@ -10,7 +10,15 @@ import numpy as np
 from hypothesis import strategies as st
 
 from chainforge.descriptor import ChainDescriptor, ChainEntry, serialize
-from chainforge.geometry import ORTHONORMALITY_TOL, Pose, axis_angle, compose, matrix_to_rpy
+from chainforge.geometry import (
+    ORTHONORMALITY_TOL,
+    Pose,
+    axis_angle,
+    compose,
+    matrix_to_rpy,
+    unit_between,
+    z_axis,
+)
 from chainforge.modelgen import JOINT_REVOLUTE, VISUAL_RADIUS
 from chainforge.module_db import INVERTED, UPRIGHT, ModuleDatabase, connection_transform
 from chainforge.synth import MarkerObservation, SceneConfig, forward_poses, synthesize
@@ -192,6 +200,18 @@ def reference_quat_to_matrix(q) -> np.ndarray:
             [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
         ]
     )
+
+
+def reference_raw_connection_angle(p: Pose, c: Pose) -> float:
+    """Signed angle between the z-axes of two frames, its sign from np.cross."""
+    u = unit_between(p, c)
+    zp = z_axis(p)
+    zc = z_axis(c)
+    dot = float(np.clip(zp @ zc, -1.0, 1.0))
+    ang = math.degrees(math.acos(dot))
+    if float(np.cross(zp, zc) @ u) >= 0.0:
+        return ang
+    return -ang
 
 
 def reference_pose_check(rotation, translation) -> np.ndarray:

@@ -36,7 +36,11 @@ from chainforge.geometry import (
     z_axis,
 )
 
-from helpers import reference_pose_check, reference_quat_to_matrix
+from helpers import (
+    reference_pose_check,
+    reference_quat_to_matrix,
+    reference_raw_connection_angle,
+)
 
 I = Pose.identity()
 
@@ -302,6 +306,40 @@ class TestRawConnectionAngle:
         with pytest.raises(DegenerateGeometry):
             raw_connection_angle(I, Pose.from_rotation(rot_y(30)))
 
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        st.lists(st.floats(-500.0, 500.0), min_size=6, max_size=6),
+        st.sampled_from(["free", "parallel", "antiparallel", "coincident"]),
+        st.floats(-180.0, 180.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_cross_product_reference(self, quats, origins, relation, spin):
+        # The sign from the scalar triple product equals the np.cross sign bit
+        # for bit, also for (anti)parallel z-axes and coincident origins.
+        qp, qc = quats[:4], quats[4:]
+        if min(math.hypot(*qp), math.hypot(*qc)) < 1e-3:
+            return
+        rp = quat_to_matrix(qp)
+        rc = {
+            "free": quat_to_matrix(qc),
+            "parallel": rp @ rot_z(spin),
+            "antiparallel": rp * [1.0, -1.0, -1.0],
+        }.get(relation, quat_to_matrix(qc))
+        tc = origins[:3] if relation == "coincident" else origins[3:]
+        p, c = Pose(rp, origins[:3]), Pose(rc, tc)
+        try:
+            expected = reference_raw_connection_angle(p, c)
+        except DegenerateGeometry:
+            with pytest.raises(DegenerateGeometry):
+                raw_connection_angle(p, c)
+            return
+        got = raw_connection_angle(p, c)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+        if relation == "parallel":
+            assert (z_axis(c) == z_axis(p)).all()
+        if relation == "antiparallel":
+            assert (z_axis(c) == -z_axis(p)).all()
+
 
 class TestDiscretize:
     @pytest.mark.parametrize(
@@ -357,6 +395,18 @@ class TestQuaternions:
             return
         assert quat_to_matrix(quats).tobytes() == np.array(expected).tobytes()
         assert quat_to_matrix(quats[0]).tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "q",
+        [[1e300, 1e300, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0], [0.0, math.inf, 0.0, 1.0]],
+    )
+    def test_rejects_non_finite_norm(self, q):
+        # An overflowing norm would normalize into the identity, a NaN into NaNs.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                quat_to_matrix(q)
+            with pytest.raises(ValueError, match="not finite"):
+                quat_to_matrix([[0.0, 0.0, 0.0, 1.0], q])
 
     def test_rpy_round_trip(self):
         rng = np.random.default_rng(6)

@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from chainforge import identify
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import (
     CONNECTION_ANGLES,
@@ -96,6 +98,41 @@ class TestValidateMarkers:
         assert detected == []
         assert rejected == [(1030, "MissingMaster")]
 
+    def test_output_seen_before_master(self, db):
+        obs = synthesize(parse("I-i0-G0"), [30.0, -40.0], db)
+        detected, rejected = validate_markers(list(reversed(obs)), db)
+        assert rejected == []
+        assert [d.serial for d in detected] == ["G-001", "i-001", "I-001"]
+        for d in detected[1:]:
+            assert d.output_pose is not None and d.twist is not None
+
+    def test_records_are_frozen(self, db):
+        chain = build_chain(synthesize(parse("I-G0"), [30.0], db), db)
+        with pytest.raises(FrozenInstanceError):
+            chain.links[0].module.output_pose = None
+        with pytest.raises(FrozenInstanceError):
+            chain.links[0].joint_angle = 0.0
+
+    def test_bundles_measured_once_per_module(self, db, monkeypatch):
+        # The optimization back end scores every hypothesis of a dual-bundle
+        # neighbor, but reads the roll the module measured when it was built.
+        measured = []
+        measure = identify._bundle_twist
+        monkeypatch.setattr(
+            identify, "_bundle_twist", lambda m: measured.append(m.serial) or measure(m)
+        )
+        desc, canonical, thetas, base = next(
+            case
+            for case in make_corpus(db, 50, 20260808)
+            if sum(e.type_code in "Ii" for e in case[0].entries) >= 2
+        )
+        obs = synthesize(desc, thetas, db, base=base)
+        chain = build_chain(obs, db, IdentifyConfig(method="optimization"))
+        assert serialize(to_descriptor(chain)) == canonical
+        dual = [link.module.serial for link in chain.links if link.module.output_pose is not None]
+        assert len(dual) >= 2
+        assert sorted(measured) == sorted(dual)
+
 
 class TestNeighbors:
     def test_middle_module_sees_both_ends(self, db):
@@ -141,9 +178,9 @@ class TestConstraintCheck:
         obs = synthesize(parse("L-G0"), [], db)
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
-        child.master_pose = Pose(
+        child = replace(child, master_pose=Pose(
             child.master_pose.rotation, child.master_pose.translation + [80.0, -100.0, 0.0]
-        )
+        ))
         result = constraint_check(by["L-001"], child, db, IdentifyConfig())
         assert not result.satisfied
 
@@ -151,9 +188,9 @@ class TestConstraintCheck:
         obs = synthesize(parse("L-G0"), [], db)
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
-        child.master_pose = Pose(
+        child = replace(child, master_pose=Pose(
             child.master_pose.rotation, child.master_pose.translation + [0.0, 30.0, 0.0]
-        )
+        ))
         result = constraint_check(by["L-001"], child, db, IdentifyConfig())
         assert not result.satisfied
         assert result.reason == "distance"
@@ -241,7 +278,7 @@ class TestFindParentOptimization:
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
         far = by["L-001"]
-        far.master_pose = Pose.from_translation([0.0, 500.0, 0.0])
+        far = replace(far, master_pose=Pose.from_translation([0.0, 500.0, 0.0]))
         assert find_parent_optimization(child, [far], db, IdentifyConfig()) is None
 
     def test_perpendicular_parent_theta(self, db):
@@ -260,7 +297,7 @@ class TestFindParentOptimization:
         decoy = _detected(
             db, "I", Pose.from_translation(child.origin + np.array([0.0, 0.0, 60.0]))
         )
-        decoy.output_pose = Pose.from_rotation(rot_x(30.0))
+        decoy = replace(decoy, output_pose=Pose.from_rotation(rot_x(30.0)))
         assert decoy in neighbors(child, [decoy], db, IdentifyConfig())
         match = find_parent_optimization(child, [decoy, by["T-001"]], db, IdentifyConfig())
         assert match.module.serial == "T-001"
@@ -548,7 +585,9 @@ class TestEstimateJointAngle:
         obs = synthesize(parse("I-G0"), [10.0], db)
         by, _, _ = detected_by_serial(obs, db)
         module = by["I-001"]
-        module.output_pose = compose(module.output_pose, Pose.from_rotation(rot_x(30.0)))
+        module = replace(
+            module, output_pose=compose(module.output_pose, Pose.from_rotation(rot_x(30.0)))
+        )
         with pytest.raises(NonCollinearBundles):
             estimate_joint_angle(module, UPRIGHT, None, by["G-001"], IdentifyConfig())
 
@@ -556,7 +595,7 @@ class TestEstimateJointAngle:
         obs = synthesize(parse("I-G0"), [10.0], db)
         by, _, _ = detected_by_serial(obs, db)
         module = by["I-001"]
-        module.output_pose = None
+        module = replace(module, output_pose=None)
         with pytest.raises(NonCollinearBundles):
             estimate_joint_angle(module, UPRIGHT, None, by["G-001"], IdentifyConfig())
 
@@ -567,11 +606,11 @@ class TestEstimateJointAngle:
         g_mod = by["G-001"]
         # Push the observed child direction slightly past the limit: clamped.
         spun = compose(t_mod.master_pose, Pose.from_rotation(axis_angle([0, 0, 1], 2.0)))
-        g_mod.master_pose = Pose(
+        g_mod = replace(g_mod, master_pose=Pose(
             g_mod.master_pose.rotation,
             t_mod.master_pose.translation
             + spun.rotation @ (g_mod.master_pose.translation - t_mod.master_pose.translation),
-        )
+        ))
         # ~121 degrees: within the 2 degree slack, clamps with a warning.
         with pytest.warns(UserWarning, match="clamped"):
             theta = estimate_joint_angle(t_mod, UPRIGHT, None, g_mod, IdentifyConfig())
@@ -582,10 +621,10 @@ class TestEstimateJointAngle:
         by, _, _ = detected_by_serial(obs, db)
         t_mod = by["T-001"]
         g_mod = by["G-001"]
-        g_mod.master_pose = Pose(
+        g_mod = replace(g_mod, master_pose=Pose(
             g_mod.master_pose.rotation,
             t_mod.master_pose.translation + np.array([0.0, -100.0, 0.0]),
-        )
+        ))
         with pytest.raises(LimitExceeded):
             estimate_joint_angle(t_mod, UPRIGHT, None, g_mod, IdentifyConfig())
 

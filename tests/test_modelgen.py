@@ -75,7 +75,7 @@ class TestGenerateModel:
 
     def test_limit_violation_rejected(self, db):
         chain = chain_for(db, "T-G0", [30.0])
-        chain.links[0].joint_angle = 500.0
+        chain.links[0] = replace(chain.links[0], joint_angle=500.0)
         with pytest.raises(InconsistentChain):
             generate_model(chain, db)
 

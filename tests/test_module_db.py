@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from chainforge import module_db
 from chainforge.cli import main
-from chainforge.geometry import CONNECTION_ANGLES, ORTHONORMALITY_TOL, Pose, compose, rot_x
+from chainforge.geometry import (
+    CONNECTION_ANGLES,
+    ORTHONORMALITY_TOL,
+    Pose,
+    compose,
+    invert,
+    rot_x,
+    rot_y,
+)
 from chainforge.module_db import (
     EmptyCatalog,
     INVERTED,
@@ -152,6 +160,45 @@ def test_trusted_catalog_transforms_are_valid(db):
         assert np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMALITY_TOL
         assert np.linalg.det(r) > 0.0
         assert not r.flags.writeable and not p.translation.flags.writeable
+
+
+def _bits(pose: Pose) -> bytes:
+    return pose.rotation.tobytes() + pose.translation.tobytes()
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
+    # Every type builds its zero-state frames once, bit-identical to
+    # composing them anew; a joint state of -0.0 reads the same bits.
+    db = default_database()
+    if source == "loaded":
+        save_database(db, tmp_path / "db.json")
+        db = load_database(tmp_path / "db.json")
+    for mt in db.types.values():
+        fresh = {
+            ("in", UPRIGHT): mt.master_offset_input,
+            ("in", INVERTED): compose(invert(mt.master_offset_output), mt.joint_rotation(-0.0)),
+            ("out", UPRIGHT): compose(mt.joint_rotation(0.0), mt.master_offset_output),
+            ("out", INVERTED): invert(mt.master_offset_input),
+        }
+        assert set(mt.frames) == set(mt.matrices) == set(fresh)
+        for (side, d), pose in fresh.items():
+            assert _bits(mt.frames[side, d]) == _bits(pose)
+            assert mt.matrices[side, d].tobytes() == pose.matrix().tobytes()
+            assert not mt.matrices[side, d].flags.writeable
+            for theta in (0.0, -0.0):
+                method = mt.parentward_to_master if side == "in" else mt.master_to_childward
+                assert _bits(method(d, theta)) == _bits(pose)
+        # A nonzero state still composes.
+        assert _bits(mt.master_to_childward(UPRIGHT, 30.0)) == _bits(
+            compose(mt.joint_rotation(30.0), mt.master_offset_output)
+        )
+
+
+def test_connection_table_equals_fresh_compositions():
+    for angle in (*CONNECTION_ANGLES, -0.0, 90, 45.0):
+        fresh = compose(Pose._trusted(rot_y(angle), np.zeros(3)), module_db.MATING_FLIP)
+        assert _bits(connection_transform(angle)) == _bits(fresh)
 
 
 def test_tool_only_catalog_hand_sum():
