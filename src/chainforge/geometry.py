@@ -7,7 +7,7 @@ matrices, translations are 3-vectors in millimetres, angles are degrees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,16 +41,20 @@ def rot_z(deg: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+_EYE = np.eye(3)
+_EYE.setflags(write=False)
+
+
 def axis_angle(axis, deg: float) -> np.ndarray:
     """Rotation matrix for a rotation of `deg` about an arbitrary axis."""
     a = np.asarray(axis, dtype=float)
-    n = np.linalg.norm(a)
+    n = math.sqrt(a.dot(a))  # np.linalg.norm(a) without its dispatch
     if n < 1e-12:
         raise ValueError("rotation axis must be nonzero")
-    x, y, z = a / n
+    x, y, z = (a / n).tolist()
     c, s = _cos_sin(deg)
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+    return _EYE + s * k + (1.0 - c) * (k @ k)
 
 
 def wrap_angle(deg: float) -> float:
@@ -62,10 +66,6 @@ class InvalidPose(ValueError):
     """A pose failed the constructor's checks; `index` is its place in the checked stack."""
 
     index = 0
-
-
-_EYE = np.eye(3)
-_EYE.setflags(write=False)
 
 
 def _checked_rotations(r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -180,21 +180,22 @@ class WeightMatrix:
 
     w_o: float = 1.0
     w_t: float = 0.01
+    # The weights laid over a homogeneous matrix, built once and read-only.
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.w_o <= 0.0 or self.w_t <= 0.0:
+        if not (self.w_o > 0.0 and self.w_t > 0.0):  # NaN fails too
             raise ValueError("weights must be positive")
-
-    def mask(self) -> np.ndarray:
         m = np.zeros((4, 4))
         m[:3, :3] = self.w_o
         m[:3, 3] = self.w_t
-        return m
+        m.setflags(write=False)
+        object.__setattr__(self, "mask", m)
 
 
 def pose_distance(t: Pose, t_ref: Pose, w: WeightMatrix) -> float:
     """Weighted Frobenius norm of the difference of two homogeneous matrices."""
-    return float(np.linalg.norm(w.mask() * (t.matrix() - t_ref.matrix())))
+    return float(np.linalg.norm(w.mask * (t.matrix() - t_ref.matrix())))
 
 
 def y_axis(p: Pose) -> np.ndarray:
@@ -335,14 +336,23 @@ def pose_fields(t, q) -> tuple[list[float], list[float]]:
     return [finite_number(v) for v in t], q
 
 
+def checked_poses(r: np.ndarray, t: np.ndarray) -> list[Pose]:
+    """Poses over a non-empty stack of rotations (n, 3, 3) and translations (n, 3).
+
+    The stack meets the constructor's checks at once (InvalidPose names the
+    first failing pose) and may be fixed in place, so the caller hands over
+    arrays that nothing else reads.
+    """
+    r = _checked_rotations(r, t)
+    # Each pose owns fresh arrays, as one built by the constructor does.
+    return [Pose._trusted(ri.copy(), ti.copy()) for ri, ti in zip(r, t)]
+
+
 def poses_from_fields(fields: list[tuple[list[float], list[float]]]) -> list[Pose]:
     """Poses from `pose_fields` results, built and checked as one stack (InvalidPose)."""
     if not fields:
         return []
-    t = np.array([f[0] for f in fields])
-    r = _checked_rotations(quat_to_matrix([f[1] for f in fields]), t)
-    # Each pose owns fresh arrays, as one built by the constructor does.
-    return [Pose._trusted(ri.copy(), ti.copy()) for ri, ti in zip(r, t)]
+    return checked_poses(quat_to_matrix([f[1] for f in fields]), np.array([f[0] for f in fields]))
 
 
 def pose_from_json(t, q) -> Pose:

@@ -96,11 +96,12 @@ class IdentifyConfig:
     method: str = METHOD_GEOMETRIC
 
     def __post_init__(self):
-        if self.epsilon1 <= 0.0:
+        # Each range check is written so that NaN fails it.
+        if not self.epsilon1 > 0.0:
             raise ValueError("epsilon1 must be positive")
         if not 0.0 < self.epsilon2 < 1.0:
             raise ValueError("epsilon2 must lie in (0, 1)")
-        if self.f_threshold < 0.0:
+        if not self.f_threshold >= 0.0:
             raise ValueError("f_threshold must be non-negative")
         if self.method not in (METHOD_GEOMETRIC, METHOD_OPTIMIZATION):
             raise ValueError(f"unknown method {self.method!r}")
@@ -500,7 +501,9 @@ def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndar
     case of Wahba's problem, with H the weighted cross-covariance of the
     observed and modeled frames.  <R(t), H> = p cos t + q sin t + const
     peaks at atan2(q, p); when the limits exclude that, the sinusoid is
-    monotone toward it from either end, so the better endpoint wins.
+    monotone toward it from either end, so the better endpoint wins; when
+    every solved state already lies within the limits, they are returned as
+    they are.
     """
     a, b = _PLANE[axis]
     p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
@@ -509,6 +512,8 @@ def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndar
     # The maximum covers a shift that rounding leaves just short of lo (for a
     # denormal lo - theta the quotient underflows to 0).
     theta = np.maximum(theta + 360.0 * np.ceil((lo - theta) / 360.0), lo)
+    if theta.max() <= hi:
+        return theta
     ends = np.radians(limits)
     at_ends = np.outer(p, np.cos(ends)) + np.outer(q, np.sin(ends))
     return np.where(theta <= hi, theta, np.where(at_ends[:, 0] >= at_ends[:, 1], lo, hi))
@@ -574,23 +579,24 @@ class _PairModel:
         self._observed = observed
         self._weights = weights
 
-    def _stack(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
+    def _stack(self, theta_n: np.ndarray | None, theta_c: np.ndarray | None) -> np.ndarray:
+        """The model layers, turned by each free side whose states are given."""
         m = self._base
-        if self.parent.axis is not None:
+        if theta_n is not None and self.parent.axis is not None:
             m = _rotations(self.parent.axis, theta_n) @ m
-        if self.child.axis is not None:
+        if theta_c is not None and self.child.axis is not None:
             m = m @ _rotations(self.child.axis, -theta_c)
         return m
 
     def residual(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
         """Weighted pose metric at one joint state per connection angle (ignored if fixed)."""
-        diff = self._weights.mask() * (self._stack(theta_n, theta_c) - self._observed)
+        diff = self._weights.mask * (self._stack(theta_n, theta_c) - self._observed)
         return np.sqrt((diff * diff).sum(axis=(1, 2)))
 
     def parent_cross(self, theta_c: np.ndarray, position_only: bool = False) -> np.ndarray:
         """H of the metric in theta_n: Rn has no translation, so the model is
         Rn X and H = w_o^2 O_r X_r^T + w_t^2 O_t X_t^T."""
-        x, o, w = self._stack(np.zeros(len(theta_c)), theta_c), self._observed, self._weights
+        x, o, w = self._stack(None, theta_c), self._observed, self._weights
         h = w.w_t**2 * o[:3, 3, None] * x[:, None, :3, 3]
         if position_only:
             return h
@@ -599,7 +605,7 @@ class _PairModel:
     def child_cross(self, theta_n: np.ndarray) -> np.ndarray:
         """H of the metric in theta_c: Rc turns only the modeled rotation, Y_r Rc(-theta_c),
         so H = w_o^2 O_r^T Y_r."""
-        y = self._stack(theta_n, np.zeros(len(theta_n)))
+        y = self._stack(theta_n, None)
         return self._weights.w_o**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
@@ -641,7 +647,8 @@ def find_parent_optimization(
     Residuals within RESIDUAL_TIE of the best tie; ties resolve toward the
     lower marker id, then toward the smallest total solved joint roll, the
     geometric back end's convention of absorbing an unobservable roll into
-    the connection angle.
+    the connection angle, then toward the earlier hypothesis.  Only the
+    winner is built as a ParentMatch.
     """
     ct = child.module_type
     child_sides = []
@@ -651,7 +658,8 @@ def find_parent_optimization(
                 child_sides.append((d_c, _child_side(child, d_c, child_theta, cfg.epsilon2)))
         except NonCollinearBundles:
             pass  # a misaligned bundle pair disqualifies its own hypotheses only
-    scored = []
+    hypotheses = []  # (candidate, its direction, child direction, parent side, roll, thetas)
+    f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
     for cand in neighbors(child, pool, db, cfg):
         pt = cand.module_type
         observed = relative(cand.master_pose, child.master_pose).matrix()
@@ -663,19 +671,24 @@ def find_parent_optimization(
             for d_c, child_side in child_sides:
                 model = _PairModel(parent_side, child_side, observed, cfg.weights)
                 theta_n, theta_c = model.solve()
-                f = model.residual(theta_n, theta_c)
-                for k, angle in enumerate(CONNECTION_ANGLES):
-                    t_n, t_c = float(theta_n[k]), float(theta_c[k])
-                    theta = measured if parent_side.axis is None else t_n
-                    match = ParentMatch(cand, angle, d_p, d_c, theta=theta, f_value=float(f[k]))
-                    roll = abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
-                    scored.append((match, cand.record.master_marker_id, roll))
-    if not scored:
+                f_values += model.residual(theta_n, theta_c).tolist()
+                hypotheses.append((cand, d_p, d_c, parent_side, measured, theta_n, theta_c))
+    if not f_values:
         return None
-    f_best = min(match.f_value for match, _, _ in scored)
-    tied = (s for s in scored if s[0].f_value <= f_best + RESIDUAL_TIE)
-    match = min(tied, key=lambda s: s[1:])[0]
-    return match if match.f_value <= cfg.f_threshold else None
+    n = len(CONNECTION_ANGLES)
+
+    def order(i: int) -> tuple[int, float]:
+        cand, *_, theta_n, theta_c = hypotheses[i // n]
+        t_n, t_c = float(theta_n[i % n]), float(theta_c[i % n])
+        return cand.record.master_marker_id, abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
+
+    cutoff = min(f_values) + RESIDUAL_TIE
+    best = min((i for i, f in enumerate(f_values) if f <= cutoff), key=order)
+    if not f_values[best] <= cfg.f_threshold:
+        return None
+    (cand, d_p, d_c, parent_side, measured, theta_n, _), k = hypotheses[best // n], best % n
+    theta = measured if parent_side.axis is None else float(theta_n[k])
+    return ParentMatch(cand, CONNECTION_ANGLES[k], d_p, d_c, theta=theta, f_value=f_values[best])
 
 
 def _grow_branch(

@@ -9,13 +9,14 @@ oracle for round-trip verification.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import InvalidPose, Pose, axis_angle, compose, pose_fields, pose_to_json
-from .geometry import poses_from_fields, quat_to_matrix
+from .geometry import InvalidPose, Pose, axis_angle, checked_poses, compose, pose_fields
+from .geometry import pose_to_json, poses_from_fields, quat_to_matrix
 from .module_db import (
     INVERTED,
     UPRIGHT,
@@ -76,6 +77,9 @@ class SceneConfig:
     def __post_init__(self):
         if min(self.sigma_pos, self.sigma_rot, self.dropout_prob) < 0.0:
             raise ValueError("noise parameters must be non-negative")
+        for name in ("sigma_pos", "sigma_rot"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob must lie in [0, 1]")
         if self.spurious_count < 0:
@@ -121,11 +125,7 @@ def assign_instances(
     records = []
     for entry in desc.entries:
         rec = next(
-            (
-                r
-                for r in db.records_of_type(entry.type_code)
-                if r.serial not in used
-            ),
+            (r for r in db.records if r.type_code == entry.type_code and r.serial not in used),
             None,
         )
         if rec is None:
@@ -202,7 +202,7 @@ def _spread_joint_angles(
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        n = np.linalg.norm(v)
+        n = math.sqrt(v.dot(v))  # np.linalg.norm(v) without its dispatch
         if n > 1e-9:
             return v / n
 
@@ -219,7 +219,8 @@ def synthesize(
 
     Deterministic for a fixed config: the random draw order per true marker
     is translation noise, rotation axis, rotation angle, then the dropout
-    decision, with spurious markers generated last.
+    decision, with spurious markers generated last.  The kept poses meet
+    the Pose constructor's checks as one stack.
     """
     placements = forward_poses(desc, joint_angles, db, base, assignment)
     by_serial = {r.serial: r for r in db.records}
@@ -230,7 +231,7 @@ def synthesize(
         if pl.output_pose is not None:
             true_markers.append((rec.output_marker_id, pl.output_pose))
     rng = np.random.default_rng(cfg.seed)
-    observations = []
+    drawn: list[tuple[int, np.ndarray, np.ndarray]] = []
     for marker_id, pose in true_markers:
         t_noise = rng.normal(0.0, cfg.sigma_pos, size=3) if cfg.sigma_pos > 0 else np.zeros(3)
         axis = _random_unit(rng)
@@ -238,16 +239,21 @@ def synthesize(
         dropped = rng.random() < cfg.dropout_prob
         if dropped:
             continue
-        noisy = Pose(axis_angle(axis, angle) @ pose.rotation, pose.translation + t_noise)
-        observations.append(MarkerObservation(marker_id, noisy))
+        rotation = axis_angle(axis, angle) @ pose.rotation
+        drawn.append((marker_id, rotation, pose.translation + t_noise))
     if cfg.spurious_count > 0:
-        observations.extend(_spurious_markers(rng, true_markers, cfg.spurious_count))
-    return observations
+        drawn += _spurious_markers(rng, true_markers, cfg.spurious_count)
+    if not drawn:
+        return []
+    ids, rotations, translations = zip(*drawn)
+    poses = checked_poses(np.array(rotations), np.array(translations))
+    return [MarkerObservation(m, p) for m, p in zip(ids, poses)]
 
 
 def _spurious_markers(
     rng: np.random.Generator, true_markers, count: int
-) -> list[MarkerObservation]:
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Marker ids, rotations and translations of random markers around the chain."""
     ids = SPURIOUS_ID_BASE + rng.choice(SPURIOUS_ID_SPAN, size=count, replace=False)
     points = np.array([p.translation for _, p in true_markers])
     center = points.mean(axis=0)
@@ -258,7 +264,7 @@ def _spurious_markers(
         t = center + rng.uniform(-1.0, 1.0, size=3) * half
         q = _random_unit(rng)
         q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
-        spurious.append(MarkerObservation(int(marker_id), Pose(quat_to_matrix(q), t)))
+        spurious.append((int(marker_id), quat_to_matrix(q), t))
     return spurious
 
 

@@ -9,19 +9,31 @@ import xml.etree.ElementTree as ET
 import numpy as np
 from hypothesis import strategies as st
 
+from chainforge import identify
 from chainforge.descriptor import ChainDescriptor, ChainEntry, serialize
 from chainforge.geometry import (
+    CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
     Pose,
     axis_angle,
     compose,
     matrix_to_rpy,
+    quat_to_matrix,
+    relative,
     unit_between,
+    wrap_angle,
     z_axis,
 )
 from chainforge.modelgen import JOINT_REVOLUTE, VISUAL_RADIUS
 from chainforge.module_db import INVERTED, UPRIGHT, ModuleDatabase, connection_transform
-from chainforge.synth import MarkerObservation, SceneConfig, forward_poses, synthesize
+from chainforge.synth import (
+    SPURIOUS_ID_BASE,
+    SPURIOUS_ID_SPAN,
+    MarkerObservation,
+    SceneConfig,
+    forward_poses,
+    synthesize,
+)
 
 MID_CODES = ["I", "i", "T", "t", "L", "l", "A"]
 TOOL_CODES = ["G", "g", "W", "S"]
@@ -229,6 +241,150 @@ def reference_pose_check(rotation, translation) -> np.ndarray:
     if np.linalg.det(r) < 0.0:
         raise ValueError("rotation must be proper (det +1)")
     return r
+
+
+def reference_axis_angle(axis, deg: float) -> np.ndarray:
+    """Rodrigues' formula with the axis normalized by np.linalg.norm."""
+    a = np.asarray(axis, dtype=float)
+    x, y, z = a / np.linalg.norm(a)
+    c, s = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def _reference_random_unit(rng: np.random.Generator) -> np.ndarray:
+    while True:
+        v = rng.normal(size=3)
+        n = np.linalg.norm(v)
+        if n > 1e-9:
+            return v / n
+
+
+def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig(), assignment=None):
+    """`synth.synthesize` with every marker built and checked by the Pose constructor."""
+    placements = forward_poses(desc, joint_angles, db, base, assignment)
+    by_serial = {r.serial: r for r in db.records}
+    true_markers = []
+    for pl in placements:
+        rec = by_serial[pl.serial]
+        true_markers.append((rec.master_marker_id, pl.master_pose))
+        if pl.output_pose is not None:
+            true_markers.append((rec.output_marker_id, pl.output_pose))
+    rng = np.random.default_rng(cfg.seed)
+    observations = []
+    for marker_id, pose in true_markers:
+        t_noise = rng.normal(0.0, cfg.sigma_pos, size=3) if cfg.sigma_pos > 0 else np.zeros(3)
+        axis = _reference_random_unit(rng)
+        angle = abs(rng.normal(0.0, cfg.sigma_rot)) if cfg.sigma_rot > 0 else 0.0
+        if rng.random() < cfg.dropout_prob:
+            continue
+        noisy = Pose(reference_axis_angle(axis, angle) @ pose.rotation, pose.translation + t_noise)
+        observations.append(MarkerObservation(marker_id, noisy))
+    if cfg.spurious_count > 0:
+        ids = SPURIOUS_ID_BASE + rng.choice(
+            SPURIOUS_ID_SPAN, size=cfg.spurious_count, replace=False
+        )
+        points = np.array([p.translation for _, p in true_markers])
+        center = points.mean(axis=0)
+        half = np.maximum((points.max(axis=0) - points.min(axis=0)) / 2.0 * 1.2, 50.0)
+        for marker_id in ids:
+            t = center + rng.uniform(-1.0, 1.0, size=3) * half
+            q = _reference_random_unit(rng)
+            q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
+            observations.append(MarkerObservation(int(marker_id), Pose(quat_to_matrix(q), t)))
+    return observations
+
+
+def reference_fit_joint(axis: int, h: np.ndarray, limits) -> np.ndarray:
+    """`identify._fit_joint` weighing the limit endpoints whether or not a state leaves them."""
+    a, b = identify._PLANE[axis]
+    p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
+    lo, hi = limits
+    theta = np.degrees(np.arctan2(q, p))
+    theta = np.maximum(theta + 360.0 * np.ceil((lo - theta) / 360.0), lo)
+    ends = np.radians(limits)
+    at_ends = np.outer(p, np.cos(ends)) + np.outer(q, np.sin(ends))
+    return np.where(theta <= hi, theta, np.where(at_ends[:, 0] >= at_ends[:, 1], lo, hi))
+
+
+class ReferencePairModel(identify._PairModel):
+    """The pair model turning both sides in every product, by an exact identity
+    for the side a fit leaves out, and solving with `reference_fit_joint`."""
+
+    def _stack(self, theta_n, theta_c):
+        m = self._base
+        if self.parent.axis is not None:
+            m = identify._rotations(self.parent.axis, theta_n) @ m
+        if self.child.axis is not None:
+            m = m @ identify._rotations(self.child.axis, -theta_c)
+        return m
+
+    def parent_cross(self, theta_c, position_only=False):
+        x, o, w = self._stack(np.zeros(len(theta_c)), theta_c), self._observed, self._weights
+        h = w.w_t**2 * o[:3, 3, None] * x[:, None, :3, 3]
+        if position_only:
+            return h
+        return h + w.w_o**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
+
+    def child_cross(self, theta_n):
+        y = self._stack(theta_n, np.zeros(len(theta_n)))
+        return self._weights.w_o**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
+
+    def solve(self):
+        p, c = self.parent, self.child
+        theta_n = theta_c = np.zeros(len(CONNECTION_ANGLES))
+        if p.axis is not None and c.axis is not None:
+            theta_n = reference_fit_joint(
+                p.axis, self.parent_cross(theta_c, position_only=True), p.limits
+            )
+            theta_c = reference_fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+        if p.axis is not None:
+            theta_n = reference_fit_joint(p.axis, self.parent_cross(theta_c), p.limits)
+        if c.axis is not None:
+            theta_c = reference_fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+        return theta_n, theta_c
+
+
+def reference_find_parent_optimization(
+    child, pool, db, cfg, child_direction=None, child_theta=None
+):
+    """`identify.find_parent_optimization` building a ParentMatch per connection angle."""
+    ct = child.module_type
+    child_sides = []
+    for d_c in (child_direction,) if child_direction is not None else ct.directions():
+        try:
+            if ct.can_child(d_c):
+                side = identify._child_side(child, d_c, child_theta, cfg.epsilon2)
+                child_sides.append((d_c, side))
+        except identify.NonCollinearBundles:
+            pass
+    scored = []
+    for cand in identify.neighbors(child, pool, db, cfg):
+        pt = cand.module_type
+        observed = relative(cand.master_pose, child.master_pose).matrix()
+        for d_p in filter(pt.can_parent, pt.directions()):
+            try:
+                parent_side, measured = identify._parent_side(cand, d_p, cfg.epsilon2)
+            except identify.NonCollinearBundles:
+                continue
+            for d_c, child_side in child_sides:
+                model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
+                theta_n, theta_c = model.solve()
+                f = model.residual(theta_n, theta_c)
+                for k, angle in enumerate(CONNECTION_ANGLES):
+                    t_n, t_c = float(theta_n[k]), float(theta_c[k])
+                    theta = measured if parent_side.axis is None else t_n
+                    match = identify.ParentMatch(
+                        cand, angle, d_p, d_c, theta=theta, f_value=float(f[k])
+                    )
+                    roll = abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
+                    scored.append((match, cand.record.master_marker_id, roll))
+    if not scored:
+        return None
+    f_best = min(match.f_value for match, _, _ in scored)
+    tied = (s for s in scored if s[0].f_value <= f_best + identify.RESIDUAL_TIE)
+    match = min(tied, key=lambda s: s[1:])[0]
+    return match if match.f_value <= cfg.f_threshold else None
 
 
 def reference_write_model_xml(model, path):

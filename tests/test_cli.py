@@ -80,6 +80,22 @@ class TestSynth:
         assert "position 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--sigma-pos", "nan", "--sigma-rot", "nan"], "sigma_pos"),
+            (["--sigma-pos", "inf"], "sigma_pos"),
+            (["--sigma-rot", "nan"], "sigma_rot"),
+        ],
+    )
+    def test_non_finite_noise_exit_1(self, tmp_path, db_path, capsys, flags, name):
+        path = tmp_path / "s.json"
+        args = ["synth", "--chain", "I-T0-G0", "--db", str(db_path), "--joints", "10,20"]
+        assert main([*args, "--seed", "7", "--out", str(path), *flags]) == 1
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not path.exists()
+
+
 class TestIdentify:
     def test_prints_chain_and_thetas(self, scene_path, db_path, capsys):
         assert main(["identify", "--scene", str(scene_path), "--db", str(db_path)]) == 0
@@ -177,6 +193,19 @@ class TestIdentify:
         code = main(["identify", "--scene", str(scene_path), "--db", str(db_path)])
         assert code == 2
         assert type(error).__name__ in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--eps1", "nan"], "epsilon1"),
+            (["--f-threshold", "nan", "--method", "optimization"], "f_threshold"),
+        ],
+    )
+    def test_nan_tolerance_exit_1(self, scene_path, db_path, capsys, flags, name):
+        assert main(["identify", "--scene", str(scene_path), "--db", str(db_path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err
 
     def test_missing_db_exit_1(self, scene_path, tmp_path, capsys):
         code = main(

@@ -37,6 +37,7 @@ from chainforge.geometry import (
 )
 
 from helpers import (
+    reference_axis_angle,
     reference_pose_check,
     reference_quat_to_matrix,
     reference_raw_connection_angle,
@@ -60,6 +61,16 @@ rotation_strategy = st.tuples(
 def pose_from(t):
     ax, ay, az, ang = t
     return Pose(axis_angle([ax, ay, az], ang), [10 * ax, 10 * ay, 10 * az])
+
+
+class TestAxisAngle:
+    @given(rotation_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_norm_reference(self, t):
+        axis, deg = t[:3], t[3]
+        assert axis_angle(axis, deg).tobytes() == reference_axis_angle(axis, deg).tobytes()
+        big = [v * 1e150 for v in axis]
+        assert axis_angle(big, deg).tobytes() == reference_axis_angle(big, deg).tobytes()
 
 
 class TestCompose:
@@ -256,6 +267,21 @@ class TestPoseDistance:
             WeightMatrix(w_o=0.0)
         with pytest.raises(ValueError):
             WeightMatrix(w_t=-1.0)
+        for name in ("w_o", "w_t"):
+            with pytest.raises(ValueError, match="weights must be positive"):
+                WeightMatrix(**{name: math.nan})
+
+    def test_mask_built_once_and_read_only(self):
+        w = WeightMatrix(w_o=2.0, w_t=0.5)
+        expected = np.zeros((4, 4))
+        expected[:3, :3] = 2.0
+        expected[:3, 3] = 0.5
+        assert w.mask.tobytes() == expected.tobytes()
+        assert w.mask is w.mask
+        assert not w.mask.flags.writeable
+        assert w == WeightMatrix(w_o=2.0, w_t=0.5)
+        assert hash(w) == hash(WeightMatrix(w_o=2.0, w_t=0.5))
+        assert "mask" not in repr(w)
 
 
 class TestAxes:

@@ -28,6 +28,7 @@ from chainforge.identify import (
     AmbiguousParent,
     DetectedModule,
     IdentifyConfig,
+    IdentifyError,
     LimitExceeded,
     NonCollinearBundles,
     NoToolModule,
@@ -48,7 +49,14 @@ from chainforge.identify import (
 from chainforge.module_db import INVERTED, UPRIGHT, connection_transform, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
-from helpers import make_corpus, make_two_branch_scene, random_base, random_chain_case
+from helpers import (
+    make_corpus,
+    make_two_branch_scene,
+    random_base,
+    random_chain_case,
+    reference_find_parent_optimization,
+    reference_fit_joint,
+)
 
 
 def detected_by_serial(obs, db):
@@ -59,6 +67,20 @@ def detected_by_serial(obs, db):
 def _detected(db, code: str, pose: Pose) -> DetectedModule:
     record = db.records_of_type(code)[0]
     return DetectedModule(record=record, module_type=db.types[code], master_pose=pose)
+
+
+class TestIdentifyConfig:
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("epsilon1", "epsilon1 must be positive"),
+            ("epsilon2", "epsilon2 must lie in"),
+            ("f_threshold", "f_threshold must be non-negative"),
+        ],
+    )
+    def test_nan_rejected(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            IdentifyConfig(**{name: math.nan})
 
 
 class TestValidateMarkers:
@@ -545,6 +567,134 @@ class TestClosedFormFit:
                         max_err = max(max_err, err)
         assert solved > 50
         assert max_err <= 1e-9
+
+
+def _match_fields(match):
+    """Every ParentMatch field, the floats by their bits."""
+    if match is None:
+        return None
+    bits = [None if v is None else (type(v), float(v).hex()) for v in (match.theta, match.f_value)]
+    return (
+        match.module.serial,
+        match.connection_angle,
+        match.parent_direction,
+        match.child_direction,
+        *bits,
+    )
+
+
+def _recorded_searches(db, scenes) -> list[tuple]:
+    """The arguments of every parent search that chain building runs on the scenes,
+    with both back ends (the geometric one searches to adjudicate)."""
+    calls = []
+    search = identify.find_parent_optimization
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return search(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(identify, "find_parent_optimization", record)
+        warnings.simplefilter("ignore")
+        for obs in scenes:
+            for method in ("geometric", "optimization"):
+                try:
+                    build_chain(obs, db, IdentifyConfig(method=method))
+                except IdentifyError:
+                    pass
+    return calls
+
+
+class TestParentSearchOracle:
+    """find_parent_optimization returns what the per-angle reference in helpers does."""
+
+    def _assert_matches_reference(self, db, scenes) -> int:
+        calls = _recorded_searches(db, scenes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for args, kwargs in calls:
+                got = find_parent_optimization(*args, **kwargs)
+                want = reference_find_parent_optimization(*args, **kwargs)
+                assert _match_fields(got) == _match_fields(want)
+                assert got is None or got.module is want.module
+        return len(calls)
+
+    def test_corpus_and_noise_rows(self, db):
+        scenes = [
+            synthesize(desc, thetas, db, base=base)
+            for desc, _, thetas, base in make_corpus(db, 100, 20260808)
+        ]
+        # One draw of each criterion-4 noise row, and the dropout draws whose
+        # unobservable roll makes hypotheses tie.
+        rng = np.random.default_rng(4242)
+        draws = [
+            [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180.0, 120.0, 120.0, 120.0, 180.0)]
+            for _ in range(39)
+        ]
+        desc = parse("I-T'0-T'0-A0-t0-i0-g0")
+        rows = [(2.0, 3, 0.0, 0), (4.0, 3, 0.0, 0), (6.0, 3, 0.0, 0)]
+        rows += [(2.0, 0, 0.05, k) for k in (0, 8, 38)]
+        for sigma, spurious, dropout, k in rows:
+            cfg = SceneConfig(
+                sigma_pos=sigma,
+                sigma_rot=sigma,
+                dropout_prob=dropout,
+                spurious_count=spurious,
+                seed=9000 + k,
+            )
+            scenes.append(synthesize(desc, draws[k], db, cfg=cfg))
+        assert self._assert_matches_reference(db, scenes) > 500
+
+    @pytest.mark.parametrize("theta", [45.0, -135.0, 30.0, 150.0, -170.0])
+    def test_roll_ties(self, db, theta):
+        # Without its output bundle an upright collinear parent fits every
+        # connection angle exactly; the smallest roll, then the earlier
+        # hypothesis, decides.
+        obs = synthesize(parse("I-G0"), [theta], db)
+        output_marker = db.records_of_type("I")[0].output_marker_id
+        obs = [o for o in obs if o.marker_id != output_marker]
+        by, _, _ = detected_by_serial(obs, db)
+        cfg = IdentifyConfig()
+        got = find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg)
+        want = reference_find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg)
+        assert _match_fields(got) == _match_fields(want)
+
+    def test_exact_residual_tie_goes_to_the_lower_marker_id(self, db):
+        # A second link observed at the parent's exact pose fits bit for bit
+        # as well; whichever comes first in the pool, marker 70 wins.
+        obs = synthesize(parse("L-G0"), [], db, base=random_base(np.random.default_rng(5)))
+        parent = next(o for o in obs if o.marker_id == 70)
+        obs.append(MarkerObservation(71, parent.pose))
+        by, _, _ = detected_by_serial(obs, db)
+        child, cfg = by["G-001"], IdentifyConfig()
+        alone = [
+            find_parent_optimization(child, [by[serial]], db, cfg) for serial in ("L-001", "L-002")
+        ]
+        assert alone[0].f_value == alone[1].f_value
+        for pool in ([by["L-001"], by["L-002"]], [by["L-002"], by["L-001"]]):
+            got = find_parent_optimization(child, pool, db, cfg)
+            want = reference_find_parent_optimization(child, pool, db, cfg)
+            assert got.module.serial == "L-001"
+            assert _match_fields(got) == _match_fields(want)
+
+    @given(
+        axis=st.sampled_from([1, 2]),
+        h=st.lists(
+            st.floats(-1e3, 1e3, allow_subnormal=False), min_size=4 * 16, max_size=4 * 16
+        ),
+        layers=st.integers(1, 4),
+        offset=st.floats(-2.0, 2.0),
+        span=st.floats(0.0, 360.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fit_joint_matches_endpoint_form(self, axis, h, layers, offset, span):
+        # The upper limit lies near the highest peak, so that the solved
+        # states fall on both sides of it.
+        h = np.array(h).reshape(4, 4, 4)[:layers]
+        hi = float(reference_fit_joint(axis, h, (-180.0, 180.0)).max()) + offset
+        limits = (hi - span, hi)
+        got = _fit_joint(axis, h, limits)
+        assert got.tobytes() == reference_fit_joint(axis, h, limits).tobytes()
 
 
 class TestEstimateJointAngle:

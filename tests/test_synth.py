@@ -10,6 +10,7 @@ from chainforge import synth
 from chainforge.cli import main
 from chainforge.descriptor import parse
 from chainforge.geometry import (
+    InvalidPose,
     Pose,
     quat_to_matrix,
     raw_connection_angle,
@@ -30,7 +31,13 @@ from chainforge.synth import (
     write_scene,
 )
 
-from helpers import field_values, random_chain_case, record_writes, reference_quat_to_matrix
+from helpers import (
+    field_values,
+    random_chain_case,
+    record_writes,
+    reference_quat_to_matrix,
+    reference_synthesize,
+)
 
 
 class TestForwardPoses:
@@ -154,6 +161,48 @@ class TestSynthesize:
             SceneConfig(dropout_prob=1.5)
         with pytest.raises(ValueError):
             SceneConfig(spurious_count=-1)
+        for name in ("sigma_pos", "sigma_rot"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    SceneConfig(**{name: value})
+        with pytest.raises(ValueError, match="dropout_prob"):
+            SceneConfig(dropout_prob=math.nan)
+
+    @given(
+        case_seed=st.integers(0, 2**32 - 1),
+        sigma_pos=st.floats(0.0, 10.0),
+        sigma_rot=st.floats(0.0, 10.0),
+        dropout=st.floats(0.0, 1.0),
+        spurious=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(case_seed=0, sigma_pos=2.0, sigma_rot=2.0, dropout=1.0, spurious=0, seed=1)
+    @example(case_seed=1, sigma_pos=0.0, sigma_rot=0.0, dropout=0.0, spurious=5, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_marker_reference(
+        self, db, case_seed, sigma_pos, sigma_rot, dropout, spurious, seed
+    ):
+        desc, thetas, base = random_chain_case(np.random.default_rng(case_seed), db)
+        cfg = SceneConfig(sigma_pos, sigma_rot, dropout, spurious, seed)
+        got = synthesize(desc, thetas, db, base=base, cfg=cfg)
+        want = reference_synthesize(desc, thetas, db, base=base, cfg=cfg)
+
+        def marker_bytes(obs):
+            return [
+                (o.marker_id, o.pose.rotation.tobytes(), o.pose.translation.tobytes())
+                for o in obs
+            ]
+
+        assert marker_bytes(got) == marker_bytes(want)
+        if dropout == 1.0 and spurious == 0:
+            assert got == []
+        for o in got:
+            assert not (o.pose.rotation.flags.writeable or o.pose.translation.flags.writeable)
+
+    def test_scene_poses_still_checked(self, db, monkeypatch):
+        monkeypatch.setattr(synth, "axis_angle", lambda axis, deg: np.diag([1.0, 1.0, -1.0]))
+        with pytest.raises(InvalidPose, match="proper"):
+            synthesize(parse("L-G0"), [], db, cfg=SceneConfig(spurious_count=2))
 
     def test_spurious_ids_outside_registry(self, db):
         obs = synthesize(
