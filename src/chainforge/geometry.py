@@ -7,6 +7,8 @@ matrices, translations are 3-vectors in millimetres, angles are degrees.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,6 +312,24 @@ def finite_number(value) -> float:
     raise ValueError(f"expected a finite number, got {value!r:.40}")
 
 
+def write_file(path, data: bytes):
+    """Write `data` over the file at `path` (created if missing) and cut it to length.
+
+    Overwriting in place spares the file system the free-and-reallocate of
+    truncating first.  Not atomic, like open(path, "w"); only a regular file
+    is cut, so devices and pipes work.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def pose_to_json(p: Pose) -> dict:
     """File form of a pose: translation `t` in mm, quaternion `q` as (x, y, z, w)."""
     return {
@@ -367,15 +387,16 @@ def rpy_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     )
 
 
-def matrix_to_rpy(r: np.ndarray) -> tuple[float, float, float]:
-    """Rotation matrix to fixed-axis XYZ angles in radians."""
-    sy = math.hypot(r[0, 0], r[1, 0])
+def matrix_to_rpy(r) -> tuple[float, float, float]:
+    """Rotation matrix, as an array or nested lists, to fixed-axis XYZ angles in radians."""
+    (r00, _, _), (r10, r11, r12), (r20, r21, r22) = r
+    sy = math.hypot(r00, r10)
     if sy > 1e-9:
-        roll = math.atan2(r[2, 1], r[2, 2])
-        pitch = math.atan2(-r[2, 0], sy)
-        yaw = math.atan2(r[1, 0], r[0, 0])
+        roll = math.atan2(r21, r22)
+        pitch = math.atan2(-r20, sy)
+        yaw = math.atan2(r10, r00)
     else:
-        roll = math.atan2(-r[1, 2], r[1, 1])
-        pitch = math.atan2(-r[2, 0], sy)
+        roll = math.atan2(-r12, r11)
+        pitch = math.atan2(-r20, sy)
         yaw = 0.0
     return roll, pitch, yaw

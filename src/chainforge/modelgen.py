@@ -26,6 +26,7 @@ from .geometry import (
     pose_to_json,
     relative,
     rpy_to_matrix,
+    write_file,
 )
 from .identify import ChainLink, IdentifiedChain, to_descriptor
 from .module_db import UPRIGHT, ModuleDatabase, connection_transform
@@ -320,8 +321,7 @@ def _write_model_json(model: RobotModel, path: str):
         ],
         "metadata": model.metadata,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    write_file(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 # ElementTree's escapes, applied in one pass.  Attribute values also escape
@@ -354,13 +354,14 @@ def _write_model_xml(model: RobotModel, path: str):
             )
         else:
             parts.append(f'\n  <link name="{name}" />')
-    for joint in model.joints:
+    xyz_m = (np.array([j.origin.translation for j in model.joints]) / 1000.0).tolist()
+    rotations = np.array([j.origin.rotation for j in model.joints]).tolist()
+    for joint, xyz, rotation in zip(model.joints, xyz_m, rotations):
         parts.append(
             f'\n  <joint name="{_escaped(joint.name)}" type="{_escaped(joint.joint_type)}">'
             f'\n    <parent link="{_escaped(joint.parent)}" />'
             f'\n    <child link="{_escaped(joint.child)}" />'
-            f'\n    <origin xyz="{_floats(joint.origin.translation / 1000.0)}"'
-            f' rpy="{_floats(matrix_to_rpy(joint.origin.rotation))}" />'
+            f'\n    <origin xyz="{_floats(xyz)}" rpy="{_floats(matrix_to_rpy(rotation))}" />'
         )
         if joint.joint_type == JOINT_REVOLUTE:
             lo, hi = joint.limits
@@ -373,8 +374,7 @@ def _write_model_xml(model: RobotModel, path: str):
     angles = {j.name: j.angle for j in model.joints if j.angle is not None}
     meta = json.dumps({"metadata": model.metadata, "joint_angles_deg": angles})
     parts.append(f"\n  <metadata>{meta.translate(_TEXT_ESCAPES)}</metadata>\n</robot>\n")
-    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
-        fh.write("".join(parts))
+    write_file(path, "".join(parts).encode("utf-8", "xmlcharrefreplace"))
 
 
 def read_model(path) -> RobotModel:

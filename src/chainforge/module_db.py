@@ -27,6 +27,7 @@ from .geometry import (
     rot_x,
     rot_y,
     rot_z,
+    write_file,
 )
 
 KIND_JOINT_COLLINEAR = "joint-collinear"
@@ -419,8 +420,7 @@ def save_database(db: ModuleDatabase, path):
             for rec in db.records
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    write_file(path, (json.dumps(doc, indent=2) + "\n").encode())
 
 
 def centered_type(

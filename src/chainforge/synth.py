@@ -16,7 +16,7 @@ import numpy as np
 
 from .descriptor import ChainDescriptor
 from .geometry import InvalidPose, Pose, axis_angle, checked_poses, compose, pose_fields
-from .geometry import pose_to_json, poses_from_fields, quat_to_matrix
+from .geometry import pose_to_json, poses_from_fields, quat_to_matrix, write_file
 from .module_db import (
     INVERTED,
     UPRIGHT,
@@ -271,8 +271,7 @@ def _spurious_markers(
 def write_scene(path, observations: list[MarkerObservation]):
     """Write observations as a JSON array at full float precision."""
     doc = [{"marker_id": obs.marker_id, **pose_to_json(obs.pose)} for obs in observations]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
+    write_file(path, (json.dumps(doc, indent=1) + "\n").encode())
 
 
 def read_scene(path) -> list[MarkerObservation]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -439,26 +440,17 @@ def reference_write_model_xml(model, path):
         fh.write("\n")
 
 
-def record_writes(monkeypatch, module) -> list[str]:
-    """Route `open` in `module` through a recorder; returns every string written."""
-    writes: list[str] = []
-    real_open = open
+def record_writes(monkeypatch) -> list[bytes]:
+    """Route `os.write`, which every file writer ends in, through a recorder.
 
-    class Recorder:
-        def __init__(self, fh):
-            self.fh = fh
+    Returns the list of every byte string written while the test runs.
+    """
+    writes: list[bytes] = []
+    real_write = os.write
 
-        def __enter__(self):
-            return self
+    def recorder(fd, data):
+        writes.append(bytes(data))
+        return real_write(fd, data)
 
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            writes.append(text)
-            return self.fh.write(text)
-
-    monkeypatch.setattr(
-        module, "open", lambda *args, **kwargs: Recorder(real_open(*args, **kwargs)), raising=False
-    )
+    monkeypatch.setattr(os, "write", recorder)
     return writes

@@ -97,6 +97,11 @@ class TestSynth:
 
 
 class TestIdentify:
+    def test_out_directory_exit_1(self, scene_path, db_path, tmp_path, capsys):
+        args = ["identify", "--scene", str(scene_path), "--db", str(db_path)]
+        assert main([*args, "--out", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_prints_chain_and_thetas(self, scene_path, db_path, capsys):
         assert main(["identify", "--scene", str(scene_path), "--db", str(db_path)]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -32,6 +33,7 @@ from chainforge.geometry import (
     rpy_to_matrix,
     unit_between,
     wrap_angle,
+    write_file,
     y_axis,
     z_axis,
 )
@@ -439,6 +441,7 @@ class TestQuaternions:
         for _ in range(50):
             r = axis_angle(rng.normal(size=3), float(rng.uniform(0, 179)))
             assert np.abs(rpy_to_matrix(*matrix_to_rpy(r)) - r).max() < 1e-12
+            assert matrix_to_rpy(r.tolist()) == matrix_to_rpy(r)
 
 
 class TestWrap:
@@ -447,3 +450,42 @@ class TestWrap:
     )
     def test_wrap(self, a, expected):
         assert wrap_angle(a) == pytest.approx(expected)
+
+
+class TestWriteFile:
+    # Shorter data must leave no stale tail; longer data must replace all.
+    @pytest.mark.parametrize("old, new", [(b"0123456789", b"abc"), (b"abc", b"0123456789")])
+    def test_overwrite_holds_exactly_the_new_bytes(self, tmp_path, old, new):
+        path = tmp_path / "f"
+        path.write_bytes(old)
+        write_file(path, new)
+        assert path.read_bytes() == new
+
+    def test_new_file_mode_matches_open(self, tmp_path):
+        old_umask = os.umask(0)
+        try:
+            with open(tmp_path / "by_open", "w"):
+                pass
+            write_file(tmp_path / "by_writer", b"x")
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "by_writer").stat().st_mode == (tmp_path / "by_open").stat().st_mode
+
+    def test_writes_through_symlink(self, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old contents")
+        link.symlink_to(target)
+        write_file(link, b"new")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"new"
+
+    def test_devnull_accepted(self):
+        write_file(os.devnull, b"discarded")
+
+    def test_full_device_raises_and_closes(self):
+        if not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")):
+            pytest.skip("needs /dev/full and /proc/self/fd")
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError):
+            write_file("/dev/full", b"x")
+        assert sorted(os.listdir("/proc/self/fd")) == before

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import Pose
 from chainforge.identify import IdentifyConfig, build_chain, build_tree, to_descriptor
-from chainforge import modelgen
 from chainforge.modelgen import (
     InconsistentChain,
     JOINT_FIXED,
@@ -433,10 +432,19 @@ class TestWritesOnce:
     def test_model_file_written_in_one_call(self, db, tmp_path, monkeypatch, suffix, indent):
         model = generate_model(chain_for(db, "I-T0-G0", [25.0, -40.0]), db)
         path = tmp_path / f"robot{suffix}"
-        writes = record_writes(monkeypatch, modelgen)
+        writes = record_writes(monkeypatch)
         write_model(model, path)
-        assert len(writes) == 1
+        assert writes == [path.read_bytes()]
         text = path.read_text(encoding="utf-8")
-        assert writes[0] == text
         if indent is not None:
             assert text == json.dumps(json.loads(text), indent=indent) + "\n"
+
+    @pytest.mark.parametrize("suffix", [".json", ".xml"])
+    def test_failed_render_keeps_old_file(self, db, tmp_path, suffix):
+        chain = chain_for(db, "I-T0-G0", [25.0, -40.0])
+        path = tmp_path / f"robot{suffix}"
+        write_model(generate_model(chain, db), path)
+        old = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_model(generate_model(chain, db, metadata={"bad": object()}), path)
+        assert path.read_bytes() == old

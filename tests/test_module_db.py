@@ -356,8 +356,8 @@ def test_non_integer_marker_id_rejected(tmp_path, db, marker_id):
 
 def test_save_database_writes_once(db, tmp_path, monkeypatch):
     path = tmp_path / "db.json"
-    writes = record_writes(monkeypatch, module_db)
+    writes = record_writes(monkeypatch)
     save_database(db, path)
+    assert writes == [path.read_bytes()]
     text = path.read_text(encoding="utf-8")
-    assert writes == [text]
     assert text == json.dumps(json.loads(text), indent=2) + "\n"

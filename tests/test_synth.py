@@ -357,8 +357,8 @@ class TestSceneBoundary:
 def test_write_scene_writes_once(db, tmp_path, monkeypatch):
     obs = synthesize(parse("I-T0-G0"), [10.0, 20.0], db, cfg=SceneConfig(sigma_pos=1.0, seed=3))
     path = tmp_path / "scene.json"
-    writes = record_writes(monkeypatch, synth)
+    writes = record_writes(monkeypatch)
     write_scene(path, obs)
+    assert writes == [path.read_bytes()]
     text = path.read_text(encoding="utf-8")
-    assert writes == [text]
     assert text == json.dumps(json.loads(text), indent=1) + "\n"
