@@ -22,6 +22,7 @@ from .identify import (
     DetectedModule,
     IdentifiedChain,
     IdentifyConfig,
+    IdentifyError,
     LimitExceeded,
     NonCollinearBundles,
     NoToolModule,
@@ -56,6 +57,7 @@ from .synth import (
     LimitViolation,
     MissingInstance,
     SceneParseError,
+    SynthError,
     forward_poses,
     read_scene,
     synthesize,

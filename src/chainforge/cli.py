@@ -65,26 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--tree", action="store_true", help="grow from every tool module")
 
     p_sy = sub.add_parser("synth", help="synthesize a scene from a chain string")
-    p_sy.add_argument("--chain", required=True)
-    _add_db_flag(p_sy)
-    p_sy.add_argument("--joints", default="", help="comma-separated joint angles, deg")
-    p_sy.add_argument("--sigma-pos", type=float, default=0.0)
-    p_sy.add_argument("--sigma-rot", type=float, default=0.0)
-    p_sy.add_argument("--dropout", type=float, default=0.0)
-    p_sy.add_argument("--spurious", type=int, default=0)
-    p_sy.add_argument("--seed", type=int, required=True)
+    _add_scene_flags(p_sy)
     p_sy.add_argument("--out", required=True)
 
     p_rt = sub.add_parser("roundtrip", help="synthesize and re-identify repeatedly")
-    p_rt.add_argument("--chain", required=True)
-    _add_db_flag(p_rt)
-    p_rt.add_argument("--joints", default="")
-    p_rt.add_argument("--sigma-pos", type=float, default=0.0)
-    p_rt.add_argument("--sigma-rot", type=float, default=0.0)
-    p_rt.add_argument("--dropout", type=float, default=0.0)
-    p_rt.add_argument("--spurious", type=int, default=0)
+    _add_scene_flags(p_rt)
     p_rt.add_argument("--trials", type=int, required=True)
-    p_rt.add_argument("--seed", type=int, required=True)
 
     p_pa = sub.add_parser("parse", help="echo the canonical form of a chain string")
     p_pa.add_argument("--chain", required=True)
@@ -99,6 +85,27 @@ def _add_db_flag(parser: argparse.ArgumentParser):
         "--db",
         default=None,
         help=f"module database path (default: ${DB_ENV_VAR})",
+    )
+
+
+def _add_scene_flags(parser: argparse.ArgumentParser):
+    parser.add_argument("--chain", required=True)
+    _add_db_flag(parser)
+    parser.add_argument("--joints", default="", help="comma-separated joint angles, deg")
+    parser.add_argument("--sigma-pos", type=float, default=0.0)
+    parser.add_argument("--sigma-rot", type=float, default=0.0)
+    parser.add_argument("--dropout", type=float, default=0.0)
+    parser.add_argument("--spurious", type=int, default=0)
+    parser.add_argument("--seed", type=int, required=True)
+
+
+def _scene_config(args, trial: int = 0) -> SceneConfig:
+    return SceneConfig(
+        sigma_pos=args.sigma_pos,
+        sigma_rot=args.sigma_rot,
+        dropout_prob=args.dropout,
+        spurious_count=args.spurious,
+        seed=args.seed + trial,
     )
 
 
@@ -154,16 +161,11 @@ def _cmd_identify(args) -> int:
         method=args.method,
     )
     if args.tree:
-        branches = build_tree(observations, db, cfg)
-        for branch in branches:
-            print(serialize(to_descriptor(branch)))
-        chains = branches
-        rejected = branches[0].rejected_markers
+        chains = build_tree(observations, db, cfg)
     else:
-        chain = build_chain(observations, db, cfg)
+        chains = [build_chain(observations, db, cfg)]
+    for chain in chains:
         print(serialize(to_descriptor(chain)))
-        chains = [chain]
-        rejected = chain.rejected_markers
     printed = set()
     for chain in chains:
         for link in chain.links:
@@ -171,14 +173,14 @@ def _cmd_identify(args) -> int:
                 printed.add(link.module.serial)
                 angle = "-" if link.joint_angle is None else f"{link.joint_angle:.6f}"
                 print(f"theta {link.module.serial} {angle}")
-    for marker_id, reason in rejected:
+    for marker_id, reason in chains[0].rejected_markers:
         print(f"rejected {marker_id} {reason}", file=sys.stderr)
     for chain in chains:
         for note in chain.warnings:
             print(f"warning: {note}", file=sys.stderr)
     if args.out:
         model = generate_model(
-            chains if args.tree else chains[0],
+            chains,
             db,
             metadata={
                 "scene_path": args.scene,
@@ -198,14 +200,7 @@ def _cmd_identify(args) -> int:
 def _cmd_synth(args) -> int:
     db = load_database(_resolve_db_path(args))
     desc = parse(args.chain)
-    cfg = SceneConfig(
-        sigma_pos=args.sigma_pos,
-        sigma_rot=args.sigma_rot,
-        dropout_prob=args.dropout,
-        spurious_count=args.spurious,
-        seed=args.seed,
-    )
-    observations = synthesize(desc, _parse_joints(args.joints), db, cfg=cfg)
+    observations = synthesize(desc, _parse_joints(args.joints), db, cfg=_scene_config(args))
     write_scene(args.out, observations)
     print(f"scene {args.out} markers {len(observations)}")
     return EXIT_OK
@@ -228,14 +223,7 @@ def _cmd_roundtrip(args) -> int:
     agree = 0
     theta_errors: list[float] = []
     for trial in range(args.trials):
-        cfg = SceneConfig(
-            sigma_pos=args.sigma_pos,
-            sigma_rot=args.sigma_rot,
-            dropout_prob=args.dropout,
-            spurious_count=args.spurious,
-            seed=args.seed + trial,
-        )
-        observations = synthesize(desc, joints, db, cfg=cfg)
+        observations = synthesize(desc, joints, db, cfg=_scene_config(args, trial))
         try:
             chain_geo = build_chain(observations, db, IdentifyConfig(method=METHOD_GEOMETRIC))
             recovered = serialize(to_descriptor(chain_geo))

@@ -5,6 +5,9 @@ base of the chain to its end, e.g. ``I-T'0-T'0-A0-t0-i0-g0``.  Each token
 is a single module-type letter, an optional prime marking inverted
 installation, and, on every non-base token, the connection angle to the
 parent: one of 0, 90, 180 or -90 (canonically written ``(-90)``).
+
+The grammar knows no catalog: any ASCII letter is a type code.  Which
+codes exist, and which are tools, is checked where a chain meets a database.
 """
 
 from __future__ import annotations
@@ -12,9 +15,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-CODES = frozenset("TtIiGgWSLlA")
-TOOL_CODES = frozenset("GgWS")
 ANGLES = (-90, 0, 90, 180)
+
+
+def is_type_code(code: str) -> bool:
+    """Whether `code` can name a module type in a chain string."""
+    return isinstance(code, str) and len(code) == 1 and code.isascii() and code.isalpha()
 
 
 class ChainSyntaxError(ValueError):
@@ -42,18 +48,13 @@ class ChainDescriptor:
         if not entries:
             raise ValueError("a chain needs at least one entry")
         for i, e in enumerate(entries):
-            if e.type_code not in CODES:
-                raise ValueError(f"unknown module code {e.type_code!r}")
+            if not is_type_code(e.type_code):
+                raise ValueError(f"invalid module code {e.type_code!r}")
             if i == 0:
                 if e.connection_angle is not None:
                     raise ValueError("the base entry carries no connection angle")
             elif e.connection_angle not in ANGLES:
                 raise ValueError(f"entry {i}: connection angle must be one of {ANGLES}")
-            if e.type_code in TOOL_CODES and 0 < i < len(entries) - 1:
-                raise ValueError("tool modules may only sit at the ends of a chain")
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def parse(text: str) -> ChainDescriptor:
@@ -61,7 +62,6 @@ def parse(text: str) -> ChainDescriptor:
     if not text:
         raise ChainSyntaxError(0, "empty description string")
     entries: list[ChainEntry] = []
-    positions: list[int] = []
     pos = 0
     n = len(text)
     while True:
@@ -69,8 +69,8 @@ def parse(text: str) -> ChainDescriptor:
         if pos >= n:
             raise ChainSyntaxError(pos, "expected a module token")
         code = text[pos]
-        if code not in CODES:
-            raise ChainSyntaxError(pos, f"unknown module code {code!r}")
+        if not is_type_code(code):
+            raise ChainSyntaxError(pos, f"invalid module code {code!r}")
         pos += 1
         inverted = False
         if pos < n and text[pos] == "'":
@@ -87,17 +87,11 @@ def parse(text: str) -> ChainDescriptor:
             )
             angle = 0
         entries.append(ChainEntry(code, inverted, None if angle is None else float(angle)))
-        positions.append(token_start)
         if pos >= n:
             break
         if text[pos] != "-":
             raise ChainSyntaxError(pos, f"expected '-' before next token, got {text[pos]!r}")
         pos += 1
-    for i, e in enumerate(entries):
-        if e.type_code in TOOL_CODES and 0 < i < len(entries) - 1:
-            raise ChainSyntaxError(
-                positions[i], "tool modules may only sit at the ends of a chain"
-            )
     return ChainDescriptor(tuple(entries))
 
 

@@ -747,6 +747,35 @@ def _estimate_chain_angles(
     return estimated, notes
 
 
+def _identify(
+    observations: list[MarkerObservation], db: ModuleDatabase, cfg: IdentifyConfig, tree: bool
+) -> list[IdentifiedChain]:
+    """Grow a branch from the lowest-id tool module, or from every one when
+    `tree` is set, then estimate joint angles.  Detected modules that join
+    no branch are rejected as orphans."""
+    cfg.check_against(db)
+    detected, rejected = validate_markers(observations, db)
+    tools = sorted(
+        (m for m in detected if m.module_type.is_tool),
+        key=lambda m: m.record.master_marker_id,
+    )
+    if not tools:
+        shape = "tree" if tree else "chain"
+        raise NoToolModule(f"no tool module detected; cannot start {shape} construction")
+    walks = [_grow_branch(tool, detected, db, cfg) for tool in (tools if tree else tools[:1])]
+    claimed_anywhere = set().union(*(claimed for _, claimed in walks))
+    rejected += [
+        (m.record.master_marker_id, REASON_ORPHAN)
+        for m in detected
+        if m.serial not in claimed_anywhere
+    ]
+    branches = []
+    for links, _ in walks:
+        links, notes = _estimate_chain_angles(links, cfg)
+        branches.append(IdentifiedChain(links, list(rejected), notes))
+    return branches
+
+
 def build_chain(
     observations: list[MarkerObservation],
     db: ModuleDatabase,
@@ -759,18 +788,7 @@ def build_chain(
     angle.  Detected modules that never join the chain are rejected as
     orphans.
     """
-    cfg.check_against(db)
-    detected, rejected = validate_markers(observations, db)
-    tools = [m for m in detected if m.module_type.is_tool]
-    if not tools:
-        raise NoToolModule("no tool module detected; cannot start chain construction")
-    start = min(tools, key=lambda m: m.record.master_marker_id)
-    links, claimed = _grow_branch(start, detected, db, cfg)
-    for m in detected:
-        if m.serial not in claimed:
-            rejected.append((m.record.master_marker_id, REASON_ORPHAN))
-    links, notes = _estimate_chain_angles(links, cfg)
-    return IdentifiedChain(links, rejected, notes)
+    return _identify(observations, db, cfg, tree=False)[0]
 
 
 def build_tree(
@@ -784,26 +802,7 @@ def build_tree(
     share their common trunk; a chain scene yields a single branch equal to
     build_chain's output.
     """
-    cfg.check_against(db)
-    detected, rejected = validate_markers(observations, db)
-    tools = sorted(
-        (m for m in detected if m.module_type.is_tool),
-        key=lambda m: m.record.master_marker_id,
-    )
-    if not tools:
-        raise NoToolModule("no tool module detected; cannot start tree construction")
-    walks = [_grow_branch(tool, detected, db, cfg) for tool in tools]
-    claimed_anywhere = set().union(*(claimed for _, claimed in walks))
-    rejected += [
-        (m.record.master_marker_id, REASON_ORPHAN)
-        for m in detected
-        if m.serial not in claimed_anywhere
-    ]
-    branches = []
-    for links, _ in walks:
-        links, notes = _estimate_chain_angles(links, cfg)
-        branches.append(IdentifiedChain(links, list(rejected), notes))
-    return branches
+    return _identify(observations, db, cfg, tree=True)
 
 
 def to_descriptor(chain: IdentifiedChain) -> ChainDescriptor:

@@ -175,22 +175,17 @@ def _emit_module(
         master0 = compose(conn_frame, mt.parentward_to_master(direction, 0.0))
     connector0 = compose(master0, mt.master_to_childward(direction, 0.0))
 
-    def attach(child_name: str, child_frame: Pose, revolute_axis=None):
-        if is_root:
-            return
-        revolute = revolute_axis is not None
+    def revolute(name: str, parent: str, child: str, origin: Pose, axis):
         joints.append(
-            ModelJoint(
-                name=f"j_{serial}",
-                joint_type=JOINT_REVOLUTE if revolute else JOINT_FIXED,
-                parent=prev.chainward_name,
-                child=child_name,
-                origin=relative(prev.link_frame, child_frame),
-                axis=revolute_axis if revolute else (0.0, 0.0, 1.0),
-                limits=mt.joint_limits if revolute else None,
-                angle=theta if revolute else None,
-            )
+            ModelJoint(name, JOINT_REVOLUTE, parent, child, origin, axis, mt.joint_limits, theta)
         )
+
+    def attach(child_name: str, child_frame: Pose):
+        if not is_root:
+            origin = relative(prev.link_frame, child_frame)
+            joints.append(ModelJoint(
+                f"j_{serial}", JOINT_FIXED, prev.chainward_name, child_name, origin, (0.0, 0.0, 1.0)
+            ))
 
     if mt.dual_bundle:
         in_name, out_name = f"{serial}_in", f"{serial}_out"
@@ -199,32 +194,12 @@ def _emit_module(
         _add_link(links, names, ModelLink(out_name, mt.body_length / 2.0))
         if direction == UPRIGHT:
             attach(in_name, master0)
-            joints.append(
-                ModelJoint(
-                    name=f"j_{serial}_drive",
-                    joint_type=JOINT_REVOLUTE,
-                    parent=in_name,
-                    child=out_name,
-                    origin=relative(master0, out0),
-                    axis=(0.0, 1.0, 0.0),
-                    limits=mt.joint_limits,
-                    angle=theta,
-                )
-            )
+            drive = relative(master0, out0)
+            revolute(f"j_{serial}_drive", in_name, out_name, drive, (0.0, 1.0, 0.0))
             return _WalkState(out_name, out0, connector0)
         attach(out_name, out0)
-        joints.append(
-            ModelJoint(
-                name=f"j_{serial}_drive",
-                joint_type=JOINT_REVOLUTE,
-                parent=out_name,
-                child=in_name,
-                origin=relative(out0, master0),
-                axis=(0.0, -1.0, 0.0),
-                limits=mt.joint_limits,
-                angle=theta,
-            )
-        )
+        drive = relative(out0, master0)
+        revolute(f"j_{serial}_drive", out_name, in_name, drive, (0.0, -1.0, 0.0))
         return _WalkState(in_name, master0, connector0)
 
     _add_link(links, names, ModelLink(serial, mt.body_length))
@@ -232,25 +207,15 @@ def _emit_module(
         # The joint axis passes through this module's master frame; modeling
         # the swing at its own mount keeps all downstream positions exact.
         axis = (0.0, 0.0, 1.0) if direction == UPRIGHT else (0.0, 0.0, -1.0)
-        attach(serial, master0, revolute_axis=axis)
+        origin = relative(prev.link_frame, master0)
+        revolute(f"j_{serial}", prev.chainward_name, serial, origin, axis)
         return _WalkState(serial, master0, connector0)
     if mt.is_perpendicular_joint and direction == UPRIGHT:
         # Root module whose joint swings everything downstream: carry the
         # swing on a dedicated massless link.
         swing = f"{serial}_swing"
         _add_link(links, names, ModelLink(swing, 0.0))
-        joints.append(
-            ModelJoint(
-                name=f"j_{serial}",
-                joint_type=JOINT_REVOLUTE,
-                parent=serial,
-                child=swing,
-                origin=Pose.identity(),
-                axis=(0.0, 0.0, 1.0),
-                limits=mt.joint_limits,
-                angle=theta,
-            )
-        )
+        revolute(f"j_{serial}", serial, swing, Pose.identity(), (0.0, 0.0, 1.0))
         return _WalkState(swing, master0, connector0)
     attach(serial, master0)
     return _WalkState(serial, master0, connector0)

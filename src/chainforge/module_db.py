@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .descriptor import is_type_code
 from .geometry import (
     CONNECTION_ANGLES,
     Pose,
@@ -101,6 +102,8 @@ class ModuleType:
     matrices: dict[tuple[str, str], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not is_type_code(self.code):
+            raise DatabaseValidationError(f"type {self.code!r}: a type code is one ASCII letter")
         if self.kind not in KINDS:
             raise DatabaseValidationError(f"type {self.code!r}: unknown kind {self.kind!r}")
         if self.kind != KIND_TOOL and self.body_length <= 0.0:
@@ -482,7 +485,7 @@ _DEFAULT_REGISTRY = {
 
 
 def default_database() -> ModuleDatabase:
-    """The shipped catalog and registry used by tests and as a CLI default."""
+    """The shipped catalog and registry."""
     types = [centered_type(*row) for row in _DEFAULT_TYPES]
     by_code = {mt.code: mt for mt in types}
     records = []

@@ -153,11 +153,13 @@ def forward_poses(
     thetas = _spread_joint_angles(desc, joint_angles, db)
     placements = []
     childward: Pose | None = None
-    for entry, record, theta in zip(desc.entries, records, thetas):
+    for i, (entry, record, theta) in enumerate(zip(desc.entries, records, thetas)):
         mt = db.types[entry.type_code]
         direction = INVERTED if entry.inverted else UPRIGHT
         if entry.inverted and not mt.invertible:
             raise ValueError(f"type {entry.type_code!r} cannot be installed inverted")
+        if mt.is_tool and 0 < i < len(records) - 1:
+            raise ValueError("tool modules may only sit at the ends of a chain")
         if childward is None:
             master = base
         else:

@@ -26,7 +26,13 @@ from chainforge.geometry import (
     z_axis,
 )
 from chainforge.modelgen import JOINT_REVOLUTE, VISUAL_RADIUS
-from chainforge.module_db import INVERTED, UPRIGHT, ModuleDatabase, connection_transform
+from chainforge.module_db import (
+    INVERTED,
+    UPRIGHT,
+    ModuleDatabase,
+    connection_transform,
+    save_database,
+)
 from chainforge.synth import (
     SPURIOUS_ID_BASE,
     SPURIOUS_ID_SPAN,
@@ -454,3 +460,16 @@ def record_writes(monkeypatch) -> list[bytes]:
 
     monkeypatch.setattr(os, "write", recorder)
     return writes
+
+
+def save_renamed_database(db: ModuleDatabase, path, old: str, new: str):
+    """Save db to path with type code `old` renamed to `new` in its types and modules."""
+    save_database(db, path)
+    doc = json.loads(path.read_text())
+    for entry in doc["types"]:
+        if entry["code"] == old:
+            entry["code"] = new
+    for entry in doc["modules"]:
+        if entry["type_code"] == old:
+            entry["type_code"] = new
+    path.write_text(json.dumps(doc))

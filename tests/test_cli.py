@@ -5,7 +5,9 @@ import pytest
 from chainforge import cli
 from chainforge.cli import main
 from chainforge.identify import AmbiguousParent, LimitExceeded, NonCollinearBundles
+from chainforge.modelgen import read_model
 from chainforge.module_db import default_database, save_database
+from helpers import save_renamed_database
 
 
 @pytest.fixture()
@@ -270,6 +272,32 @@ class TestIdentify:
     def test_no_db_anywhere(self, scene_path, capsys, monkeypatch):
         monkeypatch.delenv("CHAINFORGE_DB", raising=False)
         assert main(["identify", "--scene", str(scene_path)]) == 1
+
+
+def test_cli_error_bases_exported():
+    from chainforge import IdentifyError, SynthError
+
+    assert (IdentifyError, SynthError) == (cli.IdentifyError, cli.SynthError)
+
+
+class TestCustomCatalog:
+    CHAIN = "I-T'0-T'0-A0-t0-i0-h0"
+
+    def test_renamed_type_round_trips(self, tmp_path, db, capsys):
+        db_file, scene, model = tmp_path / "db.json", tmp_path / "s.json", tmp_path / "m.xml"
+        save_renamed_database(db, db_file, "g", "h")
+        synth = ["synth", "--chain", self.CHAIN, "--db", str(db_file), "--seed", "7"]
+        assert main([*synth, "--joints", "15,-40,55,20,-40", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        identify = ["identify", "--scene", str(scene), "--db", str(db_file)]
+        assert main([*identify, "--out", str(model)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == self.CHAIN
+        assert read_model(model).metadata["description"] == [self.CHAIN]
+
+    def test_parse_checks_grammar_only(self, tmp_path, db_path):
+        assert main(["parse", "--chain", "Z"]) == 0
+        synth = ["synth", "--chain", "Z", "--db", str(db_path), "--seed", "1"]
+        assert main([*synth, "--out", str(tmp_path / "s.json")]) == 1
 
 
 class TestParse:

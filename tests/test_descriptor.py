@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from chainforge.descriptor import (
     ANGLES,
-    CODES,
-    TOOL_CODES,
     ChainDescriptor,
     ChainEntry,
     ChainSyntaxError,
+    is_type_code,
     parse,
     serialize,
 )
+from chainforge.module_db import default_database
+from chainforge.synth import forward_poses
 
 
 class TestParsePaperStrings:
@@ -46,7 +47,7 @@ class TestParsePaperStrings:
 class TestParseErrors:
     def test_unknown_code_position(self):
         with pytest.raises(ChainSyntaxError) as exc:
-            parse("X0-T0")
+            parse("9-T0")
         assert exc.value.position == 0
 
     def test_out_of_set_angle(self):
@@ -70,10 +71,11 @@ class TestParseErrors:
         with pytest.raises(ChainSyntaxError, match="unterminated"):
             parse("I-L(-90-G0")
 
-    def test_mid_chain_tool(self):
-        with pytest.raises(ChainSyntaxError) as exc:
-            parse("I-G0-T0")
-        assert exc.value.position == 2
+    def test_mid_chain_tool(self, db):
+        # The grammar admits it; forward_poses checks the tool rule against the catalog.
+        desc = parse("I-G0-T0")
+        with pytest.raises(ValueError, match="ends of a chain"):
+            forward_poses(desc, [0.0, 0.0], db)
 
     def test_garbage_after_token(self):
         with pytest.raises(ChainSyntaxError):
@@ -116,8 +118,22 @@ class TestDescriptorValidation:
         assert [e.type_code for e in d.entries] == ["G", "I", "G"]
 
 
-MID = sorted(CODES - TOOL_CODES)
-TOOLS = sorted(TOOL_CODES)
+class TestTypeCodes:
+    @pytest.mark.parametrize("code", ["g", "Z", "h"])
+    def test_any_ascii_letter(self, code):
+        assert is_type_code(code)
+        assert serialize(parse(f"I-{code}0")) == f"I-{code}0"
+
+    @pytest.mark.parametrize("code", ["g-", "TT", "", "9", "é", "'"])
+    def test_rejected(self, code):
+        assert not is_type_code(code)
+        with pytest.raises(ValueError, match="invalid module code"):
+            ChainDescriptor((ChainEntry(code),))
+
+
+_TYPES = default_database().types.values()
+MID = sorted(mt.code for mt in _TYPES if not mt.is_tool)
+TOOLS = sorted(mt.code for mt in _TYPES if mt.is_tool)
 
 
 @st.composite

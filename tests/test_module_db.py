@@ -34,7 +34,7 @@ from chainforge.module_db import (
     save_database,
 )
 
-from helpers import field_values, record_writes
+from helpers import field_values, record_writes, save_renamed_database
 
 
 def test_default_catalog_shape(db):
@@ -294,6 +294,15 @@ def test_joint_limit_invariants():
         centered_type("L", "link", 100.0, (-90.0, 90.0), True, False)
     with pytest.raises(DatabaseValidationError):
         centered_type("L", "link", -5.0, None, True, False)
+
+
+@pytest.mark.parametrize("code", ["g-", "TT", "", "9", "é"])
+def test_type_code_is_one_ascii_letter(tmp_path, db, code):
+    path = tmp_path / "db.json"
+    save_renamed_database(db, path, "g", code)
+    with pytest.raises(DatabaseValidationError, match="one ASCII letter"):
+        load_database(path)
+    assert main(["db-validate", "--db", str(path)]) == 1
 
 
 # (path into the saved default database, as keys and indices) of every field
