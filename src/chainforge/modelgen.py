@@ -24,12 +24,11 @@ from .geometry import (
     matrix_to_rpy,
     pose_from_json,
     pose_to_json,
-    relative,
     rpy_to_matrix,
     write_file,
 )
 from .identify import ChainLink, IdentifiedChain, to_descriptor
-from .module_db import UPRIGHT, ModuleDatabase, connection_transform
+from .module_db import INVERTED, UPRIGHT, ModuleDatabase
 
 JOINT_REVOLUTE = "revolute"
 JOINT_FIXED = "fixed"
@@ -71,13 +70,6 @@ class RobotModel:
     metadata: dict = field(default_factory=dict)
 
 
-@dataclass
-class _WalkState:
-    chainward_name: str  # link the next module attaches to
-    link_frame: Pose  # that link's world frame, zero configuration
-    connector_frame: Pose  # child-facing connector frame, zero configuration
-
-
 def _check_angle(link: ChainLink):
     mt = link.module.module_type
     if link.joint_angle is None or not mt.is_joint:
@@ -101,9 +93,10 @@ def generate_model(
     modules contribute input and output links joined by their revolute
     joint).  A module's attachment to its parent is a revolute joint for
     perpendicular-joint modules (the pivot sits at their master) and a
-    fixed joint otherwise.  Joint origins are zero-configuration relative
-    transforms derived from the catalog offsets and the identified
-    connection angles and install directions.
+    fixed joint otherwise.  Each joint origin is a per-mate catalog
+    transform, `compose(parent type's link_out[d], mate(d, angle))` from the
+    two mated types, their install directions and the connection angle, so
+    it does not depend on the module's place in the chain.
     """
     branches = chain if isinstance(chain, list) else [chain]
     if not branches or not all(b.links for b in branches):
@@ -111,9 +104,10 @@ def generate_model(
     links: list[ModelLink] = []
     joints: list[ModelJoint] = []
     names: set[str] = set()
-    visited: dict[str, _WalkState] = {}
+    # Per module: the link a child attaches to, and from it the childward connector.
+    visited: dict[str, tuple[str, Pose]] = {}
     for branch in branches:
-        prev: _WalkState | None = None
+        prev: tuple[str, Pose] | None = None
         for index, link in enumerate(branch.links):
             serial = link.module.serial
             if serial in visited:
@@ -124,8 +118,8 @@ def generate_model(
                     f"branch reaches {serial} without a shared prefix module"
                 )
             _check_angle(link)
-            prev = _emit_module(link, index, prev, db, links, joints, names)
-            visited[serial] = prev
+            chainward = _emit_module(link, prev, links, joints, names)
+            prev = visited[serial] = (chainward, link.module.module_type.link_out[link.direction])
     bus_ids = {
         l.module.serial: l.module.record.bus_id for b in branches for l in b.links
     }
@@ -153,72 +147,53 @@ def _add_link(links: list[ModelLink], names: set[str], link: ModelLink):
 
 def _emit_module(
     link: ChainLink,
-    index: int,
-    prev: _WalkState | None,
-    db: ModuleDatabase,
+    prev: tuple[str, Pose] | None,
     links: list[ModelLink],
     joints: list[ModelJoint],
     names: set[str],
-) -> _WalkState:
-    module = link.module
-    mt = module.module_type
-    serial = module.serial
-    direction = link.direction
+) -> str:
+    """Emit one module's links and joints; returns the link its child attaches to."""
+    mt = link.module.module_type
+    serial = link.module.serial
+    upright = link.direction == UPRIGHT
     theta = link.joint_angle or 0.0
-    is_root = prev is None
-    if is_root:
-        master0 = Pose.identity()
-    else:
-        conn_frame = compose(
-            prev.connector_frame, connection_transform(link.connection_angle)
-        )
-        master0 = compose(conn_frame, mt.parentward_to_master(direction, 0.0))
-    connector0 = compose(master0, mt.master_to_childward(direction, 0.0))
 
     def revolute(name: str, parent: str, child: str, origin: Pose, axis):
         joints.append(
             ModelJoint(name, JOINT_REVOLUTE, parent, child, origin, axis, mt.joint_limits, theta)
         )
 
-    def attach(child_name: str, child_frame: Pose):
-        if not is_root:
-            origin = relative(prev.link_frame, child_frame)
-            joints.append(ModelJoint(
-                f"j_{serial}", JOINT_FIXED, prev.chainward_name, child_name, origin, (0.0, 0.0, 1.0)
-            ))
-
     if mt.dual_bundle:
-        in_name, out_name = f"{serial}_in", f"{serial}_out"
-        out0 = compose(master0, mt.master_offset_output)
-        _add_link(links, names, ModelLink(in_name, mt.body_length / 2.0))
-        _add_link(links, names, ModelLink(out_name, mt.body_length / 2.0))
-        if direction == UPRIGHT:
-            attach(in_name, master0)
-            drive = relative(master0, out0)
-            revolute(f"j_{serial}_drive", in_name, out_name, drive, (0.0, 1.0, 0.0))
-            return _WalkState(out_name, out0, connector0)
-        attach(out_name, out0)
-        drive = relative(out0, master0)
-        revolute(f"j_{serial}_drive", out_name, in_name, drive, (0.0, -1.0, 0.0))
-        return _WalkState(in_name, master0, connector0)
-
-    _add_link(links, names, ModelLink(serial, mt.body_length))
-    if mt.is_perpendicular_joint and not is_root:
-        # The joint axis passes through this module's master frame; modeling
-        # the swing at its own mount keeps all downstream positions exact.
-        axis = (0.0, 0.0, 1.0) if direction == UPRIGHT else (0.0, 0.0, -1.0)
-        origin = relative(prev.link_frame, master0)
-        revolute(f"j_{serial}", prev.chainward_name, serial, origin, axis)
-        return _WalkState(serial, master0, connector0)
-    if mt.is_perpendicular_joint and direction == UPRIGHT:
+        # Attached by its input link when upright, by its output link when inverted.
+        ends = (f"{serial}_in", f"{serial}_out")
+        for end in ends:
+            _add_link(links, names, ModelLink(end, mt.body_length / 2.0))
+        attached, chainward = ends if upright else ends[::-1]
+    else:
+        attached = chainward = serial
+        _add_link(links, names, ModelLink(serial, mt.body_length))
+    if prev is not None:
+        parent, parent_out = prev
+        origin = compose(parent_out, mt.mate(link.direction, link.connection_angle))
+        if mt.is_perpendicular_joint and not mt.dual_bundle:
+            # The joint axis passes through this module's master frame; modeling
+            # the swing at its own mount keeps all downstream positions exact.
+            revolute(f"j_{serial}", parent, serial, origin, (0.0, 0.0, 1.0 if upright else -1.0))
+        else:
+            axis = (0.0, 0.0, 1.0)
+            joints.append(ModelJoint(f"j_{serial}", JOINT_FIXED, parent, attached, origin, axis))
+    if mt.dual_bundle:
+        # The output offset, or its inverse: the zero-state frames across the joint.
+        drive = mt.frames["out", UPRIGHT] if upright else mt.frames["in", INVERTED]
+        axis = (0.0, 1.0 if upright else -1.0, 0.0)
+        revolute(f"j_{serial}_drive", attached, chainward, drive, axis)
+    elif mt.is_perpendicular_joint and upright and prev is None:
         # Root module whose joint swings everything downstream: carry the
         # swing on a dedicated massless link.
-        swing = f"{serial}_swing"
-        _add_link(links, names, ModelLink(swing, 0.0))
-        revolute(f"j_{serial}", serial, swing, Pose.identity(), (0.0, 0.0, 1.0))
-        return _WalkState(swing, master0, connector0)
-    attach(serial, master0)
-    return _WalkState(serial, master0, connector0)
+        chainward = f"{serial}_swing"
+        _add_link(links, names, ModelLink(chainward, 0.0))
+        revolute(f"j_{serial}", serial, chainward, Pose.identity(), (0.0, 0.0, 1.0))
+    return chainward
 
 
 def model_world_frames(model: RobotModel, base_pose: Pose | None = None) -> dict[str, Pose]:

@@ -100,6 +100,10 @@ class ModuleType:
     # ("in", d), master_to_childward(d) under ("out", d); their 4x4 matrices.
     frames: dict[tuple[str, str], Pose] = field(init=False, repr=False, compare=False)
     matrices: dict[tuple[str, str], np.ndarray] = field(init=False, repr=False, compare=False)
+    # Model tables: link_out[d] maps the link a child attaches to onto the
+    # childward connector; mates[d, angle] is `mate` at the CONNECTION_ANGLES.
+    link_out: dict[str, Pose] = field(init=False, repr=False, compare=False)
+    mates: dict[tuple[str, float], Pose] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_type_code(self.code):
@@ -125,6 +129,13 @@ class ModuleType:
             m.setflags(write=False)
         object.__setattr__(self, "frames", frames)
         object.__setattr__(self, "matrices", matrices)
+        link_out = {d: frames["out", d] for d in (UPRIGHT, INVERTED)}
+        if self.dual_bundle:  # its output link sits at its output connector
+            link_out[UPRIGHT] = Pose.identity()
+        object.__setattr__(self, "link_out", link_out)
+        object.__setattr__(self, "mates", {})  # `mate` composes while it is empty
+        mates = {(d, a): self.mate(d, a) for d in (UPRIGHT, INVERTED) for a in CONNECTION_ANGLES}
+        object.__setattr__(self, "mates", mates)
 
     @property
     def is_joint(self) -> bool:
@@ -170,6 +181,18 @@ class ModuleType:
         if direction == UPRIGHT:
             return compose(self.joint_rotation(theta_deg), self.master_offset_output)
         return invert(self.master_offset_input)
+
+    def mate(self, direction: str, angle_deg: float) -> Pose:
+        """Transform from the parent's childward connector to the link this module is attached by.
+
+        That link is the master frame, or an inverted dual-bundle module's output link.
+        """
+        pose = self.mates.get((direction, angle_deg))
+        if pose is None:
+            pose = connection_transform(angle_deg)
+            if not (self.dual_bundle and direction == INVERTED):
+                pose = compose(pose, self.frames["in", direction])
+        return pose
 
     def can_parent(self, direction: str) -> bool:
         """Tools have a single connector: upright tools cannot carry a child."""

@@ -160,6 +160,12 @@ def forward_poses(
             raise ValueError(f"type {entry.type_code!r} cannot be installed inverted")
         if mt.is_tool and 0 < i < len(records) - 1:
             raise ValueError("tool modules may only sit at the ends of a chain")
+        if i and not (parent.can_parent(parent_direction) and mt.can_child(direction)):
+            raise ValueError(
+                f"chain position {i}: no connector mates {parent.code!r} ({parent_direction})"
+                f" to {mt.code!r} ({direction})"
+            )
+        parent, parent_direction = mt, direction
         if childward is None:
             master = base
         else:

@@ -25,7 +25,16 @@ from chainforge.geometry import (
     wrap_angle,
     z_axis,
 )
-from chainforge.modelgen import JOINT_REVOLUTE, VISUAL_RADIUS
+from chainforge import modelgen
+from chainforge.modelgen import (
+    JOINT_FIXED,
+    JOINT_REVOLUTE,
+    VISUAL_RADIUS,
+    InconsistentChain,
+    ModelJoint,
+    ModelLink,
+    RobotModel,
+)
 from chainforge.module_db import (
     INVERTED,
     UPRIGHT,
@@ -444,6 +453,100 @@ def reference_write_model_xml(model, path):
     tree.write(path, encoding="unicode", xml_declaration=True)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n")
+
+
+def reference_generate_model(chain, db, name="robot", metadata=None):
+    """`modelgen.generate_model` placing every module by world frames walked from the root.
+
+    Each module's zero-configuration master frame is composed from its
+    parent's connector frame, and every joint origin is the relative
+    transform between two such world frames.
+    """
+    branches = chain if isinstance(chain, list) else [chain]
+    if not branches or not all(b.links for b in branches):
+        raise InconsistentChain("model generation needs at least one non-empty chain")
+    links, joints, names = [], [], set()
+    # serial -> (link a child attaches to, its world frame, childward connector frame)
+    visited = {}
+    for branch in branches:
+        prev = None
+        for index, link in enumerate(branch.links):
+            serial = link.module.serial
+            if serial in visited:
+                prev = visited[serial]
+                continue
+            if prev is None and index > 0:
+                raise InconsistentChain(f"branch reaches {serial} without a shared prefix module")
+            modelgen._check_angle(link)
+            prev = visited[serial] = _reference_emit_module(link, prev, links, joints, names)
+    meta = {
+        "description": [serialize(identify.to_descriptor(b)) for b in branches],
+        "bus_ids": {l.module.serial: l.module.record.bus_id for b in branches for l in b.links},
+        "joint_angles_deg": {
+            l.module.serial: l.joint_angle
+            for b in branches
+            for l in b.links
+            if l.module.module_type.is_joint
+        },
+    }
+    meta.update(metadata or {})
+    return RobotModel(name=name, links=links, joints=joints, metadata=meta)
+
+
+def _reference_emit_module(link, prev, links, joints, names):
+    mt = link.module.module_type
+    serial = link.module.serial
+    direction = link.direction
+    theta = link.joint_angle or 0.0
+    is_root = prev is None
+    if is_root:
+        master0 = Pose.identity()
+    else:
+        conn_frame = compose(prev[2], connection_transform(link.connection_angle))
+        master0 = compose(conn_frame, mt.parentward_to_master(direction, 0.0))
+    connector0 = compose(master0, mt.master_to_childward(direction, 0.0))
+
+    def add(name, length):
+        modelgen._add_link(links, names, ModelLink(name, length))
+
+    def revolute(name, parent, child, origin, axis):
+        joints.append(
+            ModelJoint(name, JOINT_REVOLUTE, parent, child, origin, axis, mt.joint_limits, theta)
+        )
+
+    def attach(child_name, child_frame):
+        if not is_root:
+            origin = relative(prev[1], child_frame)
+            joints.append(
+                ModelJoint(f"j_{serial}", JOINT_FIXED, prev[0], child_name, origin, (0.0, 0.0, 1.0))
+            )
+
+    if mt.dual_bundle:
+        in_name, out_name = f"{serial}_in", f"{serial}_out"
+        out0 = compose(master0, mt.master_offset_output)
+        add(in_name, mt.body_length / 2.0)
+        add(out_name, mt.body_length / 2.0)
+        if direction == UPRIGHT:
+            attach(in_name, master0)
+            drive = relative(master0, out0)
+            revolute(f"j_{serial}_drive", in_name, out_name, drive, (0.0, 1.0, 0.0))
+            return out_name, out0, connector0
+        attach(out_name, out0)
+        drive = relative(out0, master0)
+        revolute(f"j_{serial}_drive", out_name, in_name, drive, (0.0, -1.0, 0.0))
+        return in_name, master0, connector0
+    add(serial, mt.body_length)
+    if mt.is_perpendicular_joint and not is_root:
+        axis = (0.0, 0.0, 1.0) if direction == UPRIGHT else (0.0, 0.0, -1.0)
+        revolute(f"j_{serial}", prev[0], serial, relative(prev[1], master0), axis)
+        return serial, master0, connector0
+    if mt.is_perpendicular_joint and direction == UPRIGHT:
+        swing = f"{serial}_swing"
+        add(swing, 0.0)
+        revolute(f"j_{serial}", serial, swing, Pose.identity(), (0.0, 0.0, 1.0))
+        return swing, master0, connector0
+    attach(serial, master0)
+    return serial, master0, connector0
 
 
 def record_writes(monkeypatch) -> list[bytes]:

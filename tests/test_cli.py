@@ -97,6 +97,16 @@ class TestSynth:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "roundtrip"])
+    @pytest.mark.parametrize("chain", ["A-G'0", "G-G0", "W-S0"])
+    def test_mate_without_connectors_exit_1(self, tmp_path, db_path, capsys, command, chain):
+        path = tmp_path / "s.json"
+        args = [command, "--chain", chain, "--db", str(db_path), "--seed", "1"]
+        args += ["--out", str(path)] if command == "synth" else ["--trials", "1"]
+        assert main(args) == 1
+        assert "chain position 1: no connector mates" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestIdentify:
     def test_out_directory_exit_1(self, scene_path, db_path, tmp_path, capsys):

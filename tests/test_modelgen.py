@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainforge import identify, modelgen
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import Pose
 from chainforge.identify import IdentifyConfig, build_chain, build_tree, to_descriptor
@@ -31,6 +32,7 @@ from helpers import (
     make_two_branch_scene,
     random_base,
     record_writes,
+    reference_generate_model,
     reference_write_model_xml,
 )
 
@@ -129,6 +131,69 @@ class TestTreeModels:
         # Trunk emitted once even though both branches contain it.
         trunk_links = [n for n in names if n.startswith("L-")]
         assert len(trunk_links) == 1
+
+
+def assert_matches_reference(model, reference):
+    """Equal models, but for joint origins within 1e-12 per rotation entry and 1e-9 mm."""
+    assert (model.name, model.links, model.metadata) == (
+        reference.name, reference.links, reference.metadata
+    )
+    assert [replace(j, origin=None) for j in model.joints] == [
+        replace(j, origin=None) for j in reference.joints
+    ]
+    for ours, theirs in zip(model.joints, reference.joints):
+        assert np.abs(ours.origin.rotation - theirs.origin.rotation).max() <= 1e-12
+        assert np.abs(ours.origin.translation - theirs.origin.translation).max() <= 1e-9
+
+
+class TestJointOrigins:
+    """Joint origins from the per-type mate tables against the world-frame walk."""
+
+    @pytest.mark.parametrize("method", ["geometric", "optimization"])
+    def test_corpus_matches_world_frame_reference(self, db, method):
+        cfg = IdentifyConfig(method=method)
+        for desc, _canonical, thetas, base in make_corpus(db, 50, 20260808):
+            chain = build_chain(synthesize(desc, thetas, db, base=base), db, cfg)
+            assert_matches_reference(generate_model(chain, db), reference_generate_model(chain, db))
+
+    def test_tree_matches_world_frame_reference(self, db):
+        obs, *_ = make_two_branch_scene(np.random.default_rng(77), db)
+        branches = build_tree(obs, db)
+        assert_matches_reference(
+            generate_model(branches, db), reference_generate_model(branches, db)
+        )
+
+    @pytest.mark.parametrize(
+        "text, thetas, assignment",
+        PAPER_CHAINS + [("I'-T0-G0", [20.0, 30.0], None), ("T-L0-G0", [30.0], None)],
+    )
+    def test_chains_match_world_frame_reference(self, db, text, thetas, assignment):
+        # The paper's chains, and roots that are an inverted I and an upright T.
+        chain = chain_for(db, text, thetas, assignment)
+        assert to_descriptor(chain).entries[0] == parse(text).entries[0]
+        assert_matches_reference(generate_model(chain, db), reference_generate_model(chain, db))
+
+    def test_same_mate_same_origin_anywhere_in_the_chain(self, db):
+        # World frames accumulate rounding along the chain; a mate's origin must not.
+        chain = chain_for(db, "L-T0-L0-T0-L0-T0-G0", [30.0, -45.0, 60.0])
+        mates = [j for j in generate_model(chain, db).joints if j.child.startswith("T-")]
+        assert [j.parent[:2] for j in mates] == ["L-"] * 3
+        origins = {(j.origin.rotation.tobytes(), j.origin.translation.tobytes()) for j in mates}
+        assert len(origins) == 1
+
+    def test_connection_angle_outside_the_table_composes(self, db, monkeypatch):
+        chain = chain_for(db, "I-T0-L0-G0", [25.0, -40.0])
+        on_grid = to_descriptor(chain)
+        chain.links[2] = replace(chain.links[2], connection_angle=45.0)
+        with pytest.raises(ValueError, match="connection angle"):
+            generate_model(chain, db)  # no chain string has a 45-degree angle
+        # Describe the chain by its on-grid string, so that the model can be built.
+        monkeypatch.setattr(modelgen, "to_descriptor", lambda c: on_grid)
+        monkeypatch.setattr(identify, "to_descriptor", lambda c: on_grid)
+        model, reference = generate_model(chain, db), reference_generate_model(chain, db)
+        assert_matches_reference(model, reference)
+        for ours, theirs in zip(model.joints, reference.joints):
+            assert ours.origin.approx_equal(theirs.origin, tol=1e-12)
 
 
 class TestModelFiles:

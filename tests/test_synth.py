@@ -94,6 +94,16 @@ class TestForwardPoses:
         )
         assert [p.serial for p in placements] == ["L-003", "G-002"]
 
+    @pytest.mark.parametrize("text", ["A-G'0", "G-G0", "W-S0"])
+    def test_mate_without_connectors_rejected(self, db, text):
+        # An inverted tool has no childward side to mate by; an upright tool
+        # has no connector to carry a child.
+        with pytest.raises(ValueError, match="chain position 1: no connector mates"):
+            forward_poses(parse(text), [], db)
+
+    def test_inverted_tool_base_carries_a_child(self, db):
+        assert len(forward_poses(parse("G'-I0-G0"), [0.0], db)) == 3
+
     def test_assignment_type_checked(self, db):
         with pytest.raises(MissingInstance):
             forward_poses(parse("L-G0"), [], db, assignment=["T-001", "G-001"])
