@@ -47,16 +47,21 @@ _EYE = np.eye(3)
 _EYE.setflags(write=False)
 
 
-def axis_angle(axis, deg: float) -> np.ndarray:
-    """Rotation matrix for a rotation of `deg` about an arbitrary axis."""
-    a = np.asarray(axis, dtype=float)
-    n = math.sqrt(a.dot(a))  # np.linalg.norm(a) without its dispatch
-    if n < 1e-12:
+def axis_angle(axis, deg) -> np.ndarray:
+    """Rotation matrix for a rotation of `deg` about an arbitrary axis; an (n, 3)
+    stack of axes with n angles gives (n, 3, 3), layer by layer the same."""
+    a = np.asarray(axis, dtype=float).reshape(-1, 3)
+    # Row-wise a.dot(a): matmul takes the dot product that np.linalg.norm does.
+    n = np.sqrt((a[:, None] @ a[:, :, None]).ravel())
+    if (n < 1e-12).any():
         raise ValueError("rotation axis must be nonzero")
-    x, y, z = (a / n).tolist()
-    c, s = _cos_sin(deg)
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return _EYE + s * k + (1.0 - c) * (k @ k)
+    x, y, z = (a / n[:, None]).T
+    c, s = np.array([_cos_sin(d) for d in np.ravel(deg).tolist()]).T[:, :, None, None]
+    k = np.zeros((len(a), 3, 3))
+    k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -z, y, -x
+    k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = z, -y, x
+    r = _EYE + s * k + (1.0 - c) * (k @ k)
+    return r if np.ndim(axis) > 1 else r[0]
 
 
 def wrap_angle(deg: float) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,12 +35,12 @@ from .geometry import (
     wrap_angle,
 )
 from .module_db import (
+    CONNECTOR_STACK,
     INVERTED,
     UPRIGHT,
     ModuleDatabase,
     ModuleRecord,
     ModuleType,
-    connection_transform,
 )
 from .synth import MarkerObservation
 
@@ -120,8 +120,9 @@ class DetectedModule:
     """A registered module recognized in the scene, with its observed poses.
 
     Construction takes what the pair tests read: `floats` holds the master
-    origin, y-axis and z-axis as nine floats, and `twist` the roll and tilt
-    of a seen output bundle (see `_bundle_twist`).
+    origin, y-axis and z-axis as nine floats; for a seen output bundle,
+    `bundle` is the master-to-output transform and `twist` its roll and
+    tilt (see `_bundle_twist`).
     """
 
     record: ModuleRecord
@@ -129,14 +130,16 @@ class DetectedModule:
     master_pose: Pose
     output_pose: Pose | None = None
     floats: array = field(init=False, repr=False, compare=False)
+    bundle: Pose | None = field(init=False, repr=False, compare=False)
     twist: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _, y, z = self.master_pose.rotation.T.tolist()
         floats = array("d", self.master_pose.translation.tolist() + y + z)
-        twist = None if self.output_pose is None else _bundle_twist(self)
+        bundle = None if self.output_pose is None else relative(self.master_pose, self.output_pose)
         object.__setattr__(self, "floats", floats)
-        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "twist", None if bundle is None else _bundle_twist(self))
 
     @property
     def serial(self) -> str:
@@ -405,7 +408,7 @@ def find_parent_geometric(
 def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
     """Roll about the link axis of the master-to-output rotation, and the tilt
     left after removing that roll, in degrees; measured once per module."""
-    r = relative(module.master_pose, module.output_pose).rotation
+    r = module.bundle.rotation
     roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
     residual = rot_y(-roll) @ r
     return roll, math.degrees(
@@ -475,9 +478,6 @@ def estimate_joint_angle(
     return theta
 
 
-# Connector transforms of the four connection angles, stacked in CONNECTION_ANGLES order.
-_CONN_STACK = np.stack([connection_transform(angle).matrix() for angle in CONNECTION_ANGLES])
-
 # Coordinate plane (a, b) that a rotation about base axis y (1) or z (2) turns a into b in.
 _PLANE = {1: (2, 0), 2: (0, 1)}
 
@@ -508,15 +508,19 @@ def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndar
     a, b = _PLANE[axis]
     p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
     lo, hi = limits
-    theta = np.degrees(np.arctan2(q, p))
-    # The maximum covers a shift that rounding leaves just short of lo (for a
-    # denormal lo - theta the quotient underflows to 0).
-    theta = np.maximum(theta + 360.0 * np.ceil((lo - theta) / 360.0), lo)
-    if theta.max() <= hi:
-        return theta
-    ends = np.radians(limits)
-    at_ends = np.outer(p, np.cos(ends)) + np.outer(q, np.sin(ends))
-    return np.where(theta <= hi, theta, np.where(at_ends[:, 0] >= at_ends[:, 1], lo, hi))
+    # numpy's trig, whose last bits math's does not share; the rest in floats.
+    # The max covers a shift that rounding leaves just short of lo (for a
+    # denormal lo - t the quotient underflows to 0).
+    raw = np.degrees(np.arctan2(q, p)).tolist()
+    theta = [max(t + 360.0 * math.ceil((lo - t) / 360.0), lo) for t in raw]
+    if max(theta) > hi:
+        ends = np.radians(limits)
+        (c_lo, c_hi), (s_lo, s_hi) = np.cos(ends).tolist(), np.sin(ends).tolist()
+        theta = [
+            t if t <= hi else (lo if pk * c_lo + qk * s_lo >= pk * c_hi + qk * s_hi else hi)
+            for t, pk, qk in zip(theta, p.tolist(), q.tolist())
+        ]
+    return np.array(theta)
 
 
 class _Side(NamedTuple):
@@ -544,7 +548,7 @@ def _parent_side(
     free = mt.is_joint and direction == UPRIGHT
     if free and mt.is_collinear_joint and module.output_pose is not None:
         roll = _measure_collinear_theta(module, eps2)
-        return _Side(relative(module.master_pose, module.output_pose).matrix()), roll
+        return _Side(module.bundle.matrix()), roll
     factor = mt.matrices["out", direction]
     return (_Side.free(mt, factor) if free else _Side(factor)), None
 
@@ -575,15 +579,22 @@ class _PairModel:
 
     def __init__(self, parent: _Side, child: _Side, observed: np.ndarray, weights: WeightMatrix):
         self.parent, self.child = parent, child
-        self._base = parent.matrix @ _CONN_STACK @ child.matrix
+        self._base = parent.matrix @ CONNECTOR_STACK @ child.matrix
         self._observed = observed
         self._weights = weights
+        self._turned = None, None  # the last theta_n turning the parent, and its layers
 
     def _stack(self, theta_n: np.ndarray | None, theta_c: np.ndarray | None) -> np.ndarray:
-        """The model layers, turned by each free side whose states are given."""
+        """The model layers, turned by each free side whose states are given.
+
+        The parent-turned layers are kept for the next call with the same
+        theta_n: the residual at the solved states reuses the final child_cross's.
+        """
         m = self._base
         if theta_n is not None and self.parent.axis is not None:
-            m = _rotations(self.parent.axis, theta_n) @ m
+            if self._turned[0] is not theta_n:
+                self._turned = theta_n, _rotations(self.parent.axis, theta_n) @ m
+            m = self._turned[1]
         if theta_c is not None and self.child.axis is not None:
             m = m @ _rotations(self.child.axis, -theta_c)
         return m
@@ -740,7 +751,9 @@ def _estimate_chain_angles(
             child = links[i + 1].module if i + 1 < len(links) else None
             try:
                 theta = estimate_joint_angle(link.module, link.direction, parent, child, cfg)
-                link = replace(link, joint_angle=theta)
+                link = ChainLink(
+                    link.module, link.connection_angle, link.direction, theta, link.solver_theta
+                )
             except (NonCollinearBundles, LimitExceeded, DegenerateGeometry) as exc:
                 notes.append(f"joint angle of {link.module.serial}: {exc}")
         estimated.append(link)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor import serialize
+from .descriptor import ANGLES, serialize
 from .geometry import (
     Pose,
     axis_angle,
@@ -124,7 +124,7 @@ def generate_model(
         l.module.serial: l.module.record.bus_id for b in branches for l in b.links
     }
     meta = {
-        "description": [serialize(to_descriptor(b)) for b in branches],
+        "description": [_describe(b) for b in branches],
         "bus_ids": bus_ids,
         "joint_angles_deg": {
             l.module.serial: l.joint_angle
@@ -136,6 +136,14 @@ def generate_model(
     if metadata:
         meta.update(metadata)
     return RobotModel(name=name, links=links, joints=joints, metadata=meta)
+
+
+def _describe(branch: IdentifiedChain) -> str:
+    try:
+        return serialize(to_descriptor(branch))
+    except ValueError as exc:  # no chain string has a connection angle off the grid
+        off = [l.module.serial for l in branch.links[1:] if l.connection_angle not in ANGLES]
+        raise InconsistentChain(f"{', '.join(off)}: {exc}") from exc
 
 
 def _add_link(links: list[ModelLink], names: set[str], link: ModelLink):

@@ -82,6 +82,9 @@ def connection_transform(angle_deg: float) -> Pose:
 
 _CONNECTIONS: dict[float, Pose] = {}
 _CONNECTIONS.update({a: connection_transform(a) for a in CONNECTION_ANGLES})
+# The same transforms as 4x4 matrices, stacked in CONNECTION_ANGLES order.
+CONNECTOR_STACK = np.stack([_CONNECTIONS[a].matrix() for a in CONNECTION_ANGLES])
+CONNECTOR_STACK.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import InvalidPose, Pose, axis_angle, checked_poses, compose, pose_fields
-from .geometry import pose_to_json, poses_from_fields, quat_to_matrix, write_file
-from .module_db import (
-    INVERTED,
-    UPRIGHT,
-    ModuleDatabase,
-    ModuleRecord,
-    connection_transform,
-)
+from .geometry import CONNECTION_ANGLES, InvalidPose, Pose, axis_angle, checked_poses
+from .geometry import pose_fields, pose_to_json, poses_from_fields, quat_to_matrix, write_file
+from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
 SPURIOUS_ID_BASE = 10**6
 SPURIOUS_ID_SPAN = 10**4
@@ -142,17 +136,17 @@ def forward_poses(
     base: Pose | None = None,
     assignment: list[str] | None = None,
 ) -> list[ModulePlacement]:
-    """Compose master (and output-bundle) poses for every module of a chain.
+    """Master (and output-bundle) poses for every module of a chain.
 
     `joint_angles` lists one angle per joint-kind entry in base-to-end
     order.  `base` is the world pose of the base module's master frame.
+    Frames are 4x4 products of the catalog's zero-state matrices and the
+    connector stack, with a nonzero joint state as one turn about its axis.
     """
-    if base is None:
-        base = Pose.identity()
     records = assign_instances(desc, db, assignment)
     thetas = _spread_joint_angles(desc, joint_angles, db)
     placements = []
-    childward: Pose | None = None
+    childward: np.ndarray | None = None
     for i, (entry, record, theta) in enumerate(zip(desc.entries, records, thetas)):
         mt = db.types[entry.type_code]
         direction = INVERTED if entry.inverted else UPRIGHT
@@ -167,17 +161,21 @@ def forward_poses(
             )
         parent, parent_direction = mt, direction
         if childward is None:
-            master = base
-        else:
-            master = compose(
-                compose(childward, connection_transform(entry.connection_angle)),
-                mt.parentward_to_master(direction, theta),
-            )
-        output = None
-        if mt.dual_bundle:
-            output = compose(master, mt.master_to_childward(UPRIGHT, theta))
+            master = np.eye(4) if base is None else base.matrix()
+        else:  # parentward_to_master(INVERTED, theta) ends in rot(-theta)
+            entered = mt.matrices["in", direction]
+            if theta and entry.inverted:
+                entered = entered @ mt.joint_rotation(-theta).matrix()
+            angle = CONNECTION_ANGLES.index(entry.connection_angle)
+            master = (childward @ CONNECTOR_STACK[angle]) @ entered
+        out = None  # the output connector: master_to_childward(UPRIGHT, theta), rot(theta) first
+        if mt.dual_bundle or not entry.inverted:
+            leaving = mt.matrices["out", UPRIGHT]
+            out = master @ (mt.joint_rotation(theta).matrix() @ leaving if theta else leaving)
+        childward = master @ mt.matrices["out", INVERTED] if entry.inverted else out
+        output = Pose._trusted(out[:3, :3], out[:3, 3]) if mt.dual_bundle else None
+        master = Pose._trusted(master[:3, :3], master[:3, 3])
         placements.append(ModulePlacement(record.serial, master, output))
-        childward = compose(master, mt.master_to_childward(direction, theta))
     return placements
 
 
@@ -239,16 +237,19 @@ def synthesize(
         if pl.output_pose is not None:
             true_markers.append((rec.output_marker_id, pl.output_pose))
     rng = np.random.default_rng(cfg.seed)
-    drawn: list[tuple[int, np.ndarray, np.ndarray]] = []
+    kept = []  # (marker id, true pose, noise axis, noise angle, translation noise)
     for marker_id, pose in true_markers:
         t_noise = rng.normal(0.0, cfg.sigma_pos, size=3) if cfg.sigma_pos > 0 else np.zeros(3)
         axis = _random_unit(rng)
         angle = abs(rng.normal(0.0, cfg.sigma_rot)) if cfg.sigma_rot > 0 else 0.0
-        dropped = rng.random() < cfg.dropout_prob
-        if dropped:
+        if rng.random() < cfg.dropout_prob:
             continue
-        rotation = axis_angle(axis, angle) @ pose.rotation
-        drawn.append((marker_id, rotation, pose.translation + t_noise))
+        kept.append((marker_id, pose, axis, angle, t_noise))
+    drawn: list[tuple[int, np.ndarray, np.ndarray]] = []
+    if kept:  # the noise turns every kept marker in one stacked pass
+        ids, poses, axes, angles, t_noise = zip(*kept)
+        rotations = axis_angle(np.array(axes), angles) @ np.array([p.rotation for p in poses])
+        drawn = list(zip(ids, rotations, np.array([p.translation for p in poses]) + t_noise))
     if cfg.spurious_count > 0:
         drawn += _spurious_markers(rng, true_markers, cfg.spurious_count)
     if not drawn:

@@ -46,7 +46,9 @@ from chainforge.synth import (
     SPURIOUS_ID_BASE,
     SPURIOUS_ID_SPAN,
     MarkerObservation,
+    ModulePlacement,
     SceneConfig,
+    assign_instances,
     forward_poses,
     synthesize,
 )
@@ -309,6 +311,33 @@ def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig(), a
             q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
             observations.append(MarkerObservation(int(marker_id), Pose(quat_to_matrix(q), t)))
     return observations
+
+
+def reference_forward_poses(desc, joint_angles, db, base=None, assignment=None):
+    """`synth.forward_poses` composing one Pose per catalog factor and joint state."""
+    if base is None:
+        base = Pose.identity()
+    records = assign_instances(desc, db, assignment)
+    thetas = iter(joint_angles)
+    placements = []
+    childward = None
+    for entry, record in zip(desc.entries, records):
+        mt = db.types[entry.type_code]
+        direction = INVERTED if entry.inverted else UPRIGHT
+        theta = float(next(thetas)) if mt.is_joint else 0.0
+        if childward is None:
+            master = base
+        else:
+            master = compose(
+                compose(childward, connection_transform(entry.connection_angle)),
+                mt.parentward_to_master(direction, theta),
+            )
+        output = None
+        if mt.dual_bundle:
+            output = compose(master, mt.master_to_childward(UPRIGHT, theta))
+        placements.append(ModulePlacement(record.serial, master, output))
+        childward = compose(master, mt.master_to_childward(direction, theta))
+    return placements
 
 
 def reference_fit_joint(axis: int, h: np.ndarray, limits) -> np.ndarray:

@@ -74,6 +74,16 @@ class TestAxisAngle:
         big = [v * 1e150 for v in axis]
         assert axis_angle(big, deg).tobytes() == reference_axis_angle(big, deg).tobytes()
 
+    @given(st.lists(rotation_strategy, min_size=1, max_size=8), st.floats(1e-3, 1e150))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_matches_per_axis_calls(self, rows, scale):
+        axes = [[v * scale for v in t[:3]] for t in rows]
+        degs = [t[3] for t in rows]
+        stacked = axis_angle(axes, degs)
+        assert stacked.shape == (len(rows), 3, 3)
+        for layer, axis, deg in zip(stacked, axes, degs):
+            assert layer.tobytes() == axis_angle(axis, deg).tobytes()
+
 
 class TestCompose:
     def test_identity(self):

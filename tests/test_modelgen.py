@@ -185,7 +185,7 @@ class TestJointOrigins:
         chain = chain_for(db, "I-T0-L0-G0", [25.0, -40.0])
         on_grid = to_descriptor(chain)
         chain.links[2] = replace(chain.links[2], connection_angle=45.0)
-        with pytest.raises(ValueError, match="connection angle"):
+        with pytest.raises(InconsistentChain, match="L-001: .*connection angle"):
             generate_model(chain, db)  # no chain string has a 45-degree angle
         # Describe the chain by its on-grid string, so that the model can be built.
         monkeypatch.setattr(modelgen, "to_descriptor", lambda c: on_grid)

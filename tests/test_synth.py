@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from chainforge import synth
 from chainforge.cli import main
-from chainforge.descriptor import parse
+from chainforge.descriptor import ChainDescriptor, ChainEntry, parse
 from chainforge.geometry import (
+    CONNECTION_ANGLES,
     InvalidPose,
     Pose,
     quat_to_matrix,
@@ -33,8 +34,11 @@ from chainforge.synth import (
 
 from helpers import (
     field_values,
+    make_corpus,
+    random_base,
     random_chain_case,
     record_writes,
+    reference_forward_poses,
     reference_quat_to_matrix,
     reference_synthesize,
 )
@@ -130,6 +134,48 @@ class TestForwardPoses:
                 placements[0].master_pose, placements[1].master_pose
             )
             assert raw == pytest.approx(c, abs=1e-6)
+
+
+def assert_matches_compose_reference(db, desc, thetas, base=None):
+    """The table FK against one Pose composition per factor, to 1e-9 mm and 1e-12 per
+    rotation entry."""
+    got = forward_poses(desc, thetas, db, base=base)
+    want = reference_forward_poses(desc, thetas, db, base=base)
+    assert [pl.serial for pl in got] == [pl.serial for pl in want]
+    for ours, theirs in zip(got, want):
+        assert (ours.output_pose is None) == (theirs.output_pose is None)
+        pairs = [(ours.master_pose, theirs.master_pose), (ours.output_pose, theirs.output_pose)]
+        for a, b in pairs[: 1 if ours.output_pose is None else 2]:
+            assert np.abs(a.translation - b.translation).max() <= 1e-9
+            assert np.abs(a.rotation - b.rotation).max() <= 1e-12
+
+
+class TestTableForwardKinematics:
+    def test_round_trip_corpus(self, db):
+        for desc, _, thetas, base in make_corpus(db, 500, 20260808):
+            assert_matches_compose_reference(db, desc, thetas, base)
+
+    def test_manipulator_joint_draws(self, db):
+        rng = np.random.default_rng(4242)  # the criterion-4 draws
+        for _ in range(100):
+            spans = (180.0, 120.0, 120.0, 120.0, 180.0)
+            thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in spans]
+            assert_matches_compose_reference(db, parse("I-T'0-T'0-A0-t0-i0-g0"), thetas)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_inverted_joints_at_nonzero_states(self, db, seed):
+        # Joint chains, half of their modules inverted, the dual-bundle I and i among them.
+        rng = np.random.default_rng(seed)
+        entries, thetas = [], []
+        for k in range(int(rng.integers(1, 7))):
+            code = str(rng.choice(["I", "i", "T", "t"]))
+            angle = None if k == 0 else float(rng.choice(CONNECTION_ANGLES))
+            entries.append(ChainEntry(code, bool(rng.random() < 0.5), angle))
+            thetas.append(float(rng.uniform(*db.types[code].joint_limits)))
+        entries.append(ChainEntry("G", False, float(rng.choice(CONNECTION_ANGLES))))
+        desc = ChainDescriptor(tuple(entries))
+        assert_matches_compose_reference(db, desc, thetas, random_base(rng))
 
 
 class TestSynthesize:
