@@ -122,10 +122,11 @@ def _scan_digits(text: str, digit_start: int, angle_start: int) -> tuple[int, in
 
 
 def _angle_value(token: str, position: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ChainSyntaxError(position, f"malformed connection angle {token!r}") from None
+    digits = token[1:] if token.startswith("-") else token
+    # ASCII digits only: int() would also take '+', '_', spaces and other scripts' digits.
+    if not (digits.isascii() and digits.isdigit()):
+        raise ChainSyntaxError(position, f"malformed connection angle {token!r}")
+    value = int(token)
     if value not in ANGLES:
         raise ChainSyntaxError(position, f"connection angle {value} not in {ANGLES}")
     return value

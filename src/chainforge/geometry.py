@@ -9,14 +9,17 @@ from __future__ import annotations
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .descriptor import ANGLES
+
 ORTHONORMALITY_TOL = 1e-9
 
 # Discrete roll values permitted by the four-pin connector interface.
-CONNECTION_ANGLES = (-90.0, 0.0, 90.0, 180.0)
+CONNECTION_ANGLES = tuple(float(a) for a in ANGLES)
 
 
 class DegenerateGeometry(ValueError):
@@ -62,6 +65,22 @@ def axis_angle(axis, deg) -> np.ndarray:
     k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = z, -y, x
     r = _EYE + s * k + (1.0 - c) * (k @ k)
     return r if np.ndim(axis) > 1 else r[0]
+
+
+# Coordinate plane (a, b) that a turn about base axis y (1) or z (2) takes a into b in.
+TURN_PLANES = {1: (2, 0), 2: (0, 1)}
+
+
+def joint_turns(axis: int, deg) -> np.ndarray:
+    """Homogeneous rotations about the y (axis=1) or z (axis=2) base axis, one per angle."""
+    a, b = TURN_PLANES[axis]
+    rad = np.radians(deg)
+    m = np.zeros((len(rad), 4, 4))
+    m[:, axis, axis] = m[:, 3, 3] = 1.0
+    m[:, a, a] = m[:, b, b] = np.cos(rad)
+    m[:, b, a] = np.sin(rad)
+    m[:, a, b] = -m[:, b, a]
+    return m
 
 
 def wrap_angle(deg: float) -> float:
@@ -193,6 +212,9 @@ class WeightMatrix:
     def __post_init__(self):
         if not (self.w_o > 0.0 and self.w_t > 0.0):  # NaN fails too
             raise ValueError("weights must be positive")
+        # The parent-search solve squares each weight; an int's square compares exactly.
+        if not max(self.w_o * self.w_o, self.w_t * self.w_t) <= sys.float_info.max:
+            raise ValueError("weights must be finite, with squares a float can hold")
         m = np.zeros((4, 4))
         m[:3, :3] = self.w_o
         m[:3, 3] = self.w_t

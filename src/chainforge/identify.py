@@ -24,10 +24,12 @@ import numpy as np
 from .descriptor import ChainDescriptor, ChainEntry
 from .geometry import (
     CONNECTION_ANGLES,
+    TURN_PLANES,
     DegenerateGeometry,
     Pose,
     WeightMatrix,
     discretize_angle,
+    joint_turns,
     raw_connection_angle,
     relative,
     rot_y,
@@ -478,22 +480,6 @@ def estimate_joint_angle(
     return theta
 
 
-# Coordinate plane (a, b) that a rotation about base axis y (1) or z (2) turns a into b in.
-_PLANE = {1: (2, 0), 2: (0, 1)}
-
-
-def _rotations(axis: int, deg: np.ndarray) -> np.ndarray:
-    """Homogeneous rotations about the y (axis=1) or z (axis=2) base axis, one per angle."""
-    a, b = _PLANE[axis]
-    rad = np.radians(deg)
-    m = np.zeros((len(rad), 4, 4))
-    m[:, axis, axis] = m[:, 3, 3] = 1.0
-    m[:, a, a] = m[:, b, b] = np.cos(rad)
-    m[:, b, a] = np.sin(rad)
-    m[:, a, b] = -m[:, b, a]
-    return m
-
-
 def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndarray:
     """Joint states on the limits minimizing const - 2<R(t), H[k]>, one per H[k].
 
@@ -505,7 +491,7 @@ def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndar
     every solved state already lies within the limits, they are returned as
     they are.
     """
-    a, b = _PLANE[axis]
+    a, b = TURN_PLANES[axis]
     p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
     lo, hi = limits
     # numpy's trig, whose last bits math's does not share; the rest in floats.
@@ -530,10 +516,6 @@ class _Side(NamedTuple):
     axis: int | None = None
     limits: tuple[float, float] | None = None
 
-    @staticmethod
-    def free(mt: ModuleType, matrix: np.ndarray) -> "_Side":
-        return _Side(matrix, 1 if mt.is_collinear_joint else 2, mt.joint_limits)
-
 
 def _parent_side(
     module: DetectedModule, direction: str, eps2: float
@@ -550,7 +532,7 @@ def _parent_side(
         roll = _measure_collinear_theta(module, eps2)
         return _Side(module.bundle.matrix()), roll
     factor = mt.matrices["out", direction]
-    return (_Side.free(mt, factor) if free else _Side(factor)), None
+    return (_Side(factor, mt.joint_axis, mt.joint_limits) if free else _Side(factor)), None
 
 
 def _child_side(module: DetectedModule, direction: str, theta: float | None, eps2: float) -> _Side:
@@ -562,9 +544,10 @@ def _child_side(module: DetectedModule, direction: str, theta: float | None, eps
         return _Side(mt.matrices["in", direction])
     if mt.is_collinear_joint and module.output_pose is not None:
         theta = _measure_collinear_theta(module, eps2)
+    entered = mt.matrices["in", direction]
     if theta is None:
-        return _Side.free(mt, mt.matrices["in", direction])
-    return _Side(mt.parentward_to_master(direction, theta).matrix())
+        return _Side(entered, mt.joint_axis, mt.joint_limits)
+    return _Side(entered @ joint_turns(mt.joint_axis, [-theta])[0])
 
 
 class _PairModel:
@@ -572,7 +555,8 @@ class _PairModel:
 
     Layer k is Rn(theta_n) B[k] Rc(-theta_c): B[k] chains the parent factor,
     the k-th connector transform and the child factor, and Rn, Rc turn the
-    free joint states (parentward_to_master(INVERTED, t) ends in rot(-t)).
+    free joint states (`joint_turns`; an inverted child is entered behind
+    its joint, so its state turns by -theta_c).
     The metric is invariant under a rigid motion of both frames, so the
     observation is always the child master seen from the parent master.
     """
@@ -593,10 +577,10 @@ class _PairModel:
         m = self._base
         if theta_n is not None and self.parent.axis is not None:
             if self._turned[0] is not theta_n:
-                self._turned = theta_n, _rotations(self.parent.axis, theta_n) @ m
+                self._turned = theta_n, joint_turns(self.parent.axis, theta_n) @ m
             m = self._turned[1]
         if theta_c is not None and self.child.axis is not None:
-            m = m @ _rotations(self.child.axis, -theta_c)
+            m = m @ joint_turns(self.child.axis, -theta_c)
         return m
 
     def residual(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:

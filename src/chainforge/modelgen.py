@@ -21,6 +21,7 @@ from .geometry import (
     axis_angle,
     compose,
     finite_number,
+    invert,
     matrix_to_rpy,
     pose_from_json,
     pose_to_json,
@@ -28,7 +29,7 @@ from .geometry import (
     write_file,
 )
 from .identify import ChainLink, IdentifiedChain, to_descriptor
-from .module_db import INVERTED, UPRIGHT, ModuleDatabase
+from .module_db import UPRIGHT, ModuleDatabase
 
 JOINT_REVOLUTE = "revolute"
 JOINT_FIXED = "fixed"
@@ -94,13 +95,16 @@ def generate_model(
     joint).  A module's attachment to its parent is a revolute joint for
     perpendicular-joint modules (the pivot sits at their master) and a
     fixed joint otherwise.  Each joint origin is a per-mate catalog
-    transform, `compose(parent type's link_out[d], mate(d, angle))` from the
+    transform, `compose(parent type's link_out[d], mates[d, angle])` from the
     two mated types, their install directions and the connection angle, so
-    it does not depend on the module's place in the chain.
+    it does not depend on the module's place in the chain.  Every branch is
+    described first, so a connection angle off the grid raises before any
+    joint is emitted.  `db` is not read: each link carries its module type.
     """
     branches = chain if isinstance(chain, list) else [chain]
     if not branches or not all(b.links for b in branches):
         raise InconsistentChain("model generation needs at least one non-empty chain")
+    description = [_describe(b) for b in branches]
     links: list[ModelLink] = []
     joints: list[ModelJoint] = []
     names: set[str] = set()
@@ -124,7 +128,7 @@ def generate_model(
         l.module.serial: l.module.record.bus_id for b in branches for l in b.links
     }
     meta = {
-        "description": [_describe(b) for b in branches],
+        "description": description,
         "bus_ids": bus_ids,
         "joint_angles_deg": {
             l.module.serial: l.joint_angle
@@ -182,7 +186,7 @@ def _emit_module(
         _add_link(links, names, ModelLink(serial, mt.body_length))
     if prev is not None:
         parent, parent_out = prev
-        origin = compose(parent_out, mt.mate(link.direction, link.connection_angle))
+        origin = compose(parent_out, mt.mates[link.direction, link.connection_angle])
         if mt.is_perpendicular_joint and not mt.dual_bundle:
             # The joint axis passes through this module's master frame; modeling
             # the swing at its own mount keeps all downstream positions exact.
@@ -192,7 +196,7 @@ def _emit_module(
             joints.append(ModelJoint(f"j_{serial}", JOINT_FIXED, parent, attached, origin, axis))
     if mt.dual_bundle:
         # The output offset, or its inverse: the zero-state frames across the joint.
-        drive = mt.frames["out", UPRIGHT] if upright else mt.frames["in", INVERTED]
+        drive = mt.master_offset_output if upright else invert(mt.master_offset_output)
         axis = (0.0, 1.0 if upright else -1.0, 0.0)
         revolute(f"j_{serial}_drive", attached, chainward, drive, axis)
     elif mt.is_perpendicular_joint and upright and prev is None:

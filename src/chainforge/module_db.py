@@ -20,14 +20,12 @@ from .descriptor import is_type_code
 from .geometry import (
     CONNECTION_ANGLES,
     Pose,
-    compose,
     finite_number,
     invert,
     pose_from_json,
     pose_to_json,
     rot_x,
     rot_y,
-    rot_z,
     write_file,
 )
 
@@ -48,11 +46,6 @@ JOINT_KINDS = (KIND_JOINT_COLLINEAR, KIND_JOINT_PERPENDICULAR)
 UPRIGHT = "upright"
 INVERTED = "inverted"
 
-# Output connector face of the parent meets the input connector face of the
-# child: both outward y-axes are anti-parallel, which a flip about x encodes.
-MATING_FLIP = Pose(rot_x(180.0), np.zeros(3))
-
-
 class DatabaseError(Exception):
     """Base class for database loading and validation failures."""
 
@@ -69,22 +62,14 @@ class EmptyCatalog(DatabaseError):
     """A geometric query requires at least one module type."""
 
 
-def connection_transform(angle_deg: float) -> Pose:
-    """Transform across a mated connector pair for a given connection angle.
-
-    The CONNECTION_ANGLES read a table that this composition built at import.
-    """
-    pose = _CONNECTIONS.get(angle_deg)
-    if pose is None:
-        pose = compose(Pose._trusted(rot_y(angle_deg), np.zeros(3)), MATING_FLIP)
-    return pose
-
-
-_CONNECTIONS: dict[float, Pose] = {}
-_CONNECTIONS.update({a: connection_transform(a) for a in CONNECTION_ANGLES})
-# The same transforms as 4x4 matrices, stacked in CONNECTION_ANGLES order.
-CONNECTOR_STACK = np.stack([_CONNECTIONS[a].matrix() for a in CONNECTION_ANGLES])
+# Mated connectors share their outward y-axis: a roll about it by the
+# connection angle, then a 180-degree flip about x.  One 4x4 per CONNECTION_ANGLES.
+CONNECTOR_STACK = np.stack(
+    [Pose._trusted(rot_y(a) @ rot_x(180.0), np.zeros(3)).matrix() for a in CONNECTION_ANGLES]
+)
 CONNECTOR_STACK.setflags(write=False)
+# Base axis a joint turns about (see geometry.joint_turns): y when collinear, z when perpendicular.
+_JOINT_AXES = {KIND_JOINT_COLLINEAR: 1, KIND_JOINT_PERPENDICULAR: 2}
 
 
 @dataclass(frozen=True)
@@ -99,12 +84,14 @@ class ModuleType:
     joint_limits: tuple[float, float] | None
     invertible: bool
     dual_bundle: bool
-    # Zero-state frames, built with the type: parentward_to_master(d) under
-    # ("in", d), master_to_childward(d) under ("out", d); their 4x4 matrices.
-    frames: dict[tuple[str, str], Pose] = field(init=False, repr=False, compare=False)
+    # Zero-state frames as 4x4 matrices, built with the type: ("in", d) maps the
+    # parent-facing connector onto the master frame, ("out", d) the master frame
+    # onto the child-facing connector.  A joint state turns about `joint_axis`
+    # after ("in", INVERTED) and before ("out", UPRIGHT).
     matrices: dict[tuple[str, str], np.ndarray] = field(init=False, repr=False, compare=False)
     # Model tables: link_out[d] maps the link a child attaches to onto the
-    # childward connector; mates[d, angle] is `mate` at the CONNECTION_ANGLES.
+    # childward connector; mates[d, angle] maps the parent's childward connector
+    # onto the link this module is attached by, at each of the CONNECTION_ANGLES.
     link_out: dict[str, Pose] = field(init=False, repr=False, compare=False)
     mates: dict[tuple[str, float], Pose] = field(init=False, repr=False, compare=False)
 
@@ -124,20 +111,27 @@ class ModuleType:
             raise DatabaseValidationError(
                 f"type {self.code!r}: joint_limits only apply to joint kinds"
             )
-        object.__setattr__(self, "frames", {})  # the methods compose while it is empty
-        frames = {(side, d): frame(d) for d in (UPRIGHT, INVERTED) for side, frame in
-                  (("in", self.parentward_to_master), ("out", self.master_to_childward))}
+        frames = {
+            ("in", UPRIGHT): self.master_offset_input,
+            ("in", INVERTED): invert(self.master_offset_output),
+            ("out", UPRIGHT): self.master_offset_output,
+            ("out", INVERTED): invert(self.master_offset_input),
+        }
         matrices = {key: pose.matrix() for key, pose in frames.items()}
         for m in matrices.values():
             m.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "matrices", matrices)
         link_out = {d: frames["out", d] for d in (UPRIGHT, INVERTED)}
         if self.dual_bundle:  # its output link sits at its output connector
             link_out[UPRIGHT] = Pose.identity()
+        mates = {}
+        for d in (UPRIGHT, INVERTED):
+            for angle, m in zip(CONNECTION_ANGLES, CONNECTOR_STACK):
+                # An inverted dual-bundle module is attached by its output link.
+                if not (self.dual_bundle and d == INVERTED):
+                    m = m @ matrices["in", d]
+                mates[d, angle] = Pose._trusted(m[:3, :3].copy(), m[:3, 3].copy())
+        object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "link_out", link_out)
-        object.__setattr__(self, "mates", {})  # `mate` composes while it is empty
-        mates = {(d, a): self.mate(d, a) for d in (UPRIGHT, INVERTED) for a in CONNECTION_ANGLES}
         object.__setattr__(self, "mates", mates)
 
     @property
@@ -156,46 +150,10 @@ class ModuleType:
     def is_perpendicular_joint(self) -> bool:
         return self.kind == KIND_JOINT_PERPENDICULAR
 
-    def joint_rotation(self, theta_deg: float) -> Pose:
-        """Rotation about the joint axis: y for collinear, z for perpendicular."""
-        if self.kind == KIND_JOINT_COLLINEAR:
-            return Pose._trusted(rot_y(theta_deg), np.zeros(3))
-        if self.kind == KIND_JOINT_PERPENDICULAR:
-            return Pose._trusted(rot_z(theta_deg), np.zeros(3))
-        return Pose.identity()
-
-    def parentward_to_master(self, direction: str, theta_deg: float = 0.0) -> Pose:
-        """Transform from the parent-facing connector frame to the master frame.
-
-        Upright modules are entered through the input connector, ahead of the
-        joint; inverted modules are entered through the output connector, so
-        the joint state appears on the way in.
-        """
-        if theta_deg == 0.0 and ("in", direction) in self.frames:
-            return self.frames["in", direction]
-        if direction == UPRIGHT:
-            return self.master_offset_input
-        return compose(invert(self.master_offset_output), self.joint_rotation(-theta_deg))
-
-    def master_to_childward(self, direction: str, theta_deg: float = 0.0) -> Pose:
-        """Transform from the master frame to the child-facing connector frame."""
-        if theta_deg == 0.0 and ("out", direction) in self.frames:
-            return self.frames["out", direction]
-        if direction == UPRIGHT:
-            return compose(self.joint_rotation(theta_deg), self.master_offset_output)
-        return invert(self.master_offset_input)
-
-    def mate(self, direction: str, angle_deg: float) -> Pose:
-        """Transform from the parent's childward connector to the link this module is attached by.
-
-        That link is the master frame, or an inverted dual-bundle module's output link.
-        """
-        pose = self.mates.get((direction, angle_deg))
-        if pose is None:
-            pose = connection_transform(angle_deg)
-            if not (self.dual_bundle and direction == INVERTED):
-                pose = compose(pose, self.frames["in", direction])
-        return pose
+    @property
+    def joint_axis(self) -> int | None:
+        """Base axis the joint turns about (1 = y, 2 = z); None without a joint."""
+        return _JOINT_AXES.get(self.kind)
 
     def can_parent(self, direction: str) -> bool:
         """Tools have a single connector: upright tools cannot carry a child."""
@@ -303,18 +261,11 @@ def _mated_distance(p: ModuleType, c: ModuleType) -> float:
     A pair with no legal mating (e.g. two tools pointing the wrong way)
     keeps a zero bound, so it can never pass a distance check.
     """
-    best = 0.0
-    for dp in p.directions():
-        if not p.can_parent(dp):
-            continue
-        for dc in c.directions():
-            if not c.can_child(dc):
-                continue
-            t = compose(
-                compose(p.master_to_childward(dp, 0.0), connection_transform(0.0)),
-                c.parentward_to_master(dc, 0.0),
-            )
-            best = max(best, float(np.linalg.norm(t.translation)))
+    best, connector = 0.0, CONNECTOR_STACK[CONNECTION_ANGLES.index(0.0)]
+    for dp in filter(p.can_parent, p.directions()):
+        for dc in filter(c.can_child, c.directions()):
+            t = (p.matrices["out", dp] @ connector) @ c.matrices["in", dc]
+            best = max(best, float(np.linalg.norm(t[:3, 3])))
     return best
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import CONNECTION_ANGLES, InvalidPose, Pose, axis_angle, checked_poses
+from .geometry import CONNECTION_ANGLES, InvalidPose, Pose, axis_angle, checked_poses, joint_turns
 from .geometry import pose_fields, pose_to_json, poses_from_fields, quat_to_matrix, write_file
 from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
@@ -162,16 +162,16 @@ def forward_poses(
         parent, parent_direction = mt, direction
         if childward is None:
             master = np.eye(4) if base is None else base.matrix()
-        else:  # parentward_to_master(INVERTED, theta) ends in rot(-theta)
+        else:  # an inverted module is entered behind its joint, which turns by -theta
             entered = mt.matrices["in", direction]
             if theta and entry.inverted:
-                entered = entered @ mt.joint_rotation(-theta).matrix()
+                entered = entered @ joint_turns(mt.joint_axis, [-theta])[0]
             angle = CONNECTION_ANGLES.index(entry.connection_angle)
             master = (childward @ CONNECTOR_STACK[angle]) @ entered
-        out = None  # the output connector: master_to_childward(UPRIGHT, theta), rot(theta) first
+        out = None  # the output connector, which the joint turns by theta
         if mt.dual_bundle or not entry.inverted:
             leaving = mt.matrices["out", UPRIGHT]
-            out = master @ (mt.joint_rotation(theta).matrix() @ leaving if theta else leaving)
+            out = master @ (joint_turns(mt.joint_axis, [theta])[0] @ leaving if theta else leaving)
         childward = master @ mt.matrices["out", INVERTED] if entry.inverted else out
         output = Pose._trusted(out[:3, :3], out[:3, 3]) if mt.dual_bundle else None
         master = Pose._trusted(master[:3, :3], master[:3, 3])

@@ -15,12 +15,18 @@ from chainforge.descriptor import ChainDescriptor, ChainEntry, serialize
 from chainforge.geometry import (
     CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
+    TURN_PLANES,
     Pose,
     axis_angle,
     compose,
+    invert,
+    joint_turns,
     matrix_to_rpy,
     quat_to_matrix,
     relative,
+    rot_x,
+    rot_y,
+    rot_z,
     unit_between,
     wrap_angle,
     z_axis,
@@ -39,7 +45,7 @@ from chainforge.module_db import (
     INVERTED,
     UPRIGHT,
     ModuleDatabase,
-    connection_transform,
+    ModuleType,
     save_database,
 )
 from chainforge.synth import (
@@ -164,8 +170,8 @@ def make_two_branch_scene(rng: np.random.Generator, db: ModuleDatabase):
             used.add(rec.serial)
             serials.append(rec.serial)
             master = compose(
-                compose(conn, connection_transform(angle)),
-                mt.parentward_to_master(UPRIGHT, 0.0),
+                compose(conn, reference_connection_transform(angle)),
+                reference_parentward_to_master(mt, UPRIGHT),
             )
             observations.append(MarkerObservation(rec.master_marker_id, master))
             if mt.dual_bundle:
@@ -174,18 +180,16 @@ def make_two_branch_scene(rng: np.random.Generator, db: ModuleDatabase):
                         rec.output_marker_id, compose(master, mt.master_offset_output)
                     )
                 )
-            conn = compose(master, mt.master_to_childward(UPRIGHT, 0.0))
+            conn = compose(master, reference_master_to_childward(mt, UPRIGHT))
         return serials
 
-    out_connector = compose(p_master, p_type.master_to_childward(UPRIGHT, 0.0))
+    out_connector = compose(p_master, reference_master_to_childward(p_type, UPRIGHT))
     arm1_serials = grow(out_connector, arm1)
     # Second connector face: the output offset swung -90 degrees about the
     # joint axis, i.e. a rigid right-angle port on the joint body.
-    from chainforge.geometry import rot_z
-
     side_connector = compose(
         compose(p_master, Pose.from_rotation(rot_z(-90.0))),
-        p_type.master_to_childward(UPRIGHT, 0.0),
+        reference_master_to_childward(p_type, UPRIGHT),
     )
     arm2_serials = grow(side_connector, arm2)
     return observations, trunk_serials, arm1_serials, arm2_serials
@@ -214,6 +218,56 @@ field_values = json_values | st.lists(_json_scalars, min_size=2, max_size=4)
 # --- Reference implementations ----------------------------------------------
 # Straightforward one-element forms of code that the package runs batched or
 # renders directly.  Tests require the package to match them bit for bit.
+
+
+# The catalog's transforms as one Pose composition per factor, the algebra that
+# `ModuleType.matrices`, `mates`, `link_out` and `module_db.CONNECTOR_STACK` tabulate.
+REFERENCE_MATING_FLIP = Pose(rot_x(180.0), np.zeros(3))
+
+
+def reference_connection_transform(angle_deg: float) -> Pose:
+    """Across a mated connector pair: a roll about the shared y-axis, then the flip."""
+    return compose(Pose._trusted(rot_y(angle_deg), np.zeros(3)), REFERENCE_MATING_FLIP)
+
+
+def reference_joint_rotation(mt: ModuleType, theta_deg: float) -> Pose:
+    """Rotation about the joint axis: y for collinear, z for perpendicular."""
+    if mt.is_collinear_joint:
+        return Pose._trusted(rot_y(theta_deg), np.zeros(3))
+    if mt.is_perpendicular_joint:
+        return Pose._trusted(rot_z(theta_deg), np.zeros(3))
+    return Pose.identity()
+
+
+def reference_parentward_to_master(mt: ModuleType, direction: str, theta_deg=0.0) -> Pose:
+    """Parent-facing connector to master: through the input connector when upright,
+    through the output connector, and so behind the joint, when inverted."""
+    if direction == UPRIGHT:
+        return mt.master_offset_input
+    return compose(invert(mt.master_offset_output), reference_joint_rotation(mt, -theta_deg))
+
+
+def reference_master_to_childward(mt: ModuleType, direction: str, theta_deg=0.0) -> Pose:
+    """Master to the child-facing connector."""
+    if direction == UPRIGHT:
+        return compose(reference_joint_rotation(mt, theta_deg), mt.master_offset_output)
+    return invert(mt.master_offset_input)
+
+
+def reference_mate(mt: ModuleType, direction: str, angle_deg: float) -> Pose:
+    """Parent's childward connector to the link the module is attached by: its
+    master frame, or an inverted dual-bundle module's output link."""
+    pose = reference_connection_transform(angle_deg)
+    if mt.dual_bundle and direction == INVERTED:
+        return pose
+    return compose(pose, reference_parentward_to_master(mt, direction))
+
+
+def reference_link_out(mt: ModuleType, direction: str) -> Pose:
+    """The link a child attaches to onto the childward connector."""
+    if mt.dual_bundle and direction == UPRIGHT:
+        return Pose.identity()
+    return reference_master_to_childward(mt, direction)
 
 
 def reference_quat_to_matrix(q) -> np.ndarray:
@@ -329,20 +383,20 @@ def reference_forward_poses(desc, joint_angles, db, base=None, assignment=None):
             master = base
         else:
             master = compose(
-                compose(childward, connection_transform(entry.connection_angle)),
-                mt.parentward_to_master(direction, theta),
+                compose(childward, reference_connection_transform(entry.connection_angle)),
+                reference_parentward_to_master(mt, direction, theta),
             )
         output = None
         if mt.dual_bundle:
-            output = compose(master, mt.master_to_childward(UPRIGHT, theta))
+            output = compose(master, reference_master_to_childward(mt, UPRIGHT, theta))
         placements.append(ModulePlacement(record.serial, master, output))
-        childward = compose(master, mt.master_to_childward(direction, theta))
+        childward = compose(master, reference_master_to_childward(mt, direction, theta))
     return placements
 
 
 def reference_fit_joint(axis: int, h: np.ndarray, limits) -> np.ndarray:
     """`identify._fit_joint` weighing the limit endpoints whether or not a state leaves them."""
-    a, b = identify._PLANE[axis]
+    a, b = TURN_PLANES[axis]
     p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
     lo, hi = limits
     theta = np.degrees(np.arctan2(q, p))
@@ -359,9 +413,9 @@ class ReferencePairModel(identify._PairModel):
     def _stack(self, theta_n, theta_c):
         m = self._base
         if self.parent.axis is not None:
-            m = identify._rotations(self.parent.axis, theta_n) @ m
+            m = joint_turns(self.parent.axis, theta_n) @ m
         if self.child.axis is not None:
-            m = m @ identify._rotations(self.child.axis, -theta_c)
+            m = m @ joint_turns(self.child.axis, -theta_c)
         return m
 
     def parent_cross(self, theta_c, position_only=False):
@@ -531,9 +585,9 @@ def _reference_emit_module(link, prev, links, joints, names):
     if is_root:
         master0 = Pose.identity()
     else:
-        conn_frame = compose(prev[2], connection_transform(link.connection_angle))
-        master0 = compose(conn_frame, mt.parentward_to_master(direction, 0.0))
-    connector0 = compose(master0, mt.master_to_childward(direction, 0.0))
+        conn_frame = compose(prev[2], reference_connection_transform(link.connection_angle))
+        master0 = compose(conn_frame, reference_parentward_to_master(mt, direction))
+    connector0 = compose(master0, reference_master_to_childward(mt, direction))
 
     def add(name, length):
         modelgen._add_link(links, names, ModelLink(name, length))

@@ -81,6 +81,17 @@ class TestParseErrors:
         with pytest.raises(ChainSyntaxError):
             parse("I^T0")
 
+    @pytest.mark.parametrize("text", ["I-T(9_0)", "I-T(+90)", "I-T( 90)", "I-T\u0669\u0660",
+                                      "I-T(\u0669\u0660)", "I-T(-\u0669\u0660)"])
+    def test_angle_takes_ascii_digits_only(self, text):
+        with pytest.raises(ChainSyntaxError, match="malformed connection angle") as exc:
+            parse(text)
+        assert exc.value.position == (3 if text[3] != "(" else 4)
+
+    @pytest.mark.parametrize("text, angle", [("I-T090", 90.0), ("I-T-0", 0.0), ("I-T(-0)", 0.0)])
+    def test_leading_zeros_and_negative_zero_accepted(self, text, angle):
+        assert parse(text).entries[1].connection_angle == angle
+
 
 class TestSerialize:
     def test_canonical_round_trip(self):

@@ -20,6 +20,7 @@ from chainforge.geometry import (
     compose,
     discretize_angle,
     invert,
+    joint_turns,
     matrix_to_quat,
     matrix_to_rpy,
     pose_distance,
@@ -83,6 +84,17 @@ class TestAxisAngle:
         assert stacked.shape == (len(rows), 3, 3)
         for layer, axis, deg in zip(stacked, axes, degs):
             assert layer.tobytes() == axis_angle(axis, deg).tobytes()
+
+
+class TestJointTurns:
+    def test_turns_about_y_and_z(self):
+        deg = [-170.0, -33.3, 0.0, 47.0, 120.0]
+        for axis, rot in ((1, rot_y), (2, rot_z)):
+            turns = joint_turns(axis, deg)
+            assert turns.shape == (len(deg), 4, 4)
+            for m, d in zip(turns, deg):
+                assert np.abs(m[:3, :3] - rot(d)).max() <= 1e-15
+                assert m[:3, 3].tolist() == [0.0] * 3 and m[3].tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestCompose:
@@ -282,6 +294,16 @@ class TestPoseDistance:
         for name in ("w_o", "w_t"):
             with pytest.raises(ValueError, match="weights must be positive"):
                 WeightMatrix(**{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, 1e200, 1.4e154, 10**400], ids=["inf", "1e200", "1.4e154", "10**400"]
+    )
+    @pytest.mark.parametrize("name", ["w_o", "w_t"])
+    def test_weights_with_overflowing_squares_rejected(self, name, value):
+        # The optimization back end squares each weight.
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightMatrix(**{name: value})
+        WeightMatrix(**{name: 1e154})  # a square a float still holds
 
     def test_mask_built_once_and_read_only(self):
         w = WeightMatrix(w_o=2.0, w_t=0.5)

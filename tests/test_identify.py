@@ -46,7 +46,7 @@ from chainforge.identify import (
     _PairModel,
     _parent_side,
 )
-from chainforge.module_db import INVERTED, UPRIGHT, connection_transform, default_database
+from chainforge.module_db import INVERTED, UPRIGHT, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
@@ -54,8 +54,11 @@ from helpers import (
     make_two_branch_scene,
     random_base,
     random_chain_case,
+    reference_connection_transform,
     reference_find_parent_optimization,
     reference_fit_joint,
+    reference_master_to_childward,
+    reference_parentward_to_master,
 )
 
 
@@ -416,10 +419,10 @@ class TestClosedFormFit:
         observed = relative(parent.master_pose, child.master_pose)
         pt, ct = parent.module_type, child.module_type
         for k, angle in enumerate(CONNECTION_ANGLES):
-            parent_factor = pt.master_to_childward(parent_dir, theta_n[k])
+            parent_factor = reference_master_to_childward(pt, parent_dir, theta_n[k])
             modeled = compose(
-                compose(parent_factor, connection_transform(angle)),
-                ct.parentward_to_master(child_dir, theta_c[k]),
+                compose(parent_factor, reference_connection_transform(angle)),
+                reference_parentward_to_master(ct, child_dir, theta_c[k]),
             )
             expected = pose_distance(modeled, observed, cfg.weights)
             assert got[k] == pytest.approx(expected, rel=1e-12)
@@ -454,8 +457,11 @@ class TestClosedFormFit:
             # Translation part of the metric, composed from the catalog.
             return np.array([
                 w_t**2 * float(np.sum((compose(
-                    compose(pt.master_to_childward(parent_dir, t), connection_transform(a)),
-                    ct.parentward_to_master(child_dir, other),
+                    compose(
+                        reference_master_to_childward(pt, parent_dir, t),
+                        reference_connection_transform(a),
+                    ),
+                    reference_parentward_to_master(ct, child_dir, other),
                 ).translation - observed) ** 2))
                 for a in CONNECTION_ANGLES
             ])

@@ -11,10 +11,10 @@ from chainforge.geometry import (
     CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
     Pose,
+    axis_angle,
     compose,
-    invert,
+    joint_turns,
     rot_x,
-    rot_y,
 )
 from chainforge.module_db import (
     EmptyCatalog,
@@ -28,13 +28,21 @@ from chainforge.module_db import (
     ModuleRecord,
     ModuleType,
     centered_type,
-    connection_transform,
     default_database,
     load_database,
     save_database,
 )
 
-from helpers import field_values, record_writes, save_renamed_database
+from helpers import (
+    field_values,
+    record_writes,
+    reference_connection_transform,
+    reference_link_out,
+    reference_mate,
+    reference_master_to_childward,
+    reference_parentward_to_master,
+    save_renamed_database,
+)
 
 
 def test_default_catalog_shape(db):
@@ -135,8 +143,11 @@ def test_max_connected_distance_brute_force():
                     if not c.can_child(dc):
                         continue
                     t = compose(
-                        compose(p.master_to_childward(dp, 0.0), connection_transform(0.0)),
-                        c.parentward_to_master(dc, 0.0),
+                        compose(
+                            reference_master_to_childward(p, dp),
+                            reference_connection_transform(0.0),
+                        ),
+                        reference_parentward_to_master(c, dc),
                     )
                     pair = max(pair, float(np.linalg.norm(t.translation)))
             assert db.pair_connected_distance(p.code, c.code) == pytest.approx(pair)
@@ -149,56 +160,83 @@ def test_max_connected_distance_brute_force():
 
 
 def test_trusted_catalog_transforms_are_valid(db):
-    poses = [connection_transform(a) for a in CONNECTION_ANGLES]
+    # The catalog's tables and joint turns are built unchecked; each is a proper rotation.
+    poses = [p for mt in db.types.values() for p in (*mt.mates.values(), *mt.link_out.values())]
+    rotations = [m[:3, :3] for m in module_db.CONNECTOR_STACK] + [p.rotation for p in poses]
     for mt in db.types.values():
-        for theta in (-120.0, -33.3, 0.0, 90.0, 120.0):
-            poses.append(mt.joint_rotation(theta))
-            for d in mt.directions():
-                poses += [mt.parentward_to_master(d, theta), mt.master_to_childward(d, theta)]
-    for p in poses:
-        r = p.rotation
+        rotations += [m[:3, :3] for m in mt.matrices.values()]
+        if mt.is_joint:
+            turns = joint_turns(mt.joint_axis, [-120.0, -33.3, 0.0, 90.0, 120.0])
+            rotations += [m[:3, :3] for m in turns]
+    for r in rotations:
         assert np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMALITY_TOL
         assert np.linalg.det(r) > 0.0
-        assert not r.flags.writeable and not p.translation.flags.writeable
+    for p in poses:
+        assert not p.rotation.flags.writeable and not p.translation.flags.writeable
 
 
 def _bits(pose: Pose) -> bytes:
     return pose.rotation.tobytes() + pose.translation.tobytes()
 
 
-@pytest.mark.parametrize("source", ["built", "loaded"])
+def _skewed_type(code: str, kind: str, limits, dual_bundle: bool) -> ModuleType:
+    """A type whose connector offsets are rotated and off-center, unlike the defaults."""
+    return ModuleType(
+        code=code,
+        kind=kind,
+        body_length=90.0,
+        master_offset_input=Pose(axis_angle([0.3, -1.0, 0.2], 170.0), [3.5, -41.0, 2.25]),
+        master_offset_output=Pose(axis_angle([0.1, 0.4, -1.0], 25.0), [-1.5, 47.0, 6.0]),
+        joint_limits=limits,
+        invertible=True,
+        dual_bundle=dual_bundle,
+    )
+
+
+@pytest.mark.parametrize("source", ["built", "loaded", "skewed"])
 def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
-    # Every type builds its zero-state frames once, bit-identical to
-    # composing them anew; a joint state of -0.0 reads the same bits.
+    # Every type builds its zero-state matrices and model tables once,
+    # bit-identical to composing one Pose per factor at zero joint state.
     db = default_database()
     if source == "loaded":
         save_database(db, tmp_path / "db.json")
         db = load_database(tmp_path / "db.json")
-    for mt in db.types.values():
-        fresh = {
-            ("in", UPRIGHT): mt.master_offset_input,
-            ("in", INVERTED): compose(invert(mt.master_offset_output), mt.joint_rotation(-0.0)),
-            ("out", UPRIGHT): compose(mt.joint_rotation(0.0), mt.master_offset_output),
-            ("out", INVERTED): invert(mt.master_offset_input),
-        }
-        assert set(mt.frames) == set(mt.matrices) == set(fresh)
-        for (side, d), pose in fresh.items():
-            assert _bits(mt.frames[side, d]) == _bits(pose)
-            assert mt.matrices[side, d].tobytes() == pose.matrix().tobytes()
-            assert not mt.matrices[side, d].flags.writeable
-            for theta in (0.0, -0.0):
-                method = mt.parentward_to_master if side == "in" else mt.master_to_childward
-                assert _bits(method(d, theta)) == _bits(pose)
-        # A nonzero state still composes.
-        assert _bits(mt.master_to_childward(UPRIGHT, 30.0)) == _bits(
-            compose(mt.joint_rotation(30.0), mt.master_offset_output)
+    elif source == "skewed":
+        db = ModuleDatabase(
+            [
+                _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
+                _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
+                _skewed_type("L", "link", None, False),
+                _skewed_type("G", KIND_TOOL, None, False),
+            ],
+            [],
         )
+    for mt in db.types.values():
+        reference = {
+            ("in", d): reference_parentward_to_master(mt, d) for d in (UPRIGHT, INVERTED)
+        } | {("out", d): reference_master_to_childward(mt, d) for d in (UPRIGHT, INVERTED)}
+        assert set(mt.matrices) == set(reference)
+        for key, pose in reference.items():
+            assert mt.matrices[key].tobytes() == pose.matrix().tobytes()
+            assert not mt.matrices[key].flags.writeable
+        assert set(mt.mates) == {(d, a) for d in (UPRIGHT, INVERTED) for a in CONNECTION_ANGLES}
+        for (d, angle), pose in mt.mates.items():
+            assert _bits(pose) == _bits(reference_mate(mt, d, angle))
+        assert set(mt.link_out) == {UPRIGHT, INVERTED}
+        for d, pose in mt.link_out.items():
+            assert _bits(pose) == _bits(reference_link_out(mt, d))
 
 
 def test_connection_table_equals_fresh_compositions():
-    for angle in (*CONNECTION_ANGLES, -0.0, 90, 45.0):
-        fresh = compose(Pose._trusted(rot_y(angle), np.zeros(3)), module_db.MATING_FLIP)
-        assert _bits(connection_transform(angle)) == _bits(fresh)
+    assert module_db.CONNECTOR_STACK.shape == (len(CONNECTION_ANGLES), 4, 4)
+    assert not module_db.CONNECTOR_STACK.flags.writeable
+    for layer, angle in zip(module_db.CONNECTOR_STACK, CONNECTION_ANGLES):
+        assert layer.tobytes() == reference_connection_transform(angle).matrix().tobytes()
+
+
+def test_joint_axis_by_kind(db):
+    axes = {code: mt.joint_axis for code, mt in db.types.items()}
+    assert axes == {c: 1 for c in "Ii"} | {c: 2 for c in "Tt"} | {c: None for c in "GgWSLlA"}
 
 
 def test_tool_only_catalog_hand_sum():
@@ -265,14 +303,14 @@ def test_offsets_at_centers(db):
 
 def test_inversion_swaps_offsets(db):
     mt = db.types["L"]
-    up_in = mt.parentward_to_master(UPRIGHT)
-    inv_in = mt.parentward_to_master(INVERTED)
+    up_in = mt.matrices["in", UPRIGHT]
+    inv_in = mt.matrices["in", INVERTED]
     # Entering an inverted module goes through its output connector: no
     # orientation flip, same 75 mm reach.
-    assert np.allclose(up_in.rotation, rot_x(180.0))
-    assert np.allclose(inv_in.rotation, np.eye(3))
-    assert np.linalg.norm(up_in.translation) == pytest.approx(75.0)
-    assert np.linalg.norm(inv_in.translation) == pytest.approx(75.0)
+    assert np.allclose(up_in[:3, :3], rot_x(180.0))
+    assert np.allclose(inv_in[:3, :3], np.eye(3))
+    assert np.linalg.norm(up_in[:3, 3]) == pytest.approx(75.0)
+    assert np.linalg.norm(inv_in[:3, 3]) == pytest.approx(75.0)
 
 
 def test_tools_cannot_parent_upright(db):
