@@ -52,14 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_id = sub.add_parser("identify", help="identify a chain from a scene file")
     p_id.add_argument("--scene", required=True)
     _add_db_flag(p_id)
+    default = IdentifyConfig()
     p_id.add_argument(
         "--method",
         choices=[METHOD_GEOMETRIC, METHOD_OPTIMIZATION],
-        default=METHOD_GEOMETRIC,
+        default=default.method,
     )
-    p_id.add_argument("--eps1", type=float, default=20.0, help="neighbor slack, mm")
-    p_id.add_argument("--eps2", type=float, default=0.05, help="collinearity slack")
-    p_id.add_argument("--f-threshold", type=float, default=0.5)
+    p_id.add_argument("--eps1", type=float, default=default.epsilon1, help="neighbor slack, mm")
+    p_id.add_argument("--eps2", type=float, default=default.epsilon2, help="collinearity slack")
+    p_id.add_argument("--f-threshold", type=float, default=default.f_threshold)
     p_id.add_argument("--out", help="write the kinematic model here")
     p_id.add_argument("--format", choices=["xml", "json"], default=None)
     p_id.add_argument("--tree", action="store_true", help="grow from every tool module")

@@ -171,15 +171,11 @@ class IdentifiedChain:
     rejected_markers: list[tuple[int, str]]
     warnings: list[str] = field(default_factory=list)
 
-    def serials(self) -> list[str]:
-        return [link.module.serial for link in self.links]
-
 
 @dataclass(frozen=True)
 class ConstraintResult:
     satisfied: bool
     parent_direction: str | None = None
-    child_direction: str | None = None
     reason: str = ""
 
 
@@ -188,7 +184,6 @@ class ParentMatch:
     module: DetectedModule
     connection_angle: float
     parent_direction: str
-    child_direction: str
     theta: float | None = None
     f_value: float | None = None
 
@@ -251,19 +246,20 @@ def constraint_check(
     child: DetectedModule,
     db: ModuleDatabase,
     cfg: IdentifyConfig,
-    child_direction: str | None = None,
+    child_direction: str,
 ) -> ConstraintResult:
     """Decide whether a neighbor can be the child's parent.
 
     Evaluates the pairwise geometric constraints: the connected-pair
     distance bound, collinearity of module y-axes with the center-to-center
-    direction, and the sign tests that imply each side's install direction.
-    Upright perpendicular-joint parents are exempt from the parent-side
-    collinearity test (their output link swings the child off-axis), and
-    inverted perpendicular-joint children are exempt from the child-side
-    test for the mirror-image reason.  A candidate at the child's own
-    origin defines no direction and is rejected.  Every quantity here meets
-    only a threshold or a sign test, so it is taken in float arithmetic.
+    direction, and the sign tests that imply the parent's install direction
+    and must agree with the child's.  Upright perpendicular-joint parents
+    are exempt from the parent-side collinearity test (their output link
+    swings the child off-axis), and inverted perpendicular-joint children
+    are exempt from the child-side test for the mirror-image reason.  A
+    candidate at the child's own origin defines no direction and is
+    rejected.  Every quantity here meets only a threshold or a sign test,
+    so it is taken in float arithmetic.
     """
     p, c = parent_cand.floats, child.floats
     d = (c[0] - p[0], c[1] - p[1], c[2] - p[2])
@@ -294,34 +290,21 @@ def constraint_check(
         if abs(yp_dot) < collinear:
             return ConstraintResult(False, reason="parent collinearity")
         parent_direction = UPRIGHT if yp_dot >= 0.0 else INVERTED
-    if parent_direction == INVERTED and not pt.invertible:
-        return ConstraintResult(False, reason="parent not invertible")
-    if not pt.can_parent(parent_direction):
-        return ConstraintResult(False, reason="parent has no child-side connector")
+    if parent_direction not in pt.parent_directions:
+        return ConstraintResult(False, reason="parent cannot be installed this way")
+    if child_direction not in ct.child_directions:
+        return ConstraintResult(False, reason="child cannot be installed this way")
 
-    def inverted_perpendicular_child() -> ConstraintResult:
+    if ct.is_perpendicular_joint and child_direction == INVERTED:
         # The master link of an inverted perpendicular joint swings about its
         # own z-axis, so the parent ray must lie in that swing plane.
         if abs(_dot(c, 6, u)) > in_plane:
             return ConstraintResult(False, reason="parent off the child swing plane")
-        return ConstraintResult(True, parent_direction, INVERTED)
-
-    if ct.is_perpendicular_joint and child_direction == INVERTED:
-        return inverted_perpendicular_child()
-
-    derived_child = UPRIGHT if yc_dot >= 0.0 else INVERTED
-    if abs(yc_dot) < collinear:
-        if ct.is_perpendicular_joint and child_direction is None and ct.invertible:
-            # Off-axis child frame can only be an inverted perpendicular joint.
-            return inverted_perpendicular_child()
+    elif abs(yc_dot) < collinear:
         return ConstraintResult(False, reason="child collinearity")
-    if child_direction is not None and derived_child != child_direction:
+    elif (UPRIGHT if yc_dot >= 0.0 else INVERTED) != child_direction:
         return ConstraintResult(False, reason="child direction mismatch")
-    if derived_child == INVERTED and not ct.invertible:
-        return ConstraintResult(False, reason="child not invertible")
-    if not ct.can_child(derived_child):
-        return ConstraintResult(False, reason="child has no parent-side connector")
-    return ConstraintResult(True, parent_direction, derived_child)
+    return ConstraintResult(True, parent_direction)
 
 
 def _effective_frame(module: DetectedModule, direction: str, side: str) -> Pose:
@@ -337,13 +320,7 @@ def _effective_frame(module: DetectedModule, direction: str, side: str) -> Pose:
         (side == "parent" and direction == UPRIGHT)
         or (side == "child" and direction == INVERTED)
     )
-    if needs_output:
-        if module.output_pose is None:
-            warnings.warn(
-                f"{module.serial}: output bundle missing; connection angle may "
-                f"absorb the joint roll"
-            )
-            return module.master_pose
+    if needs_output and module.output_pose is not None:
         return Pose._trusted(module.output_pose.rotation, module.master_pose.translation)
     return module.master_pose
 
@@ -373,7 +350,7 @@ def find_parent_geometric(
     pool: list[DetectedModule],
     db: ModuleDatabase,
     cfg: IdentifyConfig,
-    child_direction: str | None = None,
+    child_direction: str,
 ) -> ParentMatch | None:
     """Select the unique neighbor passing the geometric constraints.
 
@@ -392,19 +369,15 @@ def find_parent_geometric(
         passing = [
             (cand, result)
             for cand, result in passing
-            if find_parent_optimization(
-                child, [cand], db, cfg, child_direction=child_direction
-            )
-            is not None
+            if find_parent_optimization(child, [cand], db, cfg, child_direction) is not None
         ]
     if not passing:
         return None
     if len(passing) > 1:
         raise AmbiguousParent(child.serial, [c.serial for c, _ in passing])
     cand, result = passing[0]
-    child_dir = result.child_direction or child_direction or UPRIGHT
-    angle = connection_angle_between(cand, result.parent_direction, child, child_dir)
-    return ParentMatch(cand, angle, result.parent_direction, child_dir)
+    angle = connection_angle_between(cand, result.parent_direction, child, child_direction)
+    return ParentMatch(cand, angle, result.parent_direction)
 
 
 def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
@@ -628,7 +601,7 @@ def find_parent_optimization(
     pool: list[DetectedModule],
     db: ModuleDatabase,
     cfg: IdentifyConfig,
-    child_direction: str | None = None,
+    child_direction: str,
     child_theta: float | None = None,
 ) -> ParentMatch | None:
     """Pick the parent by minimizing the weighted pose metric.
@@ -645,29 +618,25 @@ def find_parent_optimization(
     the connection angle, then toward the earlier hypothesis.  Only the
     winner is built as a ParentMatch.
     """
-    ct = child.module_type
-    child_sides = []
-    for d_c in (child_direction,) if child_direction is not None else ct.directions():
-        try:
-            if ct.can_child(d_c):
-                child_sides.append((d_c, _child_side(child, d_c, child_theta, cfg.epsilon2)))
-        except NonCollinearBundles:
-            pass  # a misaligned bundle pair disqualifies its own hypotheses only
-    hypotheses = []  # (candidate, its direction, child direction, parent side, roll, thetas)
+    if child_direction not in child.module_type.child_directions:
+        return None
+    try:
+        child_side = _child_side(child, child_direction, child_theta, cfg.epsilon2)
+    except NonCollinearBundles:
+        return None  # a misaligned bundle pair disqualifies its own hypotheses only
+    hypotheses = []  # (candidate, its direction, parent side, roll, thetas)
     f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
     for cand in neighbors(child, pool, db, cfg):
-        pt = cand.module_type
         observed = relative(cand.master_pose, child.master_pose).matrix()
-        for d_p in filter(pt.can_parent, pt.directions()):
+        for d_p in cand.module_type.parent_directions:
             try:
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
-            for d_c, child_side in child_sides:
-                model = _PairModel(parent_side, child_side, observed, cfg.weights)
-                theta_n, theta_c = model.solve()
-                f_values += model.residual(theta_n, theta_c).tolist()
-                hypotheses.append((cand, d_p, d_c, parent_side, measured, theta_n, theta_c))
+            model = _PairModel(parent_side, child_side, observed, cfg.weights)
+            theta_n, theta_c = model.solve()
+            f_values += model.residual(theta_n, theta_c).tolist()
+            hypotheses.append((cand, d_p, parent_side, measured, theta_n, theta_c))
     if not f_values:
         return None
     n = len(CONNECTION_ANGLES)
@@ -681,9 +650,9 @@ def find_parent_optimization(
     best = min((i for i, f in enumerate(f_values) if f <= cutoff), key=order)
     if not f_values[best] <= cfg.f_threshold:
         return None
-    (cand, d_p, d_c, parent_side, measured, theta_n, _), k = hypotheses[best // n], best % n
+    (cand, d_p, parent_side, measured, theta_n, _), k = hypotheses[best // n], best % n
     theta = measured if parent_side.axis is None else float(theta_n[k])
-    return ParentMatch(cand, CONNECTION_ANGLES[k], d_p, d_c, theta=theta, f_value=f_values[best])
+    return ParentMatch(cand, CONNECTION_ANGLES[k], d_p, theta=theta, f_value=f_values[best])
 
 
 def _grow_branch(
@@ -694,12 +663,14 @@ def _grow_branch(
 ) -> tuple[list[ChainLink], set[str]]:
     """Walk from an end-effector toward the base.
 
-    Returns the base-first links and the serials the walk claimed.
+    The start tool is upright; each later child keeps the direction it was
+    matched with as a parent.  Returns the base-first links and the serials
+    the walk claimed.
     """
     claimed = {start.serial}
     links_end_first: list[ChainLink] = []
     child = start
-    child_direction: str | None = None
+    child_direction = UPRIGHT
     child_theta: float | None = None  # the child's state as solved when it was matched
     while True:
         pool = [m for m in detected if m.serial not in claimed]
@@ -707,16 +678,10 @@ def _grow_branch(
             match = find_parent_optimization(child, pool, db, cfg, child_direction, child_theta)
         else:
             match = find_parent_geometric(child, pool, db, cfg, child_direction)
+        angle = None if match is None else match.connection_angle
+        links_end_first.append(ChainLink(child, angle, child_direction, solver_theta=child_theta))
         if match is None:
-            links_end_first.append(
-                ChainLink(child, None, child_direction or UPRIGHT, solver_theta=child_theta)
-            )
             break
-        links_end_first.append(
-            ChainLink(
-                child, match.connection_angle, match.child_direction, solver_theta=child_theta
-            )
-        )
         claimed.add(match.module.serial)
         child = match.module
         child_direction = match.parent_direction

@@ -94,6 +94,12 @@ class ModuleType:
     # onto the link this module is attached by, at each of the CONNECTION_ANGLES.
     link_out: dict[str, Pose] = field(init=False, repr=False, compare=False)
     mates: dict[tuple[str, float], Pose] = field(init=False, repr=False, compare=False)
+    # Legal install directions, built with the type: anywhere, as the parent of a
+    # mate and as its child.  A tool's one connector faces its child only when
+    # the tool is inverted, and its parent only when it is upright.
+    directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    parent_directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    child_directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_type_code(self.code):
@@ -133,6 +139,11 @@ class ModuleType:
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "link_out", link_out)
         object.__setattr__(self, "mates", mates)
+        directions = (UPRIGHT, INVERTED) if self.invertible else (UPRIGHT,)
+        object.__setattr__(self, "directions", directions)
+        for name, barred in (("parent_directions", UPRIGHT), ("child_directions", INVERTED)):
+            legal = tuple(d for d in directions if not (self.is_tool and d == barred))
+            object.__setattr__(self, name, legal)
 
     @property
     def is_joint(self) -> bool:
@@ -154,17 +165,6 @@ class ModuleType:
     def joint_axis(self) -> int | None:
         """Base axis the joint turns about (1 = y, 2 = z); None without a joint."""
         return _JOINT_AXES.get(self.kind)
-
-    def can_parent(self, direction: str) -> bool:
-        """Tools have a single connector: upright tools cannot carry a child."""
-        return not (self.is_tool and direction == UPRIGHT)
-
-    def can_child(self, direction: str) -> bool:
-        """An inverted tool would have to mate through its missing output side."""
-        return not (self.is_tool and direction == INVERTED)
-
-    def directions(self) -> tuple[str, ...]:
-        return (UPRIGHT, INVERTED) if self.invertible else (UPRIGHT,)
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,8 @@ class ModuleDatabase:
     def pair_connected_distance(self, parent_code: str, child_code: str) -> float:
         """Largest master-to-master distance of the two types mated directly.
 
-        Evaluated at zero joint angle over every parentable/childable install
-        combination the catalog allows.
+        Evaluated at zero joint angle over every connection angle and every
+        install combination the catalog allows the parent and the child.
         """
         return self._pair_bounds[parent_code, child_code]
 
@@ -256,16 +256,19 @@ class ModuleDatabase:
 
 
 def _mated_distance(p: ModuleType, c: ModuleType) -> float:
-    """Bound behind `ModuleDatabase.pair_connected_distance`.
+    """Bound behind `ModuleDatabase.pair_connected_distance`: the largest
+    master-to-master distance over both sides' legal directions and the four
+    connection angles.
 
     A pair with no legal mating (e.g. two tools pointing the wrong way)
     keeps a zero bound, so it can never pass a distance check.
     """
-    best, connector = 0.0, CONNECTOR_STACK[CONNECTION_ANGLES.index(0.0)]
-    for dp in filter(p.can_parent, p.directions()):
-        for dc in filter(c.can_child, c.directions()):
-            t = (p.matrices["out", dp] @ connector) @ c.matrices["in", dc]
-            best = max(best, float(np.linalg.norm(t[:3, 3])))
+    best = 0.0
+    for dp in p.parent_directions:
+        for dc in c.child_directions:
+            for connector in CONNECTOR_STACK:
+                t = (p.matrices["out", dp] @ connector) @ c.matrices["in", dc]
+                best = max(best, float(np.linalg.norm(t[:3, 3])))
     return best
 
 

@@ -150,11 +150,13 @@ def forward_poses(
     for i, (entry, record, theta) in enumerate(zip(desc.entries, records, thetas)):
         mt = db.types[entry.type_code]
         direction = INVERTED if entry.inverted else UPRIGHT
-        if entry.inverted and not mt.invertible:
+        if direction not in mt.directions:
             raise ValueError(f"type {entry.type_code!r} cannot be installed inverted")
         if mt.is_tool and 0 < i < len(records) - 1:
             raise ValueError("tool modules may only sit at the ends of a chain")
-        if i and not (parent.can_parent(parent_direction) and mt.can_child(direction)):
+        if i and not (
+            parent_direction in parent.parent_directions and direction in mt.child_directions
+        ):
             raise ValueError(
                 f"chain position {i}: no connector mates {parent.code!r} ({parent_direction})"
                 f" to {mt.code!r} ({direction})"

@@ -230,6 +230,15 @@ def reference_connection_transform(angle_deg: float) -> Pose:
     return compose(Pose._trusted(rot_y(angle_deg), np.zeros(3)), REFERENCE_MATING_FLIP)
 
 
+def reference_directions(mt: ModuleType, side: str) -> list[str]:
+    """Install directions a type may take as the "parent" or the "child" of a mate:
+    those its invertibility allows, except that a tool's one connector faces
+    its child only when inverted and its parent only when upright."""
+    barred = UPRIGHT if side == "parent" else INVERTED
+    directions = [UPRIGHT, INVERTED] if mt.invertible else [UPRIGHT]
+    return [d for d in directions if not (mt.is_tool and d == barred)]
+
+
 def reference_joint_rotation(mt: ModuleType, theta_deg: float) -> Pose:
     """Rotation about the joint axis: y for collinear, z for perpendicular."""
     if mt.is_collinear_joint:
@@ -444,29 +453,24 @@ class ReferencePairModel(identify._PairModel):
         return theta_n, theta_c
 
 
-def reference_find_parent_optimization(
-    child, pool, db, cfg, child_direction=None, child_theta=None
-):
+def reference_find_parent_optimization(child, pool, db, cfg, child_direction, child_theta=None):
     """`identify.find_parent_optimization` building a ParentMatch per connection angle."""
-    ct = child.module_type
     child_sides = []
-    for d_c in (child_direction,) if child_direction is not None else ct.directions():
+    if child_direction in reference_directions(child.module_type, "child"):
         try:
-            if ct.can_child(d_c):
-                side = identify._child_side(child, d_c, child_theta, cfg.epsilon2)
-                child_sides.append((d_c, side))
+            side = identify._child_side(child, child_direction, child_theta, cfg.epsilon2)
+            child_sides.append(side)
         except identify.NonCollinearBundles:
             pass
     scored = []
     for cand in identify.neighbors(child, pool, db, cfg):
-        pt = cand.module_type
         observed = relative(cand.master_pose, child.master_pose).matrix()
-        for d_p in filter(pt.can_parent, pt.directions()):
+        for d_p in reference_directions(cand.module_type, "parent"):
             try:
                 parent_side, measured = identify._parent_side(cand, d_p, cfg.epsilon2)
             except identify.NonCollinearBundles:
                 continue
-            for d_c, child_side in child_sides:
+            for child_side in child_sides:
                 model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
                 theta_n, theta_c = model.solve()
                 f = model.residual(theta_n, theta_c)
@@ -474,7 +478,7 @@ def reference_find_parent_optimization(
                     t_n, t_c = float(theta_n[k]), float(theta_c[k])
                     theta = measured if parent_side.axis is None else t_n
                     match = identify.ParentMatch(
-                        cand, angle, d_p, d_c, theta=theta, f_value=float(f[k])
+                        cand, angle, d_p, theta=theta, f_value=float(f[k])
                     )
                     roll = abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
                     scored.append((match, cand.record.master_marker_id, roll))

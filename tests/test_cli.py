@@ -107,6 +107,13 @@ class TestSynth:
         assert "chain position 1: no connector mates" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_inverted_adapter_exit_1(self, tmp_path, db_path, capsys):
+        path = tmp_path / "s.json"
+        args = ["synth", "--chain", "A'-G0", "--db", str(db_path), "--seed", "1"]
+        assert main([*args, "--out", str(path)]) == 1
+        assert "type 'A' cannot be installed inverted" in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestIdentify:
     def test_out_directory_exit_1(self, scene_path, db_path, tmp_path, capsys):
@@ -223,6 +230,19 @@ class TestIdentify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert name in captured.err
+
+    def test_eps1_beyond_the_catalog_exit_1(self, scene_path, db_path, capsys):
+        args = ["identify", "--scene", str(scene_path), "--db", str(db_path), "--eps1", "80"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "epsilon1 (80.0 mm) must be well below" in captured.err
+
+    def test_scene_not_an_array_exit_1(self, tmp_path, db_path, capsys):
+        scene = tmp_path / "scene.json"
+        scene.write_text("{}")
+        assert main(["identify", "--scene", str(scene), "--db", str(db_path)]) == 1
+        assert "scene file must contain a JSON array" in capsys.readouterr().err
 
     def test_missing_db_exit_1(self, scene_path, tmp_path, capsys):
         code = main(

@@ -85,6 +85,15 @@ class TestIdentifyConfig:
         with pytest.raises(ValueError, match=message):
             IdentifyConfig(**{name: math.nan})
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'x'"):
+            IdentifyConfig(method="x")
+
+    def test_epsilon1_checked_against_the_catalog(self, db):
+        # The default catalog's largest pair bound is 150 mm.
+        with pytest.raises(ValueError, match="well below the maximum connected distance"):
+            build_chain(synthesize(parse("L-G0"), [], db), db, IdentifyConfig(epsilon1=80.0))
+
 
 class TestValidateMarkers:
     def test_spurious_rejected(self, db):
@@ -183,10 +192,9 @@ class TestConstraintCheck:
     def test_link_parents_gripper(self, db):
         obs = synthesize(parse("L-G0"), [], db)
         by, _, _ = detected_by_serial(obs, db)
-        result = constraint_check(by["L-001"], by["G-001"], db, IdentifyConfig())
+        result = constraint_check(by["L-001"], by["G-001"], db, IdentifyConfig(), UPRIGHT)
         assert result.satisfied
         assert result.parent_direction == UPRIGHT
-        assert result.child_direction == UPRIGHT
 
     def test_reversed_pair_reads_as_inverted(self, db):
         # Viewed from the other end the same geometry is a valid inverted
@@ -194,10 +202,9 @@ class TestConstraintCheck:
         # both directions, exactly like the bi-directional climbing robot.
         obs = synthesize(parse("L-G0"), [], db)
         by, _, _ = detected_by_serial(obs, db)
-        result = constraint_check(by["G-001"], by["L-001"], db, IdentifyConfig())
+        result = constraint_check(by["G-001"], by["L-001"], db, IdentifyConfig(), INVERTED)
         assert result.satisfied
         assert result.parent_direction == INVERTED
-        assert result.child_direction == INVERTED
 
     def test_perpendicular_offset_fails_collinearity(self, db):
         obs = synthesize(parse("L-G0"), [], db)
@@ -206,7 +213,7 @@ class TestConstraintCheck:
         child = replace(child, master_pose=Pose(
             child.master_pose.rotation, child.master_pose.translation + [80.0, -100.0, 0.0]
         ))
-        result = constraint_check(by["L-001"], child, db, IdentifyConfig())
+        result = constraint_check(by["L-001"], child, db, IdentifyConfig(), UPRIGHT)
         assert not result.satisfied
 
     def test_distance_gate(self, db):
@@ -216,7 +223,7 @@ class TestConstraintCheck:
         child = replace(child, master_pose=Pose(
             child.master_pose.rotation, child.master_pose.translation + [0.0, 30.0, 0.0]
         ))
-        result = constraint_check(by["L-001"], child, db, IdentifyConfig())
+        result = constraint_check(by["L-001"], child, db, IdentifyConfig(), UPRIGHT)
         assert not result.satisfied
         assert result.reason == "distance"
 
@@ -228,12 +235,21 @@ class TestConstraintCheck:
         )
         assert not result.satisfied
 
+    def test_inverted_tool_is_no_child(self, db):
+        # Read from its end, G'-L0-G0 reaches the inverted base gripper; its
+        # one connector faces its child, so nothing can be its parent.
+        obs = synthesize(parse("G'-L0-G0"), [], db, assignment=["G-002", "L-001", "G-001"])
+        by, _, _ = detected_by_serial(obs, db)
+        result = constraint_check(by["L-001"], by["G-002"], db, IdentifyConfig(), INVERTED)
+        assert not result.satisfied
+        assert result.reason == "child cannot be installed this way"
+
     def test_coincident_candidate_rejected(self, db):
         obs = synthesize(parse("L-G0"), [], db)
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
         decoy = _detected(db, "T", child.master_pose)
-        result = constraint_check(decoy, child, db, IdentifyConfig())
+        result = constraint_check(decoy, child, db, IdentifyConfig(), UPRIGHT)
         assert not result.satisfied
         assert result.reason == "coincident origins"
 
@@ -244,16 +260,15 @@ class TestFindParentGeometric:
         by, detected, _ = detected_by_serial(obs, db)
         child = by["g-001"]
         pool = [d for d in detected if d is not child]
-        match = find_parent_geometric(child, pool, db, IdentifyConfig())
+        match = find_parent_geometric(child, pool, db, IdentifyConfig(), UPRIGHT)
         assert match.module.serial == "i-001"
         assert match.connection_angle == 0.0
         assert match.parent_direction == UPRIGHT
-        assert match.child_direction == UPRIGHT
 
     def test_no_neighbors(self, db):
         obs = synthesize(parse("L-G0"), [], db)
         by, _, _ = detected_by_serial(obs, db)
-        assert find_parent_geometric(by["G-001"], [], db, IdentifyConfig()) is None
+        assert find_parent_geometric(by["G-001"], [], db, IdentifyConfig(), UPRIGHT) is None
 
     def test_overlapping_clone_chains_ambiguous(self, db):
         base_b = Pose.from_translation([1.0, 0.0, 0.0])
@@ -265,7 +280,7 @@ class TestFindParentGeometric:
         child = by["g-001"]
         pool = [d for d in detected if d is not child]
         with pytest.raises(AmbiguousParent) as exc:
-            find_parent_geometric(child, pool, db, IdentifyConfig())
+            find_parent_geometric(child, pool, db, IdentifyConfig(), UPRIGHT)
         assert set(exc.value.candidate_serials) == {"L-001", "L-002"}
 
 
@@ -275,7 +290,7 @@ class TestFindParentOptimization:
         by, detected, _ = detected_by_serial(obs, db)
         child = by["g-001"]
         pool = [d for d in detected if d is not child]
-        match = find_parent_optimization(child, pool, db, IdentifyConfig())
+        match = find_parent_optimization(child, pool, db, IdentifyConfig(), UPRIGHT)
         assert match.module.serial == "i-001"
         assert match.connection_angle == 0.0
         assert match.f_value == pytest.approx(0.0, abs=1e-9)
@@ -293,8 +308,8 @@ class TestFindParentOptimization:
             )
             child = tools[0]
             pool = [d for d in detected if d is not child]
-            geo = find_parent_geometric(child, pool, db, cfg)
-            opt = find_parent_optimization(child, pool, db, cfg)
+            geo = find_parent_geometric(child, pool, db, cfg, UPRIGHT)
+            opt = find_parent_optimization(child, pool, db, cfg, UPRIGHT)
             assert geo.module.serial == opt.module.serial
             assert geo.connection_angle == opt.connection_angle
 
@@ -304,13 +319,13 @@ class TestFindParentOptimization:
         child = by["G-001"]
         far = by["L-001"]
         far = replace(far, master_pose=Pose.from_translation([0.0, 500.0, 0.0]))
-        assert find_parent_optimization(child, [far], db, IdentifyConfig()) is None
+        assert find_parent_optimization(child, [far], db, IdentifyConfig(), UPRIGHT) is None
 
     def test_perpendicular_parent_theta(self, db):
         obs = synthesize(parse("T-G0"), [33.0], db)
         by, detected, _ = detected_by_serial(obs, db)
         child = by["G-001"]
-        match = find_parent_optimization(child, [by["T-001"]], db, IdentifyConfig())
+        match = find_parent_optimization(child, [by["T-001"]], db, IdentifyConfig(), UPRIGHT)
         assert match.theta == pytest.approx(33.0, abs=1e-3)
 
     def test_misaligned_bundles_reject_one_hypothesis(self, db):
@@ -324,9 +339,31 @@ class TestFindParentOptimization:
         )
         decoy = replace(decoy, output_pose=Pose.from_rotation(rot_x(30.0)))
         assert decoy in neighbors(child, [decoy], db, IdentifyConfig())
-        match = find_parent_optimization(child, [decoy, by["T-001"]], db, IdentifyConfig())
+        match = find_parent_optimization(
+            child, [decoy, by["T-001"]], db, IdentifyConfig(), UPRIGHT
+        )
         assert match.module.serial == "T-001"
         assert match.theta == pytest.approx(33.0, abs=1e-9)
+
+    def test_inverted_tool_child_has_no_hypotheses(self, db):
+        obs = synthesize(parse("G'-L0-G0"), [], db, assignment=["G-002", "L-001", "G-001"])
+        by, _, _ = detected_by_serial(obs, db)
+        cfg = IdentifyConfig()
+        assert find_parent_optimization(by["G-002"], [by["L-001"]], db, cfg, INVERTED) is None
+        chain = build_chain(obs, db, replace(cfg, method="optimization"))
+        assert serialize(to_descriptor(chain)) == "G'-L0-G0"
+
+    def test_misaligned_child_bundles_have_no_hypotheses(self, db):
+        # An inverted collinear child enters the pair by its measured roll;
+        # bundles that disagree on the joint axis leave nothing to score.
+        obs = synthesize(parse("L-I'0-G0"), [20.0], db)
+        by, _, _ = detected_by_serial(obs, db)
+        child, cfg = by["I-001"], IdentifyConfig()
+        match = find_parent_optimization(child, [by["L-001"]], db, cfg, INVERTED)
+        assert match.module.serial == "L-001"
+        skewed = compose(child.output_pose, Pose.from_rotation(rot_x(30.0)))
+        child = replace(child, output_pose=skewed)
+        assert find_parent_optimization(child, [by["L-001"]], db, cfg, INVERTED) is None
 
     def test_local_optimality_certificate(self, db):
         # The returned residual is a local minimum: nudging the solved joint
@@ -335,8 +372,8 @@ class TestFindParentOptimization:
         by, detected, _ = detected_by_serial(obs, db)
         child = by["g-001"]
         cfg = IdentifyConfig()
-        match = find_parent_optimization(child, [by["T-001"]], db, cfg)
-        model = _pair_model(match.module, match.parent_direction, child, match.child_direction)
+        match = find_parent_optimization(child, [by["T-001"]], db, cfg, UPRIGHT)
+        model = _pair_model(match.module, match.parent_direction, child, UPRIGHT)
         k = CONNECTION_ANGLES.index(match.connection_angle)
 
         def f(theta_n):
@@ -363,8 +400,8 @@ class TestFindParentOptimization:
         cfg = IdentifyConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            geo = find_parent_geometric(child, [by["I-001"]], db, cfg)
-        opt = find_parent_optimization(child, [by["I-001"]], db, cfg)
+            geo = find_parent_geometric(child, [by["I-001"]], db, cfg, UPRIGHT)
+        opt = find_parent_optimization(child, [by["I-001"]], db, cfg, UPRIGHT)
         assert opt.connection_angle == geo.connection_angle
         assert abs(wrap_angle(opt.theta)) <= 45.0
         assert opt.f_value == pytest.approx(0.0, abs=1e-9)
@@ -391,8 +428,8 @@ class TestClosedFormFit:
     # Every (type, install direction) that can take each side of a pair, so
     # that drawing them needs no filtering.
     _TYPES = default_database().types.values()
-    PARENT_SIDES = [(t.code, d) for t in _TYPES for d in t.directions() if t.can_parent(d)]
-    CHILD_SIDES = [(t.code, d) for t in _TYPES for d in t.directions() if t.can_child(d)]
+    PARENT_SIDES = [(t.code, d) for t in _TYPES for d in t.parent_directions]
+    CHILD_SIDES = [(t.code, d) for t in _TYPES for d in t.child_directions]
 
     @given(
         parent_side=st.sampled_from(PARENT_SIDES),
@@ -584,7 +621,6 @@ def _match_fields(match):
         match.module.serial,
         match.connection_angle,
         match.parent_direction,
-        match.child_direction,
         *bits,
     )
 
@@ -661,8 +697,8 @@ class TestParentSearchOracle:
         obs = [o for o in obs if o.marker_id != output_marker]
         by, _, _ = detected_by_serial(obs, db)
         cfg = IdentifyConfig()
-        got = find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg)
-        want = reference_find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg)
+        got = find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg, UPRIGHT)
+        want = reference_find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg, UPRIGHT)
         assert _match_fields(got) == _match_fields(want)
 
     def test_exact_residual_tie_goes_to_the_lower_marker_id(self, db):
@@ -674,12 +710,13 @@ class TestParentSearchOracle:
         by, _, _ = detected_by_serial(obs, db)
         child, cfg = by["G-001"], IdentifyConfig()
         alone = [
-            find_parent_optimization(child, [by[serial]], db, cfg) for serial in ("L-001", "L-002")
+            find_parent_optimization(child, [by[serial]], db, cfg, UPRIGHT)
+            for serial in ("L-001", "L-002")
         ]
         assert alone[0].f_value == alone[1].f_value
         for pool in ([by["L-001"], by["L-002"]], [by["L-002"], by["L-001"]]):
-            got = find_parent_optimization(child, pool, db, cfg)
-            want = reference_find_parent_optimization(child, pool, db, cfg)
+            got = find_parent_optimization(child, pool, db, cfg, UPRIGHT)
+            want = reference_find_parent_optimization(child, pool, db, cfg, UPRIGHT)
             assert got.module.serial == "L-001"
             assert _match_fields(got) == _match_fields(want)
 

@@ -10,11 +10,19 @@ from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import Pose
-from chainforge.identify import IdentifyConfig, build_chain, build_tree, to_descriptor
+from chainforge.identify import (
+    IdentifiedChain,
+    IdentifyConfig,
+    build_chain,
+    build_tree,
+    to_descriptor,
+)
 from chainforge.modelgen import (
     InconsistentChain,
     JOINT_FIXED,
     JOINT_REVOLUTE,
+    ModelJoint,
+    ModelLink,
     ModelParseError,
     RobotModel,
     generate_model,
@@ -84,6 +92,35 @@ class TestGenerateModel:
         children = [j.child for j in model.joints]
         assert len(children) == len(set(children))
         model_world_frames(model)  # raises if not a rooted tree
+
+    @pytest.mark.parametrize("chain", [[], IdentifiedChain([], [])])
+    def test_empty_chain_rejected(self, db, chain):
+        with pytest.raises(InconsistentChain, match="at least one non-empty chain"):
+            generate_model(chain, db)
+
+    def test_duplicate_link_name_rejected(self, db):
+        # A link module registered under the name of I-001's input link.
+        chain = chain_for(db, "I-L0-G0", [25.0])
+        link = chain.links[1]
+        record = replace(link.module.record, serial="I-001_in")
+        chain.links[1] = replace(link, module=replace(link.module, record=record))
+        with pytest.raises(InconsistentChain, match="duplicate link name 'I-001_in'"):
+            generate_model(chain, db)
+
+    def test_world_frames_need_one_root(self):
+        model = RobotModel("robot", [ModelLink("a", 1.0), ModelLink("b", 1.0)], [])
+        with pytest.raises(InconsistentChain, match="exactly one root link"):
+            model_world_frames(model)
+
+    def test_world_frames_need_a_tree(self):
+        # b and c are each other's child, so the root a reaches neither.
+        joints = [
+            ModelJoint(f"j_{child}", JOINT_FIXED, parent, child, Pose.identity(), (0.0, 0.0, 1.0))
+            for parent, child in (("b", "c"), ("c", "b"))
+        ]
+        model = RobotModel("robot", [ModelLink(name, 1.0) for name in "abc"], joints)
+        with pytest.raises(InconsistentChain, match="not a tree"):
+            model_world_frames(model)
 
 
 class TestForwardKinematicsAgreement:
@@ -322,6 +359,14 @@ class TestModelParseErrors:
         path = model_dir / "edited.xml"
         path.write_text(ET.tostring(root, encoding="unicode"))
         with pytest.raises(ModelParseError):
+            read_model(path)
+
+    def test_xml_metadata_must_be_an_object(self, model_dir):
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        root.find("metadata").text = "[1, 2]"
+        path = model_dir / "edited.xml"
+        path.write_text(ET.tostring(root, encoding="unicode"))
+        with pytest.raises(ModelParseError, match="must hold a JSON object"):
             read_model(path)
 
     def test_truncated_xml_raises_typed(self, model_dir):

@@ -37,6 +37,7 @@ from helpers import (
     field_values,
     record_writes,
     reference_connection_transform,
+    reference_directions,
     reference_link_out,
     reference_mate,
     reference_master_to_childward,
@@ -129,34 +130,33 @@ def test_max_connected_distance_default(db):
 
 
 def test_max_connected_distance_brute_force():
-    # Independent enumeration over ordered type pairs and install options.
-    db = default_database()
-    before = {name: repr(value) for name, value in vars(db).items()}
-    best = 0.0
-    for p in db.types.values():
-        for c in db.types.values():
-            pair = 0.0
-            for dp in p.directions():
-                if not p.can_parent(dp):
-                    continue
-                for dc in c.directions():
-                    if not c.can_child(dc):
-                        continue
-                    t = compose(
-                        compose(
-                            reference_master_to_childward(p, dp),
-                            reference_connection_transform(0.0),
-                        ),
-                        reference_parentward_to_master(c, dc),
-                    )
-                    pair = max(pair, float(np.linalg.norm(t.translation)))
-            assert db.pair_connected_distance(p.code, c.code) == pytest.approx(pair)
-            best = max(best, pair)
-    assert len(db.types) ** 2 == 121
-    assert db.max_connected_distance() == pytest.approx(best)
-    # Queries read precomputed bounds: the database holds no cache that fills.
-    assert not hasattr(db, "_pair_cache")
-    assert {name: repr(value) for name, value in vars(db).items()} == before
+    # Independent enumeration over ordered type pairs, install options and
+    # connection angles; the skewed catalog's mates sit farther apart at
+    # some angles than at 0.
+    for db, pairs in ((default_database(), 121), (_skewed_database(), 16)):
+        before = {name: repr(value) for name, value in vars(db).items()}
+        best = 0.0
+        for p in db.types.values():
+            for c in db.types.values():
+                pair = 0.0
+                for dp in reference_directions(p, "parent"):
+                    for dc in reference_directions(c, "child"):
+                        for angle in CONNECTION_ANGLES:
+                            t = compose(
+                                compose(
+                                    reference_master_to_childward(p, dp),
+                                    reference_connection_transform(angle),
+                                ),
+                                reference_parentward_to_master(c, dc),
+                            )
+                            pair = max(pair, float(np.linalg.norm(t.translation)))
+                assert db.pair_connected_distance(p.code, c.code) == pytest.approx(pair)
+                best = max(best, pair)
+        assert len(db.types) ** 2 == pairs
+        assert db.max_connected_distance() == pytest.approx(best)
+        # Queries read precomputed bounds: the database holds no cache that fills.
+        assert not hasattr(db, "_pair_cache")
+        assert {name: repr(value) for name, value in vars(db).items()} == before
 
 
 def test_trusted_catalog_transforms_are_valid(db):
@@ -193,6 +193,18 @@ def _skewed_type(code: str, kind: str, limits, dual_bundle: bool) -> ModuleType:
     )
 
 
+def _skewed_database() -> ModuleDatabase:
+    return ModuleDatabase(
+        [
+            _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
+            _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
+            _skewed_type("L", "link", None, False),
+            _skewed_type("G", KIND_TOOL, None, False),
+        ],
+        [],
+    )
+
+
 @pytest.mark.parametrize("source", ["built", "loaded", "skewed"])
 def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
     # Every type builds its zero-state matrices and model tables once,
@@ -202,15 +214,7 @@ def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
         save_database(db, tmp_path / "db.json")
         db = load_database(tmp_path / "db.json")
     elif source == "skewed":
-        db = ModuleDatabase(
-            [
-                _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
-                _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
-                _skewed_type("L", "link", None, False),
-                _skewed_type("G", KIND_TOOL, None, False),
-            ],
-            [],
-        )
+        db = _skewed_database()
     for mt in db.types.values():
         reference = {
             ("in", d): reference_parentward_to_master(mt, d) for d in (UPRIGHT, INVERTED)
@@ -315,14 +319,14 @@ def test_inversion_swaps_offsets(db):
 
 def test_tools_cannot_parent_upright(db):
     g = db.types["G"]
-    assert not g.can_parent(UPRIGHT)
-    assert g.can_parent(INVERTED)
-    assert g.can_child(UPRIGHT)
-    assert not g.can_child(INVERTED)
+    assert g.directions == (UPRIGHT, INVERTED)
+    assert g.parent_directions == (INVERTED,)
+    assert g.child_directions == (UPRIGHT,)
 
 
 def test_adapter_not_invertible(db):
-    assert db.types["A"].directions() == (UPRIGHT,)
+    a = db.types["A"]
+    assert a.directions == a.parent_directions == a.child_directions == (UPRIGHT,)
 
 
 def test_joint_limit_invariants():
@@ -388,6 +392,29 @@ def test_any_field_value_loads_or_raises_typed(saved_db_doc, field, value):
         assert main(["db-validate", "--db", str(path)]) == 1
     else:
         assert main(["db-validate", "--db", str(path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc["types"][0].update(kind="wheel"), "unknown kind 'wheel'"),
+        (lambda doc: doc["types"].append(doc["types"][0]), "duplicate type code 'T'"),
+        (lambda doc: doc["modules"][1].update(serial="T-001"), "duplicate serial 'T-001'"),
+        (lambda doc: doc["modules"][0].update(master_marker_id=-1), "marker id -1 is negative"),
+        (lambda doc: doc["types"][0].pop("invertible"), "missing key 'invertible'"),
+        (lambda doc: doc.update(version=2), "top level must be an object with keys"),
+    ],
+    ids=["kind", "type-code", "serial", "marker-id", "missing-key", "top-level"],
+)
+def test_invalid_document_named(tmp_path, db, change, message):
+    path = tmp_path / "db.json"
+    save_database(db, path)
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatabaseValidationError, match=message):
+        load_database(path)
+    assert main(["db-validate", "--db", str(path)]) == 1
 
 
 @pytest.mark.parametrize("marker_id", [1.5, True, "30", None])

@@ -112,6 +112,22 @@ class TestForwardPoses:
         with pytest.raises(MissingInstance):
             forward_poses(parse("L-G0"), [], db, assignment=["T-001", "G-001"])
 
+    def test_assignment_names_one_serial_per_entry(self, db):
+        with pytest.raises(ValueError, match="one serial per chain entry"):
+            forward_poses(parse("L-G0"), [], db, assignment=["L-001"])
+
+    def test_assignment_serial_registered(self, db):
+        with pytest.raises(MissingInstance, match="'G-999' is not registered"):
+            forward_poses(parse("L-G0"), [], db, assignment=["L-001", "G-999"])
+
+    def test_assignment_serial_not_repeated(self, db):
+        with pytest.raises(MissingInstance, match="repeats a serial"):
+            forward_poses(parse("L-L0-G0"), [], db, assignment=["L-001", "L-001", "G-001"])
+
+    def test_inverted_adapter_rejected(self, db):
+        with pytest.raises(ValueError, match="type 'A' cannot be installed inverted"):
+            forward_poses(parse("A'-G0"), [], db)
+
     def test_adjacent_distances_within_bound(self, db):
         rng = np.random.default_rng(11)
         bound = db.max_connected_distance()
@@ -299,6 +315,12 @@ class TestSceneFiles:
         with pytest.raises(SceneParseError) as exc:
             read_scene(path)
         assert exc.value.line is not None
+
+    def test_not_an_array(self, tmp_path):
+        path = tmp_path / "object.json"
+        path.write_text('{"marker_id": 3}')
+        with pytest.raises(SceneParseError, match="JSON array"):
+            read_scene(path)
 
     def test_bad_schema(self, tmp_path):
         path = tmp_path / "bad.json"
