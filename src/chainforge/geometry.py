@@ -244,20 +244,29 @@ def unit_between(p: Pose, c: Pose) -> np.ndarray:
     return d / n
 
 
+def signed_angle(cos: float, triple: float) -> float:
+    """The angle, in degrees, between two unit vectors whose dot product is `cos`
+    (clamped into [-1, 1]); negative when `triple`, the scalar triple product
+    that orients the turn, is."""
+    ang = math.degrees(math.acos(min(max(cos, -1.0), 1.0)))
+    return ang if triple >= 0.0 else -ang
+
+
 def raw_connection_angle(p: Pose, c: Pose) -> float:
     """Signed angle between the z-axes of two mated frames, in (-180, 180].
 
     The magnitude is arccos(z_p . z_c); the sign is positive when the
     rotation axis z_p x z_c points along the parent-to-child direction.
+    The dot products are numpy's, whose fused multiply-adds the result
+    keeps bit for bit.
     """
     u = unit_between(p, c)
     zp = z_axis(p)
     zc = z_axis(c)
-    ang = math.degrees(math.acos(min(max(float(zp @ zc), -1.0), 1.0)))
     # z_p x z_c in the IEEE operations of np.cross, without its overhead.
     (a0, a1, a2), (b0, b1, b2) = zp.tolist(), zc.tolist()
     triple = float(u.dot([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]))
-    return ang if triple >= 0.0 else -ang
+    return signed_angle(float(zp @ zc), triple)
 
 
 def circular_difference(a: float, b: float) -> float:

@@ -30,9 +30,9 @@ from .geometry import (
     WeightMatrix,
     discretize_angle,
     joint_turns,
-    raw_connection_angle,
     relative,
     rot_y,
+    signed_angle,
     unit_between,
     wrap_angle,
 )
@@ -121,10 +121,11 @@ class IdentifyConfig:
 class DetectedModule:
     """A registered module recognized in the scene, with its observed poses.
 
-    Construction takes what the pair tests read: `floats` holds the master
-    origin, y-axis and z-axis as nine floats; for a seen output bundle,
-    `bundle` is the master-to-output transform and `twist` its roll and
-    tilt (see `_bundle_twist`).
+    Construction takes what the pair tests read.  `floats` holds the master
+    origin at 0, its x-, y- and z-axes at 3, 6 and 9, and, when the output
+    bundle is seen, the bundle's z-axis at 12, all as floats.  For a seen
+    output bundle, `bundle` is the master-to-output transform and `twist`
+    its roll and tilt (see `_bundle_twist`).
     """
 
     record: ModuleRecord
@@ -136,9 +137,12 @@ class DetectedModule:
     twist: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _, y, z = self.master_pose.rotation.T.tolist()
-        floats = array("d", self.master_pose.translation.tolist() + y + z)
-        bundle = None if self.output_pose is None else relative(self.master_pose, self.output_pose)
+        x, y, z = self.master_pose.rotation.T.tolist()
+        floats = array("d", self.master_pose.translation.tolist() + x + y + z)
+        bundle = None
+        if self.output_pose is not None:
+            floats.extend(self.output_pose.rotation[:, 2].tolist())
+            bundle = relative(self.master_pose, self.output_pose)
         object.__setattr__(self, "floats", floats)
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "twist", None if bundle is None else _bundle_twist(self))
@@ -273,8 +277,8 @@ def constraint_check(
         return ConstraintResult(False, reason="distance")
 
     u = [v / dist for v in d]
-    yp_dot = _dot(p, 3, u)
-    yc_dot = _dot(c, 3, u)
+    yp_dot = _dot(p, 6, u)
+    yc_dot = _dot(c, 6, u)
     collinear = 1.0 - cfg.epsilon2
     # Same angular tolerance viewed from the joint axis: a swung link stays
     # exactly in the plane normal to its joint's z-axis.
@@ -284,7 +288,7 @@ def constraint_check(
         # Upright perpendicular joint: the child hangs off the swung output
         # link; it must lie in the swing plane, but no y-collinearity holds.
         parent_direction = UPRIGHT
-        if abs(_dot(p, 6, u)) > in_plane:
+        if abs(_dot(p, 9, u)) > in_plane:
             return ConstraintResult(False, reason="child off the parent swing plane")
     else:
         if abs(yp_dot) < collinear:
@@ -298,7 +302,7 @@ def constraint_check(
     if ct.is_perpendicular_joint and child_direction == INVERTED:
         # The master link of an inverted perpendicular joint swings about its
         # own z-axis, so the parent ray must lie in that swing plane.
-        if abs(_dot(c, 6, u)) > in_plane:
+        if abs(_dot(c, 9, u)) > in_plane:
             return ConstraintResult(False, reason="parent off the child swing plane")
     elif abs(yc_dot) < collinear:
         return ConstraintResult(False, reason="child collinearity")
@@ -307,22 +311,17 @@ def constraint_check(
     return ConstraintResult(True, parent_direction)
 
 
-def _effective_frame(module: DetectedModule, direction: str, side: str) -> Pose:
-    """Frame whose z-axis faces the mating, with the master's origin.
+def _mating_z(module: DetectedModule, presents_output: bool) -> int:
+    """Where in `floats` the z-axis facing the mating starts.
 
     Upright collinear-joint parents present their output link to the child,
     and inverted collinear-joint children present theirs to the parent; in
-    both cases the output bundle carries the joint roll that the master
-    frame does not see.
+    both cases the output bundle, when seen, carries the joint roll that
+    the master frame does not see.
     """
-    mt = module.module_type
-    needs_output = mt.is_collinear_joint and (
-        (side == "parent" and direction == UPRIGHT)
-        or (side == "child" and direction == INVERTED)
-    )
-    if needs_output and module.output_pose is not None:
-        return Pose._trusted(module.output_pose.rotation, module.master_pose.translation)
-    return module.master_pose
+    if presents_output and module.module_type.is_collinear_joint and len(module.floats) > 12:
+        return 12
+    return 9
 
 
 def connection_angle_between(
@@ -333,13 +332,19 @@ def connection_angle_between(
 ) -> float:
     """Discrete connection angle of a resolved parent-child pair.
 
-    The raw angle between the mating-side z-axes picks up a 180-degree
-    offset from the connector flip whenever exactly one side of the pair is
-    installed inverted.
+    The raw angle between the mating-side z-axes, taken from `floats` and
+    signed as `raw_connection_angle` signs it, picks up a 180-degree offset
+    from the connector flip whenever exactly one side of the pair is
+    installed inverted.  Only the snapped angle leaves, so the sign is read
+    off the unnormalized parent-to-child vector.
     """
-    p_eff = _effective_frame(parent, parent_direction, "parent")
-    c_eff = _effective_frame(child, child_direction, "child")
-    raw = raw_connection_angle(p_eff, c_eff)
+    p, c = parent.floats, child.floats
+    i = _mating_z(parent, parent_direction == UPRIGHT)
+    j = _mating_z(child, child_direction == INVERTED)
+    (a0, a1, a2), (b0, b1, b2) = p[i : i + 3], c[j : j + 3]
+    d0, d1, d2 = c[0] - p[0], c[1] - p[1], c[2] - p[2]
+    triple = d0 * (a1 * b2 - a2 * b1) + d1 * (a2 * b0 - a0 * b2) + d2 * (a0 * b1 - a1 * b0)
+    raw = signed_angle(a0 * b0 + a1 * b1 + a2 * b2, triple)
     if (parent_direction == INVERTED) != (child_direction == INVERTED):
         raw = wrap_angle(raw + 180.0)
     return discretize_angle(raw)
@@ -384,11 +389,12 @@ def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
     """Roll about the link axis of the master-to-output rotation, and the tilt
     left after removing that roll, in degrees; measured once per module."""
     r = module.bundle.rotation
-    roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
-    residual = rot_y(-roll) @ r
-    return roll, math.degrees(
-        math.acos(float(np.clip((np.trace(residual) - 1.0) / 2.0, -1.0, 1.0)))
-    )
+    r00, _, r02 = r[0].tolist()
+    roll = math.degrees(math.atan2(r02, r00))
+    # The trace keeps numpy's 3x3 product, whose fused multiply-adds fix its
+    # last bits: near zero tilt, acos turns one bit into 1e-6 degrees.
+    d0, d1, d2 = (rot_y(-roll) @ r).diagonal().tolist()
+    return roll, math.degrees(math.acos(min(max((d0 + d1 + d2 - 1.0) / 2.0, -1.0), 1.0)))
 
 
 def _measure_collinear_theta(module: DetectedModule, epsilon2: float) -> float:
@@ -596,6 +602,64 @@ class _PairModel:
         return theta_n, theta_c
 
 
+# Rounding the reach test allows for, relative to the magnitudes it meets.
+_REACH_ROUNDING = 1e-9
+
+
+def _connected_origins(child: _Side) -> list[list[float]]:
+    """C_k q at each connection angle: the child factor's translation q carried
+    across the k-th connector.  No child-side turn moves it."""
+    return (CONNECTOR_STACK[:, :3, :3] @ child.matrix[:3, 3]).tolist()
+
+
+def _origin_gaps(
+    parent: _Side, cq: list[list[float]], cand: DetectedModule, child: DetectedModule
+) -> list[float]:
+    """At each connection angle, a lower bound on the distance between the
+    child's master origin seen from the candidate's and the modeled one, at
+    any joint states.
+
+    The modeled origin is b = P_t + P_r C_k q, for the parent factor P and
+    `_connected_origins` cq.  A free parent turns b about its joint axis,
+    which keeps b's axial offset and its radius about the axis, so the
+    distance is at least the hypot of the axial and radial gaps.  Each bound
+    is lowered by a rounding allowance, so that w_t times it never exceeds
+    the residual of `_PairModel`, which is at least w_t times the distance.
+    """
+    f, c = cand.floats, child.floats
+    d0, d1, d2 = c[0] - f[0], c[1] - f[1], c[2] - f[2]
+    o = (  # the candidate's axes dotted with the vector between the origins
+        f[3] * d0 + f[4] * d1 + f[5] * d2,
+        f[6] * d0 + f[7] * d1 + f[8] * d2,
+        f[9] * d0 + f[10] * d1 + f[11] * d2,
+    )
+    (p00, p01, p02, t0), (p10, p11, p12, t1), (p20, p21, p22, t2) = parent.matrix[:3].tolist()
+    scale = (
+        math.hypot(f[0], f[1], f[2])
+        + math.hypot(c[0], c[1], c[2])
+        + math.hypot(t0, t1, t2)
+        + math.hypot(*cq[0])
+    )
+    allowance = _REACH_ROUNDING * scale
+    ax = parent.axis
+    if ax is not None:
+        u, v = TURN_PLANES[ax]
+        o_axial, o_radial = o[ax], math.hypot(o[u], o[v])
+    gaps = []
+    for q0, q1, q2 in cq:
+        b = (
+            t0 + (p00 * q0 + p01 * q1 + p02 * q2),
+            t1 + (p10 * q0 + p11 * q1 + p12 * q2),
+            t2 + (p20 * q0 + p21 * q1 + p22 * q2),
+        )
+        if ax is None:
+            gap = math.hypot(o[0] - b[0], o[1] - b[1], o[2] - b[2])
+        else:
+            gap = math.hypot(o_axial - b[ax], o_radial - math.hypot(b[u], b[v]))
+        gaps.append(gap - allowance)
+    return gaps
+
+
 def find_parent_optimization(
     child: DetectedModule,
     pool: list[DetectedModule],
@@ -610,8 +674,11 @@ def find_parent_optimization(
     at all four connection angles at once; joint angles that influence the
     pair transform are solved in closed form within their joint limits,
     and the residual is the metric at the solved states.  A hypothesis
-    whose bundle pair is misaligned is skipped.  The best candidate is
-    accepted only when its residual stays within the configured threshold.
+    whose bundle pair is misaligned is skipped, and so is one that cannot
+    reach the child: when w_t times every `_origin_gaps` bound exceeds
+    f_threshold + RESIDUAL_TIE, its residuals could neither be accepted nor
+    tie an accepted winner.  The best candidate is accepted only when its
+    residual stays within the configured threshold.
     Residuals within RESIDUAL_TIE of the best tie; ties resolve toward the
     lower marker id, then toward the smallest total solved joint roll, the
     geometric back end's convention of absorbing an unobservable roll into
@@ -624,15 +691,21 @@ def find_parent_optimization(
         child_side = _child_side(child, child_direction, child_theta, cfg.epsilon2)
     except NonCollinearBundles:
         return None  # a misaligned bundle pair disqualifies its own hypotheses only
+    reach = cfg.f_threshold + RESIDUAL_TIE
+    cq = _connected_origins(child_side)
     hypotheses = []  # (candidate, its direction, parent side, roll, thetas)
     f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
     for cand in neighbors(child, pool, db, cfg):
-        observed = relative(cand.master_pose, child.master_pose).matrix()
+        observed = None
         for d_p in cand.module_type.parent_directions:
             try:
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
+            if cfg.weights.w_t * min(_origin_gaps(parent_side, cq, cand, child)) > reach:
+                continue
+            if observed is None:
+                observed = relative(cand.master_pose, child.master_pose).matrix()
             model = _PairModel(parent_side, child_side, observed, cfg.weights)
             theta_n, theta_c = model.solve()
             f_values += model.residual(theta_n, theta_c).tolist()

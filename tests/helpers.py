@@ -19,10 +19,12 @@ from chainforge.geometry import (
     Pose,
     axis_angle,
     compose,
+    discretize_angle,
     invert,
     joint_turns,
     matrix_to_rpy,
     quat_to_matrix,
+    raw_connection_angle,
     relative,
     rot_x,
     rot_y,
@@ -305,6 +307,41 @@ def reference_raw_connection_angle(p: Pose, c: Pose) -> float:
     if float(np.cross(zp, zc) @ u) >= 0.0:
         return ang
     return -ang
+
+
+def reference_effective_frame(module, direction: str, side: str) -> Pose:
+    """Frame whose z-axis faces the mating, with the master's origin: the output
+    bundle's when an upright collinear-joint parent or an inverted one child
+    presents its output link and the bundle is seen, else the master frame."""
+    mt = module.module_type
+    needs_output = mt.is_collinear_joint and (
+        (side == "parent" and direction == UPRIGHT)
+        or (side == "child" and direction == INVERTED)
+    )
+    if needs_output and module.output_pose is not None:
+        return Pose._trusted(module.output_pose.rotation, module.master_pose.translation)
+    return module.master_pose
+
+
+def reference_connection_angle_between(parent, parent_direction, child, child_direction) -> float:
+    """`identify.connection_angle_between` on Pose frames and numpy's dot products."""
+    raw = raw_connection_angle(
+        reference_effective_frame(parent, parent_direction, "parent"),
+        reference_effective_frame(child, child_direction, "child"),
+    )
+    if (parent_direction == INVERTED) != (child_direction == INVERTED):
+        raw = wrap_angle(raw + 180.0)
+    return discretize_angle(raw)
+
+
+def reference_bundle_twist(module) -> tuple[float, float]:
+    """`identify._bundle_twist` with numpy's trace and clip."""
+    r = module.bundle.rotation
+    roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
+    residual = rot_y(-roll) @ r
+    return roll, math.degrees(
+        math.acos(float(np.clip((np.trace(residual) - 1.0) / 2.0, -1.0, 1.0)))
+    )
 
 
 def reference_pose_check(rotation, translation) -> np.ndarray:

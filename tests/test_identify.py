@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from chainforge.geometry import (
     wrap_angle,
 )
 from chainforge.identify import (
+    RESIDUAL_TIE,
     REASON_DUPLICATE,
     REASON_ORPHAN,
     REASON_UNKNOWN_MARKER,
@@ -34,6 +36,7 @@ from chainforge.identify import (
     NoToolModule,
     build_chain,
     build_tree,
+    connection_angle_between,
     constraint_check,
     estimate_joint_angle,
     find_parent_geometric,
@@ -42,7 +45,9 @@ from chainforge.identify import (
     to_descriptor,
     validate_markers,
     _child_side,
+    _connected_origins,
     _fit_joint,
+    _origin_gaps,
     _PairModel,
     _parent_side,
 )
@@ -50,10 +55,13 @@ from chainforge.module_db import INVERTED, UPRIGHT, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
+    ReferencePairModel,
     make_corpus,
     make_two_branch_scene,
     random_base,
     random_chain_case,
+    reference_bundle_twist,
+    reference_connection_angle_between,
     reference_connection_transform,
     reference_find_parent_optimization,
     reference_fit_joint,
@@ -738,6 +746,197 @@ class TestParentSearchOracle:
         limits = (hi - span, hi)
         got = _fit_joint(axis, h, limits)
         assert got.tobytes() == reference_fit_joint(axis, h, limits).tobytes()
+
+
+def _corpus_and_noise_rows(db, corpus_size: int, draws: int) -> list:
+    """The first scenes of the criterion-2 corpus, then the first criterion-4 joint
+    draws under each of the four noise rows."""
+    scenes = [
+        synthesize(desc, thetas, db, base=base)
+        for desc, _, thetas, base in make_corpus(db, corpus_size, 20260808)
+    ]
+    desc = parse("I-T'0-T'0-A0-t0-i0-g0")
+    rows = [(2.0, 3, 0.0), (4.0, 3, 0.0), (6.0, 3, 0.0), (2.0, 0, 0.05)]
+    rng = np.random.default_rng(4242)
+    for k in range(draws):
+        thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180.0, 120.0, 120.0, 120.0, 180.0)]
+        for sigma, spurious, dropout in rows:
+            cfg = SceneConfig(
+                sigma_pos=sigma,
+                sigma_rot=sigma,
+                dropout_prob=dropout,
+                spurious_count=spurious,
+                seed=9000 + k,
+            )
+            scenes.append(synthesize(desc, thetas, db, cfg=cfg))
+    return scenes
+
+
+def _hypotheses(child, pool, db, cfg, child_direction, child_theta=None) -> list[tuple]:
+    """(candidate, parent side, child side) of every hypothesis a search enumerates."""
+    if child_direction not in child.module_type.child_directions:
+        return []
+    try:
+        child_side = _child_side(child, child_direction, child_theta, cfg.epsilon2)
+    except NonCollinearBundles:
+        return []
+    found = []
+    for cand in neighbors(child, pool, db, cfg):
+        for d_p in cand.module_type.parent_directions:
+            try:
+                parent_side, _ = _parent_side(cand, d_p, cfg.epsilon2)
+            except NonCollinearBundles:
+                continue
+            found.append((cand, parent_side, child_side))
+    return found
+
+
+class _CountedPairModel(_PairModel):
+    built = 0
+
+    def __init__(self, *args):
+        type(self).built += 1
+        super().__init__(*args)
+
+
+class TestReachTest:
+    """A hypothesis whose modeled child origin stays out of reach of the observed
+    one is skipped before its pair model is built."""
+
+    _TYPES = default_database().types.values()
+    PARENT_KINDS = {
+        "fixed": [
+            (t.code, d) for t in _TYPES for d in t.parent_directions
+            if not (t.is_joint and d == UPRIGHT)
+        ],
+        "free-y": [(t.code, UPRIGHT) for t in _TYPES if t.is_collinear_joint],
+        "free-z": [(t.code, UPRIGHT) for t in _TYPES if t.is_perpendicular_joint],
+        "bundle-measured": [(t.code, UPRIGHT) for t in _TYPES if t.is_collinear_joint],
+    }
+    CHILD_KINDS = {
+        "fixed": [
+            (t.code, d) for t in _TYPES for d in t.child_directions
+            if not (t.is_joint and d == INVERTED)
+        ],
+        "free": [(t.code, INVERTED) for t in _TYPES if t.is_joint],
+        "measured-theta": [(t.code, INVERTED) for t in _TYPES if t.is_joint],
+    }
+
+    @pytest.mark.parametrize("parent_kind", PARENT_KINDS)
+    @pytest.mark.parametrize("child_kind", CHILD_KINDS)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        near=st.booleans(),
+        states=st.lists(st.floats(-360.0, 360.0), min_size=11, max_size=11),
+        offset=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gap_never_exceeds_the_residual(
+        self, db, parent_kind, child_kind, data, seed, near, states, offset
+    ):
+        # Far poses are drawn independently; near ones put the child at the
+        # modeled pose of one connection angle and joint state, moved by an
+        # offset, where the bound is tight for a fixed parent.
+        parent_code, parent_dir = data.draw(st.sampled_from(self.PARENT_KINDS[parent_kind]))
+        child_code, child_dir = data.draw(st.sampled_from(self.CHILD_KINDS[child_kind]))
+        k0 = data.draw(st.integers(0, 3))
+        rng = np.random.default_rng(seed)
+        cfg = IdentifyConfig()
+        parent_pose = random_base(rng)
+        output = None
+        if parent_kind == "bundle-measured":
+            bundle = Pose(rot_y(states[8]) @ rot_x(states[9] / 72.0), rng.uniform(-50, 50, 3))
+            output = compose(parent_pose, bundle)
+        parent = DetectedModule(
+            db.records_of_type(parent_code)[0], db.types[parent_code], parent_pose, output
+        )
+        child_theta = states[10] / 2.0 if child_kind == "measured-theta" else None
+        child = _detected(db, child_code, random_base(rng))
+        parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
+        child_side = _child_side(child, child_dir, child_theta, cfg.epsilon2)
+        assert (parent_side.axis is None) == (parent_kind in ("fixed", "bundle-measured"))
+        assert (child_side.axis is None) == (child_kind != "free")
+        theta_n, theta_c = np.array(states[:4]), np.array(states[4:8])
+        if near:
+            modeled = _PairModel(parent_side, child_side, np.eye(4), cfg.weights)
+            m = modeled._stack(theta_n, theta_c)[k0]
+            pose = Pose(m[:3, :3], m[:3, 3] + offset)
+            child = _detected(db, child_code, compose(parent_pose, pose))
+        observed = relative(parent.master_pose, child.master_pose).matrix()
+        model = _PairModel(parent_side, child_side, observed, cfg.weights)
+        gaps = np.array(_origin_gaps(parent_side, _connected_origins(child_side), parent, child))
+        w_t = cfg.weights.w_t
+        assert (w_t * gaps <= model.residual(theta_n, theta_c)).all()
+        assert (w_t * gaps <= model.residual(*model.solve())).all()
+        if near and parent_kind in ("fixed", "bundle-measured"):
+            assert gaps[k0] == pytest.approx(math.hypot(*offset), abs=1e-5)
+
+    def test_skipped_hypotheses_cannot_be_accepted(self, db, monkeypatch):
+        # Every hypothesis the search skips has a reference residual above
+        # f_threshold + RESIDUAL_TIE at all four connection angles; the others
+        # each build one pair model, and with no threshold all of them do.
+        calls = _recorded_searches(db, _corpus_and_noise_rows(db, 100, 3))
+        monkeypatch.setattr(identify, "_PairModel", _CountedPairModel)
+        skipped = total = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for args, kwargs in calls:
+                child, _, _, cfg, *_ = args
+                reach = cfg.f_threshold + RESIDUAL_TIE
+                hypotheses = _hypotheses(*args, **kwargs)
+                kept = 0
+                for cand, parent_side, child_side in hypotheses:
+                    cq = _connected_origins(child_side)
+                    gaps = _origin_gaps(parent_side, cq, cand, child)
+                    if cfg.weights.w_t * min(gaps) <= reach:
+                        kept += 1
+                        continue
+                    observed = relative(cand.master_pose, child.master_pose).matrix()
+                    model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
+                    assert (model.residual(*model.solve()) > reach).all()
+                    skipped += 1
+                total += len(hypotheses)
+                _CountedPairModel.built = 0
+                find_parent_optimization(*args, **kwargs)
+                assert _CountedPairModel.built == kept
+                unbounded = list(args)
+                unbounded[3] = replace(cfg, f_threshold=math.inf)
+                _CountedPairModel.built = 0
+                find_parent_optimization(*unbounded, **kwargs)
+                assert _CountedPairModel.built == len(hypotheses)
+        assert len(calls) > 500
+        assert 0.3 * total < skipped < total
+
+
+def test_link_scalars_match_numpy_reference(db):
+    # On every link that either back end finds, the float connection angle
+    # is the numpy one; every seen bundle pair has the same roll, bit for
+    # bit, and the same tilt within 1e-12 degrees.
+    links = twists = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for obs in _corpus_and_noise_rows(db, 500, 100):
+            detected, _ = validate_markers(obs, db)
+            for module in detected:
+                if module.bundle is not None:
+                    roll, tilt = module.twist
+                    ref_roll, ref_tilt = reference_bundle_twist(module)
+                    assert roll.hex() == ref_roll.hex()
+                    assert abs(tilt - ref_tilt) <= 1e-12
+                    twists += 1
+            for method in ("geometric", "optimization"):
+                try:
+                    chain = build_chain(obs, db, IdentifyConfig(method=method))
+                except IdentifyError:
+                    continue
+                for parent, child in pairwise(chain.links):
+                    args = (parent.module, parent.direction, child.module, child.direction)
+                    assert connection_angle_between(*args) == reference_connection_angle_between(
+                        *args
+                    )
+                    links += 1
+    assert links > 5000 and twists > 1000
 
 
 class TestEstimateJointAngle:
