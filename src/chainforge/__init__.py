@@ -9,12 +9,8 @@ from .geometry import (
     compose,
     discretize_angle,
     invert,
-    pose_distance,
-    raw_connection_angle,
     relative,
     unit_between,
-    y_axis,
-    z_axis,
 )
 from .identify import (
     AmbiguousParent,

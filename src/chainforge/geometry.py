@@ -166,10 +166,6 @@ class Pose:
     def from_rotation(r: np.ndarray) -> "Pose":
         return Pose(r, np.zeros(3))
 
-    @staticmethod
-    def from_translation(t) -> "Pose":
-        return Pose(np.eye(3), np.asarray(t, dtype=float))
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
@@ -222,19 +218,6 @@ class WeightMatrix:
         object.__setattr__(self, "mask", m)
 
 
-def pose_distance(t: Pose, t_ref: Pose, w: WeightMatrix) -> float:
-    """Weighted Frobenius norm of the difference of two homogeneous matrices."""
-    return float(np.linalg.norm(w.mask * (t.matrix() - t_ref.matrix())))
-
-
-def y_axis(p: Pose) -> np.ndarray:
-    return p.rotation[:, 1].copy()
-
-
-def z_axis(p: Pose) -> np.ndarray:
-    return p.rotation[:, 2].copy()
-
-
 def unit_between(p: Pose, c: Pose) -> np.ndarray:
     """Unit vector from the origin of p to the origin of c."""
     d = c.translation - p.translation
@@ -250,23 +233,6 @@ def signed_angle(cos: float, triple: float) -> float:
     that orients the turn, is."""
     ang = math.degrees(math.acos(min(max(cos, -1.0), 1.0)))
     return ang if triple >= 0.0 else -ang
-
-
-def raw_connection_angle(p: Pose, c: Pose) -> float:
-    """Signed angle between the z-axes of two mated frames, in (-180, 180].
-
-    The magnitude is arccos(z_p . z_c); the sign is positive when the
-    rotation axis z_p x z_c points along the parent-to-child direction.
-    The dot products are numpy's, whose fused multiply-adds the result
-    keeps bit for bit.
-    """
-    u = unit_between(p, c)
-    zp = z_axis(p)
-    zc = z_axis(c)
-    # z_p x z_c in the IEEE operations of np.cross, without its overhead.
-    (a0, a1, a2), (b0, b1, b2) = zp.tolist(), zc.tolist()
-    triple = float(u.dot([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]))
-    return signed_angle(float(zp @ zc), triple)
 
 
 def circular_difference(a: float, b: float) -> float:
@@ -287,24 +253,34 @@ def discretize_angle(raw: float) -> float:
     )
 
 
+def quat_rows(x: float, y: float, z: float, w: float, n: float) -> list[float]:
+    """Rotation matrix, row by row as 9 floats, of the quaternion (x, y, z, w) of norm n.
+
+    The textbook formula in plain floats: each IEEE operation, in the same
+    order, is the one the formula performs over numpy arrays, so the bits
+    match that form.
+    """
+    x, y, z, w = x / n, y / n, z / n, w / n
+    return [
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ]
+
+
 def quat_to_matrix(q) -> np.ndarray:
     """Unit quaternion (x, y, z, w) to rotation matrix; an (n, 4) stack gives (n, 3, 3)."""
     q = np.asarray(q, dtype=float)
-    x, y, z, w = q.T
-    n = np.sqrt(x * x + y * y + z * z + w * w)
-    if (n < 1e-12).any():
+    if q.ndim not in (1, 2) or q.shape[-1] != 4:
+        raise ValueError(f"expected one quaternion or an (n, 4) stack, got shape {q.shape}")
+    quats = q.reshape(-1, 4).tolist()
+    norms = [math.sqrt(x * x + y * y + z * z + w * w) for x, y, z, w in quats]
+    if any(n < 1e-12 for n in norms):
         raise ValueError("zero-norm quaternion")
-    if not np.isfinite(n).all():
+    if not all(math.isfinite(n) for n in norms):
         raise ValueError("quaternion norm is not finite")
-    x, y, z, w = x / n, y / n, z / n, w / n
-    r = np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-    return r if q.ndim == 1 else np.ascontiguousarray(r.transpose(2, 0, 1))
+    r = np.array([quat_rows(*v, n) for v, n in zip(quats, norms)]).reshape(-1, 3, 3)
+    return r[0] if q.ndim == 1 else r
 
 
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:
@@ -374,8 +350,13 @@ def pose_to_json(p: Pose) -> dict:
     }
 
 
+def _finite_floats(values: list) -> list[float]:
+    """`finite_number` of each value; a finite float passes as it is."""
+    return [v if type(v) is float and v - v == 0.0 else finite_number(v) for v in values]
+
+
 def pose_fields(t, q) -> tuple[list[float], list[float]]:
-    """The `t` and `q` values of a pose's file form as lists of floats.
+    """The translation and the rotation rows (`quat_rows`) of a pose's file form.
 
     Raises ValueError unless `t` is a list of 3 and `q` a list of 4 finite
     numbers and the quaternion's norm is nonzero and finite.
@@ -383,13 +364,14 @@ def pose_fields(t, q) -> tuple[list[float], list[float]]:
     for name, values, n in (("t", t, 3), ("q", q, 4)):
         if not isinstance(values, list) or len(values) != n:
             raise ValueError(f"{name} must be a list of {n} numbers")
-    x, y, z, w = q = [finite_number(v) for v in q]
+    x, y, z, w = _finite_floats(q)
     norm2 = x * x + y * y + z * z + w * w
     if not math.isfinite(norm2):
         raise ValueError("q is too large to normalize")
-    if math.sqrt(norm2) < 1e-12:
+    n = math.sqrt(norm2)
+    if n < 1e-12:
         raise ValueError("zero-norm quaternion")
-    return [finite_number(v) for v in t], q
+    return _finite_floats(t), quat_rows(x, y, z, w, n)
 
 
 def checked_poses(r: np.ndarray, t: np.ndarray) -> list[Pose]:
@@ -405,10 +387,11 @@ def checked_poses(r: np.ndarray, t: np.ndarray) -> list[Pose]:
 
 
 def poses_from_fields(fields: list[tuple[list[float], list[float]]]) -> list[Pose]:
-    """Poses from `pose_fields` results, built and checked as one stack (InvalidPose)."""
+    """Poses from `pose_fields` results, checked as one stack (InvalidPose)."""
     if not fields:
         return []
-    return checked_poses(quat_to_matrix([f[1] for f in fields]), np.array([f[0] for f in fields]))
+    t, rows = zip(*fields)
+    return checked_poses(np.array(rows).reshape(-1, 3, 3), np.array(t))
 
 
 def pose_from_json(t, q) -> Pose:

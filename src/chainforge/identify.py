@@ -333,10 +333,10 @@ def connection_angle_between(
     """Discrete connection angle of a resolved parent-child pair.
 
     The raw angle between the mating-side z-axes, taken from `floats` and
-    signed as `raw_connection_angle` signs it, picks up a 180-degree offset
-    from the connector flip whenever exactly one side of the pair is
-    installed inverted.  Only the snapped angle leaves, so the sign is read
-    off the unnormalized parent-to-child vector.
+    signed by their triple product with the parent-to-child vector, picks up
+    a 180-degree offset from the connector flip whenever exactly one side of
+    the pair is installed inverted.  Only the snapped angle leaves, so the
+    sign is read off the unnormalized parent-to-child vector.
     """
     p, c = parent.floats, child.floats
     i = _mating_z(parent, parent_direction == UPRIGHT)
@@ -391,10 +391,12 @@ def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
     r = module.bundle.rotation
     r00, _, r02 = r[0].tolist()
     roll = math.degrees(math.atan2(r02, r00))
-    # The trace keeps numpy's 3x3 product, whose fused multiply-adds fix its
-    # last bits: near zero tilt, acos turns one bit into 1e-6 degrees.
-    d0, d1, d2 = (rot_y(-roll) @ r).diagonal().tolist()
-    return roll, math.degrees(math.acos(min(max((d0 + d1 + d2 - 1.0) / 2.0, -1.0), 1.0)))
+    # The tilt is the rotation angle of the residual: atan2 of its skew part
+    # against trace - 1 stays exact near zero, where acos of the trace loses
+    # half the digits.
+    (d0, a01, a02), (a10, d1, a12), (a20, a21, d2) = (rot_y(-roll) @ r).tolist()
+    skew = math.hypot(a21 - a12, a02 - a20, a10 - a01)
+    return roll, math.degrees(math.atan2(skew, d0 + d1 + d2 - 1.0))
 
 
 def _measure_collinear_theta(module: DetectedModule, epsilon2: float) -> float:

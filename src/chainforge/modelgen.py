@@ -18,7 +18,6 @@ import numpy as np
 from .descriptor import ANGLES, serialize
 from .geometry import (
     Pose,
-    axis_angle,
     compose,
     finite_number,
     invert,
@@ -208,35 +207,6 @@ def _emit_module(
     return chainward
 
 
-def model_world_frames(model: RobotModel, base_pose: Pose | None = None) -> dict[str, Pose]:
-    """Forward kinematics of the model at its stored joint angles.
-
-    The root link (never a joint child) is placed at base_pose.
-    """
-    children = {j.child for j in model.joints}
-    roots = [l.name for l in model.links if l.name not in children]
-    if len(roots) != 1:
-        raise InconsistentChain(f"model must have exactly one root link, found {roots}")
-    base = base_pose if base_pose is not None else Pose.identity()
-    frames: dict[str, Pose] = {roots[0]: base}
-    pending = list(model.joints)
-    while pending:
-        progressed = False
-        for joint in list(pending):
-            if joint.parent not in frames:
-                continue
-            local = joint.origin
-            if joint.joint_type == JOINT_REVOLUTE:
-                spin = Pose.from_rotation(axis_angle(joint.axis, joint.angle or 0.0))
-                local = compose(local, spin)
-            frames[joint.child] = compose(frames[joint.parent], local)
-            pending.remove(joint)
-            progressed = True
-        if not progressed:
-            raise InconsistentChain("joint graph is not a tree rooted at one base link")
-    return frames
-
-
 def write_model(model: RobotModel, path, fmt: str | None = None):
     """Write a model as robot-description XML or as its JSON mirror.
 
@@ -288,10 +258,6 @@ def _escaped(text: str) -> str:
     return text.translate(_ATTR_ESCAPES)
 
 
-def _floats(values) -> str:
-    return " ".join(repr(float(v)) for v in values)
-
-
 def _write_model_xml(model: RobotModel, path: str):
     """Render the model as one indented XML document and write it at once."""
     parts = [f"<?xml version='1.0' encoding='utf-8'?>\n<robot name=\"{_escaped(model.name)}\">"]
@@ -306,19 +272,20 @@ def _write_model_xml(model: RobotModel, path: str):
             )
         else:
             parts.append(f'\n  <link name="{name}" />')
-    xyz_m = (np.array([j.origin.translation for j in model.joints]) / 1000.0).tolist()
-    rotations = np.array([j.origin.rotation for j in model.joints]).tolist()
-    for joint, xyz, rotation in zip(model.joints, xyz_m, rotations):
+    for joint in model.joints:
+        x, y, z = joint.origin.translation.tolist()
+        roll, pitch, yaw = matrix_to_rpy(joint.origin.rotation.tolist())
         parts.append(
             f'\n  <joint name="{_escaped(joint.name)}" type="{_escaped(joint.joint_type)}">'
             f'\n    <parent link="{_escaped(joint.parent)}" />'
             f'\n    <child link="{_escaped(joint.child)}" />'
-            f'\n    <origin xyz="{_floats(xyz)}" rpy="{_floats(matrix_to_rpy(rotation))}" />'
+            f'\n    <origin xyz="{x / 1000.0!r} {y / 1000.0!r} {z / 1000.0!r}"'
+            f' rpy="{roll!r} {pitch!r} {yaw!r}" />'
         )
         if joint.joint_type == JOINT_REVOLUTE:
-            lo, hi = joint.limits
+            (lo, hi), (ax, ay, az) = joint.limits, map(float, joint.axis)
             parts.append(
-                f'\n    <axis xyz="{_floats(joint.axis)}" />'
+                f'\n    <axis xyz="{ax!r} {ay!r} {az!r}" />'
                 f'\n    <limit lower="{math.radians(lo)!r}" upper="{math.radians(hi)!r}"'
                 ' effort="0" velocity="0" />'
             )

@@ -22,6 +22,8 @@ from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, Modul
 SPURIOUS_ID_BASE = 10**6
 SPURIOUS_ID_SPAN = 10**4
 
+SCENE_KEYS = frozenset(("marker_id", "t", "q"))
+
 
 class SynthError(Exception):
     """Base class for scene-synthesis failures."""
@@ -301,10 +303,8 @@ def read_scene(path) -> list[MarkerObservation]:
         raise SceneParseError("scene file must contain a JSON array")
     marker_ids, fields = [], []
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or set(entry) != {"marker_id", "t", "q"}:
-            raise SceneParseError(
-                f"observation {i} must have exactly keys marker_id, t, q"
-            )
+        if not isinstance(entry, dict) or entry.keys() != SCENE_KEYS:
+            raise SceneParseError(f"observation {i}: must have exactly keys marker_id, t, q")
         marker_id = entry["marker_id"]
         if not isinstance(marker_id, int) or isinstance(marker_id, bool) or marker_id < 0:
             raise SceneParseError(f"observation {i}: marker_id must be a non-negative integer")

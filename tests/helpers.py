@@ -22,16 +22,18 @@ from chainforge.geometry import (
     discretize_angle,
     invert,
     joint_turns,
+    InvalidPose,
+    WeightMatrix,
+    checked_poses,
+    finite_number,
     matrix_to_rpy,
-    quat_to_matrix,
-    raw_connection_angle,
     relative,
     rot_x,
     rot_y,
     rot_z,
+    signed_angle,
     unit_between,
     wrap_angle,
-    z_axis,
 )
 from chainforge import modelgen
 from chainforge.modelgen import (
@@ -56,6 +58,7 @@ from chainforge.synth import (
     MarkerObservation,
     ModulePlacement,
     SceneConfig,
+    SceneParseError,
     assign_instances,
     forward_poses,
     synthesize,
@@ -215,6 +218,13 @@ json_values = st.recursive(
     max_leaves=12,
 )
 field_values = json_values | st.lists(_json_scalars, min_size=2, max_size=4)
+# Numbers a vector field may hold besides plain floats: bools, integers too
+# large for a float, NaN and the infinities, and magnitudes near the limits.
+odd_numbers = (
+    st.booleans()
+    | st.integers(min_value=10**300, max_value=10**400)
+    | st.sampled_from([math.inf, -math.inf, math.nan, 0, -0.0, 1e200, 1e-200, 1e155])
+)
 
 
 # --- Reference implementations ----------------------------------------------
@@ -297,6 +307,100 @@ def reference_quat_to_matrix(q) -> np.ndarray:
     )
 
 
+def reference_numpy_quat_to_matrix(q) -> np.ndarray:
+    """Unit quaternion (x, y, z, w) to rotation matrix, the formula evaluated over
+    numpy arrays; an (n, 4) stack gives (n, 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    x, y, z, w = q.T
+    n = np.sqrt(x * x + y * y + z * z + w * w)
+    if (n < 1e-12).any():
+        raise ValueError("zero-norm quaternion")
+    if not np.isfinite(n).all():
+        raise ValueError("quaternion norm is not finite")
+    x, y, z, w = x / n, y / n, z / n, w / n
+    r = np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+    return r if q.ndim == 1 else np.ascontiguousarray(r.transpose(2, 0, 1))
+
+
+def reference_read_scene(path) -> list[MarkerObservation]:
+    """`synth.read_scene` for a JSON document: each field through `finite_number`, the
+    norm checked in floats, then every rotation from `reference_numpy_quat_to_matrix`
+    over the scene's stack."""
+    doc = json.loads(open(path, encoding="utf-8").read())
+    if not isinstance(doc, list):
+        raise SceneParseError("scene file must contain a JSON array")
+    marker_ids, translations, quats = [], [], []
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict) or set(entry) != {"marker_id", "t", "q"}:
+            raise SceneParseError(f"observation {i}: must have exactly keys marker_id, t, q")
+        marker_id, t, q = entry["marker_id"], entry["t"], entry["q"]
+        if not isinstance(marker_id, int) or isinstance(marker_id, bool) or marker_id < 0:
+            raise SceneParseError(f"observation {i}: marker_id must be a non-negative integer")
+        try:
+            for name, values, n in (("t", t, 3), ("q", q, 4)):
+                if not isinstance(values, list) or len(values) != n:
+                    raise ValueError(f"{name} must be a list of {n} numbers")
+            x, y, z, w = q = [finite_number(v) for v in q]
+            norm2 = x * x + y * y + z * z + w * w
+            if not math.isfinite(norm2):
+                raise ValueError("q is too large to normalize")
+            if math.sqrt(norm2) < 1e-12:
+                raise ValueError("zero-norm quaternion")
+            translations.append([finite_number(v) for v in t])
+        except ValueError as exc:
+            raise SceneParseError(f"observation {i}: {exc}") from exc
+        marker_ids.append(marker_id)
+        quats.append(q)
+    if not doc:
+        return []
+    try:
+        poses = checked_poses(reference_numpy_quat_to_matrix(quats), np.array(translations))
+    except InvalidPose as exc:
+        raise SceneParseError(f"observation {exc.index}: {exc}") from exc
+    return [MarkerObservation(m, p) for m, p in zip(marker_ids, poses)]
+
+
+def from_translation(t) -> Pose:
+    """A pure translation, checked by the constructor."""
+    return Pose(np.eye(3), np.asarray(t, dtype=float))
+
+
+def pose_distance(t: Pose, t_ref: Pose, w: WeightMatrix) -> float:
+    """Weighted Frobenius norm of the difference of two homogeneous matrices."""
+    return float(np.linalg.norm(w.mask * (t.matrix() - t_ref.matrix())))
+
+
+def y_axis(p: Pose) -> np.ndarray:
+    return p.rotation[:, 1].copy()
+
+
+def z_axis(p: Pose) -> np.ndarray:
+    return p.rotation[:, 2].copy()
+
+
+def raw_connection_angle(p: Pose, c: Pose) -> float:
+    """Signed angle between the z-axes of two mated frames, in (-180, 180].
+
+    The magnitude is arccos(z_p . z_c); the sign is positive when the
+    rotation axis z_p x z_c points along the parent-to-child direction.
+    The dot products are numpy's; the package signs and clamps through
+    `geometry.signed_angle`, as this does.
+    """
+    u = unit_between(p, c)
+    zp = z_axis(p)
+    zc = z_axis(c)
+    # z_p x z_c in the IEEE operations of np.cross, without its overhead.
+    (a0, a1, a2), (b0, b1, b2) = zp.tolist(), zc.tolist()
+    triple = float(u.dot([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]))
+    return signed_angle(float(zp @ zc), triple)
+
+
 def reference_raw_connection_angle(p: Pose, c: Pose) -> float:
     """Signed angle between the z-axes of two frames, its sign from np.cross."""
     u = unit_between(p, c)
@@ -335,13 +439,13 @@ def reference_connection_angle_between(parent, parent_direction, child, child_di
 
 
 def reference_bundle_twist(module) -> tuple[float, float]:
-    """`identify._bundle_twist` with numpy's trace and clip."""
+    """`identify._bundle_twist` with numpy's trace and norm."""
     r = module.bundle.rotation
     roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
     residual = rot_y(-roll) @ r
-    return roll, math.degrees(
-        math.acos(float(np.clip((np.trace(residual) - 1.0) / 2.0, -1.0, 1.0)))
-    )
+    skew = residual - residual.T
+    norm = np.linalg.norm([skew[2, 1], skew[0, 2], skew[1, 0]])
+    return roll, math.degrees(math.atan2(norm, np.trace(residual) - 1.0))
 
 
 def reference_pose_check(rotation, translation) -> np.ndarray:
@@ -409,7 +513,8 @@ def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig(), a
             t = center + rng.uniform(-1.0, 1.0, size=3) * half
             q = _reference_random_unit(rng)
             q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
-            observations.append(MarkerObservation(int(marker_id), Pose(quat_to_matrix(q), t)))
+            rotation = reference_numpy_quat_to_matrix(q)
+            observations.append(MarkerObservation(int(marker_id), Pose(rotation, t)))
     return observations
 
 
@@ -671,6 +776,35 @@ def _reference_emit_module(link, prev, links, joints, names):
         return swing, master0, connector0
     attach(serial, master0)
     return serial, master0, connector0
+
+
+def model_world_frames(model: RobotModel, base_pose: Pose | None = None) -> dict[str, Pose]:
+    """Forward kinematics of the model at its stored joint angles.
+
+    The root link (never a joint child) is placed at base_pose.
+    """
+    children = {j.child for j in model.joints}
+    roots = [l.name for l in model.links if l.name not in children]
+    if len(roots) != 1:
+        raise InconsistentChain(f"model must have exactly one root link, found {roots}")
+    base = base_pose if base_pose is not None else Pose.identity()
+    frames: dict[str, Pose] = {roots[0]: base}
+    pending = list(model.joints)
+    while pending:
+        progressed = False
+        for joint in list(pending):
+            if joint.parent not in frames:
+                continue
+            local = joint.origin
+            if joint.joint_type == JOINT_REVOLUTE:
+                spin = Pose.from_rotation(axis_angle(joint.axis, joint.angle or 0.0))
+                local = compose(local, spin)
+            frames[joint.child] = compose(frames[joint.parent], local)
+            pending.remove(joint)
+            progressed = True
+        if not progressed:
+            raise InconsistentChain("joint graph is not a tree rooted at one base link")
+    return frames
 
 
 def record_writes(monkeypatch) -> list[bytes]:

@@ -15,7 +15,6 @@ from chainforge.geometry import (
     axis_angle,
     circular_difference,
     discretize_angle,
-    pose_distance,
     wrap_angle,
 )
 from chainforge.identify import (
@@ -28,7 +27,7 @@ from chainforge.identify import (
 )
 from chainforge.synth import SceneConfig, synthesize
 
-from helpers import PAPER_CHAINS, make_corpus, make_two_branch_scene, random_base
+from helpers import PAPER_CHAINS, make_corpus, make_two_branch_scene, pose_distance, random_base
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 500

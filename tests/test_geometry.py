@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainforge.geometry import (
@@ -23,10 +23,8 @@ from chainforge.geometry import (
     joint_turns,
     matrix_to_quat,
     matrix_to_rpy,
-    pose_distance,
     pose_from_json,
     quat_to_matrix,
-    raw_connection_angle,
     relative,
     rot_x,
     rot_y,
@@ -35,15 +33,19 @@ from chainforge.geometry import (
     unit_between,
     wrap_angle,
     write_file,
-    y_axis,
-    z_axis,
 )
 
 from helpers import (
+    from_translation,
+    pose_distance,
+    raw_connection_angle,
     reference_axis_angle,
+    reference_numpy_quat_to_matrix,
     reference_pose_check,
     reference_quat_to_matrix,
     reference_raw_connection_angle,
+    y_axis,
+    z_axis,
 )
 
 I = Pose.identity()
@@ -269,11 +271,11 @@ class TestPoseDistance:
 
     def test_single_translation_entry(self):
         # Only the (0, 3) entry differs, by 1 mm, weighted by w_t = 1.
-        p = Pose.from_translation([1.0, 0.0, 0.0])
+        p = from_translation([1.0, 0.0, 0.0])
         assert pose_distance(p, I, WeightMatrix(w_o=1.0, w_t=1.0)) == pytest.approx(1.0)
 
     def test_linear_in_translation_weight(self):
-        p = Pose.from_translation([3.0, -4.0, 12.0])
+        p = from_translation([3.0, -4.0, 12.0])
         d1 = pose_distance(p, I, WeightMatrix(w_o=1.0, w_t=0.01))
         d2 = pose_distance(p, I, WeightMatrix(w_o=1.0, w_t=0.02))
         assert d2 == pytest.approx(2.0 * d1)
@@ -329,22 +331,22 @@ class TestAxes:
 
 class TestUnitBetween:
     def test_axis_aligned(self):
-        c = Pose.from_translation([0, 100, 0])
+        c = from_translation([0, 100, 0])
         assert np.allclose(unit_between(I, c), [0, 1, 0])
 
     def test_offset_origin(self):
-        p = Pose.from_translation([1, 1, 1])
-        c = Pose.from_translation([1, 1, 2])
+        p = from_translation([1, 1, 1])
+        c = from_translation([1, 1, 2])
         assert np.allclose(unit_between(p, c), [0, 0, 1])
 
     def test_coincident_raises(self):
         with pytest.raises(DegenerateGeometry):
-            unit_between(I, Pose.from_translation([0, 0, 5e-7]))
+            unit_between(I, from_translation([0, 0, 5e-7]))
 
 
 class TestRawConnectionAngle:
     def test_aligned_z(self):
-        c = Pose.from_translation([0, 100, 0])
+        c = from_translation([0, 100, 0])
         assert raw_connection_angle(I, c) == pytest.approx(0.0)
 
     def test_opposed_z(self):
@@ -455,6 +457,39 @@ class TestQuaternions:
             return
         assert quat_to_matrix(quats).tobytes() == np.array(expected).tobytes()
         assert quat_to_matrix(quats[0]).tobytes() == expected[0].tobytes()
+
+    @given(
+        st.lists(
+            st.lists(st.floats() | st.sampled_from([0.0, 1e-7, 1e155]), min_size=4, max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+        st.booleans(),
+    )
+    @example([[1e300, 1e300, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], False)
+    @example([[math.nan, 0.0, 0.0, 1.0]], True)
+    @settings(max_examples=300, deadline=None)
+    def test_float_kernel_matches_numpy_formula(self, quats, single):
+        # One quaternion or a stack, any floats: the same bits as the formula
+        # evaluated over numpy arrays, or the same ValueError.
+        q = quats[0] if single and quats else quats
+
+        def outcome(convert):
+            try:
+                r = convert(q)
+            except ValueError as exc:
+                return str(exc)
+            return r.shape, r.tobytes()
+
+        with np.errstate(all="ignore"):
+            expected = outcome(reference_numpy_quat_to_matrix)
+        assert outcome(quat_to_matrix) == expected
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (8,), (2, 5), (1, 1, 4)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="expected one quaternion"):
+            quat_to_matrix(np.ones(shape))
+        assert quat_to_matrix(np.ones((0, 4))).shape == (0, 3, 3)
 
     @pytest.mark.parametrize(
         "q",

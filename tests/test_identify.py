@@ -15,7 +15,6 @@ from chainforge.geometry import (
     Pose,
     axis_angle,
     compose,
-    pose_distance,
     relative,
     rot_x,
     rot_y,
@@ -56,8 +55,10 @@ from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
     ReferencePairModel,
+    from_translation,
     make_corpus,
     make_two_branch_scene,
+    pose_distance,
     random_base,
     random_chain_case,
     reference_bundle_twist,
@@ -128,7 +129,7 @@ class TestValidateMarkers:
 
     def test_duplicate_keeps_first(self, db):
         pose_a = Pose.identity()
-        pose_b = Pose.from_translation([50, 0, 0])
+        pose_b = from_translation([50, 0, 0])
         obs = [MarkerObservation(50, pose_a), MarkerObservation(50, pose_b)]
         detected, rejected = validate_markers(obs, db)
         assert rejected == [(50, REASON_DUPLICATE)]
@@ -279,7 +280,7 @@ class TestFindParentGeometric:
         assert find_parent_geometric(by["G-001"], [], db, IdentifyConfig(), UPRIGHT) is None
 
     def test_overlapping_clone_chains_ambiguous(self, db):
-        base_b = Pose.from_translation([1.0, 0.0, 0.0])
+        base_b = from_translation([1.0, 0.0, 0.0])
         obs = synthesize(parse("L-g0"), [], db, assignment=["L-001", "g-001"])
         obs += synthesize(
             parse("L-g0"), [], db, base=base_b, assignment=["L-002", "g-002"]
@@ -326,7 +327,7 @@ class TestFindParentOptimization:
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
         far = by["L-001"]
-        far = replace(far, master_pose=Pose.from_translation([0.0, 500.0, 0.0]))
+        far = replace(far, master_pose=from_translation([0.0, 500.0, 0.0]))
         assert find_parent_optimization(child, [far], db, IdentifyConfig(), UPRIGHT) is None
 
     def test_perpendicular_parent_theta(self, db):
@@ -343,7 +344,7 @@ class TestFindParentOptimization:
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
         decoy = _detected(
-            db, "I", Pose.from_translation(child.origin + np.array([0.0, 0.0, 60.0]))
+            db, "I", from_translation(child.origin + np.array([0.0, 0.0, 60.0]))
         )
         decoy = replace(decoy, output_pose=Pose.from_rotation(rot_x(30.0)))
         assert decoy in neighbors(child, [decoy], db, IdentifyConfig())
@@ -909,6 +910,20 @@ class TestReachTest:
         assert 0.3 * total < skipped < total
 
 
+def test_zero_tilt_reads_zero(db):
+    # Every seen bundle pair of the zero-noise acceptance corpus is untilted,
+    # and the tilt reads so to within rounding, not to the 1e-6 degrees an
+    # arccos of the trace can leave.
+    twists = 0
+    for desc, _, thetas, base in make_corpus(db, 500, 20260808):
+        detected, _ = validate_markers(synthesize(desc, thetas, db, base=base), db)
+        for module in detected:
+            if module.twist is not None:
+                assert module.twist[1] < 1e-12
+                twists += 1
+    assert twists > 500
+
+
 def test_link_scalars_match_numpy_reference(db):
     # On every link that either back end finds, the float connection angle
     # is the numpy one; every seen bundle pair has the same roll, bit for
@@ -1057,7 +1072,7 @@ class TestBuildChain:
             parse("l-A0"),
             [],
             db,
-            base=Pose.from_translation([2000.0, 0.0, 0.0]),
+            base=from_translation([2000.0, 0.0, 0.0]),
         )
         chain = build_chain(obs, db)
         assert serialize(to_descriptor(chain)) == "L-G0"

@@ -26,7 +26,6 @@ from chainforge.modelgen import (
     ModelParseError,
     RobotModel,
     generate_model,
-    model_world_frames,
     read_model,
     write_model,
 )
@@ -37,6 +36,7 @@ from helpers import (
     field_values,
     make_corpus,
     make_two_branch_scene,
+    model_world_frames,
     random_base,
     record_writes,
     reference_generate_model,

@@ -14,7 +14,6 @@ from chainforge.geometry import (
     InvalidPose,
     Pose,
     quat_to_matrix,
-    raw_connection_angle,
     relative,
     rot_y,
     unit_between,
@@ -35,11 +34,14 @@ from chainforge.synth import (
 from helpers import (
     field_values,
     make_corpus,
+    odd_numbers,
     random_base,
     random_chain_case,
+    raw_connection_angle,
     record_writes,
     reference_forward_poses,
     reference_quat_to_matrix,
+    reference_read_scene,
     reference_synthesize,
 )
 
@@ -271,6 +273,23 @@ class TestSynthesize:
         for o in got:
             assert not (o.pose.rotation.flags.writeable or o.pose.translation.flags.writeable)
 
+    def test_noise_rows_match_numpy_reference(self, db, tmp_path):
+        # The criterion-4 noise rows, whose spurious markers take their
+        # rotations from the float quaternion kernel, give the scene files
+        # that the numpy quaternion formula gives.
+        desc = parse("I-T'0-T'0-A0-t0-i0-g0")
+        rows = [(2.0, 3, 0.0), (4.0, 3, 0.0), (6.0, 3, 0.0), (2.0, 0, 0.05)]
+        rng = np.random.default_rng(4242)
+        for k in range(10):
+            thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180, 120, 120, 120, 180)]
+            for sigma, spurious, dropout in rows:
+                cfg = SceneConfig(sigma, sigma, dropout, spurious, seed=9000 + k)
+                files = []
+                for make in (synthesize, reference_synthesize):
+                    write_scene(tmp_path / "scene.json", make(desc, thetas, db, cfg=cfg))
+                    files.append((tmp_path / "scene.json").read_bytes())
+                assert files[0] == files[1]
+
     def test_scene_poses_still_checked(self, db, monkeypatch):
         monkeypatch.setattr(synth, "axis_angle", lambda axis, deg: np.diag([1.0, 1.0, -1.0]))
         with pytest.raises(InvalidPose, match="proper"):
@@ -331,6 +350,9 @@ class TestSceneFiles:
     def test_negative_marker_rejected(self):
         with pytest.raises(ValueError):
             MarkerObservation(-1, Pose.identity())
+
+
+ONE_ENTRY = [(1, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])]
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +439,62 @@ class TestSceneBoundary:
                 assert obs.pose.translation.tobytes() == expected.translation.tobytes()
             assert not obs.pose.rotation.flags.writeable
             assert not obs.pose.translation.flags.writeable
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.integers(0, 5000),
+                st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3),
+                # Norms from below the zero-norm bound to past the overflow one.
+                st.tuples(
+                    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4), st.floats(-14, 160)
+                ).map(lambda v: [x * 10.0 ** v[1] for x in v[0]]),
+            ),
+            max_size=8,
+        ),
+        faults=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.sampled_from(["marker_id", "t", "q", "extra key", "missing key"]),
+                field_values
+                | st.lists(st.floats(-1.0, 1.0) | odd_numbers, min_size=2, max_size=5),
+            ),
+            max_size=2,
+        ),
+    )
+    @example(entries=ONE_ENTRY, faults=[(0, "q", [0, True, 0, 1])])
+    @example(entries=ONE_ENTRY, faults=[(0, "t", [0, math.inf, 0])])
+    @example(entries=ONE_ENTRY, faults=[(0, "q", [0, 0, 0, 0])])
+    @example(entries=ONE_ENTRY, faults=[(2, "missing key", 0)])
+    # Both fields bad: the quaternion's checks come first.
+    @example(entries=ONE_ENTRY, faults=[(0, "t", [0, math.inf, 0]), (0, "q", [0, 0, 0, 0])])
+    @example(entries=[(1, [0.0, 0.0, 0.0], [1e200, 1e200, 0.0, 0.0])], faults=[])
+    @settings(max_examples=300, deadline=None)
+    def test_reads_like_numpy_reference(self, fuzz_dir, entries, faults):
+        # Valid and malformed documents, with up to two faults in one entry or
+        # in two: the float read path returns the numpy path's poses bit for
+        # bit, or raises its SceneParseError text.
+        doc = [{"marker_id": m, "t": t, "q": q} for m, t, q in entries]
+        for index, where, value in faults if doc else []:
+            entry = doc[index % len(doc)]
+            if where == "missing key":
+                entry.pop(("marker_id", "t", "q")[index % 3], None)
+            else:
+                entry["extra" if where == "extra key" else where] = value
+        path = fuzz_dir / "document.json"
+        path.write_text(json.dumps(doc))
+
+        def outcome(read):
+            try:
+                observations = read(path)
+            except SceneParseError as exc:
+                return str(exc)
+            return [
+                (o.marker_id, o.pose.rotation.tobytes(), o.pose.translation.tobytes())
+                for o in observations
+            ]
+
+        assert outcome(read_scene) == outcome(reference_read_scene)
 
     @pytest.mark.parametrize("marker_id", [1.5, True, 3.0, "3", None])
     def test_non_integer_marker_id_rejected(self, tmp_path, marker_id):
