@@ -102,23 +102,22 @@ def _checked_rotations(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     drift = np.abs(r.transpose(0, 2, 1) @ r - _EYE).max()  # of the worst pose
     if drift <= ORTHONORMALITY_TOL and np.isfinite(t).all() and np.linalg.det(r).min() >= 0.0:
         return r  # finite, within the tolerance and proper throughout
-    if len(r) > 1:  # one pose at a time, so that the first failing pose raises
-        for i in range(len(r)):
-            try:
-                _checked_rotations(r[i : i + 1], t[i : i + 1])
-            except InvalidPose as exc:
-                exc.index = i
-                raise
-        return r
-    if not (np.isfinite(r).all() and np.isfinite(t).all()):
-        raise InvalidPose("pose has non-finite entries")
-    if drift > 1e-2:
-        raise InvalidPose("rotation is not close to orthonormal")
-    if drift > ORTHONORMALITY_TOL:
-        u, _, vt = np.linalg.svd(r)
-        r[:] = u @ vt
-    if np.linalg.det(r[0]) < 0.0:
-        raise InvalidPose("rotation must be proper (det +1)")
+    for i in range(len(r)):  # one pose at a time, so that the first failing pose raises
+        ri = r[i : i + 1]
+        drift = np.abs(ri.transpose(0, 2, 1) @ ri - _EYE).max()
+        if not (np.isfinite(ri).all() and np.isfinite(t[i]).all()):
+            error = InvalidPose("pose has non-finite entries")
+        elif drift > 1e-2:
+            error = InvalidPose("rotation is not close to orthonormal")
+        else:
+            if drift > ORTHONORMALITY_TOL:
+                u, _, vt = np.linalg.svd(ri)
+                ri[:] = u @ vt
+            if np.linalg.det(ri[0]) >= 0.0:
+                continue
+            error = InvalidPose("rotation must be proper (det +1)")
+        error.index = i
+        raise error
     return r
 
 
@@ -126,9 +125,9 @@ def _checked_rotations(r: np.ndarray, t: np.ndarray) -> np.ndarray:
 class Pose:
     """Rigid transform: orthonormal rotation plus millimetre translation.
 
-    The constructor validates its input and is the path for every pose that
-    enters from outside: files, noise draws and callers of the package.
-    Transforms derived from valid poses or exact rotations inside the
+    The constructor validates its input; its checks serve callers of the
+    package and, as one stack, noise draws (`checked_poses`).  File poses,
+    transforms derived from valid poses and exact rotations inside the
     package go through `_trusted`, which skips the checks.
     """
 
@@ -253,13 +252,21 @@ def discretize_angle(raw: float) -> float:
     )
 
 
-def quat_rows(x: float, y: float, z: float, w: float, n: float) -> list[float]:
-    """Rotation matrix, row by row as 9 floats, of the quaternion (x, y, z, w) of norm n.
+def quat_rows(q: list) -> list[float]:
+    """Rotation matrix, row by row as 9 floats, of the quaternion (x, y, z, w) `q`.
 
-    The textbook formula in plain floats: each IEEE operation, in the same
-    order, is the one the formula performs over numpy arrays, so the bits
-    match that form.
+    The one quaternion check: ValueError unless `q` holds finite numbers with
+    a squared norm a float can hold and a norm of at least 1e-12.  Then the
+    textbook formula in plain floats, each IEEE operation in the order the
+    formula over numpy arrays performs it, so the bits match that form.
     """
+    x, y, z, w = _finite_floats(q)
+    norm2 = x * x + y * y + z * z + w * w
+    if not math.isfinite(norm2):
+        raise ValueError("q is too large to normalize")
+    n = math.sqrt(norm2)
+    if n < 1e-12:
+        raise ValueError("zero-norm quaternion")
     x, y, z, w = x / n, y / n, z / n, w / n
     return [
         1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
@@ -273,13 +280,7 @@ def quat_to_matrix(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim not in (1, 2) or q.shape[-1] != 4:
         raise ValueError(f"expected one quaternion or an (n, 4) stack, got shape {q.shape}")
-    quats = q.reshape(-1, 4).tolist()
-    norms = [math.sqrt(x * x + y * y + z * z + w * w) for x, y, z, w in quats]
-    if any(n < 1e-12 for n in norms):
-        raise ValueError("zero-norm quaternion")
-    if not all(math.isfinite(n) for n in norms):
-        raise ValueError("quaternion norm is not finite")
-    r = np.array([quat_rows(*v, n) for v, n in zip(quats, norms)]).reshape(-1, 3, 3)
+    r = np.array([quat_rows(v) for v in q.reshape(-1, 4).tolist()]).reshape(-1, 3, 3)
     return r[0] if q.ndim == 1 else r
 
 
@@ -355,25 +356,6 @@ def _finite_floats(values: list) -> list[float]:
     return [v if type(v) is float and v - v == 0.0 else finite_number(v) for v in values]
 
 
-def pose_fields(t, q) -> tuple[list[float], list[float]]:
-    """The translation and the rotation rows (`quat_rows`) of a pose's file form.
-
-    Raises ValueError unless `t` is a list of 3 and `q` a list of 4 finite
-    numbers and the quaternion's norm is nonzero and finite.
-    """
-    for name, values, n in (("t", t, 3), ("q", q, 4)):
-        if not isinstance(values, list) or len(values) != n:
-            raise ValueError(f"{name} must be a list of {n} numbers")
-    x, y, z, w = _finite_floats(q)
-    norm2 = x * x + y * y + z * z + w * w
-    if not math.isfinite(norm2):
-        raise ValueError("q is too large to normalize")
-    n = math.sqrt(norm2)
-    if n < 1e-12:
-        raise ValueError("zero-norm quaternion")
-    return _finite_floats(t), quat_rows(x, y, z, w, n)
-
-
 def checked_poses(r: np.ndarray, t: np.ndarray) -> list[Pose]:
     """Poses over a non-empty stack of rotations (n, 3, 3) and translations (n, 3).
 
@@ -386,17 +368,19 @@ def checked_poses(r: np.ndarray, t: np.ndarray) -> list[Pose]:
     return [Pose._trusted(ri.copy(), ti.copy()) for ri, ti in zip(r, t)]
 
 
-def poses_from_fields(fields: list[tuple[list[float], list[float]]]) -> list[Pose]:
-    """Poses from `pose_fields` results, checked as one stack (InvalidPose)."""
-    if not fields:
-        return []
-    t, rows = zip(*fields)
-    return checked_poses(np.array(rows).reshape(-1, 3, 3), np.array(t))
-
-
 def pose_from_json(t, q) -> Pose:
-    """Checked pose from the `t` and `q` values of the file form (ValueError)."""
-    return poses_from_fields([pose_fields(t, q)])[0]
+    """Pose from the `t` and `q` values of the file form, its one reader (ValueError).
+
+    Checks the shapes, then q (`quat_rows`), then t.  Each normalized component
+    of an accepted q is at most 1 in size, so its rotation is orthonormal to a
+    few ulps and proper: the constructor's checks would keep it bit for bit.
+    """
+    for name, values, n in (("t", t, 3), ("q", q, 4)):
+        if not isinstance(values, list) or len(values) != n:
+            raise ValueError(f"{name} must be a list of {n} numbers")
+    r = np.array(quat_rows(q))
+    r.shape = (3, 3)  # in place: a reshaped view would keep the flat array alive too
+    return Pose._trusted(r, np.array(_finite_floats(t)))
 
 
 def rpy_to_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:

@@ -477,9 +477,10 @@ def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndar
     lo, hi = limits
     # numpy's trig, whose last bits math's does not share; the rest in floats.
     # The max covers a shift that rounding leaves just short of lo (for a
-    # denormal lo - t the quotient underflows to 0).
+    # denormal lo - t the quotient underflows to 0).  A zero shift leaves t and
+    # a tie keeps lo, so that a zero keeps the sign numpy's arithmetic gives it.
     raw = np.degrees(np.arctan2(q, p)).tolist()
-    theta = [max(t + 360.0 * math.ceil((lo - t) / 360.0), lo) for t in raw]
+    theta = [max(lo, t + 360.0 * k if (k := math.ceil((lo - t) / 360.0)) else t) for t in raw]
     if max(theta) > hi:
         ends = np.radians(limits)
         (c_lo, c_hi), (s_lo, s_hi) = np.cos(ends).tolist(), np.sin(ends).tolist()
@@ -787,9 +788,9 @@ def _estimate_chain_angles(
 def _identify(
     observations: list[MarkerObservation], db: ModuleDatabase, cfg: IdentifyConfig, tree: bool
 ) -> list[IdentifiedChain]:
-    """Grow a branch from the lowest-id tool module, or from every one when
-    `tree` is set, then estimate joint angles.  Detected modules that join
-    no branch are rejected as orphans."""
+    """Grow a branch from every tool module when `tree` is set, else keep the
+    walk `build_chain` describes, then estimate joint angles.  Detected
+    modules that join no kept branch are rejected as orphans."""
     cfg.check_against(db)
     detected, rejected = validate_markers(observations, db)
     tools = sorted(
@@ -799,7 +800,16 @@ def _identify(
     if not tools:
         shape = "tree" if tree else "chain"
         raise NoToolModule(f"no tool module detected; cannot start {shape} construction")
-    walks = [_grow_branch(tool, detected, db, cfg) for tool in (tools if tree else tools[:1])]
+    walks = [_grow_branch(tools[0], detected, db, cfg)]
+    for tool in tools[1:]:
+        if tree:
+            walks.append(_grow_branch(tool, detected, db, cfg))
+        elif len(walks[0][1]) < len(detected):  # the best walk leaves modules unclaimed
+            try:
+                walk = _grow_branch(tool, detected, db, cfg)
+            except IdentifyError:  # a later walk that fails is skipped
+                continue
+            walks = [max(walks[0], walk, key=lambda w: len(w[1]))]  # a tie keeps the lower id
     claimed_anywhere = set().union(*(claimed for _, claimed in walks))
     rejected += [
         (m.record.master_marker_id, REASON_ORPHAN)
@@ -820,10 +830,12 @@ def build_chain(
 ) -> IdentifiedChain:
     """Identify a single serial chain from a scene.
 
-    Starts from the detected tool module with the lowest marker id, grows
-    toward the base by repeated parent search, then estimates every joint
-    angle.  Detected modules that never join the chain are rejected as
-    orphans.
+    Walks toward the base by repeated parent search from the detected tool
+    module with the lowest marker id, and from each next tool by id while
+    the best walk so far leaves modules unclaimed.  It keeps the walk that
+    claims the most (a tie to the lower id; a later walk that raises an
+    IdentifyError is skipped), then estimates every joint angle.  Detected
+    modules that the kept walk never claims are rejected as orphans.
     """
     return _identify(observations, db, cfg, tree=False)[0]
 

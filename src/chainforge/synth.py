@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import CONNECTION_ANGLES, InvalidPose, Pose, axis_angle, checked_poses, joint_turns
-from .geometry import pose_fields, pose_to_json, poses_from_fields, quat_to_matrix, write_file
+from .geometry import CONNECTION_ANGLES, Pose, axis_angle, checked_poses, joint_turns
+from .geometry import pose_from_json, pose_to_json, quat_to_matrix, write_file
 from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
 SPURIOUS_ID_BASE = 10**6
@@ -301,7 +301,7 @@ def read_scene(path) -> list[MarkerObservation]:
             raise SceneParseError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, list):
         raise SceneParseError("scene file must contain a JSON array")
-    marker_ids, fields = [], []
+    observations = []
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or entry.keys() != SCENE_KEYS:
             raise SceneParseError(f"observation {i}: must have exactly keys marker_id, t, q")
@@ -309,12 +309,8 @@ def read_scene(path) -> list[MarkerObservation]:
         if not isinstance(marker_id, int) or isinstance(marker_id, bool) or marker_id < 0:
             raise SceneParseError(f"observation {i}: marker_id must be a non-negative integer")
         try:
-            fields.append(pose_fields(entry["t"], entry["q"]))
+            pose = pose_from_json(entry["t"], entry["q"])
         except ValueError as exc:
             raise SceneParseError(f"observation {i}: {exc}") from exc
-        marker_ids.append(marker_id)
-    try:
-        poses = poses_from_fields(fields)
-    except InvalidPose as exc:
-        raise SceneParseError(f"observation {exc.index}: {exc}") from exc
-    return [MarkerObservation(m, p) for m, p in zip(marker_ids, poses)]
+        observations.append(MarkerObservation(marker_id, pose))
+    return observations

@@ -128,6 +128,34 @@ def random_chain_case(rng: np.random.Generator, db: ModuleDatabase):
     return ChainDescriptor(tuple(entries)), thetas, random_base(rng)
 
 
+def random_two_tool_case(rng: np.random.Generator, db: ModuleDatabase):
+    """Random descriptor, joint angles and base pose of a chain with a tool at each end.
+
+    The base tool is inverted and the end tool upright, with 1-8 middle
+    modules between them that respect the catalog's invertibility flags.
+    """
+    counts = {c: len(db.records_of_type(c)) for c in MID_CODES + TOOL_CODES}
+
+    def pick(codes: list[str]) -> str:
+        code = str(rng.choice([c for c in codes if counts[c] > 0]))
+        counts[code] -= 1
+        return code
+
+    def angle() -> float:
+        return float(rng.choice([-90.0, 0.0, 90.0, 180.0]))
+
+    entries = [ChainEntry(pick(TOOL_CODES), True, None)]
+    thetas: list[float] = []
+    for _ in range(int(rng.integers(1, 9))):
+        code = pick(MID_CODES)
+        inverted = bool(rng.random() < 0.3) and db.types[code].invertible
+        entries.append(ChainEntry(code, inverted, angle()))
+        if db.types[code].is_joint:
+            thetas.append(float(rng.uniform(*db.types[code].joint_limits)))
+    entries.append(ChainEntry(pick(TOOL_CODES), False, angle()))
+    return ChainDescriptor(tuple(entries)), thetas, random_base(rng)
+
+
 def make_corpus(db: ModuleDatabase, count: int, seed: int):
     """Seeded list of (descriptor, canonical string, thetas, base pose)."""
     rng = np.random.default_rng(seed)
@@ -312,11 +340,16 @@ def reference_numpy_quat_to_matrix(q) -> np.ndarray:
     numpy arrays; an (n, 4) stack gives (n, 3, 3)."""
     q = np.asarray(q, dtype=float)
     x, y, z, w = q.T
-    n = np.sqrt(x * x + y * y + z * z + w * w)
-    if (n < 1e-12).any():
-        raise ValueError("zero-norm quaternion")
-    if not np.isfinite(n).all():
-        raise ValueError("quaternion norm is not finite")
+    norm2 = x * x + y * y + z * z + w * w
+    n = np.sqrt(norm2)
+    # The first faulty quaternion names its first fault, with the file readers' messages.
+    for v, v_norm2, v_n in zip(q.reshape(-1, 4), np.ravel(norm2), np.ravel(n)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"expected a finite number, got {float(v[~np.isfinite(v)][0])!r}")
+        if not np.isfinite(v_norm2):
+            raise ValueError("q is too large to normalize")
+        if v_n < 1e-12:
+            raise ValueError("zero-norm quaternion")
     x, y, z, w = x / n, y / n, z / n, w / n
     r = np.array(
         [

@@ -23,7 +23,9 @@ from chainforge.identify import (
     IdentifyError,
     build_chain,
     build_tree,
+    neighbors,
     to_descriptor,
+    validate_markers,
 )
 from chainforge.synth import SceneConfig, synthesize
 
@@ -348,3 +350,31 @@ def test_criterion_8_tree_special_case(db, corpus_scenes):
         f"{len(corpus_scenes)} chain scenes; {trees_ok}/50 two-branch trees "
         f"recovered with the shared prefix identified"
     )
+
+
+def test_boundary_distance_moves_no_output(db, corpus_scenes):
+    # Zero-noise scenes put some non-adjacent modules exactly
+    # max_connected_distance() + epsilon1 = 170 mm apart, so the last bit of
+    # a distance decides whether they are neighbors.  Chain strings and joint
+    # angles must not depend on that bit on either back end.
+    epsilons = (20.0 - 1e-9, 20.0, 20.0 + 1e-9)
+    moved = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for desc, canonical, thetas, base, obs in corpus_scenes:
+            detected, _ = validate_markers(obs, db)
+            found = [
+                [[m.serial for m in neighbors(d, detected, db, IdentifyConfig(epsilon1=eps))]
+                 for d in detected]
+                for eps in (epsilons[0], epsilons[-1])
+            ]
+            moved += found[0] != found[1]
+            for method in ("geometric", "optimization"):
+                outputs = []
+                for eps in epsilons:
+                    chain = build_chain(obs, db, IdentifyConfig(epsilon1=eps, method=method))
+                    angles = [l.joint_angle for l in chain.links]
+                    outputs.append((serialize(to_descriptor(chain)), angles))
+                assert outputs[0] == outputs[1] == outputs[2], (canonical, method)
+    assert moved > 0
+    print(f"BOUNDARY PASS: neighbors moved in {moved} scenes; no chain or joint angle moved")

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chainforge.geometry import (
     matrix_to_quat,
     matrix_to_rpy,
     pose_from_json,
+    quat_rows,
     quat_to_matrix,
     relative,
     rot_x,
@@ -49,6 +51,18 @@ from helpers import (
 )
 
 I = Pose.identity()
+
+MAX_NORM = math.sqrt(sys.float_info.max)
+
+
+def near_norm(drawn) -> list[float]:
+    """A direction scaled to within a few ulps of the norm `bound`."""
+    direction, bound, ulps = drawn
+    n = math.sqrt(sum(v * v for v in direction))
+    scale = bound
+    for _ in range(abs(ulps)):
+        scale = math.nextafter(scale, math.copysign(math.inf, ulps))
+    return [v / n * scale for v in direction]
 
 
 def random_pose(rng):
@@ -178,6 +192,46 @@ class TestPoseFromJson:
     def test_rejects(self, t, q):
         with pytest.raises(ValueError):
             pose_from_json(t, q)
+
+    @given(
+        st.lists(
+            st.integers(-(2**70), 2**70)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.floats(-1e-300, 1e-300),
+            min_size=4,
+            max_size=4,
+        )
+        # Norms about the two bounds, 1e-12 and the square root of the float maximum.
+        | st.tuples(
+            st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+                lambda v: sum(x * x for x in v) > 1e-2
+            ),
+            st.sampled_from([1e-12, MAX_NORM]),
+            st.integers(-4, 4),
+        ).map(near_norm)
+    )
+    @example([0, 0, 0, 1])
+    @example([1, -2, 3, 2**60])
+    @example([5e-324, 0.0, -2e-308, 1.0])  # subnormals
+    @example([1e-12, 0.0, 0.0, 0.0])
+    @example([MAX_NORM, 0.0, 0.0, 0.0])
+    @example([1e150, -1e-150, 5e-324, 7e153])  # mixed magnitudes
+    @settings(max_examples=500, deadline=None)
+    def test_accepted_rotation_passes_pose_checks_unchanged(self, q):
+        # Every quaternion the reader accepts gives, through quat_rows, a
+        # rotation that the constructor's checks keep bit for bit, which is
+        # why a file pose needs no second pass.
+        try:
+            rows = quat_rows(q)
+        except ValueError:
+            return
+        r = np.array(rows).reshape(1, 3, 3)
+        assert np.abs(r[0].T @ r[0] - np.eye(3)).max() <= 1e-12
+        assert np.linalg.det(r[0]) > 0.0
+        assert _checked_rotations(r.copy(), np.zeros((1, 3))).tobytes() == r.tobytes()
+        pose = pose_from_json([0, 0, 0], q)
+        assert pose.rotation.tobytes() == r[0].tobytes()
+        assert pose.rotation.flags.c_contiguous and not pose.rotation.flags.writeable
 
 
 class TestRelative:
@@ -492,16 +546,21 @@ class TestQuaternions:
         assert quat_to_matrix(np.ones((0, 4))).shape == (0, 3, 3)
 
     @pytest.mark.parametrize(
-        "q",
-        [[1e300, 1e300, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0], [0.0, math.inf, 0.0, 1.0]],
+        "q, message",
+        [
+            ([1e300, 1e300, 0.0, 0.0], "q is too large to normalize"),
+            ([math.nan, 0.0, 0.0, 1.0], "expected a finite number, got nan"),
+            ([0.0, math.inf, 0.0, 1.0], "expected a finite number, got inf"),
+        ],
+        ids=["q0", "q1", "q2"],
     )
-    def test_rejects_non_finite_norm(self, q):
-        # An overflowing norm would normalize into the identity, a NaN into NaNs.
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="not finite"):
-                quat_to_matrix(q)
-            with pytest.raises(ValueError, match="not finite"):
-                quat_to_matrix([[0.0, 0.0, 0.0, 1.0], q])
+    def test_rejects_non_finite_norm(self, q, message):
+        # An overflowing norm would normalize into the identity, a NaN into
+        # NaNs; the messages are the file readers'.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quat_to_matrix(q)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quat_to_matrix([[0.0, 0.0, 0.0, 1.0], q])
 
     def test_rpy_round_trip(self):
         rng = np.random.default_rng(6)

@@ -61,6 +61,7 @@ from helpers import (
     pose_distance,
     random_base,
     random_chain_case,
+    random_two_tool_case,
     reference_bundle_twist,
     reference_connection_angle_between,
     reference_connection_transform,
@@ -738,6 +739,8 @@ class TestParentSearchOracle:
         offset=st.floats(-2.0, 2.0),
         span=st.floats(0.0, 360.0),
     )
+    # A state of -0.0 under a zero shift keeps its sign, as numpy's sum does.
+    @example(axis=2, h=[0.0] * 20 + [-0.0] + [0.0] * 43, layers=2, offset=0.0, span=1.0)
     @settings(max_examples=200, deadline=None)
     def test_fit_joint_matches_endpoint_form(self, axis, h, layers, offset, span):
         # The upper limit lies near the highest peak, so that the solved
@@ -1106,6 +1109,29 @@ class TestBuildChain:
         chain = build_chain(obs, db, IdentifyConfig(method=method))
         assert serialize(to_descriptor(chain)) == serialize(desc)
         assert (12, REASON_ORPHAN) in chain.rejected_markers
+
+    @pytest.mark.parametrize("method", ["geometric", "optimization"])
+    # A tree branch that stops early can end in a joint whose angle no neighbor shows.
+    @pytest.mark.filterwarnings("ignore:.*joint angle is unobservable:UserWarning")
+    def test_two_tool_chains_read_in_full(self, db, method):
+        # With an inverted tool at the base, the walk from that tool reads
+        # every module the other way up and stops at the adapter A, which is
+        # not invertible; the walk from the end tool then claims the whole
+        # chain.  The kept walk is the first complete branch of the tree.
+        cfg = IdentifyConfig(method=method)
+        chain = build_chain(synthesize(parse("g'-A90-g0"), [], db), db, cfg)
+        assert serialize(to_descriptor(chain)) == "g'-A90-g0"
+        assert chain.rejected_markers == []
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            desc, thetas, base = random_two_tool_case(rng, db)
+            obs = synthesize(desc, thetas, db, base=base)
+            chain = build_chain(obs, db, cfg)
+            assert len(chain.links) == len(desc.entries)
+            assert chain.rejected_markers == []
+            full = next(b for b in build_tree(obs, db, cfg) if len(b.links) == len(chain.links))
+            assert [l.module.serial for l in chain.links] == [l.module.serial for l in full.links]
+            assert serialize(to_descriptor(chain)) == serialize(to_descriptor(full))
 
     def test_pool_strictly_decreases(self, db):
         # Termination on a long chain plus distractor fragment.
