@@ -24,7 +24,7 @@ from .identify import (
     build_tree,
     to_descriptor,
 )
-from .modelgen import generate_model, write_model
+from .modelgen import InconsistentChain, generate_model, write_model
 from .module_db import DatabaseError, load_database
 from .synth import (
     SceneConfig,
@@ -143,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         ChainSyntaxError,
         DatabaseError,
+        InconsistentChain,
         SceneParseError,
         SynthError,
         ValueError,
@@ -165,20 +166,6 @@ def _cmd_identify(args) -> int:
         chains = build_tree(observations, db, cfg)
     else:
         chains = [build_chain(observations, db, cfg)]
-    for chain in chains:
-        print(serialize(to_descriptor(chain)))
-    printed = set()
-    for chain in chains:
-        for link in chain.links:
-            if link.module.module_type.is_joint and link.module.serial not in printed:
-                printed.add(link.module.serial)
-                angle = "-" if link.joint_angle is None else f"{link.joint_angle:.6f}"
-                print(f"theta {link.module.serial} {angle}")
-    for marker_id, reason in chains[0].rejected_markers:
-        print(f"rejected {marker_id} {reason}", file=sys.stderr)
-    for chain in chains:
-        for note in chain.warnings:
-            print(f"warning: {note}", file=sys.stderr)
     if args.out:
         model = generate_model(
             chains,
@@ -195,6 +182,19 @@ def _cmd_identify(args) -> int:
             },
         )
         write_model(model, args.out, args.format)
+    for chain in chains:
+        print(serialize(to_descriptor(chain)))
+    printed = set()
+    for chain in chains:
+        for link in chain.links:
+            if link.module.module_type.is_joint and link.module.serial not in printed:
+                printed.add(link.module.serial)
+                angle = "-" if link.joint_angle is None else f"{link.joint_angle:.6f}"
+                print(f"theta {link.module.serial} {angle}")
+    for marker_id, reason in chains[0].rejected_markers:
+        print(f"rejected {marker_id} {reason}", file=sys.stderr)
+    for note in dict.fromkeys(note for chain in chains for note in chain.warnings):
+        print(f"warning: {note}", file=sys.stderr)
     return EXIT_OK
 
 

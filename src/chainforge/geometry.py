@@ -161,10 +161,6 @@ class Pose:
     def identity() -> "Pose":
         return Pose._trusted(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_rotation(r: np.ndarray) -> "Pose":
-        return Pose(r, np.zeros(3))
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation

@@ -14,7 +14,6 @@ the observed one under a weighted pose metric.
 from __future__ import annotations
 
 import math
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -423,13 +422,16 @@ def estimate_joint_angle(
     parent: DetectedModule | None,
     child: DetectedModule | None,
     cfg: IdentifyConfig,
-) -> float:
+) -> tuple[float, str | None]:
     """Estimate a joint module's angle from the observed scene.
 
     Collinear joints read the roll between their two bundles.
     Perpendicular joints measure the signed angle, about their master
     z-axis, of the direction toward the neighbor on their output side:
     the chain child when upright, the chain parent when inverted.
+    Returns the angle and None, or the angle and why it is soft: with no
+    neighbor on the output side it is unobservable and reported as 0, and
+    an estimate just outside the limits is clamped to them.
     """
     mt = module.module_type
     if not mt.is_joint:
@@ -439,11 +441,7 @@ def estimate_joint_angle(
     else:
         reference = child if direction == UPRIGHT else parent
         if reference is None:
-            warnings.warn(
-                f"{module.serial}: no neighbor on the output side; joint angle "
-                f"is unobservable, reporting 0"
-            )
-            return 0.0
+            return 0.0, "no neighbor on the output side; joint angle is unobservable, reporting 0"
         u = unit_between(module.master_pose, reference.master_pose)
         local = module.master_pose.rotation.T @ u
         theta = math.degrees(math.atan2(-local[0], local[1]))
@@ -454,11 +452,8 @@ def estimate_joint_angle(
         )
     if theta < lo or theta > hi:
         clamped = min(max(theta, lo), hi)
-        warnings.warn(
-            f"{module.serial}: estimated angle {theta:.2f} clamped to {clamped:.2f}"
-        )
-        theta = clamped
-    return theta
+        return clamped, f"estimated angle {theta:.2f} clamped to {clamped:.2f}"
+    return theta, None
 
 
 def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndarray:
@@ -517,19 +512,17 @@ def _parent_side(
     return (_Side(factor, mt.joint_axis, mt.joint_limits) if free else _Side(factor)), None
 
 
-def _child_side(module: DetectedModule, direction: str, theta: float | None, eps2: float) -> _Side:
+def _child_side(module: DetectedModule, direction: str, eps2: float) -> _Side:
     """Child factor.  Only an inverted joint's state enters it: measured from
-    its bundle pair when both are seen, else the state solved one link down
-    the chain (theta), else free."""
+    its bundle pair when both are seen, else free."""
     mt = module.module_type
+    entered = mt.matrices["in", direction]
     if not (mt.is_joint and direction == INVERTED):
-        return _Side(mt.matrices["in", direction])
+        return _Side(entered)
     if mt.is_collinear_joint and module.output_pose is not None:
         theta = _measure_collinear_theta(module, eps2)
-    entered = mt.matrices["in", direction]
-    if theta is None:
-        return _Side(entered, mt.joint_axis, mt.joint_limits)
-    return _Side(entered @ joint_turns(mt.joint_axis, [-theta])[0])
+        return _Side(entered @ joint_turns(mt.joint_axis, [-theta])[0])
+    return _Side(entered, mt.joint_axis, mt.joint_limits)
 
 
 class _PairModel:
@@ -669,7 +662,6 @@ def find_parent_optimization(
     db: ModuleDatabase,
     cfg: IdentifyConfig,
     child_direction: str,
-    child_theta: float | None = None,
 ) -> ParentMatch | None:
     """Pick the parent by minimizing the weighted pose metric.
 
@@ -691,7 +683,7 @@ def find_parent_optimization(
     if child_direction not in child.module_type.child_directions:
         return None
     try:
-        child_side = _child_side(child, child_direction, child_theta, cfg.epsilon2)
+        child_side = _child_side(child, child_direction, cfg.epsilon2)
     except NonCollinearBundles:
         return None  # a misaligned bundle pair disqualifies its own hypotheses only
     reach = cfg.f_threshold + RESIDUAL_TIE
@@ -751,7 +743,7 @@ def _grow_branch(
     while True:
         pool = [m for m in detected if m.serial not in claimed]
         if cfg.method == METHOD_OPTIMIZATION:
-            match = find_parent_optimization(child, pool, db, cfg, child_direction, child_theta)
+            match = find_parent_optimization(child, pool, db, cfg, child_direction)
         else:
             match = find_parent_geometric(child, pool, db, cfg, child_direction)
         angle = None if match is None else match.connection_angle
@@ -768,19 +760,22 @@ def _grow_branch(
 def _estimate_chain_angles(
     links: list[ChainLink], cfg: IdentifyConfig
 ) -> tuple[list[ChainLink], list[str]]:
-    """The links with their joint angles, and a warning per angle left unestimated."""
+    """The links with their joint angles, and a warning per angle that is
+    soft (unobservable or clamped) or left unestimated."""
     estimated, notes = [], []
     for i, link in enumerate(links):
         if link.module.module_type.is_joint:
             parent = links[i - 1].module if i > 0 else None
             child = links[i + 1].module if i + 1 < len(links) else None
             try:
-                theta = estimate_joint_angle(link.module, link.direction, parent, child, cfg)
+                theta, why = estimate_joint_angle(link.module, link.direction, parent, child, cfg)
                 link = ChainLink(
                     link.module, link.connection_angle, link.direction, theta, link.solver_theta
                 )
             except (NonCollinearBundles, LimitExceeded, DegenerateGeometry) as exc:
-                notes.append(f"joint angle of {link.module.serial}: {exc}")
+                why = exc
+            if why is not None:
+                notes.append(f"joint angle of {link.module.serial}: {why}")
         estimated.append(link)
     return estimated, notes
 

@@ -111,15 +111,11 @@ def generate_model(
     visited: dict[str, tuple[str, Pose]] = {}
     for branch in branches:
         prev: tuple[str, Pose] | None = None
-        for index, link in enumerate(branch.links):
+        for link in branch.links:
             serial = link.module.serial
             if serial in visited:
                 prev = visited[serial]
                 continue
-            if prev is None and index > 0:
-                raise InconsistentChain(
-                    f"branch reaches {serial} without a shared prefix module"
-                )
             _check_angle(link)
             chainward = _emit_module(link, prev, links, joints, names)
             prev = visited[serial] = (chainward, link.module.module_type.link_out[link.direction])

@@ -221,7 +221,7 @@ def make_two_branch_scene(rng: np.random.Generator, db: ModuleDatabase):
     # Second connector face: the output offset swung -90 degrees about the
     # joint axis, i.e. a rigid right-angle port on the joint body.
     side_connector = compose(
-        compose(p_master, Pose.from_rotation(rot_z(-90.0))),
+        compose(p_master, from_rotation(rot_z(-90.0))),
         reference_master_to_childward(p_type, UPRIGHT),
     )
     arm2_serials = grow(side_connector, arm2)
@@ -402,6 +402,11 @@ def reference_read_scene(path) -> list[MarkerObservation]:
 def from_translation(t) -> Pose:
     """A pure translation, checked by the constructor."""
     return Pose(np.eye(3), np.asarray(t, dtype=float))
+
+
+def from_rotation(r) -> Pose:
+    """A pure rotation, checked by the constructor."""
+    return Pose(r, np.zeros(3))
 
 
 def pose_distance(t: Pose, t_ref: Pose, w: WeightMatrix) -> float:
@@ -628,12 +633,12 @@ class ReferencePairModel(identify._PairModel):
         return theta_n, theta_c
 
 
-def reference_find_parent_optimization(child, pool, db, cfg, child_direction, child_theta=None):
+def reference_find_parent_optimization(child, pool, db, cfg, child_direction):
     """`identify.find_parent_optimization` building a ParentMatch per connection angle."""
     child_sides = []
     if child_direction in reference_directions(child.module_type, "child"):
         try:
-            side = identify._child_side(child, child_direction, child_theta, cfg.epsilon2)
+            side = identify._child_side(child, child_direction, cfg.epsilon2)
             child_sides.append(side)
         except identify.NonCollinearBundles:
             pass
@@ -732,13 +737,11 @@ def reference_generate_model(chain, db, name="robot", metadata=None):
     visited = {}
     for branch in branches:
         prev = None
-        for index, link in enumerate(branch.links):
+        for link in branch.links:
             serial = link.module.serial
             if serial in visited:
                 prev = visited[serial]
                 continue
-            if prev is None and index > 0:
-                raise InconsistentChain(f"branch reaches {serial} without a shared prefix module")
             modelgen._check_angle(link)
             prev = visited[serial] = _reference_emit_module(link, prev, links, joints, names)
     meta = {
@@ -830,7 +833,7 @@ def model_world_frames(model: RobotModel, base_pose: Pose | None = None) -> dict
                 continue
             local = joint.origin
             if joint.joint_type == JOINT_REVOLUTE:
-                spin = Pose.from_rotation(axis_angle(joint.axis, joint.angle or 0.0))
+                spin = from_rotation(axis_angle(joint.axis, joint.angle or 0.0))
                 local = compose(local, spin)
             frames[joint.child] = compose(frames[joint.parent], local)
             pending.remove(joint)

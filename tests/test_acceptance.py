@@ -2,7 +2,6 @@
 PASS/FAIL line with its measured numbers (run with -s to see them)."""
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -94,19 +93,17 @@ def test_criterion_2_round_trip_oracle(db):
     started = time.perf_counter()
     exact = 0
     max_theta_err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for desc, canonical, thetas, base in cases:
-            obs = synthesize(desc, thetas, db, base=base)
-            chain = build_chain(obs, db)
-            if serialize(to_descriptor(chain)) == canonical:
-                exact += 1
-            truth = _theta_truth(db, desc, thetas, chain)
-            for link in chain.links:
-                if link.module.serial in truth:
-                    assert link.joint_angle is not None
-                    err = abs(wrap_angle(link.joint_angle - truth[link.module.serial]))
-                    max_theta_err = max(max_theta_err, err)
+    for desc, canonical, thetas, base in cases:
+        obs = synthesize(desc, thetas, db, base=base)
+        chain = build_chain(obs, db)
+        if serialize(to_descriptor(chain)) == canonical:
+            exact += 1
+        truth = _theta_truth(db, desc, thetas, chain)
+        for link in chain.links:
+            if link.module.serial in truth:
+                assert link.joint_angle is not None
+                err = abs(wrap_angle(link.joint_angle - truth[link.module.serial]))
+                max_theta_err = max(max_theta_err, err)
     elapsed = time.perf_counter() - started
     ok = exact == CORPUS_SIZE and max_theta_err <= 1e-6 and elapsed < 30.0
     print(
@@ -123,29 +120,27 @@ def test_criterion_3_method_cross_validation(db, corpus_scenes):
     opt_cfg = IdentifyConfig(method="optimization")
     max_theta_err = 0.0
     solver_thetas = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for desc, canonical, thetas, base, obs in corpus_scenes:
-            chain_geo = build_chain(obs, db, geo_cfg)
-            chain_opt = build_chain(obs, db, opt_cfg)
-            assert [(l.module.serial, l.connection_angle) for l in chain_geo.links] == [
-                (l.module.serial, l.connection_angle) for l in chain_opt.links
-            ]
-            truth = _theta_truth(db, desc, thetas, chain_opt)
-            for index, link in enumerate(chain_opt.links):
-                if link.solver_theta is not None:
-                    solver_thetas += 1
-                    err = abs(wrap_angle(link.solver_theta - truth[link.module.serial]))
-                    max_theta_err = max(max_theta_err, err)
-                if index > 0:
-                    parent = chain_opt.links[index - 1].module
-                    # Every link below an upright joint parent carries the
-                    # parent state the optimizer solved or measured.
-                    if (
-                        parent.module_type.is_joint
-                        and chain_opt.links[index - 1].direction == "upright"
-                    ):
-                        assert chain_opt.links[index - 1].solver_theta is not None
+    for desc, canonical, thetas, base, obs in corpus_scenes:
+        chain_geo = build_chain(obs, db, geo_cfg)
+        chain_opt = build_chain(obs, db, opt_cfg)
+        assert [(l.module.serial, l.connection_angle) for l in chain_geo.links] == [
+            (l.module.serial, l.connection_angle) for l in chain_opt.links
+        ]
+        truth = _theta_truth(db, desc, thetas, chain_opt)
+        for index, link in enumerate(chain_opt.links):
+            if link.solver_theta is not None:
+                solver_thetas += 1
+                err = abs(wrap_angle(link.solver_theta - truth[link.module.serial]))
+                max_theta_err = max(max_theta_err, err)
+            if index > 0:
+                parent = chain_opt.links[index - 1].module
+                # Every link below an upright joint parent carries the
+                # parent state the optimizer solved or measured.
+                if (
+                    parent.module_type.is_joint
+                    and chain_opt.links[index - 1].direction == "upright"
+                ):
+                    assert chain_opt.links[index - 1].solver_theta is not None
     ok = max_theta_err <= 1e-3
     print(
         f"CRITERION 3 {'PASS' if ok else 'FAIL'}: methods agree on all "
@@ -160,28 +155,26 @@ def test_criterion_4_noise_robustness(db, noise_trials):
     canonical = serialize(desc)
     exact = 0
     errors = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for thetas, seed in trials:
-            cfg = SceneConfig(sigma_pos=2.0, sigma_rot=2.0, seed=seed)
-            obs = synthesize(desc, thetas, db, cfg=cfg)
-            try:
-                chain = build_chain(obs, db)
-                got = serialize(to_descriptor(chain))
-            except IdentifyError:
-                got = None
-            if got != canonical:
-                continue
-            exact += 1
-            truth = _theta_truth(db, desc, thetas, chain)
-            for link in chain.links:
-                if link.module.serial in truth:
-                    if link.joint_angle is None:
-                        errors.append(float("inf"))
-                    else:
-                        errors.append(
-                            abs(wrap_angle(link.joint_angle - truth[link.module.serial]))
-                        )
+    for thetas, seed in trials:
+        cfg = SceneConfig(sigma_pos=2.0, sigma_rot=2.0, seed=seed)
+        obs = synthesize(desc, thetas, db, cfg=cfg)
+        try:
+            chain = build_chain(obs, db)
+            got = serialize(to_descriptor(chain))
+        except IdentifyError:
+            got = None
+        if got != canonical:
+            continue
+        exact += 1
+        truth = _theta_truth(db, desc, thetas, chain)
+        for link in chain.links:
+            if link.module.serial in truth:
+                if link.joint_angle is None:
+                    errors.append(float("inf"))
+                else:
+                    errors.append(
+                        abs(wrap_angle(link.joint_angle - truth[link.module.serial]))
+                    )
     errors = np.array(errors)
     within = float((errors <= 5.0).mean())
     ok = exact >= 99 and within >= 0.95
@@ -204,11 +197,9 @@ def test_dropout_roll_ties_resolve_like_geometric(db, noise_trials, draw):
     cfg = SceneConfig(sigma_pos=2.0, sigma_rot=2.0, dropout_prob=0.05, seed=seed)
     obs = synthesize(desc, thetas, db, cfg=cfg)
     links = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for method in ("geometric", "optimization"):
-            chain = build_chain(obs, db, IdentifyConfig(method=method))
-            links.append([(l.module.serial, l.connection_angle, l.direction) for l in chain.links])
+    for method in ("geometric", "optimization"):
+        chain = build_chain(obs, db, IdentifyConfig(method=method))
+        links.append([(l.module.serial, l.connection_angle, l.direction) for l in chain.links])
     assert links[1] == links[0]
 
 
@@ -216,39 +207,37 @@ def test_criterion_5_false_positive_elimination(db, noise_trials):
     desc, trials = noise_trials
     mismatches = 0
     spurious_ok = True
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for thetas, seed in trials:
-            clean_cfg = SceneConfig(sigma_pos=2.0, sigma_rot=2.0, seed=seed)
-            spur_cfg = SceneConfig(
-                sigma_pos=2.0, sigma_rot=2.0, spurious_count=3, seed=seed
-            )
-            try:
-                clean = build_chain(synthesize(desc, thetas, db, cfg=clean_cfg), db)
-                clean_out = [
-                    (l.module.serial, l.connection_angle, l.direction)
-                    for l in clean.links
-                ]
-            except IdentifyError:
-                clean_out = None
-            obs = synthesize(desc, thetas, db, cfg=spur_cfg)
-            try:
-                spur = build_chain(obs, db)
-                spur_out = [
-                    (l.module.serial, l.connection_angle, l.direction)
-                    for l in spur.links
-                ]
-            except IdentifyError:
-                spur_out = None
-            if clean_out != spur_out:
-                mismatches += 1
-                continue
-            spurious_ids = {o.marker_id for o in obs if db.lookup_marker(o.marker_id) is None}
-            rejected_unknown = {
-                m for m, r in spur.rejected_markers if r == REASON_UNKNOWN_MARKER
-            }
-            if spurious_ids != rejected_unknown or len(spurious_ids) != 3:
-                spurious_ok = False
+    for thetas, seed in trials:
+        clean_cfg = SceneConfig(sigma_pos=2.0, sigma_rot=2.0, seed=seed)
+        spur_cfg = SceneConfig(
+            sigma_pos=2.0, sigma_rot=2.0, spurious_count=3, seed=seed
+        )
+        try:
+            clean = build_chain(synthesize(desc, thetas, db, cfg=clean_cfg), db)
+            clean_out = [
+                (l.module.serial, l.connection_angle, l.direction)
+                for l in clean.links
+            ]
+        except IdentifyError:
+            clean_out = None
+        obs = synthesize(desc, thetas, db, cfg=spur_cfg)
+        try:
+            spur = build_chain(obs, db)
+            spur_out = [
+                (l.module.serial, l.connection_angle, l.direction)
+                for l in spur.links
+            ]
+        except IdentifyError:
+            spur_out = None
+        if clean_out != spur_out:
+            mismatches += 1
+            continue
+        spurious_ids = {o.marker_id for o in obs if db.lookup_marker(o.marker_id) is None}
+        rejected_unknown = {
+            m for m, r in spur.rejected_markers if r == REASON_UNKNOWN_MARKER
+        }
+        if spurious_ids != rejected_unknown or len(spurious_ids) != 3:
+            spurious_ok = False
     ok = mismatches == 0 and spurious_ok
     print(
         f"CRITERION 5 {'PASS' if ok else 'FAIL'}: spurious markers never changed "
@@ -323,28 +312,26 @@ def test_criterion_7_parser_totality(db):
 
 
 def test_criterion_8_tree_special_case(db, corpus_scenes):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for desc, canonical, thetas, base, obs in corpus_scenes:
-            branches = build_tree(obs, db)
-            assert len(branches) == 1
-            chain = build_chain(obs, db)
-            assert [
-                (l.module.serial, l.connection_angle, l.direction)
-                for l in branches[0].links
-            ] == [(l.module.serial, l.connection_angle, l.direction) for l in chain.links]
-        rng = np.random.default_rng(808)
-        trees_ok = 0
-        for _ in range(50):
-            obs, trunk, arm1, arm2 = make_two_branch_scene(rng, db)
-            branches = build_tree(obs, db)
-            assert len(branches) == 2
-            got = {tuple(l.module.serial for l in b.links) for b in branches}
-            assert got == {tuple(trunk + arm1), tuple(trunk + arm2)}
-            prefix_a = [l.module.serial for l in branches[0].links][: len(trunk)]
-            prefix_b = [l.module.serial for l in branches[1].links][: len(trunk)]
-            assert prefix_a == prefix_b == trunk
-            trees_ok += 1
+    for desc, canonical, thetas, base, obs in corpus_scenes:
+        branches = build_tree(obs, db)
+        assert len(branches) == 1
+        chain = build_chain(obs, db)
+        assert [
+            (l.module.serial, l.connection_angle, l.direction)
+            for l in branches[0].links
+        ] == [(l.module.serial, l.connection_angle, l.direction) for l in chain.links]
+    rng = np.random.default_rng(808)
+    trees_ok = 0
+    for _ in range(50):
+        obs, trunk, arm1, arm2 = make_two_branch_scene(rng, db)
+        branches = build_tree(obs, db)
+        assert len(branches) == 2
+        got = {tuple(l.module.serial for l in b.links) for b in branches}
+        assert got == {tuple(trunk + arm1), tuple(trunk + arm2)}
+        prefix_a = [l.module.serial for l in branches[0].links][: len(trunk)]
+        prefix_b = [l.module.serial for l in branches[1].links][: len(trunk)]
+        assert prefix_a == prefix_b == trunk
+        trees_ok += 1
     print(
         f"CRITERION 8 PASS: build_tree matched build_chain on all "
         f"{len(corpus_scenes)} chain scenes; {trees_ok}/50 two-branch trees "
@@ -359,22 +346,20 @@ def test_boundary_distance_moves_no_output(db, corpus_scenes):
     # angles must not depend on that bit on either back end.
     epsilons = (20.0 - 1e-9, 20.0, 20.0 + 1e-9)
     moved = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for desc, canonical, thetas, base, obs in corpus_scenes:
-            detected, _ = validate_markers(obs, db)
-            found = [
-                [[m.serial for m in neighbors(d, detected, db, IdentifyConfig(epsilon1=eps))]
-                 for d in detected]
-                for eps in (epsilons[0], epsilons[-1])
-            ]
-            moved += found[0] != found[1]
-            for method in ("geometric", "optimization"):
-                outputs = []
-                for eps in epsilons:
-                    chain = build_chain(obs, db, IdentifyConfig(epsilon1=eps, method=method))
-                    angles = [l.joint_angle for l in chain.links]
-                    outputs.append((serialize(to_descriptor(chain)), angles))
-                assert outputs[0] == outputs[1] == outputs[2], (canonical, method)
+    for desc, canonical, thetas, base, obs in corpus_scenes:
+        detected, _ = validate_markers(obs, db)
+        found = [
+            [[m.serial for m in neighbors(d, detected, db, IdentifyConfig(epsilon1=eps))]
+             for d in detected]
+            for eps in (epsilons[0], epsilons[-1])
+        ]
+        moved += found[0] != found[1]
+        for method in ("geometric", "optimization"):
+            outputs = []
+            for eps in epsilons:
+                chain = build_chain(obs, db, IdentifyConfig(epsilon1=eps, method=method))
+                angles = [l.joint_angle for l in chain.links]
+                outputs.append((serialize(to_descriptor(chain)), angles))
+            assert outputs[0] == outputs[1] == outputs[2], (canonical, method)
     assert moved > 0
     print(f"BOUNDARY PASS: neighbors moved in {moved} scenes; no chain or joint angle moved")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -120,6 +121,44 @@ class TestIdentify:
         args = ["identify", "--scene", str(scene_path), "--db", str(db_path)]
         assert main([*args, "--out", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_model_name_collision_exit_1(self, tmp_path, db, capsys):
+        # A module serial equal to a derived link name (the input link of
+        # I-001) leaves no model: exit 1 before any result is printed.
+        db_file, scene, model = tmp_path / "db.json", tmp_path / "s.json", tmp_path / "m.xml"
+        save_database(db, db_file)
+        doc = json.loads(db_file.read_text())
+        for entry in doc["modules"]:
+            if entry["serial"] == "L-001":
+                entry["serial"] = "I-001_in"
+        db_file.write_text(json.dumps(doc))
+        synth = ["synth", "--chain", "I-L0-G0", "--db", str(db_file), "--joints", "0"]
+        assert main([*synth, "--seed", "7", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        identify = ["identify", "--scene", str(scene), "--db", str(db_file)]
+        assert main([*identify, "--out", str(model)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate link name 'I-001_in'\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--tree"]])
+    def test_unobservable_angle_warns_once(self, tmp_path, db_path, capsys, monkeypatch, flags):
+        # The caveat reaches stderr as one `warning:` line and raises no
+        # Python warning; a note that two tree branches share prints once.
+        scene = tmp_path / "s.json"
+        synth = ["synth", "--chain", "T'-L0-G0", "--db", str(db_path), "--joints", "0"]
+        assert main([*synth, "--seed", "7", "--out", str(scene)]) == 0
+        capsys.readouterr()
+        build_tree = cli.build_tree
+        monkeypatch.setattr(cli, "build_tree", lambda *args: build_tree(*args) * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["identify", "--scene", str(scene), "--db", str(db_path), *flags]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: joint angle of T-001: no neighbor on the output side; "
+            "joint angle is unobservable, reporting 0"
+        ]
 
     def test_prints_chain_and_thetas(self, scene_path, db_path, capsys):
         assert main(["identify", "--scene", str(scene_path), "--db", str(db_path)]) == 0

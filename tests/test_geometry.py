@@ -38,6 +38,7 @@ from chainforge.geometry import (
 )
 
 from helpers import (
+    from_rotation,
     from_translation,
     pose_distance,
     raw_connection_angle,
@@ -125,8 +126,8 @@ class TestCompose:
             assert compose(invert(p), p).approx_equal(I, tol=1e-9)
 
     def test_rotation_group(self):
-        a = Pose.from_rotation(rot_z(90))
-        assert compose(a, a).approx_equal(Pose.from_rotation(rot_z(180)))
+        a = from_rotation(rot_z(90))
+        assert compose(a, a).approx_equal(from_rotation(rot_z(180)))
 
     @given(rotation_strategy, rotation_strategy, rotation_strategy)
     @settings(max_examples=100, deadline=None)
@@ -380,7 +381,7 @@ class TestAxes:
         assert np.allclose(z_axis(I), [0, 0, 1])
 
     def test_rotated_basis(self):
-        assert np.allclose(y_axis(Pose.from_rotation(rot_z(90))), [-1, 0, 0])
+        assert np.allclose(y_axis(from_rotation(rot_z(90))), [-1, 0, 0])
 
 
 class TestUnitBetween:
@@ -420,7 +421,7 @@ class TestRawConnectionAngle:
 
     def test_propagates_degenerate(self):
         with pytest.raises(DegenerateGeometry):
-            raw_connection_angle(I, Pose.from_rotation(rot_y(30)))
+            raw_connection_angle(I, from_rotation(rot_y(30)))
 
     @given(
         st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),

@@ -15,6 +15,7 @@ from chainforge.geometry import (
     Pose,
     axis_angle,
     compose,
+    invert,
     relative,
     rot_x,
     rot_y,
@@ -55,6 +56,7 @@ from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
     ReferencePairModel,
+    from_rotation,
     from_translation,
     make_corpus,
     make_two_branch_scene,
@@ -77,9 +79,11 @@ def detected_by_serial(obs, db):
     return {d.serial: d for d in detected}, detected, rejected
 
 
-def _detected(db, code: str, pose: Pose) -> DetectedModule:
-    record = db.records_of_type(code)[0]
-    return DetectedModule(record=record, module_type=db.types[code], master_pose=pose)
+def _detected(db, code: str, pose: Pose, bundle: Pose | None = None) -> DetectedModule:
+    """The first module of a type at pose, with its output bundle at `bundle`
+    from the master when given."""
+    output = None if bundle is None else compose(pose, bundle)
+    return DetectedModule(db.records_of_type(code)[0], db.types[code], pose, output)
 
 
 class TestIdentifyConfig:
@@ -347,7 +351,7 @@ class TestFindParentOptimization:
         decoy = _detected(
             db, "I", from_translation(child.origin + np.array([0.0, 0.0, 60.0]))
         )
-        decoy = replace(decoy, output_pose=Pose.from_rotation(rot_x(30.0)))
+        decoy = replace(decoy, output_pose=from_rotation(rot_x(30.0)))
         assert decoy in neighbors(child, [decoy], db, IdentifyConfig())
         match = find_parent_optimization(
             child, [decoy, by["T-001"]], db, IdentifyConfig(), UPRIGHT
@@ -371,7 +375,7 @@ class TestFindParentOptimization:
         child, cfg = by["I-001"], IdentifyConfig()
         match = find_parent_optimization(child, [by["L-001"]], db, cfg, INVERTED)
         assert match.module.serial == "L-001"
-        skewed = compose(child.output_pose, Pose.from_rotation(rot_x(30.0)))
+        skewed = compose(child.output_pose, from_rotation(rot_x(30.0)))
         child = replace(child, output_pose=skewed)
         assert find_parent_optimization(child, [by["L-001"]], db, cfg, INVERTED) is None
 
@@ -408,9 +412,7 @@ class TestFindParentOptimization:
         by, detected, _ = detected_by_serial(obs, db)
         child = by["G-001"]
         cfg = IdentifyConfig()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            geo = find_parent_geometric(child, [by["I-001"]], db, cfg, UPRIGHT)
+        geo = find_parent_geometric(child, [by["I-001"]], db, cfg, UPRIGHT)
         opt = find_parent_optimization(child, [by["I-001"]], db, cfg, UPRIGHT)
         assert opt.connection_angle == geo.connection_angle
         assert abs(wrap_angle(opt.theta)) <= 45.0
@@ -420,7 +422,7 @@ class TestFindParentOptimization:
 def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
     """One hypothesis's model, built the way find_parent_optimization builds it."""
     parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
-    child_side = _child_side(child, child_dir, None, cfg.epsilon2)
+    child_side = _child_side(child, child_dir, cfg.epsilon2)
     observed = relative(parent.master_pose, child.master_pose).matrix()
     return _PairModel(parent_side, child_side, observed, cfg.weights)
 
@@ -603,21 +605,19 @@ class TestClosedFormFit:
         cfg = IdentifyConfig(method="optimization")
         solved = 0
         max_err = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for desc, _canonical, thetas, base in make_corpus(db, 50, 20260808):
-                chain = build_chain(synthesize(desc, thetas, db, base=base), db, cfg)
-                joint_thetas = iter(thetas)
-                truth = {
-                    link.module.serial: next(joint_thetas)
-                    for entry, link in zip(desc.entries, chain.links)
-                    if db.types[entry.type_code].is_joint
-                }
-                for link in chain.links:
-                    if link.solver_theta is not None:
-                        solved += 1
-                        err = abs(wrap_angle(link.solver_theta - truth[link.module.serial]))
-                        max_err = max(max_err, err)
+        for desc, _canonical, thetas, base in make_corpus(db, 50, 20260808):
+            chain = build_chain(synthesize(desc, thetas, db, base=base), db, cfg)
+            joint_thetas = iter(thetas)
+            truth = {
+                link.module.serial: next(joint_thetas)
+                for entry, link in zip(desc.entries, chain.links)
+                if db.types[entry.type_code].is_joint
+            }
+            for link in chain.links:
+                if link.solver_theta is not None:
+                    solved += 1
+                    err = abs(wrap_angle(link.solver_theta - truth[link.module.serial]))
+                    max_err = max(max_err, err)
         assert solved > 50
         assert max_err <= 1e-9
 
@@ -645,9 +645,8 @@ def _recorded_searches(db, scenes) -> list[tuple]:
         calls.append((args, kwargs))
         return search(*args, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(identify, "find_parent_optimization", record)
-        warnings.simplefilter("ignore")
         for obs in scenes:
             for method in ("geometric", "optimization"):
                 try:
@@ -662,13 +661,11 @@ class TestParentSearchOracle:
 
     def _assert_matches_reference(self, db, scenes) -> int:
         calls = _recorded_searches(db, scenes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for args, kwargs in calls:
-                got = find_parent_optimization(*args, **kwargs)
-                want = reference_find_parent_optimization(*args, **kwargs)
-                assert _match_fields(got) == _match_fields(want)
-                assert got is None or got.module is want.module
+        for args, kwargs in calls:
+            got = find_parent_optimization(*args, **kwargs)
+            want = reference_find_parent_optimization(*args, **kwargs)
+            assert _match_fields(got) == _match_fields(want)
+            assert got is None or got.module is want.module
         return len(calls)
 
     def test_corpus_and_noise_rows(self, db):
@@ -776,12 +773,12 @@ def _corpus_and_noise_rows(db, corpus_size: int, draws: int) -> list:
     return scenes
 
 
-def _hypotheses(child, pool, db, cfg, child_direction, child_theta=None) -> list[tuple]:
+def _hypotheses(child, pool, db, cfg, child_direction) -> list[tuple]:
     """(candidate, parent side, child side) of every hypothesis a search enumerates."""
     if child_direction not in child.module_type.child_directions:
         return []
     try:
-        child_side = _child_side(child, child_direction, child_theta, cfg.epsilon2)
+        child_side = _child_side(child, child_direction, cfg.epsilon2)
     except NonCollinearBundles:
         return []
     found = []
@@ -823,7 +820,8 @@ class TestReachTest:
             if not (t.is_joint and d == INVERTED)
         ],
         "free": [(t.code, INVERTED) for t in _TYPES if t.is_joint],
-        "measured-theta": [(t.code, INVERTED) for t in _TYPES if t.is_joint],
+        # An inverted collinear joint whose seen bundle pair measures its state.
+        "measured-theta": [(t.code, INVERTED) for t in _TYPES if t.is_collinear_joint],
     }
 
     @pytest.mark.parametrize("parent_kind", PARENT_KINDS)
@@ -848,17 +846,16 @@ class TestReachTest:
         rng = np.random.default_rng(seed)
         cfg = IdentifyConfig()
         parent_pose = random_base(rng)
-        output = None
+        tilt = rot_x(states[9] / 72.0)
+        parent_bundle = child_bundle = None
         if parent_kind == "bundle-measured":
-            bundle = Pose(rot_y(states[8]) @ rot_x(states[9] / 72.0), rng.uniform(-50, 50, 3))
-            output = compose(parent_pose, bundle)
-        parent = DetectedModule(
-            db.records_of_type(parent_code)[0], db.types[parent_code], parent_pose, output
-        )
-        child_theta = states[10] / 2.0 if child_kind == "measured-theta" else None
-        child = _detected(db, child_code, random_base(rng))
+            parent_bundle = Pose(rot_y(states[8]) @ tilt, rng.uniform(-50, 50, 3))
+        if child_kind == "measured-theta":
+            child_bundle = Pose(rot_y(states[10]) @ tilt, rng.uniform(-50, 50, 3))
+        parent = _detected(db, parent_code, parent_pose, parent_bundle)
+        child = _detected(db, child_code, random_base(rng), child_bundle)
         parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
-        child_side = _child_side(child, child_dir, child_theta, cfg.epsilon2)
+        child_side = _child_side(child, child_dir, cfg.epsilon2)
         assert (parent_side.axis is None) == (parent_kind in ("fixed", "bundle-measured"))
         assert (child_side.axis is None) == (child_kind != "free")
         theta_n, theta_c = np.array(states[:4]), np.array(states[4:8])
@@ -866,7 +863,7 @@ class TestReachTest:
             modeled = _PairModel(parent_side, child_side, np.eye(4), cfg.weights)
             m = modeled._stack(theta_n, theta_c)[k0]
             pose = Pose(m[:3, :3], m[:3, 3] + offset)
-            child = _detected(db, child_code, compose(parent_pose, pose))
+            child = _detected(db, child_code, compose(parent_pose, pose), child_bundle)
         observed = relative(parent.master_pose, child.master_pose).matrix()
         model = _PairModel(parent_side, child_side, observed, cfg.weights)
         gaps = np.array(_origin_gaps(parent_side, _connected_origins(child_side), parent, child))
@@ -883,32 +880,30 @@ class TestReachTest:
         calls = _recorded_searches(db, _corpus_and_noise_rows(db, 100, 3))
         monkeypatch.setattr(identify, "_PairModel", _CountedPairModel)
         skipped = total = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            for args, kwargs in calls:
-                child, _, _, cfg, *_ = args
-                reach = cfg.f_threshold + RESIDUAL_TIE
-                hypotheses = _hypotheses(*args, **kwargs)
-                kept = 0
-                for cand, parent_side, child_side in hypotheses:
-                    cq = _connected_origins(child_side)
-                    gaps = _origin_gaps(parent_side, cq, cand, child)
-                    if cfg.weights.w_t * min(gaps) <= reach:
-                        kept += 1
-                        continue
-                    observed = relative(cand.master_pose, child.master_pose).matrix()
-                    model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
-                    assert (model.residual(*model.solve()) > reach).all()
-                    skipped += 1
-                total += len(hypotheses)
-                _CountedPairModel.built = 0
-                find_parent_optimization(*args, **kwargs)
-                assert _CountedPairModel.built == kept
-                unbounded = list(args)
-                unbounded[3] = replace(cfg, f_threshold=math.inf)
-                _CountedPairModel.built = 0
-                find_parent_optimization(*unbounded, **kwargs)
-                assert _CountedPairModel.built == len(hypotheses)
+        for args, kwargs in calls:
+            child, _, _, cfg, *_ = args
+            reach = cfg.f_threshold + RESIDUAL_TIE
+            hypotheses = _hypotheses(*args, **kwargs)
+            kept = 0
+            for cand, parent_side, child_side in hypotheses:
+                cq = _connected_origins(child_side)
+                gaps = _origin_gaps(parent_side, cq, cand, child)
+                if cfg.weights.w_t * min(gaps) <= reach:
+                    kept += 1
+                    continue
+                observed = relative(cand.master_pose, child.master_pose).matrix()
+                model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
+                assert (model.residual(*model.solve()) > reach).all()
+                skipped += 1
+            total += len(hypotheses)
+            _CountedPairModel.built = 0
+            find_parent_optimization(*args, **kwargs)
+            assert _CountedPairModel.built == kept
+            unbounded = list(args)
+            unbounded[3] = replace(cfg, f_threshold=math.inf)
+            _CountedPairModel.built = 0
+            find_parent_optimization(*unbounded, **kwargs)
+            assert _CountedPairModel.built == len(hypotheses)
         assert len(calls) > 500
         assert 0.3 * total < skipped < total
 
@@ -932,28 +927,26 @@ def test_link_scalars_match_numpy_reference(db):
     # is the numpy one; every seen bundle pair has the same roll, bit for
     # bit, and the same tilt within 1e-12 degrees.
     links = twists = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for obs in _corpus_and_noise_rows(db, 500, 100):
-            detected, _ = validate_markers(obs, db)
-            for module in detected:
-                if module.bundle is not None:
-                    roll, tilt = module.twist
-                    ref_roll, ref_tilt = reference_bundle_twist(module)
-                    assert roll.hex() == ref_roll.hex()
-                    assert abs(tilt - ref_tilt) <= 1e-12
-                    twists += 1
-            for method in ("geometric", "optimization"):
-                try:
-                    chain = build_chain(obs, db, IdentifyConfig(method=method))
-                except IdentifyError:
-                    continue
-                for parent, child in pairwise(chain.links):
-                    args = (parent.module, parent.direction, child.module, child.direction)
-                    assert connection_angle_between(*args) == reference_connection_angle_between(
-                        *args
-                    )
-                    links += 1
+    for obs in _corpus_and_noise_rows(db, 500, 100):
+        detected, _ = validate_markers(obs, db)
+        for module in detected:
+            if module.bundle is not None:
+                roll, tilt = module.twist
+                ref_roll, ref_tilt = reference_bundle_twist(module)
+                assert roll.hex() == ref_roll.hex()
+                assert abs(tilt - ref_tilt) <= 1e-12
+                twists += 1
+        for method in ("geometric", "optimization"):
+            try:
+                chain = build_chain(obs, db, IdentifyConfig(method=method))
+            except IdentifyError:
+                continue
+            for parent, child in pairwise(chain.links):
+                args = (parent.module, parent.direction, child.module, child.direction)
+                assert connection_angle_between(*args) == reference_connection_angle_between(
+                    *args
+                )
+                links += 1
     assert links > 5000 and twists > 1000
 
 
@@ -961,8 +954,11 @@ class TestEstimateJointAngle:
     def test_collinear_joint_from_bundles(self, db):
         obs = synthesize(parse("I-G0"), [37.0], db)
         by, _, _ = detected_by_serial(obs, db)
-        theta = estimate_joint_angle(by["I-001"], UPRIGHT, None, by["G-001"], IdentifyConfig())
+        theta, note = estimate_joint_angle(
+            by["I-001"], UPRIGHT, None, by["G-001"], IdentifyConfig()
+        )
         assert theta == pytest.approx(37.0, abs=1e-6)
+        assert note is None
 
     def test_zero_everywhere(self, db):
         obs = synthesize(parse("I-T0-G0"), [0.0, 0.0], db)
@@ -974,16 +970,20 @@ class TestEstimateJointAngle:
     def test_perpendicular_urpight_uses_child(self, db):
         obs = synthesize(parse("T-G0"), [41.0], db)
         by, _, _ = detected_by_serial(obs, db)
-        theta = estimate_joint_angle(by["T-001"], UPRIGHT, None, by["G-001"], IdentifyConfig())
+        theta, note = estimate_joint_angle(
+            by["T-001"], UPRIGHT, None, by["G-001"], IdentifyConfig()
+        )
         assert theta == pytest.approx(41.0, abs=1e-6)
+        assert note is None
 
     def test_perpendicular_inverted_uses_parent(self, db):
         obs = synthesize(parse("L-T'0-G0"), [-28.0], db)
         by, _, _ = detected_by_serial(obs, db)
-        theta = estimate_joint_angle(
+        theta, note = estimate_joint_angle(
             by["T-001"], INVERTED, by["L-001"], by["G-001"], IdentifyConfig()
         )
         assert theta == pytest.approx(-28.0, abs=1e-6)
+        assert note is None
 
     def test_non_joint_rejected(self, db):
         obs = synthesize(parse("L-G0"), [], db)
@@ -996,7 +996,7 @@ class TestEstimateJointAngle:
         by, _, _ = detected_by_serial(obs, db)
         module = by["I-001"]
         module = replace(
-            module, output_pose=compose(module.output_pose, Pose.from_rotation(rot_x(30.0)))
+            module, output_pose=compose(module.output_pose, from_rotation(rot_x(30.0)))
         )
         with pytest.raises(NonCollinearBundles):
             estimate_joint_angle(module, UPRIGHT, None, by["G-001"], IdentifyConfig())
@@ -1015,16 +1015,16 @@ class TestEstimateJointAngle:
         t_mod = by["T-001"]
         g_mod = by["G-001"]
         # Push the observed child direction slightly past the limit: clamped.
-        spun = compose(t_mod.master_pose, Pose.from_rotation(axis_angle([0, 0, 1], 2.0)))
+        spun = compose(t_mod.master_pose, from_rotation(axis_angle([0, 0, 1], 2.0)))
         g_mod = replace(g_mod, master_pose=Pose(
             g_mod.master_pose.rotation,
             t_mod.master_pose.translation
             + spun.rotation @ (g_mod.master_pose.translation - t_mod.master_pose.translation),
         ))
-        # ~121 degrees: within the 2 degree slack, clamps with a warning.
-        with pytest.warns(UserWarning, match="clamped"):
-            theta = estimate_joint_angle(t_mod, UPRIGHT, None, g_mod, IdentifyConfig())
+        # ~121 degrees: within the 2 degree slack, clamps with a note.
+        theta, note = estimate_joint_angle(t_mod, UPRIGHT, None, g_mod, IdentifyConfig())
         assert theta == pytest.approx(120.0)
+        assert note == "estimated angle 121.00 clamped to 120.00"
 
     def test_limit_exceeded(self, db):
         obs = synthesize(parse("T-G0"), [0.0], db)
@@ -1111,8 +1111,6 @@ class TestBuildChain:
         assert (12, REASON_ORPHAN) in chain.rejected_markers
 
     @pytest.mark.parametrize("method", ["geometric", "optimization"])
-    # A tree branch that stops early can end in a joint whose angle no neighbor shows.
-    @pytest.mark.filterwarnings("ignore:.*joint angle is unobservable:UserWarning")
     def test_two_tool_chains_read_in_full(self, db, method):
         # With an inverted tool at the base, the walk from that tool reads
         # every module the other way up and stops at the adapter A, which is
@@ -1139,6 +1137,62 @@ class TestBuildChain:
         obs = synthesize(desc, [0.0] * 5, db)
         chain = build_chain(obs, db)
         assert len(chain.links) == 7
+
+
+class TestWarnings:
+    """Every identification caveat is a line of IdentifiedChain.warnings."""
+
+    def test_unobservable_angle(self, db):
+        # The inverted base joint has no parent on its output side.
+        chain = build_chain(synthesize(parse("T'-L0-G0"), [0.0], db), db)
+        assert serialize(to_descriptor(chain)) == "T'-L0-G0"
+        assert chain.links[0].joint_angle == 0.0
+        assert chain.warnings == [
+            "joint angle of T-001: no neighbor on the output side; "
+            "joint angle is unobservable, reporting 0"
+        ]
+
+    def test_clamped_angle(self, db):
+        # The tool turned 2 more degrees about the joint axis of T-001 at its
+        # 119-degree state: the estimate of 121 degrees is clamped to the limit.
+        obs = synthesize(parse("T-G0"), [119.0], db)
+        t_id, g_id = (db.records_of_type(code)[0].master_marker_id for code in "TG")
+        t_pose = next(o.pose for o in obs if o.marker_id == t_id)
+        turn = compose(t_pose, compose(from_rotation(rot_z(2.0)), invert(t_pose)))
+        obs = [
+            MarkerObservation(o.marker_id, compose(turn, o.pose)) if o.marker_id == g_id else o
+            for o in obs
+        ]
+        chain = build_chain(obs, db)
+        assert serialize(to_descriptor(chain)) == "T-G0"
+        assert chain.links[0].joint_angle == 120.0
+        assert chain.warnings == ["joint angle of T-001: estimated angle 121.00 clamped to 120.00"]
+
+    def test_missing_output_bundle(self, db):
+        obs = synthesize(parse("I-G0"), [10.0], db)
+        output_marker = db.records_of_type("I")[0].output_marker_id
+        chain = build_chain([o for o in obs if o.marker_id != output_marker], db)
+        assert chain.links[0].joint_angle is None
+        assert chain.warnings == ["joint angle of I-001: I-001: output bundle was not observed"]
+
+    def test_identify_raises_no_python_warning(self, db):
+        # Over the corpus and the four noise rows, no chain or tree build of
+        # either back end warns through Python, while the corpus's unobservable
+        # angles reach the chains' warnings.
+        scenes = _corpus_and_noise_rows(db, 500, 25)
+        unobservable = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for obs in scenes:
+                for method in ("geometric", "optimization"):
+                    for build in (build_chain, build_tree):
+                        try:
+                            built = build(obs, db, IdentifyConfig(method=method))
+                        except IdentifyError:
+                            continue
+                        chains = built if isinstance(built, list) else [built]
+                        unobservable += any("unobservable" in n for c in chains for n in c.warnings)
+        assert unobservable > 0
 
 
 class TestBuildTree:
