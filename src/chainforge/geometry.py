@@ -191,6 +191,16 @@ def relative(n: Pose, c: Pose) -> Pose:
     return compose(invert(n), c)
 
 
+def relative_matrix(n: Pose, c: Pose) -> np.ndarray:
+    """`relative(n, c).matrix()` bit for bit, as a read-only 4x4 built without poses."""
+    rf, m = np.array(n.rotation.T), np.zeros((4, 4))  # the same products on `invert`'s copy
+    m[3, 3] = 1.0
+    m[:3, :3] = rf @ c.rotation
+    m[:3, 3] = rf @ c.translation + -n.rotation.T @ n.translation
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """Weights mixing orientation (dimensionless) and translation (1/mm) error."""

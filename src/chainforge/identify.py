@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,19 +28,19 @@ from .geometry import (
     WeightMatrix,
     discretize_angle,
     joint_turns,
-    relative,
+    relative_matrix,
     rot_y,
     signed_angle,
     unit_between,
     wrap_angle,
 )
 from .module_db import (
-    CONNECTOR_STACK,
     INVERTED,
     UPRIGHT,
     ModuleDatabase,
     ModuleRecord,
     ModuleType,
+    SearchSide,
 )
 from .synth import MarkerObservation
 
@@ -56,6 +55,8 @@ METHOD_OPTIMIZATION = "optimization"
 LIMIT_SLACK = 2.0
 # Pose-metric residuals this close to the best one tie in the optimization back end.
 RESIDUAL_TIE = 1e-9
+_ZERO_STATES = np.zeros(len(CONNECTION_ANGLES))
+_ZERO_STATES.setflags(write=False)
 
 
 class IdentifyError(Exception):
@@ -123,8 +124,8 @@ class DetectedModule:
     Construction takes what the pair tests read.  `floats` holds the master
     origin at 0, its x-, y- and z-axes at 3, 6 and 9, and, when the output
     bundle is seen, the bundle's z-axis at 12, all as floats.  For a seen
-    output bundle, `bundle` is the master-to-output transform and `twist`
-    its roll and tilt (see `_bundle_twist`).
+    output bundle, `bundle` is the master-to-output transform as a read-only
+    4x4 and `twist` its roll and tilt (see `_bundle_twist`).
     """
 
     record: ModuleRecord
@@ -132,7 +133,7 @@ class DetectedModule:
     master_pose: Pose
     output_pose: Pose | None = None
     floats: array = field(init=False, repr=False, compare=False)
-    bundle: Pose | None = field(init=False, repr=False, compare=False)
+    bundle: np.ndarray | None = field(init=False, repr=False, compare=False)
     twist: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,7 +142,7 @@ class DetectedModule:
         bundle = None
         if self.output_pose is not None:
             floats.extend(self.output_pose.rotation[:, 2].tolist())
-            bundle = relative(self.master_pose, self.output_pose)
+            bundle = relative_matrix(self.master_pose, self.output_pose)
         object.__setattr__(self, "floats", floats)
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "twist", None if bundle is None else _bundle_twist(self))
@@ -387,13 +388,12 @@ def find_parent_geometric(
 def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
     """Roll about the link axis of the master-to-output rotation, and the tilt
     left after removing that roll, in degrees; measured once per module."""
-    r = module.bundle.rotation
-    r00, _, r02 = r[0].tolist()
+    r00, _, r02, _ = module.bundle[0].tolist()
     roll = math.degrees(math.atan2(r02, r00))
     # The tilt is the rotation angle of the residual: atan2 of its skew part
     # against trace - 1 stays exact near zero, where acos of the trace loses
     # half the digits.
-    (d0, a01, a02), (a10, d1, a12), (a20, a21, d2) = (rot_y(-roll) @ r).tolist()
+    (d0, a01, a02), (a10, d1, a12), (a20, a21, d2) = (rot_y(-roll) @ module.bundle[:3, :3]).tolist()
     skew = math.hypot(a21 - a12, a02 - a20, a10 - a01)
     return roll, math.degrees(math.atan2(skew, d0 + d1 + d2 - 1.0))
 
@@ -407,12 +407,10 @@ def _measure_collinear_theta(module: DetectedModule, epsilon2: float) -> float:
     bounded by the angular budget of epsilon2.
     """
     if module.twist is None:
-        raise NonCollinearBundles(f"{module.serial}: output bundle was not observed")
+        raise NonCollinearBundles("output bundle was not observed")
     theta, tilt = module.twist
     if tilt > math.degrees(math.acos(1.0 - epsilon2)):
-        raise NonCollinearBundles(
-            f"{module.serial}: bundle axes misaligned by {tilt:.1f} degrees"
-        )
+        raise NonCollinearBundles(f"bundle axes misaligned by {tilt:.1f} degrees")
     return theta
 
 
@@ -431,7 +429,8 @@ def estimate_joint_angle(
     the chain child when upright, the chain parent when inverted.
     Returns the angle and None, or the angle and why it is soft: with no
     neighbor on the output side it is unobservable and reported as 0, and
-    an estimate just outside the limits is clamped to them.
+    an estimate just outside the limits is clamped to them.  Neither that
+    reason nor the message of an error raised here names the module.
     """
     mt = module.module_type
     if not mt.is_joint:
@@ -447,9 +446,7 @@ def estimate_joint_angle(
         theta = math.degrees(math.atan2(-local[0], local[1]))
     lo, hi = mt.joint_limits
     if theta < lo - LIMIT_SLACK or theta > hi + LIMIT_SLACK:
-        raise LimitExceeded(
-            f"{module.serial}: estimated angle {theta:.2f} far outside [{lo}, {hi}]"
-        )
+        raise LimitExceeded(f"estimated angle {theta:.2f} far outside [{lo}, {hi}]")
     if theta < lo or theta > hi:
         clamped = min(max(theta, lo), hi)
         return clamped, f"estimated angle {theta:.2f} clamped to {clamped:.2f}"
@@ -486,59 +483,47 @@ def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndar
     return np.array(theta)
 
 
-class _Side(NamedTuple):
-    """One side's factor of the pair transform; axis is None when no joint state is free."""
-
-    matrix: np.ndarray
-    axis: int | None = None
-    limits: tuple[float, float] | None = None
-
-
 def _parent_side(
     module: DetectedModule, direction: str, eps2: float
-) -> tuple[_Side, float | None]:
-    """Parent factor and the joint roll measured from the bundle pair, if any.
+) -> tuple[SearchSide, float | None]:
+    """Parent side and the joint roll measured from the bundle pair, if any.
 
     Only an upright joint's state enters the parent factor.  When an upright
     collinear joint's output bundle is seen, the factor is the observed
     master-to-output transform, so the roll drops out of the model.
     """
     mt = module.module_type
-    free = mt.is_joint and direction == UPRIGHT
-    if free and mt.is_collinear_joint and module.output_pose is not None:
-        roll = _measure_collinear_theta(module, eps2)
-        return _Side(module.bundle.matrix()), roll
-    factor = mt.matrices["out", direction]
-    return (_Side(factor, mt.joint_axis, mt.joint_limits) if free else _Side(factor)), None
+    if mt.is_collinear_joint and direction == UPRIGHT and module.bundle is not None:
+        return SearchSide.as_parent(module.bundle), _measure_collinear_theta(module, eps2)
+    return mt.sides["out", direction], None
 
 
-def _child_side(module: DetectedModule, direction: str, eps2: float) -> _Side:
-    """Child factor.  Only an inverted joint's state enters it: measured from
-    its bundle pair when both are seen, else free."""
+def _child_side(module: DetectedModule, direction: str, eps2: float) -> SearchSide:
+    """Child side.  Only an inverted joint's state enters it: measured from
+    its bundle pair when both are seen, else free as the type's side has it."""
     mt = module.module_type
-    entered = mt.matrices["in", direction]
-    if not (mt.is_joint and direction == INVERTED):
-        return _Side(entered)
-    if mt.is_collinear_joint and module.output_pose is not None:
-        theta = _measure_collinear_theta(module, eps2)
-        return _Side(entered @ joint_turns(mt.joint_axis, [-theta])[0])
-    return _Side(entered, mt.joint_axis, mt.joint_limits)
+    if mt.is_collinear_joint and direction == INVERTED and module.bundle is not None:
+        turn = joint_turns(mt.joint_axis, [-_measure_collinear_theta(module, eps2)])[0]
+        return SearchSide.as_child(mt.matrices["in", direction] @ turn)
+    return mt.sides["in", direction]
 
 
 class _PairModel:
     """The parent-to-child transform of one hypothesis at all four connection angles.
 
-    Layer k is Rn(theta_n) B[k] Rc(-theta_c): B[k] chains the parent factor,
-    the k-th connector transform and the child factor, and Rn, Rc turn the
+    Layer k is Rn(theta_n) B[k] Rc(-theta_c): B[k] is the parent side's
+    `connected` layer k times the child factor, and Rn, Rc turn the
     free joint states (`joint_turns`; an inverted child is entered behind
     its joint, so its state turns by -theta_c).
     The metric is invariant under a rigid motion of both frames, so the
     observation is always the child master seen from the parent master.
     """
 
-    def __init__(self, parent: _Side, child: _Side, observed: np.ndarray, weights: WeightMatrix):
+    def __init__(
+        self, parent: SearchSide, child: SearchSide, observed: np.ndarray, weights: WeightMatrix
+    ):
         self.parent, self.child = parent, child
-        self._base = parent.matrix @ CONNECTOR_STACK @ child.matrix
+        self._base = parent.connected @ child.matrix
         self._observed = observed
         self._weights = weights
         self._turned = None, None  # the last theta_n turning the parent, and its layers
@@ -587,7 +572,7 @@ class _PairModel:
         once with the other held fixed.  Every step spans the full limits.
         """
         p, c = self.parent, self.child
-        theta_n = theta_c = np.zeros(len(CONNECTION_ANGLES))
+        theta_n = theta_c = _ZERO_STATES
         if p.axis is not None and c.axis is not None:
             theta_n = _fit_joint(p.axis, self.parent_cross(theta_c, position_only=True), p.limits)
             theta_c = _fit_joint(c.axis, self.child_cross(theta_n), c.limits)
@@ -602,25 +587,20 @@ class _PairModel:
 _REACH_ROUNDING = 1e-9
 
 
-def _connected_origins(child: _Side) -> list[list[float]]:
-    """C_k q at each connection angle: the child factor's translation q carried
-    across the k-th connector.  No child-side turn moves it."""
-    return (CONNECTOR_STACK[:, :3, :3] @ child.matrix[:3, 3]).tolist()
-
-
 def _origin_gaps(
-    parent: _Side, cq: list[list[float]], cand: DetectedModule, child: DetectedModule
+    parent: SearchSide, child_side: SearchSide, cand: DetectedModule, child: DetectedModule
 ) -> list[float]:
     """At each connection angle, a lower bound on the distance between the
     child's master origin seen from the candidate's and the modeled one, at
     any joint states.
 
-    The modeled origin is b = P_t + P_r C_k q, for the parent factor P and
-    `_connected_origins` cq.  A free parent turns b about its joint axis,
-    which keeps b's axial offset and its radius about the axis, so the
-    distance is at least the hypot of the axial and radial gaps.  Each bound
-    is lowered by a rounding allowance, so that w_t times it never exceeds
-    the residual of `_PairModel`, which is at least w_t times the distance.
+    The modeled origin is b = P_t + P_r C_k q, for the parent factor P and the
+    child side's `origins` C_k q, which no child-side turn moves.  A free parent
+    turns b about its joint axis, which keeps b's axial offset and its radius
+    about the axis, so the distance is at least the hypot of the axial and
+    radial gaps.  Each bound is lowered by a rounding allowance, so that w_t
+    times it never exceeds the residual of `_PairModel`, which is at least w_t
+    times the distance.
     """
     f, c = cand.floats, child.floats
     d0, d1, d2 = c[0] - f[0], c[1] - f[1], c[2] - f[2]
@@ -629,20 +609,15 @@ def _origin_gaps(
         f[6] * d0 + f[7] * d1 + f[8] * d2,
         f[9] * d0 + f[10] * d1 + f[11] * d2,
     )
-    (p00, p01, p02, t0), (p10, p11, p12, t1), (p20, p21, p22, t2) = parent.matrix[:3].tolist()
-    scale = (
-        math.hypot(f[0], f[1], f[2])
-        + math.hypot(c[0], c[1], c[2])
-        + math.hypot(t0, t1, t2)
-        + math.hypot(*cq[0])
-    )
-    allowance = _REACH_ROUNDING * scale
+    p00, p01, p02, t0, p10, p11, p12, t1, p20, p21, p22, t2 = parent.rows
+    scale = math.hypot(f[0], f[1], f[2]) + math.hypot(c[0], c[1], c[2])
+    allowance = _REACH_ROUNDING * (scale + parent.reach + child_side.reach)
     ax = parent.axis
     if ax is not None:
         u, v = TURN_PLANES[ax]
         o_axial, o_radial = o[ax], math.hypot(o[u], o[v])
     gaps = []
-    for q0, q1, q2 in cq:
+    for q0, q1, q2 in child_side.origins:
         b = (
             t0 + (p00 * q0 + p01 * q1 + p02 * q2),
             t1 + (p10 * q0 + p11 * q1 + p12 * q2),
@@ -687,7 +662,6 @@ def find_parent_optimization(
     except NonCollinearBundles:
         return None  # a misaligned bundle pair disqualifies its own hypotheses only
     reach = cfg.f_threshold + RESIDUAL_TIE
-    cq = _connected_origins(child_side)
     hypotheses = []  # (candidate, its direction, parent side, roll, thetas)
     f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
     for cand in neighbors(child, pool, db, cfg):
@@ -697,10 +671,10 @@ def find_parent_optimization(
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
-            if cfg.weights.w_t * min(_origin_gaps(parent_side, cq, cand, child)) > reach:
+            if cfg.weights.w_t * min(_origin_gaps(parent_side, child_side, cand, child)) > reach:
                 continue
             if observed is None:
-                observed = relative(cand.master_pose, child.master_pose).matrix()
+                observed = relative_matrix(cand.master_pose, child.master_pose)
             model = _PairModel(parent_side, child_side, observed, cfg.weights)
             theta_n, theta_c = model.solve()
             f_values += model.residual(theta_n, theta_c).tolist()
@@ -760,8 +734,8 @@ def _grow_branch(
 def _estimate_chain_angles(
     links: list[ChainLink], cfg: IdentifyConfig
 ) -> tuple[list[ChainLink], list[str]]:
-    """The links with their joint angles, and a warning per angle that is
-    soft (unobservable or clamped) or left unestimated."""
+    """The links with their joint angles, and a warning naming the module per
+    angle that is soft (unobservable or clamped) or left unestimated."""
     estimated, notes = [], []
     for i, link in enumerate(links):
         if link.module.module_type.is_joint:

@@ -248,6 +248,7 @@ _TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 _ATTR_ESCAPES = _TEXT_ESCAPES | str.maketrans(
     {'"': "&quot;", "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
 )
+_ATTR_SPECIALS = "".join(map(chr, _ATTR_ESCAPES))
 
 
 def _escaped(text: str) -> str:
@@ -255,10 +256,17 @@ def _escaped(text: str) -> str:
 
 
 def _write_model_xml(model: RobotModel, path: str):
-    """Render the model as one indented XML document and write it at once."""
-    parts = [f"<?xml version='1.0' encoding='utf-8'?>\n<robot name=\"{_escaped(model.name)}\">"]
+    """Render the model as one indented XML document and write it at once.
+
+    The names are checked once for the characters an attribute escapes, and
+    escaped one by one only when one of those is present.
+    """
+    fields = (j.name + j.joint_type + j.parent + j.child for j in model.joints)
+    text = "".join([model.name, *(l.name for l in model.links), *fields])
+    esc = _escaped if any(c in text for c in _ATTR_SPECIALS) else str
+    parts = [f"<?xml version='1.0' encoding='utf-8'?>\n<robot name=\"{esc(model.name)}\">"]
     for link in model.links:
-        name = _escaped(link.name)
+        name = esc(link.name)
         if link.visual_length > 0.0:
             parts.append(
                 f'\n  <link name="{name}">\n    <visual>\n      <geometry>\n'
@@ -272,9 +280,9 @@ def _write_model_xml(model: RobotModel, path: str):
         x, y, z = joint.origin.translation.tolist()
         roll, pitch, yaw = matrix_to_rpy(joint.origin.rotation.tolist())
         parts.append(
-            f'\n  <joint name="{_escaped(joint.name)}" type="{_escaped(joint.joint_type)}">'
-            f'\n    <parent link="{_escaped(joint.parent)}" />'
-            f'\n    <child link="{_escaped(joint.child)}" />'
+            f'\n  <joint name="{esc(joint.name)}" type="{esc(joint.joint_type)}">'
+            f'\n    <parent link="{esc(joint.parent)}" />'
+            f'\n    <child link="{esc(joint.child)}" />'
             f'\n    <origin xyz="{x / 1000.0!r} {y / 1000.0!r} {z / 1000.0!r}"'
             f' rpy="{roll!r} {pitch!r} {yaw!r}" />'
         )

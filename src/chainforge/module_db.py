@@ -11,6 +11,7 @@ by the connection angle followed by a fixed 180-degree flip about x.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,6 +73,32 @@ CONNECTOR_STACK.setflags(write=False)
 _JOINT_AXES = {KIND_JOINT_COLLINEAR: 1, KIND_JOINT_PERPENDICULAR: 2}
 
 
+class SearchSide(NamedTuple):
+    """One side's factor of a pair transform in the optimization search, with what
+    the search reads of it; axis is None when no joint state is free.  `reach` is
+    |t| of a parent factor's translation t, |C_0 q| of a child's translation q."""
+
+    matrix: np.ndarray
+    axis: int | None = None
+    limits: tuple[float, float] | None = None
+    connected: np.ndarray | None = None  # a parent's factor times each connector
+    rows: tuple[float, ...] | None = None  # a parent's top three rows
+    origins: tuple[tuple[float, float, float], ...] | None = None  # a child's C_k q
+    reach: float = 0.0
+
+    @classmethod
+    def as_parent(cls, matrix: np.ndarray, axis=None, limits=None) -> SearchSide:
+        connected = matrix @ CONNECTOR_STACK
+        connected.setflags(write=False)
+        rows = tuple(matrix[:3].ravel().tolist())
+        return cls(matrix, axis, limits, connected, rows, reach=math.hypot(*rows[3::4]))
+
+    @classmethod
+    def as_child(cls, matrix: np.ndarray, axis=None, limits=None) -> SearchSide:
+        origins = tuple(map(tuple, (CONNECTOR_STACK[:, :3, :3] @ matrix[:3, 3]).tolist()))
+        return cls(matrix, axis, limits, origins=origins, reach=math.hypot(*origins[0]))
+
+
 @dataclass(frozen=True)
 class ModuleType:
     """One catalog entry describing a module type's geometry and joint."""
@@ -100,6 +127,8 @@ class ModuleType:
     directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
     parent_directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
     child_directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # Search sides for each legal direction d: ("out", d) as a parent, ("in", d) as a child.
+    sides: dict[tuple[str, str], SearchSide] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_type_code(self.code):
@@ -144,6 +173,12 @@ class ModuleType:
         for name, barred in (("parent_directions", UPRIGHT), ("child_directions", INVERTED)):
             legal = tuple(d for d in directions if not (self.is_tool and d == barred))
             object.__setattr__(self, name, legal)
+        turn = self.joint_axis, self.joint_limits
+        sides = {("out", d): SearchSide.as_parent(matrices["out", d], *turn if d == UPRIGHT else ())
+                 for d in self.parent_directions}
+        for d in self.child_directions:
+            sides["in", d] = SearchSide.as_child(matrices["in", d], *turn if d == INVERTED else ())
+        object.__setattr__(self, "sides", sides)
 
     @property
     def is_joint(self) -> bool:

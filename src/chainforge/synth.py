@@ -16,7 +16,7 @@ import numpy as np
 
 from .descriptor import ChainDescriptor
 from .geometry import CONNECTION_ANGLES, Pose, axis_angle, checked_poses, joint_turns
-from .geometry import pose_from_json, pose_to_json, quat_to_matrix, write_file
+from .geometry import pose_from_json, pose_to_json, quat_rows, write_file
 from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
 SPURIOUS_ID_BASE = 10**6
@@ -275,9 +275,9 @@ def _spurious_markers(
     spurious = []
     for marker_id in ids:
         t = center + rng.uniform(-1.0, 1.0, size=3) * half
-        q = _random_unit(rng)
-        q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
-        spurious.append((int(marker_id), quat_to_matrix(q), t))
+        xyz = (_random_unit(rng) * np.sin(rng.uniform(0, np.pi) / 2)).tolist()
+        rows = quat_rows([*xyz, float(np.cos(rng.uniform(0, np.pi) / 2))])
+        spurious.append((int(marker_id), np.reshape(rows, (3, 3)), t))
     return spurious
 
 

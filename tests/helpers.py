@@ -27,6 +27,7 @@ from chainforge.geometry import (
     checked_poses,
     finite_number,
     matrix_to_rpy,
+    quat_to_matrix,
     relative,
     rot_x,
     rot_y,
@@ -59,6 +60,7 @@ from chainforge.synth import (
     ModulePlacement,
     SceneConfig,
     SceneParseError,
+    _random_unit,
     assign_instances,
     forward_poses,
     synthesize,
@@ -319,6 +321,28 @@ def reference_link_out(mt: ModuleType, direction: str) -> Pose:
     return reference_master_to_childward(mt, direction)
 
 
+def reference_search_side(mt: ModuleType, end: str, direction: str) -> dict:
+    """What the optimization search computed per call from a type's factor, field
+    by field of `module_db.SearchSide`: the factor times each connector, its top
+    rows and |t| as a parent (`end` "out"); C_k q and |C_0 q| as a child ("in").
+    The factor is composed from the catalog offsets; a joint state is free in an
+    upright parent and an inverted child."""
+    connectors = np.stack([reference_connection_transform(a).matrix() for a in CONNECTION_ANGLES])
+    if end == "out":
+        m = reference_master_to_childward(mt, direction).matrix()
+        free = direction == UPRIGHT
+        (p00, p01, p02, t0), (p10, p11, p12, t1), (p20, p21, p22, t2) = m[:3].tolist()
+        rows = (p00, p01, p02, t0, p10, p11, p12, t1, p20, p21, p22, t2)
+        fields = {"connected": m @ connectors, "rows": rows, "reach": math.hypot(t0, t1, t2)}
+    else:
+        m = reference_parentward_to_master(mt, direction).matrix()
+        free = direction == INVERTED
+        cq = (connectors[:, :3, :3] @ m[:3, 3]).tolist()
+        fields = {"origins": cq, "reach": math.hypot(*cq[0])}
+    axis, limits = (mt.joint_axis, mt.joint_limits) if free and mt.is_joint else (None, None)
+    return {"matrix": m, "axis": axis, "limits": limits, **fields}
+
+
 def reference_quat_to_matrix(q) -> np.ndarray:
     """Unit quaternion (x, y, z, w) to rotation matrix, in scalar arithmetic."""
     x, y, z, w = np.asarray(q, dtype=float)
@@ -477,8 +501,8 @@ def reference_connection_angle_between(parent, parent_direction, child, child_di
 
 
 def reference_bundle_twist(module) -> tuple[float, float]:
-    """`identify._bundle_twist` with numpy's trace and norm."""
-    r = module.bundle.rotation
+    """`identify._bundle_twist` with numpy's trace and norm, on the bundle pose."""
+    r = relative(module.master_pose, module.output_pose).rotation
     roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
     residual = rot_y(-roll) @ r
     skew = residual - residual.T
@@ -554,6 +578,23 @@ def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig(), a
             rotation = reference_numpy_quat_to_matrix(q)
             observations.append(MarkerObservation(int(marker_id), Pose(rotation, t)))
     return observations
+
+
+def reference_spurious_markers(rng: np.random.Generator, true_markers, count: int) -> list:
+    """`synth._spurious_markers` as it drew each rotation through numpy: the
+    quaternion joined by `np.append` and turned by one-quaternion `quat_to_matrix`."""
+    ids = SPURIOUS_ID_BASE + rng.choice(SPURIOUS_ID_SPAN, size=count, replace=False)
+    points = np.array([p.translation for _, p in true_markers])
+    center = points.mean(axis=0)
+    half = (points.max(axis=0) - points.min(axis=0)) / 2.0
+    half = np.maximum(half * 1.2, 50.0)
+    spurious = []
+    for marker_id in ids:
+        t = center + rng.uniform(-1.0, 1.0, size=3) * half
+        q = _random_unit(rng)
+        q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
+        spurious.append((int(marker_id), quat_to_matrix(q), t))
+    return spurious
 
 
 def reference_forward_poses(desc, joint_angles, db, base=None, assignment=None):

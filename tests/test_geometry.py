@@ -28,6 +28,7 @@ from chainforge.geometry import (
     quat_rows,
     quat_to_matrix,
     relative,
+    relative_matrix,
     rot_x,
     rot_y,
     rot_z,
@@ -251,6 +252,21 @@ class TestRelative:
         h = random_pose(rng)
         t = random_pose(rng)
         assert relative(h, compose(h, t)).approx_equal(t, tol=1e-9)
+
+    @given(rotation_strategy, rotation_strategy, st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_equals_relative_matrix(self, tn, tc, n_strided, c_strided):
+        # Frames as the constructor leaves them, or as views into a 4x4, the way
+        # forward_poses leaves them: either way the 4x4 is relative's, bit for bit.
+        def frame(t, strided):
+            p = pose_from(t)
+            m = compose(p, from_translation([0.5, -250.0, 3.25])).matrix()
+            return Pose._trusted(m[:3, :3], m[:3, 3]) if strided else p
+
+        n, c = frame(tn, n_strided), frame(tc, c_strided)
+        got = relative_matrix(n, c)
+        assert got.tobytes() == relative(n, c).matrix().tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
 
 
 class TestPoseValidation:

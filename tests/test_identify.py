@@ -45,7 +45,6 @@ from chainforge.identify import (
     to_descriptor,
     validate_markers,
     _child_side,
-    _connected_origins,
     _fit_joint,
     _origin_gaps,
     _PairModel,
@@ -866,7 +865,7 @@ class TestReachTest:
             child = _detected(db, child_code, compose(parent_pose, pose), child_bundle)
         observed = relative(parent.master_pose, child.master_pose).matrix()
         model = _PairModel(parent_side, child_side, observed, cfg.weights)
-        gaps = np.array(_origin_gaps(parent_side, _connected_origins(child_side), parent, child))
+        gaps = np.array(_origin_gaps(parent_side, child_side, parent, child))
         w_t = cfg.weights.w_t
         assert (w_t * gaps <= model.residual(theta_n, theta_c)).all()
         assert (w_t * gaps <= model.residual(*model.solve())).all()
@@ -886,8 +885,7 @@ class TestReachTest:
             hypotheses = _hypotheses(*args, **kwargs)
             kept = 0
             for cand, parent_side, child_side in hypotheses:
-                cq = _connected_origins(child_side)
-                gaps = _origin_gaps(parent_side, cq, cand, child)
+                gaps = _origin_gaps(parent_side, child_side, cand, child)
                 if cfg.weights.w_t * min(gaps) <= reach:
                     kept += 1
                     continue
@@ -1173,7 +1171,7 @@ class TestWarnings:
         output_marker = db.records_of_type("I")[0].output_marker_id
         chain = build_chain([o for o in obs if o.marker_id != output_marker], db)
         assert chain.links[0].joint_angle is None
-        assert chain.warnings == ["joint angle of I-001: I-001: output bundle was not observed"]
+        assert chain.warnings == ["joint angle of I-001: output bundle was not observed"]
 
     def test_identify_raises_no_python_warning(self, db):
         # Over the corpus and the four noise rows, no chain or tree build of

@@ -520,6 +520,27 @@ class TestXmlWriter:
         )
         self.written_bytes(model, xml_dir)
 
+    @pytest.mark.parametrize("where", ["model", "link", "joint", "parent", "child"])
+    def test_one_special_name_matches_reference(self, golden_model, tmp_path, where):
+        # One name holding &, <, " and a tab, all others plain catalog names:
+        # the file still equals the reference's and reads back with that name.
+        odd = 'a&b<"c\td'
+        model, link, joint = golden_model, golden_model.links[2], golden_model.joints[3]
+        if where == "model":
+            model = replace(model, name=odd)
+        elif where == "link":
+            links = [replace(l, name=odd) if l is link else l for l in model.links]
+            model = replace(model, links=links)
+        else:
+            field = "name" if where == "joint" else where
+            odd_joint = replace(joint, **{field: odd})
+            model = replace(model, joints=[odd_joint if j is joint else j for j in model.joints])
+        self.written_bytes(model, tmp_path)
+        back = read_model(tmp_path / "ours.xml")
+        names = {back.name, *(l.name for l in back.links)}
+        names |= {getattr(j, f) for j in back.joints for f in ("name", "parent", "child")}
+        assert odd in names
+
     def test_golden_file(self, golden_model, tmp_path):
         # A fixed file, so that a change in ElementTree cannot move the
         # reference and the writer together.

@@ -42,6 +42,7 @@ from helpers import (
     reference_mate,
     reference_master_to_childward,
     reference_parentward_to_master,
+    reference_search_side,
     save_renamed_database,
 )
 
@@ -229,6 +230,28 @@ def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
         assert set(mt.link_out) == {UPRIGHT, INVERTED}
         for d, pose in mt.link_out.items():
             assert _bits(pose) == _bits(reference_link_out(mt, d))
+
+
+@pytest.mark.parametrize("source", ["built", "skewed"])
+def test_search_sides_equal_per_call_formulas(source):
+    # Each type holds, for each legal direction, the optimization search's
+    # sides as a parent and as a child: byte for byte what the search computed
+    # per call from freshly composed factors, and read-only.
+    db = default_database() if source == "built" else _skewed_database()
+    for mt in db.types.values():
+        keys = [("out", d) for d in reference_directions(mt, "parent")]
+        keys += [("in", d) for d in reference_directions(mt, "child")]
+        assert list(mt.sides) == keys
+        for key in keys:
+            side, want = mt.sides[key], reference_search_side(mt, *key)
+            assert (side.axis, side.limits) == (want.pop("axis"), want.pop("limits"))
+            for name, value in want.items():  # arrays, floats and nested floats, as float64
+                got = np.asarray(getattr(side, name), dtype=float)
+                assert got.tobytes() == np.asarray(value, dtype=float).tobytes(), (mt.code, key)
+            arrays = [side.matrix] + ([side.connected] if key[0] == "out" else [])
+            assert not any(a.flags.writeable for a in arrays)
+            floats = side.rows if key[0] == "out" else side.origins
+            assert isinstance(floats, tuple) and all(isinstance(f, (float, tuple)) for f in floats)
 
 
 def test_connection_table_equals_fresh_compositions():

@@ -42,6 +42,7 @@ from helpers import (
     reference_forward_poses,
     reference_quat_to_matrix,
     reference_read_scene,
+    reference_spurious_markers,
     reference_synthesize,
 )
 
@@ -273,22 +274,29 @@ class TestSynthesize:
         for o in got:
             assert not (o.pose.rotation.flags.writeable or o.pose.translation.flags.writeable)
 
-    def test_noise_rows_match_numpy_reference(self, db, tmp_path):
+    def test_noise_rows_match_numpy_reference(self, db, tmp_path, monkeypatch):
         # The criterion-4 noise rows, whose spurious markers take their
         # rotations from the float quaternion kernel, give the scene files
-        # that the numpy quaternion formula gives.
+        # that the numpy quaternion formula gives, and that the synthesizer
+        # gave when it drew each spurious rotation through numpy.
         desc = parse("I-T'0-T'0-A0-t0-i0-g0")
         rows = [(2.0, 3, 0.0), (4.0, 3, 0.0), (6.0, 3, 0.0), (2.0, 0, 0.05)]
         rng = np.random.default_rng(4242)
+
+        def numpy_drawn(*args, **kwargs):
+            with monkeypatch.context() as mp:
+                mp.setattr(synth, "_spurious_markers", reference_spurious_markers)
+                return synthesize(*args, **kwargs)
+
         for k in range(10):
             thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180, 120, 120, 120, 180)]
             for sigma, spurious, dropout in rows:
                 cfg = SceneConfig(sigma, sigma, dropout, spurious, seed=9000 + k)
                 files = []
-                for make in (synthesize, reference_synthesize):
+                for make in (synthesize, reference_synthesize, numpy_drawn):
                     write_scene(tmp_path / "scene.json", make(desc, thetas, db, cfg=cfg))
                     files.append((tmp_path / "scene.json").read_bytes())
-                assert files[0] == files[1]
+                assert files[0] == files[1] == files[2]
 
     def test_scene_poses_still_checked(self, db, monkeypatch):
         monkeypatch.setattr(synth, "axis_angle", lambda axis, deg: np.diag([1.0, 1.0, -1.0]))
