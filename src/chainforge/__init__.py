@@ -5,7 +5,6 @@ from .geometry import (
     CONNECTION_ANGLES,
     DegenerateGeometry,
     Pose,
-    WeightMatrix,
     compose,
     discretize_angle,
     invert,

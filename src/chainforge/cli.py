@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .descriptor import ChainSyntaxError, parse, serialize
+from .descriptor import ChainDescriptor, ChainEntry, ChainSyntaxError, parse, serialize
 from .geometry import wrap_angle
 from .identify import (
     METHOD_GEOMETRIC,
@@ -30,6 +30,7 @@ from .synth import (
     SceneConfig,
     SceneParseError,
     SynthError,
+    assign_instances,
     read_scene,
     synthesize,
     write_scene,
@@ -207,6 +208,15 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _reversed(desc: ChainDescriptor) -> ChainDescriptor:
+    """The same chain read from its last entry: the tokens in reverse order, each
+    prime flipped and the connection angles in reverse order.  A connector mate
+    R_y(a) R_x(180) is its own inverse, so every angle holds either way."""
+    angles = (None, *(e.connection_angle for e in desc.entries[:0:-1]))
+    entries = zip(desc.entries[::-1], angles)
+    return ChainDescriptor(tuple(ChainEntry(e.type_code, not e.inverted, a) for e, a in entries))
+
+
 def _cmd_roundtrip(args) -> int:
     if args.trials <= 0:
         print("error: --trials must be positive", file=sys.stderr)
@@ -214,7 +224,13 @@ def _cmd_roundtrip(args) -> int:
     db = load_database(_resolve_db_path(args))
     desc = parse(args.chain)
     joints = _parse_joints(args.joints)
-    canonical = serialize(desc)
+    # The true angle of each joint module, by the serial synthesize places it under.
+    records = assign_instances(desc, db)
+    truth = dict(zip((r.serial for r in records if db.types[r.type_code].is_joint), joints))
+    # A chain with a tool at each end may be walked from either tool.
+    readings = {serialize(desc)}
+    if len(records) > 1 and all(db.types[r.type_code].is_tool for r in (records[0], records[-1])):
+        readings.add(serialize(_reversed(desc)))
     noiseless = (
         args.sigma_pos == 0.0
         and args.sigma_rot == 0.0
@@ -231,8 +247,6 @@ def _cmd_roundtrip(args) -> int:
         except IdentifyError:
             chain_geo = None
             recovered = None
-        if recovered == canonical:
-            exact += 1
         try:
             chain_opt = build_chain(
                 observations, db, IdentifyConfig(method=METHOD_OPTIMIZATION)
@@ -246,13 +260,12 @@ def _cmd_roundtrip(args) -> int:
             == [(l.module.serial, l.connection_angle) for l in chain_opt.links]
         ):
             agree += 1
-        if chain_geo is not None and recovered == canonical:
-            estimated = [
-                l.joint_angle for l in chain_geo.links if l.module.module_type.is_joint
-            ]
-            for truth, est in zip(joints, estimated):
-                if est is not None:
-                    theta_errors.append(abs(wrap_angle(est - truth)))
+        if recovered in readings:
+            exact += 1
+            for link in chain_geo.links:
+                if link.joint_angle is not None and link.module.serial in truth:
+                    error = wrap_angle(link.joint_angle - truth[link.module.serial])
+                    theta_errors.append(abs(error))
     print(f"trials {args.trials}")
     print(f"exact {exact}")
     mean_err = float(np.mean(theta_errors)) if theta_errors else float("nan")

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 import os
 import stat
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,28 +200,6 @@ def relative_matrix(n: Pose, c: Pose) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Weights mixing orientation (dimensionless) and translation (1/mm) error."""
-
-    w_o: float = 1.0
-    w_t: float = 0.01
-    # The weights laid over a homogeneous matrix, built once and read-only.
-    mask: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not (self.w_o > 0.0 and self.w_t > 0.0):  # NaN fails too
-            raise ValueError("weights must be positive")
-        # The parent-search solve squares each weight; an int's square compares exactly.
-        if not max(self.w_o * self.w_o, self.w_t * self.w_t) <= sys.float_info.max:
-            raise ValueError("weights must be finite, with squares a float can hold")
-        m = np.zeros((4, 4))
-        m[:3, :3] = self.w_o
-        m[:3, 3] = self.w_t
-        m.setflags(write=False)
-        object.__setattr__(self, "mask", m)
-
-
 def unit_between(p: Pose, c: Pose) -> np.ndarray:
     """Unit vector from the origin of p to the origin of c."""
     d = c.translation - p.translation
@@ -279,15 +256,6 @@ def quat_rows(q: list) -> list[float]:
         2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
         2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
     ]
-
-
-def quat_to_matrix(q) -> np.ndarray:
-    """Unit quaternion (x, y, z, w) to rotation matrix; an (n, 4) stack gives (n, 3, 3)."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim not in (1, 2) or q.shape[-1] != 4:
-        raise ValueError(f"expected one quaternion or an (n, 4) stack, got shape {q.shape}")
-    r = np.array([quat_rows(v) for v in q.reshape(-1, 4).tolist()]).reshape(-1, 3, 3)
-    return r[0] if q.ndim == 1 else r
 
 
 def matrix_to_quat(r: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ from .geometry import (
     TURN_PLANES,
     DegenerateGeometry,
     Pose,
-    WeightMatrix,
     discretize_angle,
     joint_turns,
     relative_matrix,
@@ -55,6 +54,14 @@ METHOD_OPTIMIZATION = "optimization"
 LIMIT_SLACK = 2.0
 # Pose-metric residuals this close to the best one tie in the optimization back end.
 RESIDUAL_TIE = 1e-9
+# The pose metric scales orientation error (dimensionless) by W_O and translation
+# error (mm) by W_T; the mask lays both over a homogeneous matrix.
+W_O = 1.0
+W_T = 0.01
+_METRIC_MASK = np.zeros((4, 4))
+_METRIC_MASK[:3, :3] = W_O
+_METRIC_MASK[:3, 3] = W_T
+_METRIC_MASK.setflags(write=False)
 _ZERO_STATES = np.zeros(len(CONNECTION_ANGLES))
 _ZERO_STATES.setflags(write=False)
 
@@ -93,7 +100,6 @@ class IdentifyConfig:
 
     epsilon1: float = 20.0
     epsilon2: float = 0.05
-    weights: WeightMatrix = field(default_factory=WeightMatrix)
     f_threshold: float = 0.5
     method: str = METHOD_GEOMETRIC
 
@@ -519,13 +525,10 @@ class _PairModel:
     observation is always the child master seen from the parent master.
     """
 
-    def __init__(
-        self, parent: SearchSide, child: SearchSide, observed: np.ndarray, weights: WeightMatrix
-    ):
+    def __init__(self, parent: SearchSide, child: SearchSide, observed: np.ndarray):
         self.parent, self.child = parent, child
         self._base = parent.connected @ child.matrix
         self._observed = observed
-        self._weights = weights
         self._turned = None, None  # the last theta_n turning the parent, and its layers
 
     def _stack(self, theta_n: np.ndarray | None, theta_c: np.ndarray | None) -> np.ndarray:
@@ -545,23 +548,23 @@ class _PairModel:
 
     def residual(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
         """Weighted pose metric at one joint state per connection angle (ignored if fixed)."""
-        diff = self._weights.mask * (self._stack(theta_n, theta_c) - self._observed)
+        diff = _METRIC_MASK * (self._stack(theta_n, theta_c) - self._observed)
         return np.sqrt((diff * diff).sum(axis=(1, 2)))
 
     def parent_cross(self, theta_c: np.ndarray, position_only: bool = False) -> np.ndarray:
         """H of the metric in theta_n: Rn has no translation, so the model is
-        Rn X and H = w_o^2 O_r X_r^T + w_t^2 O_t X_t^T."""
-        x, o, w = self._stack(None, theta_c), self._observed, self._weights
-        h = w.w_t**2 * o[:3, 3, None] * x[:, None, :3, 3]
+        Rn X and H = W_O^2 O_r X_r^T + W_T^2 O_t X_t^T."""
+        x, o = self._stack(None, theta_c), self._observed
+        h = W_T**2 * o[:3, 3, None] * x[:, None, :3, 3]
         if position_only:
             return h
-        return h + w.w_o**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
+        return h + W_O**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
 
     def child_cross(self, theta_n: np.ndarray) -> np.ndarray:
         """H of the metric in theta_c: Rc turns only the modeled rotation, Y_r Rc(-theta_c),
-        so H = w_o^2 O_r^T Y_r."""
+        so H = W_O^2 O_r^T Y_r."""
         y = self._stack(theta_n, None)
-        return self._weights.w_o**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
+        return W_O**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
 
     def solve(self) -> tuple[np.ndarray, np.ndarray]:
         """Free joint states at each connection angle in closed form; 0 where fixed.
@@ -598,8 +601,8 @@ def _origin_gaps(
     child side's `origins` C_k q, which no child-side turn moves.  A free parent
     turns b about its joint axis, which keeps b's axial offset and its radius
     about the axis, so the distance is at least the hypot of the axial and
-    radial gaps.  Each bound is lowered by a rounding allowance, so that w_t
-    times it never exceeds the residual of `_PairModel`, which is at least w_t
+    radial gaps.  Each bound is lowered by a rounding allowance, so that W_T
+    times it never exceeds the residual of `_PairModel`, which is at least W_T
     times the distance.
     """
     f, c = cand.floats, child.floats
@@ -645,7 +648,7 @@ def find_parent_optimization(
     pair transform are solved in closed form within their joint limits,
     and the residual is the metric at the solved states.  A hypothesis
     whose bundle pair is misaligned is skipped, and so is one that cannot
-    reach the child: when w_t times every `_origin_gaps` bound exceeds
+    reach the child: when W_T times every `_origin_gaps` bound exceeds
     f_threshold + RESIDUAL_TIE, its residuals could neither be accepted nor
     tie an accepted winner.  The best candidate is accepted only when its
     residual stays within the configured threshold.
@@ -671,11 +674,11 @@ def find_parent_optimization(
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
-            if cfg.weights.w_t * min(_origin_gaps(parent_side, child_side, cand, child)) > reach:
+            if W_T * min(_origin_gaps(parent_side, child_side, cand, child)) > reach:
                 continue
             if observed is None:
                 observed = relative_matrix(cand.master_pose, child.master_pose)
-            model = _PairModel(parent_side, child_side, observed, cfg.weights)
+            model = _PairModel(parent_side, child_side, observed)
             theta_n, theta_c = model.solve()
             f_values += model.residual(theta_n, theta_c).tolist()
             hypotheses.append((cand, d_p, parent_side, measured, theta_n, theta_c))

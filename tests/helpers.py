@@ -23,11 +23,10 @@ from chainforge.geometry import (
     invert,
     joint_turns,
     InvalidPose,
-    WeightMatrix,
     checked_poses,
     finite_number,
     matrix_to_rpy,
-    quat_to_matrix,
+    quat_rows,
     relative,
     rot_x,
     rot_y,
@@ -343,6 +342,14 @@ def reference_search_side(mt: ModuleType, end: str, direction: str) -> dict:
     return {"matrix": m, "axis": axis, "limits": limits, **fields}
 
 
+def quat_to_matrix(q) -> np.ndarray:
+    """Unit quaternion (x, y, z, w) to rotation matrix by `quat_rows`; an (n, 4)
+    stack gives (n, 3, 3)."""
+    q = np.asarray(q, dtype=float)
+    r = np.array([quat_rows(v) for v in q.reshape(-1, 4).tolist()]).reshape(-1, 3, 3)
+    return r[0] if q.ndim == 1 else r
+
+
 def reference_quat_to_matrix(q) -> np.ndarray:
     """Unit quaternion (x, y, z, w) to rotation matrix, in scalar arithmetic."""
     x, y, z, w = np.asarray(q, dtype=float)
@@ -433,9 +440,14 @@ def from_rotation(r) -> Pose:
     return Pose(r, np.zeros(3))
 
 
-def pose_distance(t: Pose, t_ref: Pose, w: WeightMatrix) -> float:
+def pose_distance(
+    t: Pose, t_ref: Pose, w_o: float = identify.W_O, w_t: float = identify.W_T
+) -> float:
     """Weighted Frobenius norm of the difference of two homogeneous matrices."""
-    return float(np.linalg.norm(w.mask * (t.matrix() - t_ref.matrix())))
+    mask = np.zeros((4, 4))
+    mask[:3, :3] = w_o
+    mask[:3, 3] = w_t
+    return float(np.linalg.norm(mask * (t.matrix() - t_ref.matrix())))
 
 
 def y_axis(p: Pose) -> np.ndarray:
@@ -649,15 +661,15 @@ class ReferencePairModel(identify._PairModel):
         return m
 
     def parent_cross(self, theta_c, position_only=False):
-        x, o, w = self._stack(np.zeros(len(theta_c)), theta_c), self._observed, self._weights
-        h = w.w_t**2 * o[:3, 3, None] * x[:, None, :3, 3]
+        x, o = self._stack(np.zeros(len(theta_c)), theta_c), self._observed
+        h = identify.W_T**2 * o[:3, 3, None] * x[:, None, :3, 3]
         if position_only:
             return h
-        return h + w.w_o**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
+        return h + identify.W_O**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
 
     def child_cross(self, theta_n):
         y = self._stack(theta_n, np.zeros(len(theta_n)))
-        return self._weights.w_o**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
+        return identify.W_O**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
 
     def solve(self):
         p, c = self.parent, self.child
@@ -692,7 +704,7 @@ def reference_find_parent_optimization(child, pool, db, cfg, child_direction):
             except identify.NonCollinearBundles:
                 continue
             for child_side in child_sides:
-                model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
+                model = ReferencePairModel(parent_side, child_side, observed)
                 theta_n, theta_c = model.solve()
                 f = model.residual(theta_n, theta_c)
                 for k, angle in enumerate(CONNECTION_ANGLES):

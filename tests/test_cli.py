@@ -441,6 +441,53 @@ class TestRoundtrip:
         out = capsys.readouterr().out
         assert "theta_max_deg" in out
 
+    @staticmethod
+    def _roundtrip(db_path, capsys, chain, joints, *flags):
+        argv = ["roundtrip", "--chain", chain, "--db", str(db_path), "--joints", joints]
+        code = main([*argv, "--trials", "3", "--seed", "1", *flags])
+        return code, capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "chain, joints", [("G'-I0-T'0-L0-T'90-T180-I'0-G0", "0,0,0,0,0"), ("G'-I0-G0", "0")]
+    )
+    def test_tool_at_each_end_either_reading_exact(self, db_path, capsys, chain, joints):
+        # The walk starts from the base tool G-001, the lower marker id, and
+        # so reads the chain from its other end.
+        code, lines = self._roundtrip(db_path, capsys, chain, joints)
+        assert code == 0
+        assert "exact 3" in lines
+
+    def test_joint_error_taken_per_module(self, db_path, capsys):
+        # G'-T0-T'0-G0 reads the same from either end, but the reversed walk
+        # lists T-002 first: each angle is compared with its own module's.
+        code, lines = self._roundtrip(db_path, capsys, "G'-T0-T'0-G0", "10,20")
+        assert code == 0
+        assert lines[1:4] == ["exact 3", "theta_mean_deg 0.000000", "theta_max_deg 0.000000"]
+
+    def test_single_tool_output_kept(self, db_path, capsys):
+        flags = ("--sigma-pos", "2", "--sigma-rot", "2")
+        code, lines = self._roundtrip(db_path, capsys, "I-T0-G0", "10,20", *flags)
+        assert code == 0
+        assert lines == [
+            "trials 3",
+            "exact 3",
+            "theta_mean_deg 2.049990",
+            "theta_max_deg 6.527135",
+            "method_agreement 1.000000",
+        ]
+
+    def test_identification_failure_is_not_exact(self, db_path, capsys):
+        # I-T0 has no tool: both back ends raise NoToolModule on every trial.
+        code, lines = self._roundtrip(db_path, capsys, "I-T0", "10,20")
+        assert code == 2
+        assert lines == [
+            "trials 3",
+            "exact 0",
+            "theta_mean_deg nan",
+            "theta_max_deg nan",
+            "method_agreement 0.000000",
+        ]
+
     def test_zero_trials_usage_error(self, db_path):
         assert (
             main(

@@ -15,7 +15,6 @@ from chainforge.geometry import (
     InvalidPose,
     Pose,
     _checked_rotations,
-    WeightMatrix,
     axis_angle,
     circular_difference,
     compose,
@@ -26,7 +25,6 @@ from chainforge.geometry import (
     matrix_to_rpy,
     pose_from_json,
     quat_rows,
-    quat_to_matrix,
     relative,
     relative_matrix,
     rot_x,
@@ -42,6 +40,7 @@ from helpers import (
     from_rotation,
     from_translation,
     pose_distance,
+    quat_to_matrix,
     raw_connection_angle,
     reference_axis_angle,
     reference_numpy_quat_to_matrix,
@@ -102,6 +101,13 @@ class TestAxisAngle:
         assert stacked.shape == (len(rows), 3, 3)
         for layer, axis, deg in zip(stacked, axes, degs):
             assert layer.tobytes() == axis_angle(axis, deg).tobytes()
+
+    def test_zero_axis_rejected(self):
+        # An axis below 1e-12 in length names no direction, alone or in a stack.
+        stack = [[1.0, 0.0, 0.0], [0.0, 1e-13, 0.0]]
+        for axis, deg in (([0.0, 0.0, 0.0], 30.0), (stack, [30.0, 40.0])):
+            with pytest.raises(ValueError, match="^rotation axis must be nonzero$"):
+                axis_angle(axis, deg)
 
 
 class TestJointTurns:
@@ -338,57 +344,25 @@ class TestPoseDistance:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(5)
         p = random_pose(rng)
-        assert pose_distance(p, p, WeightMatrix()) == 0.0
+        assert pose_distance(p, p) == 0.0
 
     def test_single_translation_entry(self):
         # Only the (0, 3) entry differs, by 1 mm, weighted by w_t = 1.
         p = from_translation([1.0, 0.0, 0.0])
-        assert pose_distance(p, I, WeightMatrix(w_o=1.0, w_t=1.0)) == pytest.approx(1.0)
+        assert pose_distance(p, I, w_o=1.0, w_t=1.0) == pytest.approx(1.0)
 
     def test_linear_in_translation_weight(self):
         p = from_translation([3.0, -4.0, 12.0])
-        d1 = pose_distance(p, I, WeightMatrix(w_o=1.0, w_t=0.01))
-        d2 = pose_distance(p, I, WeightMatrix(w_o=1.0, w_t=0.02))
+        d1 = pose_distance(p, I, w_o=1.0, w_t=0.01)
+        d2 = pose_distance(p, I, w_o=1.0, w_t=0.02)
         assert d2 == pytest.approx(2.0 * d1)
 
     @given(rotation_strategy, rotation_strategy)
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_positivity(self, ta, tb):
         a, b = pose_from(ta), pose_from(tb)
-        w = WeightMatrix()
-        assert pose_distance(a, b, w) == pytest.approx(pose_distance(b, a, w))
-        assert pose_distance(a, b, w) >= 0.0
-
-    def test_weights_validated(self):
-        with pytest.raises(ValueError):
-            WeightMatrix(w_o=0.0)
-        with pytest.raises(ValueError):
-            WeightMatrix(w_t=-1.0)
-        for name in ("w_o", "w_t"):
-            with pytest.raises(ValueError, match="weights must be positive"):
-                WeightMatrix(**{name: math.nan})
-
-    @pytest.mark.parametrize(
-        "value", [math.inf, 1e200, 1.4e154, 10**400], ids=["inf", "1e200", "1.4e154", "10**400"]
-    )
-    @pytest.mark.parametrize("name", ["w_o", "w_t"])
-    def test_weights_with_overflowing_squares_rejected(self, name, value):
-        # The optimization back end squares each weight.
-        with pytest.raises(ValueError, match="weights must be finite"):
-            WeightMatrix(**{name: value})
-        WeightMatrix(**{name: 1e154})  # a square a float still holds
-
-    def test_mask_built_once_and_read_only(self):
-        w = WeightMatrix(w_o=2.0, w_t=0.5)
-        expected = np.zeros((4, 4))
-        expected[:3, :3] = 2.0
-        expected[:3, 3] = 0.5
-        assert w.mask.tobytes() == expected.tobytes()
-        assert w.mask is w.mask
-        assert not w.mask.flags.writeable
-        assert w == WeightMatrix(w_o=2.0, w_t=0.5)
-        assert hash(w) == hash(WeightMatrix(w_o=2.0, w_t=0.5))
-        assert "mask" not in repr(w)
+        assert pose_distance(a, b) == pytest.approx(pose_distance(b, a))
+        assert pose_distance(a, b) >= 0.0
 
 
 class TestAxes:
@@ -558,9 +532,9 @@ class TestQuaternions:
 
     @pytest.mark.parametrize("shape", [(0,), (3,), (8,), (2, 5), (1, 1, 4)])
     def test_rejects_other_shapes(self, shape):
-        with pytest.raises(ValueError, match="expected one quaternion"):
-            quat_to_matrix(np.ones(shape))
-        assert quat_to_matrix(np.ones((0, 4))).shape == (0, 3, 3)
+        # The file form's q is a list of exactly four numbers.
+        with pytest.raises(ValueError, match="^q must be a list of 4 numbers$"):
+            pose_from_json([0, 0, 0], np.ones(shape).tolist())
 
     @pytest.mark.parametrize(
         "q, message",
@@ -575,9 +549,9 @@ class TestQuaternions:
         # An overflowing norm would normalize into the identity, a NaN into
         # NaNs; the messages are the file readers'.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            quat_to_matrix(q)
+            quat_rows(q)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            quat_to_matrix([[0.0, 0.0, 0.0, 1.0], q])
+            pose_from_json([0, 0, 0], q)
 
     def test_rpy_round_trip(self):
         rng = np.random.default_rng(6)

@@ -27,6 +27,7 @@ from chainforge.identify import (
     REASON_DUPLICATE,
     REASON_ORPHAN,
     REASON_UNKNOWN_MARKER,
+    W_T,
     AmbiguousParent,
     DetectedModule,
     IdentifyConfig,
@@ -423,7 +424,7 @@ def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _
     parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
     child_side = _child_side(child, child_dir, cfg.epsilon2)
     observed = relative(parent.master_pose, child.master_pose).matrix()
-    return _PairModel(parent_side, child_side, observed, cfg.weights)
+    return _PairModel(parent_side, child_side, observed)
 
 
 def _joint_rotation(module_type, t):
@@ -460,7 +461,6 @@ class TestClosedFormFit:
         rng = np.random.default_rng(seed)
         parent = _detected(db, parent_code, random_base(rng))
         child = _detected(db, child_code, random_base(rng))
-        cfg = IdentifyConfig()
         got = _pair_model(parent, parent_dir, child, child_dir).residual(
             np.array(theta_n), np.array(theta_c)
         )
@@ -472,7 +472,7 @@ class TestClosedFormFit:
                 compose(parent_factor, reference_connection_transform(angle)),
                 reference_parentward_to_master(ct, child_dir, theta_c[k]),
             )
-            expected = pose_distance(modeled, observed, cfg.weights)
+            expected = pose_distance(modeled, observed)
             assert got[k] == pytest.approx(expected, rel=1e-12)
 
     @given(
@@ -499,12 +499,11 @@ class TestClosedFormFit:
         pt, ct = parent.module_type, child.module_type
         held = np.full(4, other)
         observed = relative(parent.master_pose, child.master_pose).translation
-        w_t = IdentifyConfig().weights.w_t
 
         def position_metric(t):
             # Translation part of the metric, composed from the catalog.
             return np.array([
-                w_t**2 * float(np.sum((compose(
+                W_T**2 * float(np.sum((compose(
                     compose(
                         reference_master_to_childward(pt, parent_dir, t),
                         reference_connection_transform(a),
@@ -859,16 +858,15 @@ class TestReachTest:
         assert (child_side.axis is None) == (child_kind != "free")
         theta_n, theta_c = np.array(states[:4]), np.array(states[4:8])
         if near:
-            modeled = _PairModel(parent_side, child_side, np.eye(4), cfg.weights)
+            modeled = _PairModel(parent_side, child_side, np.eye(4))
             m = modeled._stack(theta_n, theta_c)[k0]
             pose = Pose(m[:3, :3], m[:3, 3] + offset)
             child = _detected(db, child_code, compose(parent_pose, pose), child_bundle)
         observed = relative(parent.master_pose, child.master_pose).matrix()
-        model = _PairModel(parent_side, child_side, observed, cfg.weights)
+        model = _PairModel(parent_side, child_side, observed)
         gaps = np.array(_origin_gaps(parent_side, child_side, parent, child))
-        w_t = cfg.weights.w_t
-        assert (w_t * gaps <= model.residual(theta_n, theta_c)).all()
-        assert (w_t * gaps <= model.residual(*model.solve())).all()
+        assert (W_T * gaps <= model.residual(theta_n, theta_c)).all()
+        assert (W_T * gaps <= model.residual(*model.solve())).all()
         if near and parent_kind in ("fixed", "bundle-measured"):
             assert gaps[k0] == pytest.approx(math.hypot(*offset), abs=1e-5)
 
@@ -886,11 +884,11 @@ class TestReachTest:
             kept = 0
             for cand, parent_side, child_side in hypotheses:
                 gaps = _origin_gaps(parent_side, child_side, cand, child)
-                if cfg.weights.w_t * min(gaps) <= reach:
+                if W_T * min(gaps) <= reach:
                     kept += 1
                     continue
                 observed = relative(cand.master_pose, child.master_pose).matrix()
-                model = ReferencePairModel(parent_side, child_side, observed, cfg.weights)
+                model = ReferencePairModel(parent_side, child_side, observed)
                 assert (model.residual(*model.solve()) > reach).all()
                 skipped += 1
             total += len(hypotheses)
@@ -1128,6 +1126,21 @@ class TestBuildChain:
             full = next(b for b in build_tree(obs, db, cfg) if len(b.links) == len(chain.links))
             assert [l.module.serial for l in chain.links] == [l.module.serial for l in full.links]
             assert serialize(to_descriptor(chain)) == serialize(to_descriptor(full))
+
+    def test_later_walk_that_fails_is_skipped(self, db):
+        # G-001 (marker 50) walks I-T0-G0 first and leaves two overlapping
+        # L-g0 clones unclaimed.  Each walk from g-001 or g-002 finds both
+        # L modules passing (AmbiguousParent), so both walks are skipped and
+        # the clones are orphans of the kept walk.
+        obs = synthesize(parse("I-T0-G0"), [10.0, 20.0], db)
+        for k in (1, 2):
+            base = from_translation([2000.0 + k, 0.0, 0.0])
+            obs += synthesize(parse("L-g0"), [], db, base=base, assignment=[f"L-00{k}", f"g-00{k}"])
+        chain = build_chain(obs, db)
+        assert serialize(to_descriptor(chain)) == "I-T0-G0"
+        assert sorted(chain.rejected_markers) == [(m, REASON_ORPHAN) for m in (55, 56, 70, 71)]
+        with pytest.raises(AmbiguousParent):
+            build_tree(obs, db)
 
     def test_pool_strictly_decreases(self, db):
         # Termination on a long chain plus distractor fragment.

@@ -426,8 +426,12 @@ def test_any_field_value_loads_or_raises_typed(saved_db_doc, field, value):
         (lambda doc: doc["modules"][0].update(master_marker_id=-1), "marker id -1 is negative"),
         (lambda doc: doc["types"][0].pop("invertible"), "missing key 'invertible'"),
         (lambda doc: doc.update(version=2), "top level must be an object with keys"),
+        (
+            lambda doc: doc["types"][0].update(joint_limits_deg=[-90]),
+            r"types\[0\]: joint_limits_deg must be \[min, max\]",
+        ),
     ],
-    ids=["kind", "type-code", "serial", "marker-id", "missing-key", "top-level"],
+    ids=["kind", "type-code", "serial", "marker-id", "missing-key", "top-level", "limits"],
 )
 def test_invalid_document_named(tmp_path, db, change, message):
     path = tmp_path / "db.json"

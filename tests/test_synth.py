@@ -13,7 +13,6 @@ from chainforge.geometry import (
     CONNECTION_ANGLES,
     InvalidPose,
     Pose,
-    quat_to_matrix,
     relative,
     rot_y,
     unit_between,
@@ -35,6 +34,7 @@ from helpers import (
     field_values,
     make_corpus,
     odd_numbers,
+    quat_to_matrix,
     random_base,
     random_chain_case,
     raw_connection_angle,
