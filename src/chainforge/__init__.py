@@ -8,7 +8,6 @@ from .geometry import (
     compose,
     discretize_angle,
     invert,
-    relative,
     unit_between,
 )
 from .identify import (

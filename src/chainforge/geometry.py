@@ -25,23 +25,23 @@ class DegenerateGeometry(ValueError):
     """Two frames whose origins coincide define no direction vector."""
 
 
-def _cos_sin(deg: float) -> tuple[float, float]:
+def cos_sin(deg: float) -> tuple[float, float]:
     rad = math.radians(deg)
     return math.cos(rad), math.sin(rad)
 
 
 def rot_x(deg: float) -> np.ndarray:
-    c, s = _cos_sin(deg)
+    c, s = cos_sin(deg)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def rot_y(deg: float) -> np.ndarray:
-    c, s = _cos_sin(deg)
+    c, s = cos_sin(deg)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rot_z(deg: float) -> np.ndarray:
-    c, s = _cos_sin(deg)
+    c, s = cos_sin(deg)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -58,7 +58,7 @@ def axis_angle(axis, deg) -> np.ndarray:
     if (n < 1e-12).any():
         raise ValueError("rotation axis must be nonzero")
     x, y, z = (a / n[:, None]).T
-    c, s = np.array([_cos_sin(d) for d in np.ravel(deg).tolist()]).T[:, :, None, None]
+    c, s = np.array([cos_sin(d) for d in np.ravel(deg).tolist()]).T[:, :, None, None]
     k = np.zeros((len(a), 3, 3))
     k[:, 0, 1], k[:, 0, 2], k[:, 1, 2] = -z, y, -x
     k[:, 1, 0], k[:, 2, 0], k[:, 2, 1] = z, -y, x
@@ -185,13 +185,9 @@ def invert(p: Pose) -> Pose:
     return Pose._trusted(np.array(rt), -rt @ p.translation)
 
 
-def relative(n: Pose, c: Pose) -> Pose:
-    """Transform from frame n to frame c (inverse(n) * c)."""
-    return compose(invert(n), c)
-
-
 def relative_matrix(n: Pose, c: Pose) -> np.ndarray:
-    """`relative(n, c).matrix()` bit for bit, as a read-only 4x4 built without poses."""
+    """The transform from frame n to frame c, inverse(n) * c, as a read-only 4x4:
+    `compose(invert(n), c).matrix()` bit for bit, built without poses."""
     rf, m = np.array(n.rotation.T), np.zeros((4, 4))  # the same products on `invert`'s copy
     m[3, 3] = 1.0
     m[:3, :3] = rf @ c.rotation

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .geometry import (
     TURN_PLANES,
     DegenerateGeometry,
     Pose,
+    cos_sin,
     discretize_angle,
     joint_turns,
     relative_matrix,
@@ -55,15 +57,10 @@ LIMIT_SLACK = 2.0
 # Pose-metric residuals this close to the best one tie in the optimization back end.
 RESIDUAL_TIE = 1e-9
 # The pose metric scales orientation error (dimensionless) by W_O and translation
-# error (mm) by W_T; the mask lays both over a homogeneous matrix.
+# error (mm) by W_T.
 W_O = 1.0
 W_T = 0.01
-_METRIC_MASK = np.zeros((4, 4))
-_METRIC_MASK[:3, :3] = W_O
-_METRIC_MASK[:3, 3] = W_T
-_METRIC_MASK.setflags(write=False)
-_ZERO_STATES = np.zeros(len(CONNECTION_ANGLES))
-_ZERO_STATES.setflags(write=False)
+_ZERO_STATES = (0.0,) * len(CONNECTION_ANGLES)
 
 
 class IdentifyError(Exception):
@@ -459,34 +456,29 @@ def estimate_joint_angle(
     return theta, None
 
 
-def _fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndarray:
-    """Joint states on the limits minimizing const - 2<R(t), H[k]>, one per H[k].
+def _fit_joint(pq: list[tuple[float, float]], limits: tuple[float, float]) -> list[float]:
+    """Joint states on the limits maximizing p cos t + q sin t, one per (p, q).
 
-    For one free joint the squared pose metric has this form, the one-axis
-    case of Wahba's problem, with H the weighted cross-covariance of the
-    observed and modeled frames.  <R(t), H> = p cos t + q sin t + const
-    peaks at atan2(q, p); when the limits exclude that, the sinusoid is
-    monotone toward it from either end, so the better endpoint wins; when
-    every solved state already lies within the limits, they are returned as
-    they are.
+    For one free joint the squared pose metric is const - 2<R(t), H>, the
+    one-axis case of Wahba's problem, with H the weighted cross-covariance of
+    the observed and modeled frames, and <R(t), H> = p cos t + q sin t + const
+    for the p and q of H in the joint's turn plane.  That peaks at
+    atan2(q, p); when the limits exclude it, the sinusoid is monotone toward
+    it from either end, so the better endpoint wins.
     """
-    a, b = TURN_PLANES[axis]
-    p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
     lo, hi = limits
-    # numpy's trig, whose last bits math's does not share; the rest in floats.
-    # The max covers a shift that rounding leaves just short of lo (for a
-    # denormal lo - t the quotient underflows to 0).  A zero shift leaves t and
-    # a tie keeps lo, so that a zero keeps the sign numpy's arithmetic gives it.
-    raw = np.degrees(np.arctan2(q, p)).tolist()
-    theta = [max(lo, t + 360.0 * k if (k := math.ceil((lo - t) / 360.0)) else t) for t in raw]
-    if max(theta) > hi:
-        ends = np.radians(limits)
-        (c_lo, c_hi), (s_lo, s_hi) = np.cos(ends).tolist(), np.sin(ends).tolist()
-        theta = [
-            t if t <= hi else (lo if pk * c_lo + qk * s_lo >= pk * c_hi + qk * s_hi else hi)
-            for t, pk, qk in zip(theta, p.tolist(), q.tolist())
-        ]
-    return np.array(theta)
+    theta = []
+    for p, q in pq:
+        t = math.degrees(math.atan2(q, p))
+        # The max covers a shift that rounding leaves just short of lo (for a
+        # denormal lo - t the quotient underflows to 0).  A zero shift leaves t
+        # and a tie keeps lo, so that a zero keeps its sign.
+        t = max(lo, t + 360.0 * k if (k := math.ceil((lo - t) / 360.0)) else t)
+        if t > hi:
+            (c_lo, s_lo), (c_hi, s_hi) = cos_sin(lo), cos_sin(hi)
+            t = lo if p * c_lo + q * s_lo >= p * c_hi + q * s_hi else hi
+        theta.append(t)
+    return theta
 
 
 def _parent_side(
@@ -500,7 +492,7 @@ def _parent_side(
     """
     mt = module.module_type
     if mt.is_collinear_joint and direction == UPRIGHT and module.bundle is not None:
-        return SearchSide.as_parent(module.bundle), _measure_collinear_theta(module, eps2)
+        return SearchSide.of(module.bundle), _measure_collinear_theta(module, eps2)
     return mt.sides["out", direction], None
 
 
@@ -510,63 +502,117 @@ def _child_side(module: DetectedModule, direction: str, eps2: float) -> SearchSi
     mt = module.module_type
     if mt.is_collinear_joint and direction == INVERTED and module.bundle is not None:
         turn = joint_turns(mt.joint_axis, [-_measure_collinear_theta(module, eps2)])[0]
-        return SearchSide.as_child(mt.matrices["in", direction] @ turn)
+        return SearchSide.of(mt.matrices["in", direction] @ turn)
     return mt.sides["in", direction]
+
+
+def _turn_rows(layers, axis: int, thetas) -> list[list[float]]:
+    """Rn(theta) m for each 3x4 m of `layers` and its joint state, with
+    Rn = `joint_turns(axis, [theta])`: rows a and b of its plane turn."""
+    i, j = (4 * a for a in TURN_PLANES[axis])
+    turned = []
+    for m, (c, s) in zip(layers, map(cos_sin, thetas)):
+        (a0, a1, a2, a3), (b0, b1, b2, b3), m = m[i : i + 4], m[j : j + 4], list(m)
+        m[i : i + 4] = c * a0 - s * b0, c * a1 - s * b1, c * a2 - s * b2, c * a3 - s * b3
+        m[j : j + 4] = s * a0 + c * b0, s * a1 + c * b1, s * a2 + c * b2, s * a3 + c * b3
+        turned.append(m)
+    return turned
+
+
+def _turn_columns(layers, axis: int, thetas) -> list[list[float]]:
+    """m Rc(-theta) for each 3x4 m of `layers` and its joint state, with
+    Rc = `joint_turns(axis, ...)`: rotation columns a and b of its plane turn."""
+    a, b = TURN_PLANES[axis]
+    turned = []
+    for m, (c, s) in zip(layers, map(cos_sin, thetas)):
+        m = list(m)
+        for i in (0, 4, 8):
+            x, y = m[i + a], m[i + b]
+            m[i + a], m[i + b] = c * x - s * y, s * x + c * y
+        turned.append(m)
+    return turned
+
+
+_ROTATION = itemgetter(0, 1, 2, 4, 5, 6, 8, 9, 10)  # of a 3x4 as 12 floats, row by row
+_TRANSLATION = itemgetter(3, 7, 11)
 
 
 class _PairModel:
     """The parent-to-child transform of one hypothesis at all four connection angles.
 
-    Layer k is Rn(theta_n) B[k] Rc(-theta_c): B[k] is the parent side's
-    `connected` layer k times the child factor, and Rn, Rc turn the
-    free joint states (`joint_turns`; an inverted child is entered behind
-    its joint, so its state turns by -theta_c).
+    Layer k is Rn(theta_n) B_k Rc(-theta_c): B_k is the parent factor times
+    connector k times the child factor (`ModuleDatabase.pair_layers`), and
+    Rn, Rc turn the free joint states (`joint_turns`; an inverted child is
+    entered behind its joint, so its state turns by -theta_c).  Each layer and
+    the observation are the top three rows of the 4x4, as 12 floats row by row.
     The metric is invariant under a rigid motion of both frames, so the
     observation is always the child master seen from the parent master.
     """
 
-    def __init__(self, parent: SearchSide, child: SearchSide, observed: np.ndarray):
+    def __init__(self, parent: SearchSide, child: SearchSide, layers, observed: list[float]):
         self.parent, self.child = parent, child
-        self._base = parent.connected @ child.matrix
+        self._layers = layers
         self._observed = observed
         self._turned = None, None  # the last theta_n turning the parent, and its layers
 
-    def _stack(self, theta_n: np.ndarray | None, theta_c: np.ndarray | None) -> np.ndarray:
+    def _stack(self, theta_n, theta_c) -> list:
         """The model layers, turned by each free side whose states are given.
 
         The parent-turned layers are kept for the next call with the same
         theta_n: the residual at the solved states reuses the final child_cross's.
         """
-        m = self._base
+        m = self._layers
         if theta_n is not None and self.parent.axis is not None:
             if self._turned[0] is not theta_n:
-                self._turned = theta_n, joint_turns(self.parent.axis, theta_n) @ m
+                self._turned = theta_n, _turn_rows(m, self.parent.axis, theta_n)
             m = self._turned[1]
         if theta_c is not None and self.child.axis is not None:
-            m = m @ joint_turns(self.child.axis, -theta_c)
+            m = _turn_columns(m, self.child.axis, theta_c)
         return m
 
-    def residual(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
-        """Weighted pose metric at one joint state per connection angle (ignored if fixed)."""
-        diff = _METRIC_MASK * (self._stack(theta_n, theta_c) - self._observed)
-        return np.sqrt((diff * diff).sum(axis=(1, 2)))
+    def residual(self, theta_n, theta_c) -> list[float]:
+        """Weighted pose metric at one joint state per connection angle (ignored if
+        fixed), from the entries of the turned layers."""
+        ro, to = _ROTATION(self._observed), _TRANSLATION(self._observed)
+        return [
+            math.hypot(W_O * math.dist(_ROTATION(m), ro), W_T * math.dist(_TRANSLATION(m), to))
+            for m in self._stack(theta_n, theta_c)
+        ]
 
-    def parent_cross(self, theta_c: np.ndarray, position_only: bool = False) -> np.ndarray:
-        """H of the metric in theta_n: Rn has no translation, so the model is
-        Rn X and H = W_O^2 O_r X_r^T + W_T^2 O_t X_t^T."""
-        x, o = self._stack(None, theta_c), self._observed
-        h = W_T**2 * o[:3, 3, None] * x[:, None, :3, 3]
-        if position_only:
-            return h
-        return h + W_O**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
+    def parent_cross(self, theta_c, position_only: bool = False) -> list[tuple[float, float]]:
+        """p and q of H in theta_n per layer, from its rows a and b: Rn has no
+        translation, so the model is Rn X and H = W_O^2 O_r X_r^T + W_T^2 O_t X_t^T.
+        No child turn moves X_t, so the position-only H skips it."""
+        i, j = (4 * a for a in TURN_PLANES[self.parent.axis])
+        o, wo, wt = self._observed, W_O**2, W_T**2
+        (oa0, oa1, oa2, oa3), (ob0, ob1, ob2, ob3) = o[i : i + 4], o[j : j + 4]
+        pq = []
+        for x in self._layers if position_only else self._stack(None, theta_c):
+            (xa0, xa1, xa2, xa3), (xb0, xb1, xb2, xb3) = x[i : i + 4], x[j : j + 4]
+            p = wt * (oa3 * xa3 + ob3 * xb3)
+            q = wt * (ob3 * xa3 - oa3 * xb3)
+            if not position_only:  # the rotation rows, dotted
+                aa, bb = oa0 * xa0 + oa1 * xa1 + oa2 * xa2, ob0 * xb0 + ob1 * xb1 + ob2 * xb2
+                ba, ab = ob0 * xa0 + ob1 * xa1 + ob2 * xa2, oa0 * xb0 + oa1 * xb1 + oa2 * xb2
+                p, q = p + wo * (aa + bb), q + wo * (ba - ab)
+            pq.append((p, q))
+        return pq
 
-    def child_cross(self, theta_n: np.ndarray) -> np.ndarray:
-        """H of the metric in theta_c: Rc turns only the modeled rotation, Y_r Rc(-theta_c),
-        so H = W_O^2 O_r^T Y_r."""
-        y = self._stack(theta_n, None)
-        return W_O**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
+    def child_cross(self, theta_n) -> list[tuple[float, float]]:
+        """p and q of H in theta_c per layer, from its columns a and b: Rc turns
+        only the modeled rotation, Y_r Rc(-theta_c), so H = W_O^2 O_r^T Y_r."""
+        a, b = TURN_PLANES[self.child.axis]
+        o, wo = self._observed, W_O**2
+        (oa0, oa1, oa2), (ob0, ob1, ob2) = o[a:12:4], o[b:12:4]
+        pq = []
+        for y in self._stack(theta_n, None):
+            (ya0, ya1, ya2), (yb0, yb1, yb2) = y[a:12:4], y[b:12:4]
+            aa, bb = oa0 * ya0 + oa1 * ya1 + oa2 * ya2, ob0 * yb0 + ob1 * yb1 + ob2 * yb2
+            ba, ab = ob0 * ya0 + ob1 * ya1 + ob2 * ya2, oa0 * yb0 + oa1 * yb1 + oa2 * yb2
+            pq.append((wo * (aa + bb), wo * (ba - ab)))
+        return pq
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+    def solve(self) -> tuple[list[float], list[float]]:
         """Free joint states at each connection angle in closed form; 0 where fixed.
 
         When both are free, the child master position depends only on the
@@ -577,13 +623,29 @@ class _PairModel:
         p, c = self.parent, self.child
         theta_n = theta_c = _ZERO_STATES
         if p.axis is not None and c.axis is not None:
-            theta_n = _fit_joint(p.axis, self.parent_cross(theta_c, position_only=True), p.limits)
-            theta_c = _fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+            theta_n = _fit_joint(self.parent_cross(theta_c, position_only=True), p.limits)
+            theta_c = _fit_joint(self.child_cross(theta_n), c.limits)
         if p.axis is not None:
-            theta_n = _fit_joint(p.axis, self.parent_cross(theta_c), p.limits)
+            theta_n = _fit_joint(self.parent_cross(theta_c), p.limits)
         if c.axis is not None:
-            theta_c = _fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+            theta_c = _fit_joint(self.child_cross(theta_n), c.limits)
         return theta_n, theta_c
+
+
+def _observed_rows(cand: DetectedModule, child: DetectedModule) -> list[float]:
+    """The child master seen from the candidate's, as the top three rows of the 4x4:
+    row i holds the candidate's i-th axis dotted with each of the child's axes,
+    then with the vector between the origins."""
+    f, c = cand.floats, child.floats
+    d = (c[0] - f[0], c[1] - f[1], c[2] - f[2])
+    axes = f[3:12].tolist()
+    x0, x1, x2, y0, y1, y2, z0, z1, z2 = c[3:12].tolist()
+    rows = []
+    for k in (0, 3, 6):
+        n0, n1, n2 = axes[k : k + 3]
+        rows += (n0 * x0 + n1 * x1 + n2 * x2, n0 * y0 + n1 * y1 + n2 * y2)
+        rows += (n0 * z0 + n1 * z1 + n2 * z2, n0 * d[0] + n1 * d[1] + n2 * d[2])
+    return rows
 
 
 # Rounding the reach test allows for, relative to the magnitudes it meets.
@@ -591,43 +653,30 @@ _REACH_ROUNDING = 1e-9
 
 
 def _origin_gaps(
-    parent: SearchSide, child_side: SearchSide, cand: DetectedModule, child: DetectedModule
+    parent: SearchSide, child: SearchSide, layers, observed: list[float], scale: float
 ) -> list[float]:
     """At each connection angle, a lower bound on the distance between the
-    child's master origin seen from the candidate's and the modeled one, at
+    child's master origin seen from the candidate's, o, and the modeled one, at
     any joint states.
 
-    The modeled origin is b = P_t + P_r C_k q, for the parent factor P and the
-    child side's `origins` C_k q, which no child-side turn moves.  A free parent
-    turns b about its joint axis, which keeps b's axial offset and its radius
-    about the axis, so the distance is at least the hypot of the axial and
-    radial gaps.  Each bound is lowered by a rounding allowance, so that W_T
-    times it never exceeds the residual of `_PairModel`, which is at least W_T
-    times the distance.
+    The modeled origin is b, the translation of the pair layer B_k, which no
+    child-side turn moves.  A free parent turns b about its joint axis, which
+    keeps b's axial offset and its radius about the axis, so the distance is at
+    least the hypot of the axial and radial gaps.  Each bound is lowered by a
+    rounding allowance, relative to `scale`, the sum of both origins' distances
+    from the world origin, and to the sides' reach, so that W_T times it never
+    exceeds the residual of `_PairModel`, which is at least W_T times the distance.
     """
-    f, c = cand.floats, child.floats
-    d0, d1, d2 = c[0] - f[0], c[1] - f[1], c[2] - f[2]
-    o = (  # the candidate's axes dotted with the vector between the origins
-        f[3] * d0 + f[4] * d1 + f[5] * d2,
-        f[6] * d0 + f[7] * d1 + f[8] * d2,
-        f[9] * d0 + f[10] * d1 + f[11] * d2,
-    )
-    p00, p01, p02, t0, p10, p11, p12, t1, p20, p21, p22, t2 = parent.rows
-    scale = math.hypot(f[0], f[1], f[2]) + math.hypot(c[0], c[1], c[2])
-    allowance = _REACH_ROUNDING * (scale + parent.reach + child_side.reach)
+    o = _TRANSLATION(observed)
+    allowance = _REACH_ROUNDING * (scale + parent.reach + child.reach)
     ax = parent.axis
     if ax is not None:
         u, v = TURN_PLANES[ax]
         o_axial, o_radial = o[ax], math.hypot(o[u], o[v])
     gaps = []
-    for q0, q1, q2 in child_side.origins:
-        b = (
-            t0 + (p00 * q0 + p01 * q1 + p02 * q2),
-            t1 + (p10 * q0 + p11 * q1 + p12 * q2),
-            t2 + (p20 * q0 + p21 * q1 + p22 * q2),
-        )
+    for b in map(_TRANSLATION, layers):
         if ax is None:
-            gap = math.hypot(o[0] - b[0], o[1] - b[1], o[2] - b[2])
+            gap = math.dist(o, b)
         else:
             gap = math.hypot(o_axial - b[ax], o_radial - math.hypot(b[u], b[v]))
         gaps.append(gap - allowance)
@@ -665,22 +714,23 @@ def find_parent_optimization(
     except NonCollinearBundles:
         return None  # a misaligned bundle pair disqualifies its own hypotheses only
     reach = cfg.f_threshold + RESIDUAL_TIE
+    child_norm = math.hypot(*child.floats[:3])
     hypotheses = []  # (candidate, its direction, parent side, roll, thetas)
     f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
     for cand in neighbors(child, pool, db, cfg):
-        observed = None
+        observed = _observed_rows(cand, child)
+        scale = math.hypot(*cand.floats[:3]) + child_norm
         for d_p in cand.module_type.parent_directions:
             try:
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
-            if W_T * min(_origin_gaps(parent_side, child_side, cand, child)) > reach:
+            layers = db.pair_layers(parent_side, child_side)
+            if W_T * min(_origin_gaps(parent_side, child_side, layers, observed, scale)) > reach:
                 continue
-            if observed is None:
-                observed = relative_matrix(cand.master_pose, child.master_pose)
-            model = _PairModel(parent_side, child_side, observed)
+            model = _PairModel(parent_side, child_side, layers, observed)
             theta_n, theta_c = model.solve()
-            f_values += model.residual(theta_n, theta_c).tolist()
+            f_values += model.residual(theta_n, theta_c)
             hypotheses.append((cand, d_p, parent_side, measured, theta_n, theta_c))
     if not f_values:
         return None
@@ -688,7 +738,7 @@ def find_parent_optimization(
 
     def order(i: int) -> tuple[int, float]:
         cand, *_, theta_n, theta_c = hypotheses[i // n]
-        t_n, t_c = float(theta_n[i % n]), float(theta_c[i % n])
+        t_n, t_c = theta_n[i % n], theta_c[i % n]
         return cand.record.master_marker_id, abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
 
     cutoff = min(f_values) + RESIDUAL_TIE
@@ -696,7 +746,7 @@ def find_parent_optimization(
     if not f_values[best] <= cfg.f_threshold:
         return None
     (cand, d_p, parent_side, measured, theta_n, _), k = hypotheses[best // n], best % n
-    theta = measured if parent_side.axis is None else float(theta_n[k])
+    theta = measured if parent_side.axis is None else theta_n[k]
     return ParentMatch(cand, CONNECTION_ANGLES[k], d_p, theta=theta, f_value=f_values[best])
 
 

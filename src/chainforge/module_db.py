@@ -74,29 +74,28 @@ _JOINT_AXES = {KIND_JOINT_COLLINEAR: 1, KIND_JOINT_PERPENDICULAR: 2}
 
 
 class SearchSide(NamedTuple):
-    """One side's factor of a pair transform in the optimization search, with what
-    the search reads of it; axis is None when no joint state is free.  `reach` is
-    |t| of a parent factor's translation t, |C_0 q| of a child's translation q."""
+    """One side's factor of a pair transform in the optimization search, with the
+    free joint's axis and limits (None when no joint state is free), `reach`, the
+    length of the factor's translation, and `key`, the type code and direction of
+    a catalog side; a side measured from a seen bundle pair has none."""
 
     matrix: np.ndarray
-    axis: int | None = None
-    limits: tuple[float, float] | None = None
-    connected: np.ndarray | None = None  # a parent's factor times each connector
-    rows: tuple[float, ...] | None = None  # a parent's top three rows
-    origins: tuple[tuple[float, float, float], ...] | None = None  # a child's C_k q
-    reach: float = 0.0
+    axis: int | None
+    limits: tuple[float, float] | None
+    reach: float
+    key: tuple[str, str] | None
 
     @classmethod
-    def as_parent(cls, matrix: np.ndarray, axis=None, limits=None) -> SearchSide:
-        connected = matrix @ CONNECTOR_STACK
-        connected.setflags(write=False)
-        rows = tuple(matrix[:3].ravel().tolist())
-        return cls(matrix, axis, limits, connected, rows, reach=math.hypot(*rows[3::4]))
+    def of(cls, matrix: np.ndarray, axis=None, limits=None, key=None) -> SearchSide:
+        return cls(matrix, axis, limits, math.hypot(*matrix[:3, 3].tolist()), key)
 
-    @classmethod
-    def as_child(cls, matrix: np.ndarray, axis=None, limits=None) -> SearchSide:
-        origins = tuple(map(tuple, (CONNECTOR_STACK[:, :3, :3] @ matrix[:3, 3]).tolist()))
-        return cls(matrix, axis, limits, origins=origins, reach=math.hypot(*origins[0]))
+
+def _pair_layers(parent: SearchSide, child: SearchSide) -> tuple[tuple[float, ...], ...]:
+    """The pair transform with no joint turned, B_k = parent factor @ connector k @
+    child factor, at each of the CONNECTION_ANGLES: its top three rows as 12
+    floats, row by row."""
+    layers = parent.matrix @ CONNECTOR_STACK @ child.matrix
+    return tuple(map(tuple, layers[:, :3].reshape(-1, 12).tolist()))
 
 
 @dataclass(frozen=True)
@@ -173,11 +172,13 @@ class ModuleType:
         for name, barred in (("parent_directions", UPRIGHT), ("child_directions", INVERTED)):
             legal = tuple(d for d in directions if not (self.is_tool and d == barred))
             object.__setattr__(self, name, legal)
-        turn = self.joint_axis, self.joint_limits
-        sides = {("out", d): SearchSide.as_parent(matrices["out", d], *turn if d == UPRIGHT else ())
-                 for d in self.parent_directions}
-        for d in self.child_directions:
-            sides["in", d] = SearchSide.as_child(matrices["in", d], *turn if d == INVERTED else ())
+        free = {"axis": self.joint_axis, "limits": self.joint_limits}
+        sides = {}
+        for end, legal, turned in (("out", self.parent_directions, UPRIGHT),
+                                   ("in", self.child_directions, INVERTED)):
+            for d in legal:
+                sides[end, d] = SearchSide.of(
+                    matrices[end, d], key=(self.code, d), **free if d == turned else {})
         object.__setattr__(self, "sides", sides)
 
     @property
@@ -255,6 +256,19 @@ class ModuleDatabase:
         if not np.isfinite(list(self._pair_bounds.values())).all():
             raise DatabaseValidationError("master offsets too large: a pair bound overflows")
         self._max_bound: float = max(self._pair_bounds.values(), default=0.0)
+        # The search's pair layers of every two catalog sides, keyed by both keys.
+        # They repeat few values, so the table keeps one float per value (a zero
+        # by its sign).
+        sides = [(end, s) for mt in self.types.values() for (end, _), s in mt.sides.items()]
+        floats: dict[float | str, float] = {}
+        self._pair_layers = {
+            (p.key, c.key): tuple(
+                tuple([floats.setdefault(v or repr(v), v) for v in layer])
+                for layer in _pair_layers(p, c)
+            )
+            for p_end, p in sides if p_end == "out"
+            for c_end, c in sides if c_end == "in"
+        }
 
     def _index_marker(self, marker_id: int, hit: MarkerHit):
         if marker_id < 0:
@@ -282,6 +296,12 @@ class ModuleDatabase:
         install combination the catalog allows the parent and the child.
         """
         return self._pair_bounds[parent_code, child_code]
+
+    def pair_layers(self, parent: SearchSide, child: SearchSide) -> tuple[tuple[float, ...], ...]:
+        """`_pair_layers` of two search sides: read from the table built with the
+        database for catalog sides, computed for a side measured from a bundle pair."""
+        layers = self._pair_layers.get((parent.key, child.key))
+        return _pair_layers(parent, child) if layers is None else layers
 
     def max_connected_distance(self) -> float:
         """Largest master-to-master distance over all ordered type pairs."""

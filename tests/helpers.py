@@ -27,7 +27,6 @@ from chainforge.geometry import (
     finite_number,
     matrix_to_rpy,
     quat_rows,
-    relative,
     rot_x,
     rot_y,
     rot_z,
@@ -46,6 +45,7 @@ from chainforge.modelgen import (
     RobotModel,
 )
 from chainforge.module_db import (
+    CONNECTOR_STACK,
     INVERTED,
     UPRIGHT,
     ModuleDatabase,
@@ -321,25 +321,20 @@ def reference_link_out(mt: ModuleType, direction: str) -> Pose:
 
 
 def reference_search_side(mt: ModuleType, end: str, direction: str) -> dict:
-    """What the optimization search computed per call from a type's factor, field
-    by field of `module_db.SearchSide`: the factor times each connector, its top
-    rows and |t| as a parent (`end` "out"); C_k q and |C_0 q| as a child ("in").
-    The factor is composed from the catalog offsets; a joint state is free in an
-    upright parent and an inverted child."""
-    connectors = np.stack([reference_connection_transform(a).matrix() for a in CONNECTION_ANGLES])
+    """What the optimization search reads of a type's factor, field by field of
+    `module_db.SearchSide`, with the factor composed from the catalog offsets:
+    master to the child-facing connector as a parent (`end` "out"), the
+    parent-facing connector to the master as a child ("in").  A joint state is
+    free in an upright parent and an inverted child."""
     if end == "out":
         m = reference_master_to_childward(mt, direction).matrix()
         free = direction == UPRIGHT
-        (p00, p01, p02, t0), (p10, p11, p12, t1), (p20, p21, p22, t2) = m[:3].tolist()
-        rows = (p00, p01, p02, t0, p10, p11, p12, t1, p20, p21, p22, t2)
-        fields = {"connected": m @ connectors, "rows": rows, "reach": math.hypot(t0, t1, t2)}
     else:
         m = reference_parentward_to_master(mt, direction).matrix()
         free = direction == INVERTED
-        cq = (connectors[:, :3, :3] @ m[:3, 3]).tolist()
-        fields = {"origins": cq, "reach": math.hypot(*cq[0])}
     axis, limits = (mt.joint_axis, mt.joint_limits) if free and mt.is_joint else (None, None)
-    return {"matrix": m, "axis": axis, "limits": limits, **fields}
+    reach = math.hypot(*m[:3, 3].tolist())
+    return {"matrix": m, "axis": axis, "limits": limits, "reach": reach, "key": (mt.code, direction)}
 
 
 def quat_to_matrix(q) -> np.ndarray:
@@ -636,8 +631,128 @@ def reference_forward_poses(desc, joint_angles, db, base=None, assignment=None):
     return placements
 
 
+def relative(n: Pose, c: Pose) -> Pose:
+    """Transform from frame n to frame c (inverse(n) * c)."""
+    return compose(invert(n), c)
+
+
+# The pose metric's weights laid over a homogeneous matrix, for the numpy pair model.
+METRIC_MASK = np.zeros((4, 4))
+METRIC_MASK[:3, :3] = identify.W_O
+METRIC_MASK[:3, 3] = identify.W_T
+METRIC_MASK.setflags(write=False)
+_ZERO_STATES = np.zeros(len(CONNECTION_ANGLES))
+_ZERO_STATES.setflags(write=False)
+
+
+def numpy_fit_joint(axis: int, h: np.ndarray, limits: tuple[float, float]) -> np.ndarray:
+    """Joint states on the limits minimizing const - 2<R(t), H[k]>, one per H[k].
+
+    For one free joint the squared pose metric has this form, the one-axis
+    case of Wahba's problem, with H the weighted cross-covariance of the
+    observed and modeled frames.  <R(t), H> = p cos t + q sin t + const
+    peaks at atan2(q, p); when the limits exclude that, the sinusoid is
+    monotone toward it from either end, so the better endpoint wins; when
+    every solved state already lies within the limits, they are returned as
+    they are.
+    """
+    a, b = TURN_PLANES[axis]
+    p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
+    lo, hi = limits
+    # numpy's trig, whose last bits math's does not share; the rest in floats.
+    # The max covers a shift that rounding leaves just short of lo (for a
+    # denormal lo - t the quotient underflows to 0).  A zero shift leaves t and
+    # a tie keeps lo, so that a zero keeps the sign numpy's arithmetic gives it.
+    raw = np.degrees(np.arctan2(q, p)).tolist()
+    theta = [max(lo, t + 360.0 * k if (k := math.ceil((lo - t) / 360.0)) else t) for t in raw]
+    if max(theta) > hi:
+        ends = np.radians(limits)
+        (c_lo, c_hi), (s_lo, s_hi) = np.cos(ends).tolist(), np.sin(ends).tolist()
+        theta = [
+            t if t <= hi else (lo if pk * c_lo + qk * s_lo >= pk * c_hi + qk * s_hi else hi)
+            for t, pk, qk in zip(theta, p.tolist(), q.tolist())
+        ]
+    return np.array(theta)
+
+
+class NumpyPairModel:
+    """The parent-to-child transform of one hypothesis at all four connection angles.
+
+    Layer k is Rn(theta_n) B[k] Rc(-theta_c): B[k] is the parent factor times
+    connector k times the child factor, and Rn, Rc turn the
+    free joint states (`joint_turns`; an inverted child is entered behind
+    its joint, so its state turns by -theta_c).
+    The metric is invariant under a rigid motion of both frames, so the
+    observation is always the child master seen from the parent master.
+    The model of `identify._PairModel` in numpy, over (4, 4, 4) stacks: the
+    reference its float kernel is checked against.
+    """
+
+    def __init__(self, parent, child, observed: np.ndarray):
+        self.parent, self.child = parent, child
+        self._base = parent.matrix @ CONNECTOR_STACK @ child.matrix
+        self._observed = observed
+        self._turned = None, None  # the last theta_n turning the parent, and its layers
+
+    def _stack(self, theta_n: np.ndarray | None, theta_c: np.ndarray | None) -> np.ndarray:
+        """The model layers, turned by each free side whose states are given.
+
+        The parent-turned layers are kept for the next call with the same
+        theta_n: the residual at the solved states reuses the final child_cross's.
+        """
+        m = self._base
+        if theta_n is not None and self.parent.axis is not None:
+            if self._turned[0] is not theta_n:
+                self._turned = theta_n, joint_turns(self.parent.axis, theta_n) @ m
+            m = self._turned[1]
+        if theta_c is not None and self.child.axis is not None:
+            m = m @ joint_turns(self.child.axis, -theta_c)
+        return m
+
+    def residual(self, theta_n: np.ndarray, theta_c: np.ndarray) -> np.ndarray:
+        """Weighted pose metric at one joint state per connection angle (ignored if fixed)."""
+        diff = METRIC_MASK * (self._stack(theta_n, theta_c) - self._observed)
+        return np.sqrt((diff * diff).sum(axis=(1, 2)))
+
+    def parent_cross(self, theta_c: np.ndarray, position_only: bool = False) -> np.ndarray:
+        """H of the metric in theta_n: Rn has no translation, so the model is
+        Rn X and H = W_O^2 O_r X_r^T + W_T^2 O_t X_t^T."""
+        x, o = self._stack(None, theta_c), self._observed
+        h = identify.W_T**2 * o[:3, 3, None] * x[:, None, :3, 3]
+        if position_only:
+            return h
+        return h + identify.W_O**2 * (o[:3, :3] @ x[:, :3, :3].transpose(0, 2, 1))
+
+    def child_cross(self, theta_n: np.ndarray) -> np.ndarray:
+        """H of the metric in theta_c: Rc turns only the modeled rotation, Y_r Rc(-theta_c),
+        so H = W_O^2 O_r^T Y_r."""
+        y = self._stack(theta_n, None)
+        return identify.W_O**2 * (self._observed[:3, :3].T @ y[:, :3, :3])
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Free joint states at each connection angle in closed form; 0 where fixed.
+
+        When both are free, the child master position depends only on the
+        parent state, so theta_n comes from a translation-only fit and
+        theta_c from the full metric at that theta_n; each is then re-solved
+        once with the other held fixed.  Every step spans the full limits.
+        """
+        p, c = self.parent, self.child
+        theta_n = theta_c = _ZERO_STATES
+        if p.axis is not None and c.axis is not None:
+            theta_n = numpy_fit_joint(
+                p.axis, self.parent_cross(theta_c, position_only=True), p.limits
+            )
+            theta_c = numpy_fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+        if p.axis is not None:
+            theta_n = numpy_fit_joint(p.axis, self.parent_cross(theta_c), p.limits)
+        if c.axis is not None:
+            theta_c = numpy_fit_joint(c.axis, self.child_cross(theta_n), c.limits)
+        return theta_n, theta_c
+
+
 def reference_fit_joint(axis: int, h: np.ndarray, limits) -> np.ndarray:
-    """`identify._fit_joint` weighing the limit endpoints whether or not a state leaves them."""
+    """`numpy_fit_joint` weighing the limit endpoints whether or not a state leaves them."""
     a, b = TURN_PLANES[axis]
     p, q = h[:, a, a] + h[:, b, b], h[:, b, a] - h[:, a, b]
     lo, hi = limits
@@ -648,7 +763,7 @@ def reference_fit_joint(axis: int, h: np.ndarray, limits) -> np.ndarray:
     return np.where(theta <= hi, theta, np.where(at_ends[:, 0] >= at_ends[:, 1], lo, hi))
 
 
-class ReferencePairModel(identify._PairModel):
+class ReferencePairModel(NumpyPairModel):
     """The pair model turning both sides in every product, by an exact identity
     for the side a fit leaves out, and solving with `reference_fit_joint`."""
 

@@ -25,7 +25,6 @@ from chainforge.geometry import (
     matrix_to_rpy,
     pose_from_json,
     quat_rows,
-    relative,
     relative_matrix,
     rot_x,
     rot_y,
@@ -47,6 +46,7 @@ from helpers import (
     reference_pose_check,
     reference_quat_to_matrix,
     reference_raw_connection_angle,
+    relative,
     y_axis,
     z_axis,
 )

@@ -1,7 +1,9 @@
+import json
 import math
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from itertools import pairwise
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,11 @@ from chainforge import identify
 from chainforge.descriptor import parse, serialize
 from chainforge.geometry import (
     CONNECTION_ANGLES,
+    TURN_PLANES,
     Pose,
     axis_angle,
     compose,
     invert,
-    relative,
     rot_x,
     rot_y,
     rot_z,
@@ -47,14 +49,16 @@ from chainforge.identify import (
     validate_markers,
     _child_side,
     _fit_joint,
+    _observed_rows,
     _origin_gaps,
     _PairModel,
     _parent_side,
 )
-from chainforge.module_db import INVERTED, UPRIGHT, default_database
+from chainforge.module_db import INVERTED, UPRIGHT, _pair_layers, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
+    NumpyPairModel,
     ReferencePairModel,
     from_rotation,
     from_translation,
@@ -71,6 +75,7 @@ from helpers import (
     reference_fit_joint,
     reference_master_to_childward,
     reference_parentward_to_master,
+    relative,
 )
 
 
@@ -419,21 +424,35 @@ class TestFindParentOptimization:
         assert opt.f_value == pytest.approx(0.0, abs=1e-9)
 
 
-def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
+def _float_model(parent, child, parent_side, child_side) -> _PairModel:
     """One hypothesis's model, built the way find_parent_optimization builds it."""
+    observed = _observed_rows(parent, child)
+    return _PairModel(parent_side, child_side, _pair_layers(parent_side, child_side), observed)
+
+
+def _gaps(parent, child, parent_side, child_side) -> list[float]:
+    """One hypothesis's `_origin_gaps`, as find_parent_optimization takes them."""
+    layers, observed = _pair_layers(parent_side, child_side), _observed_rows(parent, child)
+    scale = math.hypot(*parent.floats[:3]) + math.hypot(*child.floats[:3])
+    return _origin_gaps(parent_side, child_side, layers, observed, scale)
+
+
+def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
+    """The model of the hypothesis that `parent` in `parent_dir` carries `child`."""
     parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
     child_side = _child_side(child, child_dir, cfg.epsilon2)
-    observed = relative(parent.master_pose, child.master_pose).matrix()
-    return _PairModel(parent_side, child_side, observed)
+    return _float_model(parent, child, parent_side, child_side)
+
+
+def _plane_terms(axis: int, h: np.ndarray) -> list[tuple[float, float]]:
+    """p and q of each 3x3 layer of H in the turn plane of `axis`, where
+    <R(t), H> = p cos t + q sin t + const."""
+    a, b = TURN_PLANES[axis]
+    return list(zip((h[:, a, a] + h[:, b, b]).tolist(), (h[:, b, a] - h[:, a, b]).tolist()))
 
 
 def _joint_rotation(module_type, t):
     return rot_y(t) if module_type.is_collinear_joint else rot_z(t)
-
-
-def _inner(r, h):
-    """<R, H[k]> for every layer k of a stack H."""
-    return np.einsum("ij,kij->k", r, h)
 
 
 class TestClosedFormFit:
@@ -461,9 +480,7 @@ class TestClosedFormFit:
         rng = np.random.default_rng(seed)
         parent = _detected(db, parent_code, random_base(rng))
         child = _detected(db, child_code, random_base(rng))
-        got = _pair_model(parent, parent_dir, child, child_dir).residual(
-            np.array(theta_n), np.array(theta_c)
-        )
+        got = _pair_model(parent, parent_dir, child, child_dir).residual(theta_n, theta_c)
         observed = relative(parent.master_pose, child.master_pose)
         pt, ct = parent.module_type, child.module_type
         for k, angle in enumerate(CONNECTION_ANGLES):
@@ -486,8 +503,8 @@ class TestClosedFormFit:
     def test_squared_residual_is_a_sinusoid(
         self, db, parent_side, child_side, seed, other, probes
     ):
-        # The squared metric in one free joint state t is const - 2<R(t), H>
-        # with H the model's cross-covariance, at every connection angle.
+        # The squared metric in one free joint state t is const - 2(p cos t + q sin t)
+        # with p and q of the model's cross-covariance H, at every connection angle.
         # Holds for any observed transform, so the two module poses are drawn
         # independently; no output bundle is seen, so collinear joints stay free.
         (parent_code, parent_dir), (child_code, child_dir) = parent_side, child_side
@@ -497,7 +514,7 @@ class TestClosedFormFit:
         model = _pair_model(parent, parent_dir, child, child_dir)
         assume(model.parent.axis is not None or model.child.axis is not None)
         pt, ct = parent.module_type, child.module_type
-        held = np.full(4, other)
+        held = [other] * 4
         observed = relative(parent.master_pose, child.master_pose).translation
 
         def position_metric(t):
@@ -516,22 +533,22 @@ class TestClosedFormFit:
         free = []
         if model.parent.axis is not None:
             free.append((
-                pt,
-                lambda t: model.residual(np.full(4, t), held) ** 2,
+                lambda t: np.array(model.residual([t] * 4, held)) ** 2,
                 model.parent_cross(held),
             ))
-            free.append((pt, position_metric, model.parent_cross(held, position_only=True)))
+            free.append((position_metric, model.parent_cross(held, position_only=True)))
         if model.child.axis is not None:
             free.append((
-                ct,
-                lambda t: model.residual(held, np.full(4, t)) ** 2,
+                lambda t: np.array(model.residual(held, [t] * 4)) ** 2,
                 model.child_cross(held),
             ))
-        for module_type, g, h in free:
-            const = g(0.0) + 2.0 * _inner(np.eye(3), h)
+        for g, pq in free:
+            p, q = np.array(pq).T
+            const = g(0.0) + 2.0 * p
             mean = (g(0.0) + g(180.0)) / 2.0
             for t in probes:
-                predicted = const - 2.0 * _inner(_joint_rotation(module_type, t), h)
+                rad = math.radians(t)
+                predicted = const - 2.0 * (p * math.cos(rad) + q * math.sin(rad))
                 for k in range(4):
                     assert g(t)[k] == pytest.approx(predicted[k], rel=1e-9, abs=1e-9 * mean[k])
 
@@ -564,7 +581,7 @@ class TestClosedFormFit:
         # <R(t), R(0) - R(180)> = 4 cos t and <R(t), R(90) - R(-90)> = 4 sin t.
         h = (p * (r(0.0) - r(180.0)) + q * (r(90.0) - r(-90.0))) / 4.0
         limits = (lo, lo + width)
-        theta = float(_fit_joint(1 if code == "I" else 2, h[None], limits)[0])
+        theta = _fit_joint(_plane_terms(1 if code == "I" else 2, h[None]), limits)[0]
         assert limits[0] <= theta <= limits[1]
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         g_scan = a_excess + amplitude * (1.0 + np.cos(np.radians(scan - phase)))
@@ -584,12 +601,12 @@ class TestClosedFormFit:
         by, _, _ = detected_by_serial(obs, db)
         model = _pair_model(by["T-001"], UPRIGHT, by["g-001"], UPRIGHT)
         k = CONNECTION_ANGLES.index(90.0)
-        zero = np.zeros(4)
+        zero = [0.0] * 4
 
         def f(t):
-            return model.residual(np.full(4, t), zero)[k]
+            return model.residual([t] * 4, zero)[k]
 
-        theta = float(_fit_joint(model.parent.axis, model.parent_cross(zero), limits)[k])
+        theta = _fit_joint(model.parent_cross(zero), limits)[k]
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         values = [f(t) for t in scan]
         best = int(np.argmin(values))
@@ -620,17 +637,32 @@ class TestClosedFormFit:
         assert max_err <= 1e-9
 
 
-def _match_fields(match):
-    """Every ParentMatch field, the floats by their bits."""
-    if match is None:
-        return None
-    bits = [None if v is None else (type(v), float(v).hex()) for v in (match.theta, match.f_value)]
-    return (
-        match.module.serial,
-        match.connection_angle,
-        match.parent_direction,
-        *bits,
+# How far the float kernel may stray from the numpy reference: residuals within
+# abs 1e-12 + rel 1e-12, solved joint states within 1e-9 degrees.
+F_TOL = 1e-12
+THETA_TOL = 1e-9
+
+
+def _close_f(got: float, want: float) -> bool:
+    return abs(got - want) <= F_TOL + F_TOL * abs(want)
+
+
+def _assert_same_match(got, want):
+    """The same parent module, connection angle and direction as the reference,
+    with theta and f_value within the kernel's tolerance."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    assert got.module is want.module
+    assert (got.module.serial, got.connection_angle, got.parent_direction) == (
+        want.module.serial,
+        want.connection_angle,
+        want.parent_direction,
     )
+    assert (got.theta is None) == (want.theta is None)
+    if got.theta is not None:
+        assert type(got.theta) is float and abs(got.theta - want.theta) <= THETA_TOL
+    assert type(got.f_value) is float and _close_f(got.f_value, want.f_value)
 
 
 def _recorded_searches(db, scenes) -> list[tuple]:
@@ -662,8 +694,7 @@ class TestParentSearchOracle:
         for args, kwargs in calls:
             got = find_parent_optimization(*args, **kwargs)
             want = reference_find_parent_optimization(*args, **kwargs)
-            assert _match_fields(got) == _match_fields(want)
-            assert got is None or got.module is want.module
+            _assert_same_match(got, want)
         return len(calls)
 
     def test_corpus_and_noise_rows(self, db):
@@ -704,7 +735,7 @@ class TestParentSearchOracle:
         cfg = IdentifyConfig()
         got = find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg, UPRIGHT)
         want = reference_find_parent_optimization(by["G-001"], [by["I-001"]], db, cfg, UPRIGHT)
-        assert _match_fields(got) == _match_fields(want)
+        _assert_same_match(got, want)
 
     def test_exact_residual_tie_goes_to_the_lower_marker_id(self, db):
         # A second link observed at the parent's exact pose fits bit for bit
@@ -723,7 +754,7 @@ class TestParentSearchOracle:
             got = find_parent_optimization(child, pool, db, cfg, UPRIGHT)
             want = reference_find_parent_optimization(child, pool, db, cfg, UPRIGHT)
             assert got.module.serial == "L-001"
-            assert _match_fields(got) == _match_fields(want)
+            _assert_same_match(got, want)
 
     @given(
         axis=st.sampled_from([1, 2]),
@@ -739,12 +770,15 @@ class TestParentSearchOracle:
     @settings(max_examples=200, deadline=None)
     def test_fit_joint_matches_endpoint_form(self, axis, h, layers, offset, span):
         # The upper limit lies near the highest peak, so that the solved
-        # states fall on both sides of it.
+        # states fall on both sides of it.  math's atan2 and numpy's differ in
+        # the last bits, so the states agree as angles within the tolerance.
         h = np.array(h).reshape(4, 4, 4)[:layers]
         hi = float(reference_fit_joint(axis, h, (-180.0, 180.0)).max()) + offset
         limits = (hi - span, hi)
-        got = _fit_joint(axis, h, limits)
-        assert got.tobytes() == reference_fit_joint(axis, h, limits).tobytes()
+        got = _fit_joint(_plane_terms(axis, h), limits)
+        for g, w in zip(got, reference_fit_joint(axis, h, limits).tolist()):
+            assert limits[0] <= g <= limits[1]
+            assert abs(wrap_angle(g - w)) <= THETA_TOL
 
 
 def _corpus_and_noise_rows(db, corpus_size: int, draws: int) -> list:
@@ -771,6 +805,42 @@ def _corpus_and_noise_rows(db, corpus_size: int, draws: int) -> list:
     return scenes
 
 
+GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "identify_outputs.txt"
+
+
+def _output_lines(db, scenes) -> list[str]:
+    """One JSON line per scene and back end: the scene's index, the back end, then
+    the error type, or the chain string, each link's joint angle by float.hex,
+    the warnings and the rejected markers."""
+    lines = []
+    for i, obs in enumerate(scenes):
+        for method in ("geometric", "optimization"):
+            try:
+                chain = build_chain(obs, db, IdentifyConfig(method=method))
+            except IdentifyError as exc:
+                result = [type(exc).__name__]
+            else:
+                angles = [l.joint_angle for l in chain.links]
+                result = [
+                    serialize(to_descriptor(chain)),
+                    [None if a is None else a.hex() for a in angles],
+                    chain.warnings,
+                    chain.rejected_markers,
+                ]
+            lines.append(json.dumps([i, method, *result]))
+    return lines
+
+
+def test_outputs_match_golden_file(db):
+    # Both back ends' outputs on the first corpus scenes and noise draws, bit
+    # for bit as recorded, including 4 NoToolModule scenes under dropout.
+    got = _output_lines(db, _corpus_and_noise_rows(db, 100, 39))
+    want = GOLDEN_OUTPUTS.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want) == 2 * (100 + 4 * 39)
+    for g, w in zip(got, want):
+        assert g == w
+
+
 def _hypotheses(child, pool, db, cfg, child_direction) -> list[tuple]:
     """(candidate, parent side, child side) of every hypothesis a search enumerates."""
     if child_direction not in child.module_type.child_directions:
@@ -788,6 +858,37 @@ def _hypotheses(child, pool, db, cfg, child_direction) -> list[tuple]:
                 continue
             found.append((cand, parent_side, child_side))
     return found
+
+
+def _draw_hypothesis(db, parent_kind, child_kind, data, seed, states, offset):
+    """A parent and a child module of the kinds of `TestReachTest`, with their sides,
+    and a connection angle index k0.  The child is drawn independently of the
+    parent when `offset` is None; otherwise it sits at the modeled pose of k0 at
+    joint states `states[:8]`, moved by `offset`.  states[8:] measure the bundles."""
+    parent_code, parent_dir = data.draw(st.sampled_from(TestReachTest.PARENT_KINDS[parent_kind]))
+    child_code, child_dir = data.draw(st.sampled_from(TestReachTest.CHILD_KINDS[child_kind]))
+    k0 = data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(seed)
+    cfg = IdentifyConfig()
+    parent_pose = random_base(rng)
+    tilt = rot_x(states[9] / 72.0)
+    parent_bundle = child_bundle = None
+    if parent_kind == "bundle-measured":
+        parent_bundle = Pose(rot_y(states[8]) @ tilt, rng.uniform(-50, 50, 3))
+    if child_kind == "measured-theta":
+        child_bundle = Pose(rot_y(states[10]) @ tilt, rng.uniform(-50, 50, 3))
+    parent = _detected(db, parent_code, parent_pose, parent_bundle)
+    child = _detected(db, child_code, random_base(rng), child_bundle)
+    parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
+    child_side = _child_side(child, child_dir, cfg.epsilon2)
+    assert (parent_side.axis is None) == (parent_kind in ("fixed", "bundle-measured"))
+    assert (child_side.axis is None) == (child_kind != "free")
+    if offset is not None:
+        modeled = NumpyPairModel(parent_side, child_side, np.eye(4))
+        m = modeled._stack(np.array(states[:4]), np.array(states[4:8]))[k0]
+        pose = Pose(m[:3, :3], m[:3, 3] + offset)
+        child = _detected(db, child_code, compose(parent_pose, pose), child_bundle)
+    return parent, child, parent_side, child_side, k0
 
 
 class _CountedPairModel(_PairModel):
@@ -838,33 +939,12 @@ class TestReachTest:
         # Far poses are drawn independently; near ones put the child at the
         # modeled pose of one connection angle and joint state, moved by an
         # offset, where the bound is tight for a fixed parent.
-        parent_code, parent_dir = data.draw(st.sampled_from(self.PARENT_KINDS[parent_kind]))
-        child_code, child_dir = data.draw(st.sampled_from(self.CHILD_KINDS[child_kind]))
-        k0 = data.draw(st.integers(0, 3))
-        rng = np.random.default_rng(seed)
-        cfg = IdentifyConfig()
-        parent_pose = random_base(rng)
-        tilt = rot_x(states[9] / 72.0)
-        parent_bundle = child_bundle = None
-        if parent_kind == "bundle-measured":
-            parent_bundle = Pose(rot_y(states[8]) @ tilt, rng.uniform(-50, 50, 3))
-        if child_kind == "measured-theta":
-            child_bundle = Pose(rot_y(states[10]) @ tilt, rng.uniform(-50, 50, 3))
-        parent = _detected(db, parent_code, parent_pose, parent_bundle)
-        child = _detected(db, child_code, random_base(rng), child_bundle)
-        parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
-        child_side = _child_side(child, child_dir, cfg.epsilon2)
-        assert (parent_side.axis is None) == (parent_kind in ("fixed", "bundle-measured"))
-        assert (child_side.axis is None) == (child_kind != "free")
-        theta_n, theta_c = np.array(states[:4]), np.array(states[4:8])
-        if near:
-            modeled = _PairModel(parent_side, child_side, np.eye(4))
-            m = modeled._stack(theta_n, theta_c)[k0]
-            pose = Pose(m[:3, :3], m[:3, 3] + offset)
-            child = _detected(db, child_code, compose(parent_pose, pose), child_bundle)
-        observed = relative(parent.master_pose, child.master_pose).matrix()
-        model = _PairModel(parent_side, child_side, observed)
-        gaps = np.array(_origin_gaps(parent_side, child_side, parent, child))
+        parent, child, parent_side, child_side, k0 = _draw_hypothesis(
+            db, parent_kind, child_kind, data, seed, states, offset if near else None
+        )
+        theta_n, theta_c = states[:4], states[4:8]
+        model = _float_model(parent, child, parent_side, child_side)
+        gaps = np.array(_gaps(parent, child, parent_side, child_side))
         assert (W_T * gaps <= model.residual(theta_n, theta_c)).all()
         assert (W_T * gaps <= model.residual(*model.solve())).all()
         if near and parent_kind in ("fixed", "bundle-measured"):
@@ -883,7 +963,7 @@ class TestReachTest:
             hypotheses = _hypotheses(*args, **kwargs)
             kept = 0
             for cand, parent_side, child_side in hypotheses:
-                gaps = _origin_gaps(parent_side, child_side, cand, child)
+                gaps = _gaps(cand, child, parent_side, child_side)
                 if W_T * min(gaps) <= reach:
                     kept += 1
                     continue
@@ -902,6 +982,45 @@ class TestReachTest:
             assert _CountedPairModel.built == len(hypotheses)
         assert len(calls) > 500
         assert 0.3 * total < skipped < total
+
+
+class TestFloatKernel:
+    """The float pair model scores and solves every kind of hypothesis as the numpy
+    model does: residuals within abs 1e-12 + rel 1e-12, states within 1e-9 degrees."""
+
+    @pytest.mark.parametrize("parent_kind", TestReachTest.PARENT_KINDS)
+    @pytest.mark.parametrize("child_kind", TestReachTest.CHILD_KINDS)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        near=st.booleans(),
+        states=st.lists(st.floats(-360.0, 360.0), min_size=11, max_size=11),
+        offset=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_numpy_model(
+        self, db, parent_kind, child_kind, data, seed, near, states, offset
+    ):
+        parent, child, parent_side, child_side, _ = _draw_hypothesis(
+            db, parent_kind, child_kind, data, seed, states, offset if near else None
+        )
+        model = _float_model(parent, child, parent_side, child_side)
+        observed = relative(parent.master_pose, child.master_pose).matrix()
+        reference = NumpyPairModel(parent_side, child_side, observed)
+        theta_n, theta_c = states[:4], states[4:8]
+        got = model.residual(theta_n, theta_c)
+        want = reference.residual(np.array(theta_n), np.array(theta_c)).tolist()
+        assert all(map(_close_f, got, want))
+        # A near child can sit where a free state is unobservable or two limits
+        # fit exactly as well, and rounding picks the state; independent poses
+        # pin every state.
+        assume(not near)
+        solved, want_solved = model.solve(), reference.solve()
+        for g, w in zip(solved, want_solved):
+            assert all(type(t) is float for t in g)
+            assert np.abs(np.array(g) - w).max() <= THETA_TOL
+        want = reference.residual(*want_solved).tolist()
+        assert all(map(_close_f, model.residual(*solved), want))
 
 
 def test_zero_tilt_reads_zero(db):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from chainforge import module_db
 from chainforge.cli import main
+from chainforge.descriptor import parse
+from chainforge.identify import IdentifyConfig, build_chain
 from chainforge.geometry import (
     CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
@@ -32,6 +34,7 @@ from chainforge.module_db import (
     load_database,
     save_database,
 )
+from chainforge.synth import synthesize
 
 from helpers import (
     field_values,
@@ -235,8 +238,8 @@ def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
 @pytest.mark.parametrize("source", ["built", "skewed"])
 def test_search_sides_equal_per_call_formulas(source):
     # Each type holds, for each legal direction, the optimization search's
-    # sides as a parent and as a child: byte for byte what the search computed
-    # per call from freshly composed factors, and read-only.
+    # sides as a parent and as a child: byte for byte the freshly composed
+    # factors, read-only, with their reach, free joint and key.
     db = default_database() if source == "built" else _skewed_database()
     for mt in db.types.values():
         keys = [("out", d) for d in reference_directions(mt, "parent")]
@@ -244,14 +247,54 @@ def test_search_sides_equal_per_call_formulas(source):
         assert list(mt.sides) == keys
         for key in keys:
             side, want = mt.sides[key], reference_search_side(mt, *key)
-            assert (side.axis, side.limits) == (want.pop("axis"), want.pop("limits"))
-            for name, value in want.items():  # arrays, floats and nested floats, as float64
-                got = np.asarray(getattr(side, name), dtype=float)
-                assert got.tobytes() == np.asarray(value, dtype=float).tobytes(), (mt.code, key)
-            arrays = [side.matrix] + ([side.connected] if key[0] == "out" else [])
-            assert not any(a.flags.writeable for a in arrays)
-            floats = side.rows if key[0] == "out" else side.origins
-            assert isinstance(floats, tuple) and all(isinstance(f, (float, tuple)) for f in floats)
+            assert side.matrix.tobytes() == want.pop("matrix").tobytes(), (mt.code, key)
+            assert not side.matrix.flags.writeable
+            assert side._asdict() == {"matrix": side.matrix, **want}
+            assert type(side.reach) is float
+
+
+@pytest.mark.parametrize("source", ["built", "skewed"])
+def test_pair_layers_table_covers_every_side_pair(source):
+    # The database builds the search's pair layers once, for every legal pair
+    # of catalog sides: the top three rows of the parent factor times each
+    # connector times the child factor, as floats, byte for byte the product
+    # of the factors that the type offsets compose.  A search reads them and
+    # adds none.
+    db = default_database() if source == "built" else _skewed_database()
+    parents = [s for mt in db.types.values() for (end, _), s in mt.sides.items() if end == "out"]
+    children = [s for mt in db.types.values() for (end, _), s in mt.sides.items() if end == "in"]
+    assert len(db._pair_layers) == len(parents) * len(children)
+    if source == "built":
+        assert len(parents) == len(children) == 17
+    for p in parents:
+        parent = reference_search_side(db.types[p.key[0]], "out", p.key[1])["matrix"]
+        connected = parent @ np.stack(
+            [reference_connection_transform(a).matrix() for a in CONNECTION_ANGLES]
+        )
+        for c in children:
+            layers = db.pair_layers(p, c)
+            assert layers is db._pair_layers[p.key, c.key]
+            assert len(layers) == len(CONNECTION_ANGLES)
+            assert all(type(v) is float for layer in layers for v in layer)
+            child = reference_search_side(db.types[c.key[0]], "in", c.key[1])["matrix"]
+            want = (connected @ child)[:, :3].reshape(-1, 12)
+            assert np.array(layers).tobytes() == want.tobytes()
+    table = dict(db._pair_layers)
+    if source == "built":
+        obs = synthesize(parse("I-T0-G0"), [30.0, 20.0], db)
+        build_chain(obs, db, IdentifyConfig(method="optimization"))
+    assert db._pair_layers == table
+
+
+def test_pair_layers_of_a_measured_side():
+    # A side measured from a seen bundle pair has no key; its layers are computed.
+    db = default_database()
+    child = db.types["G"].sides["in", UPRIGHT]
+    measured = module_db.SearchSide.of(joint_turns(1, [30.0])[0])
+    assert measured.key is None
+    layers = db.pair_layers(measured, child)
+    want = (measured.matrix @ module_db.CONNECTOR_STACK @ child.matrix)[:, :3].reshape(-1, 12)
+    assert np.array(layers).tobytes() == want.tobytes()
 
 
 def test_connection_table_equals_fresh_compositions():

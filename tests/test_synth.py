@@ -13,7 +13,6 @@ from chainforge.geometry import (
     CONNECTION_ANGLES,
     InvalidPose,
     Pose,
-    relative,
     rot_y,
     unit_between,
 )
@@ -44,6 +43,7 @@ from helpers import (
     reference_read_scene,
     reference_spurious_markers,
     reference_synthesize,
+    relative,
 )
 
 
