@@ -17,10 +17,9 @@ import numpy as np
 
 from .descriptor import ANGLES, serialize
 from .geometry import (
+    CONNECTION_ANGLES,
     Pose,
-    compose,
     finite_number,
-    invert,
     matrix_to_rpy,
     pose_from_json,
     pose_to_json,
@@ -28,7 +27,7 @@ from .geometry import (
     write_file,
 )
 from .identify import ChainLink, IdentifiedChain, to_descriptor
-from .module_db import UPRIGHT, ModuleDatabase
+from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase
 
 JOINT_REVOLUTE = "revolute"
 JOINT_FIXED = "fixed"
@@ -93,12 +92,12 @@ def generate_model(
     modules contribute input and output links joined by their revolute
     joint).  A module's attachment to its parent is a revolute joint for
     perpendicular-joint modules (the pivot sits at their master) and a
-    fixed joint otherwise.  Each joint origin is a per-mate catalog
-    transform, `compose(parent type's link_out[d], mates[d, angle])` from the
-    two mated types, their install directions and the connection angle, so
-    it does not depend on the module's place in the chain.  Every branch is
-    described first, so a connection angle off the grid raises before any
-    joint is emitted.  `db` is not read: each link carries its module type.
+    fixed joint otherwise.  Each joint origin is a per-mate product of the
+    two mated types' 4x4 tables (`ModuleType.matrices`) and the connector of
+    the connection angle, so it does not depend on the module's place in the
+    chain.  Every branch is described first, so a connection angle off the
+    grid raises before any joint is emitted.  `db` is not read: each link
+    carries its module type.
     """
     branches = chain if isinstance(chain, list) else [chain]
     if not branches or not all(b.links for b in branches):
@@ -107,18 +106,18 @@ def generate_model(
     links: list[ModelLink] = []
     joints: list[ModelJoint] = []
     names: set[str] = set()
-    # Per module: the link a child attaches to, and from it the childward connector.
-    visited: dict[str, tuple[str, Pose]] = {}
+    # Per module: the link a child attaches to, and the 4x4 from it onto the
+    # childward connector.
+    visited: dict[str, tuple[str, np.ndarray]] = {}
     for branch in branches:
-        prev: tuple[str, Pose] | None = None
+        prev: tuple[str, np.ndarray] | None = None
         for link in branch.links:
             serial = link.module.serial
             if serial in visited:
                 prev = visited[serial]
                 continue
             _check_angle(link)
-            chainward = _emit_module(link, prev, links, joints, names)
-            prev = visited[serial] = (chainward, link.module.module_type.link_out[link.direction])
+            prev = visited[serial] = _emit_module(link, prev, links, joints, names)
     bus_ids = {
         l.module.serial: l.module.record.bus_id for b in branches for l in b.links
     }
@@ -152,14 +151,20 @@ def _add_link(links: list[ModelLink], names: set[str], link: ModelLink):
     links.append(link)
 
 
+def _pose(m: np.ndarray) -> Pose:
+    """The pose over a 4x4's rotation block and translation column."""
+    return Pose._trusted(m[:3, :3], m[:3, 3])
+
+
 def _emit_module(
     link: ChainLink,
-    prev: tuple[str, Pose] | None,
+    prev: tuple[str, np.ndarray] | None,
     links: list[ModelLink],
     joints: list[ModelJoint],
     names: set[str],
-) -> str:
-    """Emit one module's links and joints; returns the link its child attaches to."""
+) -> tuple[str, np.ndarray]:
+    """Emit one module's links and joints; returns the link its child attaches to
+    and the 4x4 from that link onto the module's childward connector."""
     mt = link.module.module_type
     serial = link.module.serial
     upright = link.direction == UPRIGHT
@@ -181,7 +186,12 @@ def _emit_module(
         _add_link(links, names, ModelLink(serial, mt.body_length))
     if prev is not None:
         parent, parent_out = prev
-        origin = compose(parent_out, mt.mates[link.direction, link.connection_angle])
+        mate = CONNECTOR_STACK[CONNECTION_ANGLES.index(link.connection_angle)]
+        # An inverted dual-bundle module is attached by its output link.
+        if upright or not mt.dual_bundle:
+            mate = mate @ mt.matrices["in", link.direction]
+        # Grouped as out @ (connector @ in); the other grouping rounds some origins differently.
+        origin = _pose(parent_out @ mate)
         if mt.is_perpendicular_joint and not mt.dual_bundle:
             # The joint axis passes through this module's master frame; modeling
             # the swing at its own mount keeps all downstream positions exact.
@@ -191,16 +201,19 @@ def _emit_module(
             joints.append(ModelJoint(f"j_{serial}", JOINT_FIXED, parent, attached, origin, axis))
     if mt.dual_bundle:
         # The output offset, or its inverse: the zero-state frames across the joint.
-        drive = mt.master_offset_output if upright else invert(mt.master_offset_output)
+        drive = mt.matrices["out", UPRIGHT] if upright else mt.matrices["in", INVERTED]
         axis = (0.0, 1.0 if upright else -1.0, 0.0)
-        revolute(f"j_{serial}_drive", attached, chainward, drive, axis)
+        revolute(f"j_{serial}_drive", attached, chainward, _pose(drive), axis)
     elif mt.is_perpendicular_joint and upright and prev is None:
         # Root module whose joint swings everything downstream: carry the
         # swing on a dedicated massless link.
         chainward = f"{serial}_swing"
         _add_link(links, names, ModelLink(chainward, 0.0))
         revolute(f"j_{serial}", serial, chainward, Pose.identity(), (0.0, 0.0, 1.0))
-    return chainward
+    # An upright dual-bundle module's output link sits at its output connector.
+    if mt.dual_bundle and upright:
+        return chainward, np.eye(4)
+    return chainward, mt.matrices["out", link.direction]
 
 
 def write_model(model: RobotModel, path, fmt: str | None = None):

@@ -115,11 +115,6 @@ class ModuleType:
     # onto the child-facing connector.  A joint state turns about `joint_axis`
     # after ("in", INVERTED) and before ("out", UPRIGHT).
     matrices: dict[tuple[str, str], np.ndarray] = field(init=False, repr=False, compare=False)
-    # Model tables: link_out[d] maps the link a child attaches to onto the
-    # childward connector; mates[d, angle] maps the parent's childward connector
-    # onto the link this module is attached by, at each of the CONNECTION_ANGLES.
-    link_out: dict[str, Pose] = field(init=False, repr=False, compare=False)
-    mates: dict[tuple[str, float], Pose] = field(init=False, repr=False, compare=False)
     # Legal install directions, built with the type: anywhere, as the parent of a
     # mate and as its child.  A tool's one connector faces its child only when
     # the tool is inverted, and its parent only when it is upright.
@@ -154,19 +149,7 @@ class ModuleType:
         matrices = {key: pose.matrix() for key, pose in frames.items()}
         for m in matrices.values():
             m.setflags(write=False)
-        link_out = {d: frames["out", d] for d in (UPRIGHT, INVERTED)}
-        if self.dual_bundle:  # its output link sits at its output connector
-            link_out[UPRIGHT] = Pose.identity()
-        mates = {}
-        for d in (UPRIGHT, INVERTED):
-            for angle, m in zip(CONNECTION_ANGLES, CONNECTOR_STACK):
-                # An inverted dual-bundle module is attached by its output link.
-                if not (self.dual_bundle and d == INVERTED):
-                    m = m @ matrices["in", d]
-                mates[d, angle] = Pose._trusted(m[:3, :3].copy(), m[:3, 3].copy())
         object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "link_out", link_out)
-        object.__setattr__(self, "mates", mates)
         directions = (UPRIGHT, INVERTED) if self.invertible else (UPRIGHT,)
         object.__setattr__(self, "directions", directions)
         for name, barred in (("parent_directions", UPRIGHT), ("child_directions", INVERTED)):
@@ -248,14 +231,6 @@ class ModuleDatabase:
             self._index_marker(rec.master_marker_id, MarkerHit(rec, False))
             if rec.output_marker_id is not None:
                 self._index_marker(rec.output_marker_id, MarkerHit(rec, True))
-        self._pair_bounds: dict[tuple[str, str], float] = {
-            (pc, cc): _mated_distance(p, c)
-            for pc, p in self.types.items()
-            for cc, c in self.types.items()
-        }
-        if not np.isfinite(list(self._pair_bounds.values())).all():
-            raise DatabaseValidationError("master offsets too large: a pair bound overflows")
-        self._max_bound: float = max(self._pair_bounds.values(), default=0.0)
         # The search's pair layers of every two catalog sides, keyed by both keys.
         # They repeat few values, so the table keeps one float per value (a zero
         # by its sign).
@@ -269,6 +244,19 @@ class ModuleDatabase:
             for p_end, p in sides if p_end == "out"
             for c_end, c in sides if c_end == "in"
         }
+        # Each type pair's bound: the longest master-to-master translation of its
+        # pair layers.  A pair with no legal mating keeps 0.0, so it can never
+        # pass a distance check.
+        self._pair_bounds: dict[tuple[str, str], float] = {
+            (pc, cc): 0.0 for pc in self.types for cc in self.types
+        }
+        for ((pc, _), (cc, _)), layers in self._pair_layers.items():
+            for layer in layers:
+                bound = float(np.linalg.norm(layer[3::4]))
+                self._pair_bounds[pc, cc] = max(self._pair_bounds[pc, cc], bound)
+        if not np.isfinite(list(self._pair_bounds.values())).all():
+            raise DatabaseValidationError("master offsets too large: a pair bound overflows")
+        self._max_bound: float = max(self._pair_bounds.values(), default=0.0)
 
     def _index_marker(self, marker_id: int, hit: MarkerHit):
         if marker_id < 0:
@@ -308,23 +296,6 @@ class ModuleDatabase:
         if not self.types:
             raise EmptyCatalog("catalog has no module types")
         return self._max_bound
-
-
-def _mated_distance(p: ModuleType, c: ModuleType) -> float:
-    """Bound behind `ModuleDatabase.pair_connected_distance`: the largest
-    master-to-master distance over both sides' legal directions and the four
-    connection angles.
-
-    A pair with no legal mating (e.g. two tools pointing the wrong way)
-    keeps a zero bound, so it can never pass a distance check.
-    """
-    best = 0.0
-    for dp in p.parent_directions:
-        for dc in c.child_directions:
-            for connector in CONNECTOR_STACK:
-                t = (p.matrices["out", dp] @ connector) @ c.matrices["in", dc]
-                best = max(best, float(np.linalg.norm(t[:3, 3])))
-    return best
 
 
 def _pose_from_json(obj, where: str) -> Pose:

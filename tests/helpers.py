@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from chainforge import identify
-from chainforge.descriptor import ChainDescriptor, ChainEntry, serialize
+from chainforge.descriptor import ChainDescriptor, ChainEntry, parse, serialize
 from chainforge.geometry import (
     CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
@@ -47,6 +47,7 @@ from chainforge.modelgen import (
 from chainforge.module_db import (
     CONNECTOR_STACK,
     INVERTED,
+    KIND_TOOL,
     UPRIGHT,
     ModuleDatabase,
     ModuleType,
@@ -167,6 +168,57 @@ def make_corpus(db: ModuleDatabase, count: int, seed: int):
     return cases
 
 
+def corpus_and_noise_rows(db, corpus_size: int, draws: int) -> list:
+    """The first scenes of the criterion-2 corpus, then the first criterion-4 joint
+    draws under each of the four noise rows."""
+    scenes = [
+        synthesize(desc, thetas, db, base=base)
+        for desc, _, thetas, base in make_corpus(db, corpus_size, 20260808)
+    ]
+    desc = parse("I-T'0-T'0-A0-t0-i0-g0")
+    rows = [(2.0, 3, 0.0), (4.0, 3, 0.0), (6.0, 3, 0.0), (2.0, 0, 0.05)]
+    rng = np.random.default_rng(4242)
+    for k in range(draws):
+        thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180.0, 120.0, 120.0, 120.0, 180.0)]
+        for sigma, spurious, dropout in rows:
+            cfg = SceneConfig(
+                sigma_pos=sigma,
+                sigma_rot=sigma,
+                dropout_prob=dropout,
+                spurious_count=spurious,
+                seed=9000 + k,
+            )
+            scenes.append(synthesize(desc, thetas, db, cfg=cfg))
+    return scenes
+
+
+def _skewed_type(code: str, kind: str, limits, dual_bundle: bool) -> ModuleType:
+    """A type whose connector offsets are rotated and off-center, unlike the defaults."""
+    return ModuleType(
+        code=code,
+        kind=kind,
+        body_length=90.0,
+        master_offset_input=Pose(axis_angle([0.3, -1.0, 0.2], 170.0), [3.5, -41.0, 2.25]),
+        master_offset_output=Pose(axis_angle([0.1, 0.4, -1.0], 25.0), [-1.5, 47.0, 6.0]),
+        joint_limits=limits,
+        invertible=True,
+        dual_bundle=dual_bundle,
+    )
+
+
+def skewed_database() -> ModuleDatabase:
+    """A catalog of four types, two joints, a link and a tool, with skewed connector offsets."""
+    return ModuleDatabase(
+        [
+            _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
+            _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
+            _skewed_type("L", "link", None, False),
+            _skewed_type("G", KIND_TOOL, None, False),
+        ],
+        [],
+    )
+
+
 def make_two_branch_scene(rng: np.random.Generator, db: ModuleDatabase):
     """Scene with two arms off a perpendicular-joint branch module.
 
@@ -262,7 +314,8 @@ odd_numbers = (
 
 
 # The catalog's transforms as one Pose composition per factor, the algebra that
-# `ModuleType.matrices`, `mates`, `link_out` and `module_db.CONNECTOR_STACK` tabulate.
+# `ModuleType.matrices` and `module_db.CONNECTOR_STACK` tabulate and the model's
+# joint origins multiply.
 REFERENCE_MATING_FLIP = Pose(rot_x(180.0), np.zeros(3))
 
 
@@ -318,6 +371,22 @@ def reference_link_out(mt: ModuleType, direction: str) -> Pose:
     if mt.dual_bundle and direction == UPRIGHT:
         return Pose.identity()
     return reference_master_to_childward(mt, direction)
+
+
+def reference_mated_distance(p: ModuleType, c: ModuleType) -> float:
+    """The largest master-to-master distance over both sides' legal directions
+    and the four connection angles, one 4x4 product per mate.
+
+    A pair with no legal mating (e.g. two tools pointing the wrong way)
+    keeps a zero bound, so it can never pass a distance check.
+    """
+    best = 0.0
+    for dp in p.parent_directions:
+        for dc in c.child_directions:
+            for connector in CONNECTOR_STACK:
+                t = (p.matrices["out", dp] @ connector) @ c.matrices["in", dc]
+                best = max(best, float(np.linalg.norm(t[:3, 3])))
+    return best
 
 
 def reference_search_side(mt: ModuleType, end: str, direction: str) -> dict:

@@ -60,6 +60,7 @@ from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 from helpers import (
     NumpyPairModel,
     ReferencePairModel,
+    corpus_and_noise_rows,
     from_rotation,
     from_translation,
     make_corpus,
@@ -781,30 +782,6 @@ class TestParentSearchOracle:
             assert abs(wrap_angle(g - w)) <= THETA_TOL
 
 
-def _corpus_and_noise_rows(db, corpus_size: int, draws: int) -> list:
-    """The first scenes of the criterion-2 corpus, then the first criterion-4 joint
-    draws under each of the four noise rows."""
-    scenes = [
-        synthesize(desc, thetas, db, base=base)
-        for desc, _, thetas, base in make_corpus(db, corpus_size, 20260808)
-    ]
-    desc = parse("I-T'0-T'0-A0-t0-i0-g0")
-    rows = [(2.0, 3, 0.0), (4.0, 3, 0.0), (6.0, 3, 0.0), (2.0, 0, 0.05)]
-    rng = np.random.default_rng(4242)
-    for k in range(draws):
-        thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180.0, 120.0, 120.0, 120.0, 180.0)]
-        for sigma, spurious, dropout in rows:
-            cfg = SceneConfig(
-                sigma_pos=sigma,
-                sigma_rot=sigma,
-                dropout_prob=dropout,
-                spurious_count=spurious,
-                seed=9000 + k,
-            )
-            scenes.append(synthesize(desc, thetas, db, cfg=cfg))
-    return scenes
-
-
 GOLDEN_OUTPUTS = Path(__file__).parent / "golden" / "identify_outputs.txt"
 
 
@@ -834,7 +811,7 @@ def _output_lines(db, scenes) -> list[str]:
 def test_outputs_match_golden_file(db):
     # Both back ends' outputs on the first corpus scenes and noise draws, bit
     # for bit as recorded, including 4 NoToolModule scenes under dropout.
-    got = _output_lines(db, _corpus_and_noise_rows(db, 100, 39))
+    got = _output_lines(db, corpus_and_noise_rows(db, 100, 39))
     want = GOLDEN_OUTPUTS.read_text(encoding="utf-8").splitlines()
     assert len(got) == len(want) == 2 * (100 + 4 * 39)
     for g, w in zip(got, want):
@@ -954,7 +931,7 @@ class TestReachTest:
         # Every hypothesis the search skips has a reference residual above
         # f_threshold + RESIDUAL_TIE at all four connection angles; the others
         # each build one pair model, and with no threshold all of them do.
-        calls = _recorded_searches(db, _corpus_and_noise_rows(db, 100, 3))
+        calls = _recorded_searches(db, corpus_and_noise_rows(db, 100, 3))
         monkeypatch.setattr(identify, "_PairModel", _CountedPairModel)
         skipped = total = 0
         for args, kwargs in calls:
@@ -1042,7 +1019,7 @@ def test_link_scalars_match_numpy_reference(db):
     # is the numpy one; every seen bundle pair has the same roll, bit for
     # bit, and the same tilt within 1e-12 degrees.
     links = twists = 0
-    for obs in _corpus_and_noise_rows(db, 500, 100):
+    for obs in corpus_and_noise_rows(db, 500, 100):
         detected, _ = validate_markers(obs, db)
         for module in detected:
             if module.bundle is not None:
@@ -1309,7 +1286,7 @@ class TestWarnings:
         # Over the corpus and the four noise rows, no chain or tree build of
         # either back end warns through Python, while the corpus's unobservable
         # angles reach the chains' warnings.
-        scenes = _corpus_and_noise_rows(db, 500, 25)
+        scenes = corpus_and_noise_rows(db, 500, 25)
         unobservable = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -9,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
-from chainforge.geometry import Pose
+from chainforge.geometry import CONNECTION_ANGLES, Pose, compose, invert
 from chainforge.identify import (
+    ChainLink,
+    DetectedModule,
     IdentifiedChain,
     IdentifyConfig,
+    IdentifyError,
     build_chain,
     build_tree,
     to_descriptor,
@@ -29,21 +33,34 @@ from chainforge.modelgen import (
     read_model,
     write_model,
 )
+from chainforge.module_db import (
+    UPRIGHT,
+    ModuleRecord,
+    default_database,
+    load_database,
+    save_database,
+)
 from chainforge.synth import forward_poses, synthesize
 
 from helpers import (
     PAPER_CHAINS,
+    corpus_and_noise_rows,
     field_values,
     make_corpus,
     make_two_branch_scene,
     model_world_frames,
     random_base,
     record_writes,
+    reference_directions,
     reference_generate_model,
+    reference_link_out,
+    reference_mate,
     reference_write_model_xml,
+    skewed_database,
 )
 
 GOLDEN_XML = Path(__file__).parent / "golden" / "manipulator.xml"
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "model_digests.txt"
 
 
 def chain_for(db, text, thetas, assignment=None):
@@ -183,7 +200,7 @@ def assert_matches_reference(model, reference):
 
 
 class TestJointOrigins:
-    """Joint origins from the per-type mate tables against the world-frame walk."""
+    """Joint origins from the catalog's 4x4 tables against Pose compositions."""
 
     @pytest.mark.parametrize("method", ["geometric", "optimization"])
     def test_corpus_matches_world_frame_reference(self, db, method):
@@ -216,6 +233,50 @@ class TestJointOrigins:
         assert [j.parent[:2] for j in mates] == ["L-"] * 3
         origins = {(j.origin.rotation.tobytes(), j.origin.translation.tobytes()) for j in mates}
         assert len(origins) == 1
+
+    @pytest.mark.parametrize("source", ["built", "loaded", "skewed"])
+    def test_every_mate_matches_composed_reference(self, tmp_path, source):
+        # A two-module chain for every legal mate of the catalog: the child's
+        # joint origin is the parent's link-out composed with the child's mate,
+        # and each drive is the output offset or its inverse.  Byte for byte
+        # on the default catalog; where the offsets are rotated, the 4x4
+        # products may round translations differently in the last bits.
+        db = default_database()
+        if source == "loaded":
+            save_database(db, tmp_path / "db.json")
+            db = load_database(tmp_path / "db.json")
+        elif source == "skewed":
+            db = skewed_database()
+        def link(mt, serial, direction, angle):
+            record = ModuleRecord(serial, mt.code, 1, 0, 1 if mt.dual_bundle else None)
+            module = DetectedModule(record, mt, Pose.identity())
+            return ChainLink(module, angle, direction, 0.0 if mt.is_joint else None)
+
+        def check(origin, want):
+            assert origin.rotation.tobytes() == want.rotation.tobytes()
+            if source == "skewed":
+                assert np.abs(origin.translation - want.translation).max() <= 1e-12
+            else:
+                assert origin.translation.tobytes() == want.translation.tobytes()
+
+        mates = 0
+        for p in db.types.values():
+            for dp in reference_directions(p, "parent"):
+                for c in db.types.values():
+                    for dc in reference_directions(c, "child"):
+                        for angle in CONNECTION_ANGLES:
+                            links = [link(p, "p", dp, None), link(c, "c", dc, angle)]
+                            joints = generate_model(IdentifiedChain(links, []), db).joints
+                            by_name = {j.name: j.origin for j in joints}
+                            want = compose(reference_link_out(p, dp), reference_mate(c, dc, angle))
+                            check(by_name["j_c"], want)
+                            for serial, mt, d in (("p", p, dp), ("c", c, dc)):
+                                if mt.dual_bundle:
+                                    offset = mt.master_offset_output
+                                    drive = offset if d == UPRIGHT else invert(offset)
+                                    check(by_name[f"j_{serial}_drive"], drive)
+                            mates += 1
+        assert mates == (17 * 17 if source != "skewed" else 7 * 7) * len(CONNECTION_ANGLES)
 
     def test_connection_angle_outside_the_table_raises(self, db):
         chain = chain_for(db, "I-T0-L0-G0", [25.0, -40.0])
@@ -547,6 +608,38 @@ class TestXmlWriter:
         path = tmp_path / "robot.xml"
         write_model(golden_model, path)
         assert path.read_bytes() == GOLDEN_XML.read_bytes()
+
+
+def model_digest_lines(db, directory) -> list[str]:
+    """One JSON line per scene and back end: the scene's index, the back end,
+    then the error type, or the sha256 of the model written as XML and as JSON."""
+    lines = []
+    for i, obs in enumerate(corpus_and_noise_rows(db, 100, 39)):
+        for method in ("geometric", "optimization"):
+            try:
+                chain = build_chain(obs, db, IdentifyConfig(method=method))
+            except IdentifyError as exc:
+                lines.append(json.dumps([i, method, type(exc).__name__]))
+                continue
+            model = generate_model(chain, db)
+            digests = []
+            for suffix in (".xml", ".json"):
+                path = directory / f"model{suffix}"
+                write_model(model, path)
+                digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            lines.append(json.dumps([i, method, *digests]))
+    return lines
+
+
+def test_models_match_golden_digests(db, tmp_path):
+    # Both back ends' models of the first corpus scenes and noise draws, byte
+    # for byte as recorded: their joint origins carry every last bit of the
+    # catalog products.
+    got = model_digest_lines(db, tmp_path)
+    want = GOLDEN_DIGESTS.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want) == 2 * (100 + 4 * 39)
+    for g, w in zip(got, want):
+        assert g == w
 
 
 class TestWritesOnce:

@@ -13,7 +13,6 @@ from chainforge.geometry import (
     CONNECTION_ANGLES,
     ORTHONORMALITY_TOL,
     Pose,
-    axis_angle,
     compose,
     joint_turns,
     rot_x,
@@ -41,12 +40,12 @@ from helpers import (
     record_writes,
     reference_connection_transform,
     reference_directions,
-    reference_link_out,
-    reference_mate,
+    reference_mated_distance,
     reference_master_to_childward,
     reference_parentward_to_master,
     reference_search_side,
     save_renamed_database,
+    skewed_database,
 )
 
 
@@ -137,7 +136,7 @@ def test_max_connected_distance_brute_force():
     # Independent enumeration over ordered type pairs, install options and
     # connection angles; the skewed catalog's mates sit farther apart at
     # some angles than at 0.
-    for db, pairs in ((default_database(), 121), (_skewed_database(), 16)):
+    for db, pairs in ((default_database(), 121), (skewed_database(), 16)):
         before = {name: repr(value) for name, value in vars(db).items()}
         best = 0.0
         for p in db.types.values():
@@ -165,8 +164,7 @@ def test_max_connected_distance_brute_force():
 
 def test_trusted_catalog_transforms_are_valid(db):
     # The catalog's tables and joint turns are built unchecked; each is a proper rotation.
-    poses = [p for mt in db.types.values() for p in (*mt.mates.values(), *mt.link_out.values())]
-    rotations = [m[:3, :3] for m in module_db.CONNECTOR_STACK] + [p.rotation for p in poses]
+    rotations = [m[:3, :3] for m in module_db.CONNECTOR_STACK]
     for mt in db.types.values():
         rotations += [m[:3, :3] for m in mt.matrices.values()]
         if mt.is_joint:
@@ -175,50 +173,18 @@ def test_trusted_catalog_transforms_are_valid(db):
     for r in rotations:
         assert np.abs(r.T @ r - np.eye(3)).max() <= ORTHONORMALITY_TOL
         assert np.linalg.det(r) > 0.0
-    for p in poses:
-        assert not p.rotation.flags.writeable and not p.translation.flags.writeable
-
-
-def _bits(pose: Pose) -> bytes:
-    return pose.rotation.tobytes() + pose.translation.tobytes()
-
-
-def _skewed_type(code: str, kind: str, limits, dual_bundle: bool) -> ModuleType:
-    """A type whose connector offsets are rotated and off-center, unlike the defaults."""
-    return ModuleType(
-        code=code,
-        kind=kind,
-        body_length=90.0,
-        master_offset_input=Pose(axis_angle([0.3, -1.0, 0.2], 170.0), [3.5, -41.0, 2.25]),
-        master_offset_output=Pose(axis_angle([0.1, 0.4, -1.0], 25.0), [-1.5, 47.0, 6.0]),
-        joint_limits=limits,
-        invertible=True,
-        dual_bundle=dual_bundle,
-    )
-
-
-def _skewed_database() -> ModuleDatabase:
-    return ModuleDatabase(
-        [
-            _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
-            _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
-            _skewed_type("L", "link", None, False),
-            _skewed_type("G", KIND_TOOL, None, False),
-        ],
-        [],
-    )
 
 
 @pytest.mark.parametrize("source", ["built", "loaded", "skewed"])
 def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
-    # Every type builds its zero-state matrices and model tables once,
-    # bit-identical to composing one Pose per factor at zero joint state.
+    # Every type builds its zero-state matrices once, bit-identical to
+    # composing one Pose per factor at zero joint state.
     db = default_database()
     if source == "loaded":
         save_database(db, tmp_path / "db.json")
         db = load_database(tmp_path / "db.json")
     elif source == "skewed":
-        db = _skewed_database()
+        db = skewed_database()
     for mt in db.types.values():
         reference = {
             ("in", d): reference_parentward_to_master(mt, d) for d in (UPRIGHT, INVERTED)
@@ -227,12 +193,24 @@ def test_catalog_frames_equal_fresh_compositions(tmp_path, source):
         for key, pose in reference.items():
             assert mt.matrices[key].tobytes() == pose.matrix().tobytes()
             assert not mt.matrices[key].flags.writeable
-        assert set(mt.mates) == {(d, a) for d in (UPRIGHT, INVERTED) for a in CONNECTION_ANGLES}
-        for (d, angle), pose in mt.mates.items():
-            assert _bits(pose) == _bits(reference_mate(mt, d, angle))
-        assert set(mt.link_out) == {UPRIGHT, INVERTED}
-        for d, pose in mt.link_out.items():
-            assert _bits(pose) == _bits(reference_link_out(mt, d))
+
+
+@pytest.mark.parametrize("source", ["built", "loaded", "skewed"])
+def test_pair_bounds_equal_mated_distance(tmp_path, source):
+    # Each type pair's bound, read from its pair layers, is bit-identical to
+    # the largest norm of one 4x4 product per legal mate: the zero-noise
+    # neighbor sets depend on its last bit.
+    db = default_database()
+    if source == "loaded":
+        save_database(db, tmp_path / "db.json")
+        db = load_database(tmp_path / "db.json")
+    elif source == "skewed":
+        db = skewed_database()
+    for p in db.types.values():
+        for c in db.types.values():
+            got = db.pair_connected_distance(p.code, c.code)
+            assert type(got) is float
+            assert got.hex() == reference_mated_distance(p, c).hex(), (p.code, c.code)
 
 
 @pytest.mark.parametrize("source", ["built", "skewed"])
@@ -240,7 +218,7 @@ def test_search_sides_equal_per_call_formulas(source):
     # Each type holds, for each legal direction, the optimization search's
     # sides as a parent and as a child: byte for byte the freshly composed
     # factors, read-only, with their reach, free joint and key.
-    db = default_database() if source == "built" else _skewed_database()
+    db = default_database() if source == "built" else skewed_database()
     for mt in db.types.values():
         keys = [("out", d) for d in reference_directions(mt, "parent")]
         keys += [("in", d) for d in reference_directions(mt, "child")]
@@ -260,7 +238,7 @@ def test_pair_layers_table_covers_every_side_pair(source):
     # connector times the child factor, as floats, byte for byte the product
     # of the factors that the type offsets compose.  A search reads them and
     # adds none.
-    db = default_database() if source == "built" else _skewed_database()
+    db = default_database() if source == "built" else skewed_database()
     parents = [s for mt in db.types.values() for (end, _), s in mt.sides.items() if end == "out"]
     children = [s for mt in db.types.values() for (end, _), s in mt.sides.items() if end == "in"]
     assert len(db._pair_layers) == len(parents) * len(children)
