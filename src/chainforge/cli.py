@@ -43,8 +43,17 @@ EXIT_USAGE = 1
 EXIT_IDENTIFICATION = 2
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_USAGE, not argparse's 2,
+    which is the identification-failure code here; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="chainforge",
         description="Identify modular-robot kinematic chains from marker scenes.",
     )

@@ -120,14 +120,15 @@ def _checked_rotations(r: np.ndarray, t: np.ndarray) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
     """Rigid transform: orthonormal rotation plus millimetre translation.
 
     The constructor validates its input; its checks serve callers of the
     package and, as one stack, noise draws (`checked_poses`).  File poses,
     transforms derived from valid poses and exact rotations inside the
-    package go through `_trusted`, which skips the checks.
+    package go through `_trusted`, which skips the checks.  Poses compare
+    and hash by identity; `approx_equal` compares their values.
     """
 
     rotation: np.ndarray
@@ -213,22 +214,20 @@ def signed_angle(cos: float, triple: float) -> float:
     return ang if triple >= 0.0 else -ang
 
 
-def circular_difference(a: float, b: float) -> float:
-    """Absolute angular separation of a and b on the circle, in [0, 180]."""
-    return abs(wrap_angle(a - b))
-
-
 def discretize_angle(raw: float) -> float:
     """Snap an angle to the nearest member of the four-pin connection set.
 
-    Ties at the +-45 / +-135 midpoints resolve toward the smaller absolute
-    value, and toward the positive sign on an exact sign tie.
+    In quarter turns, q = wrap_angle(raw) / 90 lies in (-2, 2], and the
+    nearest pin is k = ceil(|q| - 0.5) quarter turns away from 0 on the side
+    of q's sign, k = 2 being 180.  So ties at the +-45 / +-135 midpoints
+    resolve toward the smaller absolute value.  A non-finite angle raises
+    ValueError.
     """
-    raw = wrap_angle(raw)
-    return min(
-        CONNECTION_ANGLES,
-        key=lambda c: (circular_difference(raw, c), abs(c), 0 if c > 0 else 1),
-    )
+    if not math.isfinite(raw):
+        raise ValueError(f"cannot snap a non-finite angle ({raw!r}) to a connection angle")
+    q = wrap_angle(raw) / 90.0
+    k = math.ceil(abs(q) - 0.5)
+    return 180.0 if k == 2 else math.copysign(90.0 * k, q) + 0.0
 
 
 def quat_rows(q: list) -> list[float]:

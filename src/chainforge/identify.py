@@ -553,19 +553,12 @@ class _PairModel:
         self.parent, self.child = parent, child
         self._layers = layers
         self._observed = observed
-        self._turned = None, None  # the last theta_n turning the parent, and its layers
 
     def _stack(self, theta_n, theta_c) -> list:
-        """The model layers, turned by each free side whose states are given.
-
-        The parent-turned layers are kept for the next call with the same
-        theta_n: the residual at the solved states reuses the final child_cross's.
-        """
+        """The model layers, turned by each free side whose states are given."""
         m = self._layers
         if theta_n is not None and self.parent.axis is not None:
-            if self._turned[0] is not theta_n:
-                self._turned = theta_n, _turn_rows(m, self.parent.axis, theta_n)
-            m = self._turned[1]
+            m = _turn_rows(m, self.parent.axis, theta_n)
         if theta_c is not None and self.child.axis is not None:
             m = _turn_columns(m, self.child.axis, theta_c)
         return m
@@ -652,37 +645,6 @@ def _observed_rows(cand: DetectedModule, child: DetectedModule) -> list[float]:
 _REACH_ROUNDING = 1e-9
 
 
-def _origin_gaps(
-    parent: SearchSide, child: SearchSide, layers, observed: list[float], scale: float
-) -> list[float]:
-    """At each connection angle, a lower bound on the distance between the
-    child's master origin seen from the candidate's, o, and the modeled one, at
-    any joint states.
-
-    The modeled origin is b, the translation of the pair layer B_k, which no
-    child-side turn moves.  A free parent turns b about its joint axis, which
-    keeps b's axial offset and its radius about the axis, so the distance is at
-    least the hypot of the axial and radial gaps.  Each bound is lowered by a
-    rounding allowance, relative to `scale`, the sum of both origins' distances
-    from the world origin, and to the sides' reach, so that W_T times it never
-    exceeds the residual of `_PairModel`, which is at least W_T times the distance.
-    """
-    o = _TRANSLATION(observed)
-    allowance = _REACH_ROUNDING * (scale + parent.reach + child.reach)
-    ax = parent.axis
-    if ax is not None:
-        u, v = TURN_PLANES[ax]
-        o_axial, o_radial = o[ax], math.hypot(o[u], o[v])
-    gaps = []
-    for b in map(_TRANSLATION, layers):
-        if ax is None:
-            gap = math.dist(o, b)
-        else:
-            gap = math.hypot(o_axial - b[ax], o_radial - math.hypot(b[u], b[v]))
-        gaps.append(gap - allowance)
-    return gaps
-
-
 def find_parent_optimization(
     child: DetectedModule,
     pool: list[DetectedModule],
@@ -697,7 +659,11 @@ def find_parent_optimization(
     pair transform are solved in closed form within their joint limits,
     and the residual is the metric at the solved states.  A hypothesis
     whose bundle pair is misaligned is skipped, and so is one that cannot
-    reach the child: when W_T times every `_origin_gaps` bound exceeds
+    reach the child.  No joint turn stretches the modeled child origin
+    beyond `span`, the sum of the sides' reaches, so the residual is at
+    least W_T times the observed origin distance less `span`; when that
+    bound, lowered by a rounding allowance relative to `scale` (the sum of
+    both origins' distances from the world origin) and `span`, exceeds
     f_threshold + RESIDUAL_TIE, its residuals could neither be accepted nor
     tie an accepted winner.  The best candidate is accepted only when its
     residual stays within the configured threshold.
@@ -719,15 +685,17 @@ def find_parent_optimization(
     f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
     for cand in neighbors(child, pool, db, cfg):
         observed = _observed_rows(cand, child)
+        distance = math.hypot(*_TRANSLATION(observed))
         scale = math.hypot(*cand.floats[:3]) + child_norm
         for d_p in cand.module_type.parent_directions:
             try:
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
-            layers = db.pair_layers(parent_side, child_side)
-            if W_T * min(_origin_gaps(parent_side, child_side, layers, observed, scale)) > reach:
+            span = parent_side.reach + child_side.reach
+            if W_T * (distance - span - _REACH_ROUNDING * (scale + span)) > reach:
                 continue
+            layers = db.pair_layers(parent_side, child_side)
             model = _PairModel(parent_side, child_side, layers, observed)
             theta_n, theta_c = model.solve()
             f_values += model.residual(theta_n, theta_c)

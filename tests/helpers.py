@@ -539,6 +539,21 @@ def raw_connection_angle(p: Pose, c: Pose) -> float:
     return signed_angle(float(zp @ zc), triple)
 
 
+def circular_difference(a: float, b: float) -> float:
+    """Absolute angular separation of a and b on the circle, in [0, 180]."""
+    return abs(wrap_angle(a - b))
+
+
+def reference_discretize_angle(raw: float) -> float:
+    """`geometry.discretize_angle` as a search: the connection angle nearest on the
+    circle, ties toward the smaller absolute value, then toward the positive sign."""
+    raw = wrap_angle(raw)
+    return min(
+        CONNECTION_ANGLES,
+        key=lambda c: (circular_difference(raw, c), abs(c), 0 if c > 0 else 1),
+    )
+
+
 def reference_raw_connection_angle(p: Pose, c: Pose) -> float:
     """Signed angle between the z-axes of two frames, its sign from np.cross."""
     u = unit_between(p, c)
@@ -761,19 +776,12 @@ class NumpyPairModel:
         self.parent, self.child = parent, child
         self._base = parent.matrix @ CONNECTOR_STACK @ child.matrix
         self._observed = observed
-        self._turned = None, None  # the last theta_n turning the parent, and its layers
 
     def _stack(self, theta_n: np.ndarray | None, theta_c: np.ndarray | None) -> np.ndarray:
-        """The model layers, turned by each free side whose states are given.
-
-        The parent-turned layers are kept for the next call with the same
-        theta_n: the residual at the solved states reuses the final child_cross's.
-        """
+        """The model layers, turned by each free side whose states are given."""
         m = self._base
         if theta_n is not None and self.parent.axis is not None:
-            if self._turned[0] is not theta_n:
-                self._turned = theta_n, joint_turns(self.parent.axis, theta_n) @ m
-            m = self._turned[1]
+            m = joint_turns(self.parent.axis, theta_n) @ m
         if theta_c is not None and self.child.axis is not None:
             m = m @ joint_turns(self.child.axis, -theta_c)
         return m

@@ -11,7 +11,6 @@ from chainforge.geometry import (
     CONNECTION_ANGLES,
     Pose,
     axis_angle,
-    circular_difference,
     discretize_angle,
     wrap_angle,
 )
@@ -27,7 +26,14 @@ from chainforge.identify import (
 )
 from chainforge.synth import SceneConfig, synthesize
 
-from helpers import PAPER_CHAINS, make_corpus, make_two_branch_scene, pose_distance, random_base
+from helpers import (
+    PAPER_CHAINS,
+    circular_difference,
+    make_corpus,
+    make_two_branch_scene,
+    pose_distance,
+    random_base,
+)
 
 CORPUS_SEED = 20260808
 CORPUS_SIZE = 500

@@ -343,6 +343,33 @@ class TestIdentify:
         assert main(["identify", "--scene", str(scene_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identify", "--bogus"],
+        ["identify", "--scene", "s.json", "--bogus"],
+        ["parse"],
+        ["roundtrip", "--chain", "I-T0-G0", "--seed", "3", "--trials", "x"],
+        ["identify", "--scene", "s.json", "--method", "annealing"],
+        [],
+    ],
+)
+def test_argument_errors_exit_1(argv, capsys):
+    # Exit 2 is kept for identification failures.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["identify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_cli_error_bases_exported():
     from chainforge import IdentifyError, SynthError
 

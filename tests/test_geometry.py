@@ -16,7 +16,6 @@ from chainforge.geometry import (
     Pose,
     _checked_rotations,
     axis_angle,
-    circular_difference,
     compose,
     discretize_angle,
     invert,
@@ -36,12 +35,14 @@ from chainforge.geometry import (
 )
 
 from helpers import (
+    circular_difference,
     from_rotation,
     from_translation,
     pose_distance,
     quat_to_matrix,
     raw_connection_angle,
     reference_axis_angle,
+    reference_discretize_angle,
     reference_numpy_quat_to_matrix,
     reference_pose_check,
     reference_quat_to_matrix,
@@ -290,6 +291,17 @@ class TestPoseValidation:
         assert np.abs(p.rotation.T @ p.rotation - np.eye(3)).max() <= 1e-9
 
 
+class TestPoseIdentity:
+    """Poses compare and hash by identity, so neither raises on their arrays;
+    `approx_equal` is the value comparison."""
+
+    def test_equality_and_hash(self):
+        a, b = Pose(rot_z(30.0), [1.0, 2.0, 3.0]), Pose(rot_z(30.0), [1.0, 2.0, 3.0])
+        assert a == a and a != b and a.approx_equal(b)
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
+
+
 class TestBatchedPoseCheck:
     @given(
         kinds=st.lists(
@@ -478,6 +490,29 @@ class TestDiscretize:
                 key=lambda c: (circular_difference(raw, c), abs(c), -c),
             )
             assert discretize_angle(raw) == best, raw
+
+    def test_closed_form_matches_search_near_every_midpoint(self):
+        # Within 300 ulps of each multiple of 45 degrees over four turns each
+        # way, the closed form picks what the search does, the sign of zero too.
+        for m in range(-32, 33):
+            up = down = 45.0 * m
+            for _ in range(300):
+                for raw in (up, down):
+                    got, want = discretize_angle(raw), reference_discretize_angle(raw)
+                    assert got.hex() == want.hex(), raw.hex()
+                up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(1e300)
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_search(self, raw):
+        assert discretize_angle(raw).hex() == reference_discretize_angle(raw).hex()
+
+    @pytest.mark.parametrize("raw", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, raw):
+        with pytest.raises(ValueError, match="non-finite"):
+            discretize_angle(raw)
 
 
 class TestQuaternions:

@@ -50,8 +50,9 @@ from chainforge.identify import (
     _child_side,
     _fit_joint,
     _observed_rows,
-    _origin_gaps,
     _PairModel,
+    _REACH_ROUNDING,
+    _TRANSLATION,
     _parent_side,
 )
 from chainforge.module_db import INVERTED, UPRIGHT, _pair_layers, default_database
@@ -431,11 +432,13 @@ def _float_model(parent, child, parent_side, child_side) -> _PairModel:
     return _PairModel(parent_side, child_side, _pair_layers(parent_side, child_side), observed)
 
 
-def _gaps(parent, child, parent_side, child_side) -> list[float]:
-    """One hypothesis's `_origin_gaps`, as find_parent_optimization takes them."""
-    layers, observed = _pair_layers(parent_side, child_side), _observed_rows(parent, child)
+def _reach_gap(parent, child, parent_side, child_side) -> float:
+    """One hypothesis's lower bound on the distance between the observed and the
+    modeled child origin, as find_parent_optimization takes it."""
+    distance = math.hypot(*_TRANSLATION(_observed_rows(parent, child)))
     scale = math.hypot(*parent.floats[:3]) + math.hypot(*child.floats[:3])
-    return _origin_gaps(parent_side, child_side, layers, observed, scale)
+    span = parent_side.reach + child_side.reach
+    return distance - span - _REACH_ROUNDING * (scale + span)
 
 
 def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
@@ -915,17 +918,15 @@ class TestReachTest:
     ):
         # Far poses are drawn independently; near ones put the child at the
         # modeled pose of one connection angle and joint state, moved by an
-        # offset, where the bound is tight for a fixed parent.
-        parent, child, parent_side, child_side, k0 = _draw_hypothesis(
+        # offset.
+        parent, child, parent_side, child_side, _ = _draw_hypothesis(
             db, parent_kind, child_kind, data, seed, states, offset if near else None
         )
         theta_n, theta_c = states[:4], states[4:8]
         model = _float_model(parent, child, parent_side, child_side)
-        gaps = np.array(_gaps(parent, child, parent_side, child_side))
-        assert (W_T * gaps <= model.residual(theta_n, theta_c)).all()
-        assert (W_T * gaps <= model.residual(*model.solve())).all()
-        if near and parent_kind in ("fixed", "bundle-measured"):
-            assert gaps[k0] == pytest.approx(math.hypot(*offset), abs=1e-5)
+        gap = _reach_gap(parent, child, parent_side, child_side)
+        assert all(W_T * gap <= f for f in model.residual(theta_n, theta_c))
+        assert all(W_T * gap <= f for f in model.residual(*model.solve()))
 
     def test_skipped_hypotheses_cannot_be_accepted(self, db, monkeypatch):
         # Every hypothesis the search skips has a reference residual above
@@ -940,8 +941,7 @@ class TestReachTest:
             hypotheses = _hypotheses(*args, **kwargs)
             kept = 0
             for cand, parent_side, child_side in hypotheses:
-                gaps = _gaps(cand, child, parent_side, child_side)
-                if W_T * min(gaps) <= reach:
+                if W_T * _reach_gap(cand, child, parent_side, child_side) <= reach:
                     kept += 1
                     continue
                 observed = relative(cand.master_pose, child.master_pose).matrix()
@@ -958,7 +958,9 @@ class TestReachTest:
             find_parent_optimization(*unbounded, **kwargs)
             assert _CountedPairModel.built == len(hypotheses)
         assert len(calls) > 500
-        assert 0.3 * total < skipped < total
+        # The bound skips 278 of these 1377 hypotheses (20%): 19% on the corpus
+        # scenes and 31% on the noise rows.
+        assert 0.15 * total < skipped < 0.25 * total
 
 
 class TestFloatKernel:

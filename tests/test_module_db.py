@@ -56,6 +56,13 @@ def test_default_catalog_shape(db):
     assert len(db._by_marker) >= 20
 
 
+def test_module_types_compare_and_hash(db):
+    # Their Pose fields compare by identity, so neither raises on numpy arrays.
+    t, g = db.types["T"], db.types["G"]
+    assert t == t and t != g
+    assert {t: 1, g: 2}[t] == 1
+
+
 def test_lookup_marker(db):
     hit = db.lookup_marker(10)
     assert hit.record.type_code == "T" and not hit.is_output
