@@ -191,8 +191,9 @@ def relative_matrix(n: Pose, c: Pose) -> np.ndarray:
     `compose(invert(n), c).matrix()` bit for bit, built without poses."""
     rf, m = np.array(n.rotation.T), np.zeros((4, 4))  # the same products on `invert`'s copy
     m[3, 3] = 1.0
-    m[:3, :3] = rf @ c.rotation
-    m[:3, 3] = rf @ c.translation + -n.rotation.T @ n.translation
+    # `dot` makes the BLAS calls of `@` without matmul's dispatch.
+    m[:3, :3] = rf.dot(c.rotation)
+    m[:3, 3] = rf.dot(c.translation) + (-n.rotation.T).dot(n.translation)
     m.setflags(write=False)
     return m
 
@@ -329,12 +330,13 @@ def checked_poses(r: np.ndarray, t: np.ndarray) -> list[Pose]:
     """Poses over a non-empty stack of rotations (n, 3, 3) and translations (n, 3).
 
     The stack meets the constructor's checks at once (InvalidPose names the
-    first failing pose) and may be fixed in place, so the caller hands over
-    arrays that nothing else reads.
+    first failing pose) and may be fixed in place; the poses are read-only
+    views of it.  So the caller hands over arrays that nothing else reads.
     """
     r = _checked_rotations(r, t)
-    # Each pose owns fresh arrays, as one built by the constructor does.
-    return [Pose._trusted(ri.copy(), ti.copy()) for ri, ti in zip(r, t)]
+    r.setflags(write=False)
+    t.setflags(write=False)
+    return [Pose._trusted(ri, ti) for ri, ti in zip(r, t)]
 
 
 def pose_from_json(t, q) -> Pose:

@@ -30,7 +30,6 @@ from .geometry import (
     discretize_angle,
     joint_turns,
     relative_matrix,
-    rot_y,
     signed_angle,
     unit_between,
     wrap_angle,
@@ -140,12 +139,12 @@ class DetectedModule:
     twist: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x, y, z = self.master_pose.rotation.T.tolist()
-        floats = array("d", self.master_pose.translation.tolist() + x + y + z)
+        master = self.master_pose
+        floats = array("d", master.translation.tobytes() + master.rotation.T.tobytes())
         bundle = None
         if self.output_pose is not None:
-            floats.extend(self.output_pose.rotation[:, 2].tolist())
-            bundle = relative_matrix(self.master_pose, self.output_pose)
+            floats.frombytes(self.output_pose.rotation[:, 2].tobytes())
+            bundle = relative_matrix(master, self.output_pose)
         object.__setattr__(self, "floats", floats)
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "twist", None if bundle is None else _bundle_twist(self))
@@ -391,12 +390,14 @@ def find_parent_geometric(
 def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
     """Roll about the link axis of the master-to-output rotation, and the tilt
     left after removing that roll, in degrees; measured once per module."""
-    r00, _, r02, _ = module.bundle[0].tolist()
+    r00, r01, r02, _, a10, d1, a12, _, r20, r21, r22, _ = module.bundle[:3].ravel().tolist()
     roll = math.degrees(math.atan2(r02, r00))
-    # The tilt is the rotation angle of the residual: atan2 of its skew part
-    # against trace - 1 stays exact near zero, where acos of the trace loses
-    # half the digits.
-    (d0, a01, a02), (a10, d1, a12), (a20, a21, d2) = (rot_y(-roll) @ module.bundle[:3, :3]).tolist()
+    # The residual rot_y(-roll) @ r mixes rows 0 and 2 of r.  Its tilt is its
+    # rotation angle: atan2 of its skew part against trace - 1 stays exact
+    # near zero, where acos of the trace loses half the digits.
+    c, s = cos_sin(-roll)
+    d0, a01, a02 = c * r00 + s * r20, c * r01 + s * r21, c * r02 + s * r22
+    a20, a21, d2 = -s * r00 + c * r20, -s * r01 + c * r21, -s * r02 + c * r22
     skew = math.hypot(a21 - a12, a02 - a20, a10 - a01)
     return roll, math.degrees(math.atan2(skew, d0 + d1 + d2 - 1.0))
 

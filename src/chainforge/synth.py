@@ -142,15 +142,40 @@ def forward_poses(
 
     `joint_angles` lists one angle per joint-kind entry in base-to-end
     order.  `base` is the world pose of the base module's master frame.
-    Frames are 4x4 products of the catalog's zero-state matrices and the
-    connector stack, with a nonzero joint state as one turn about its axis.
+    The poses are views over the frames of `_marker_frames`.
+    """
+    records, frames = _marker_frames(desc, joint_angles, db, base, assignment)
+    poses = iter([Pose._trusted(f[:3, :3], f[:3, 3]) for f in frames])
+    return [
+        ModulePlacement(r.serial, next(poses), None if r.output_marker_id is None else next(poses))
+        for r in records
+    ]
+
+
+def _marker_frames(desc, joint_angles, db, base, assignment) -> tuple[list, np.ndarray]:
+    """The chain's registry records, and the 4x4 world frame of each true marker as one
+    stack: every module's master, then its output bundle if it has one.  Frames are
+    products of the catalog's zero-state matrices and the connector stack, with a
+    nonzero joint state as one turn about its axis.
     """
     records = assign_instances(desc, db, assignment)
-    thetas = _spread_joint_angles(desc, joint_angles, db)
-    placements = []
+    types = [db.types[entry.type_code] for entry in desc.entries]
+    joints = sum(mt.is_joint for mt in types)
+    if len(joint_angles) != joints:
+        raise ValueError(f"chain has {joints} joint modules, got {len(joint_angles)} joint angles")
+    angles = iter(joint_angles)
+    thetas = [float(next(angles)) if mt.is_joint else 0.0 for mt in types]
+    for mt, theta in zip(types, thetas):
+        lo, hi = mt.joint_limits if mt.is_joint else (0.0, 0.0)
+        if not lo <= theta <= hi:
+            raise LimitViolation(f"type {mt.code!r}: joint angle {theta} outside [{lo}, {hi}]")
+    # Per joint axis, the turns by theta and -theta of chain position i at 2i and 2i + 1.
+    signed = [sign * theta for theta in thetas for sign in (1.0, -1.0)]
+    turns = {axis: joint_turns(axis, signed) for axis in {mt.joint_axis for mt in types} - {None}}
+    # The 4x4 products go through `dot`, which skips matmul's dispatch: the same BLAS call.
+    frames: list[np.ndarray] = []
     childward: np.ndarray | None = None
-    for i, (entry, record, theta) in enumerate(zip(desc.entries, records, thetas)):
-        mt = db.types[entry.type_code]
+    for i, (entry, mt, theta) in enumerate(zip(desc.entries, types, thetas)):
         direction = INVERTED if entry.inverted else UPRIGHT
         if direction not in mt.directions:
             raise ValueError(f"type {entry.type_code!r} cannot be installed inverted")
@@ -169,44 +194,16 @@ def forward_poses(
         else:  # an inverted module is entered behind its joint, which turns by -theta
             entered = mt.matrices["in", direction]
             if theta and entry.inverted:
-                entered = entered @ joint_turns(mt.joint_axis, [-theta])[0]
+                entered = entered.dot(turns[mt.joint_axis][2 * i + 1])
             angle = CONNECTION_ANGLES.index(entry.connection_angle)
-            master = (childward @ CONNECTOR_STACK[angle]) @ entered
+            master = childward.dot(CONNECTOR_STACK[angle]).dot(entered)
         out = None  # the output connector, which the joint turns by theta
         if mt.dual_bundle or not entry.inverted:
             leaving = mt.matrices["out", UPRIGHT]
-            out = master @ (joint_turns(mt.joint_axis, [theta])[0] @ leaving if theta else leaving)
-        childward = master @ mt.matrices["out", INVERTED] if entry.inverted else out
-        output = Pose._trusted(out[:3, :3], out[:3, 3]) if mt.dual_bundle else None
-        master = Pose._trusted(master[:3, :3], master[:3, 3])
-        placements.append(ModulePlacement(record.serial, master, output))
-    return placements
-
-
-def _spread_joint_angles(
-    desc: ChainDescriptor, joint_angles: list[float], db: ModuleDatabase
-) -> list[float]:
-    joint_entries = [e for e in desc.entries if db.types[e.type_code].is_joint]
-    if len(joint_angles) != len(joint_entries):
-        raise ValueError(
-            f"chain has {len(joint_entries)} joint modules, got "
-            f"{len(joint_angles)} joint angles"
-        )
-    it = iter(joint_angles)
-    thetas = []
-    for entry in desc.entries:
-        mt = db.types[entry.type_code]
-        if mt.is_joint:
-            theta = float(next(it))
-            lo, hi = mt.joint_limits
-            if not lo <= theta <= hi:
-                raise LimitViolation(
-                    f"type {entry.type_code!r}: joint angle {theta} outside [{lo}, {hi}]"
-                )
-            thetas.append(theta)
-        else:
-            thetas.append(0.0)
-    return thetas
+            out = master.dot(turns[mt.joint_axis][2 * i].dot(leaving) if theta else leaving)
+        childward = master.dot(mt.matrices["out", INVERTED]) if entry.inverted else out
+        frames += [master, out] if mt.dual_bundle else [master]
+    return records, np.array(frames)
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -232,53 +229,51 @@ def synthesize(
     decision, with spurious markers generated last.  The kept poses meet
     the Pose constructor's checks as one stack.
     """
-    placements = forward_poses(desc, joint_angles, db, base, assignment)
-    by_serial = {r.serial: r for r in db.records}
-    true_markers: list[tuple[int, Pose]] = []
-    for pl in placements:
-        rec = by_serial[pl.serial]
-        true_markers.append((rec.master_marker_id, pl.master_pose))
-        if pl.output_pose is not None:
-            true_markers.append((rec.output_marker_id, pl.output_pose))
+    records, frames = _marker_frames(desc, joint_angles, db, base, assignment)
     rng = np.random.default_rng(cfg.seed)
-    kept = []  # (marker id, true pose, noise axis, noise angle, translation noise)
-    for marker_id, pose in true_markers:
+    kept = []  # (index of the true marker, noise axis, noise angle, translation noise)
+    for k in range(len(frames)):
         t_noise = rng.normal(0.0, cfg.sigma_pos, size=3) if cfg.sigma_pos > 0 else np.zeros(3)
         axis = _random_unit(rng)
         angle = abs(rng.normal(0.0, cfg.sigma_rot)) if cfg.sigma_rot > 0 else 0.0
         if rng.random() < cfg.dropout_prob:
             continue
-        kept.append((marker_id, pose, axis, angle, t_noise))
-    drawn: list[tuple[int, np.ndarray, np.ndarray]] = []
+        kept.append((k, axis, angle, t_noise))
+    ids, rotations, translations = [], np.empty((0, 3, 3)), np.empty((0, 3))
     if kept:  # the noise turns every kept marker in one stacked pass
-        ids, poses, axes, angles, t_noise = zip(*kept)
-        rotations = axis_angle(np.array(axes), angles) @ np.array([p.rotation for p in poses])
-        drawn = list(zip(ids, rotations, np.array([p.translation for p in poses]) + t_noise))
+        index, axes, angles, t_noise = map(list, zip(*kept))
+        true_ids = [
+            m for r in records for m in (r.master_marker_id, r.output_marker_id) if m is not None
+        ]
+        ids = [true_ids[k] for k in index]
+        rotations = axis_angle(np.array(axes), angles) @ frames[index, :3, :3]
+        translations = frames[index, :3, 3] + t_noise
     if cfg.spurious_count > 0:
-        drawn += _spurious_markers(rng, true_markers, cfg.spurious_count)
-    if not drawn:
+        points = frames[:, :3, 3]
+        spurious_ids, spurious_r, spurious_t = _spurious_markers(rng, points, cfg.spurious_count)
+        ids += spurious_ids
+        rotations = np.concatenate((rotations, spurious_r))
+        translations = np.concatenate((translations, spurious_t))
+    if not ids:
         return []
-    ids, rotations, translations = zip(*drawn)
-    poses = checked_poses(np.array(rotations), np.array(translations))
-    return [MarkerObservation(m, p) for m, p in zip(ids, poses)]
+    return [MarkerObservation(m, p) for m, p in zip(ids, checked_poses(rotations, translations))]
 
 
 def _spurious_markers(
-    rng: np.random.Generator, true_markers, count: int
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Marker ids, rotations and translations of random markers around the chain."""
+    rng: np.random.Generator, points: np.ndarray, count: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Marker ids, rotations (count, 3, 3) and translations (count, 3) of random
+    markers around the chain, whose true marker origins are the rows of `points`."""
     ids = SPURIOUS_ID_BASE + rng.choice(SPURIOUS_ID_SPAN, size=count, replace=False)
-    points = np.array([p.translation for _, p in true_markers])
     center = points.mean(axis=0)
     half = (points.max(axis=0) - points.min(axis=0)) / 2.0
     half = np.maximum(half * 1.2, 50.0)
-    spurious = []
-    for marker_id in ids:
-        t = center + rng.uniform(-1.0, 1.0, size=3) * half
+    offsets, rows = [], []
+    for _ in range(count):
+        offsets.append(rng.uniform(-1.0, 1.0, size=3))
         xyz = (_random_unit(rng) * np.sin(rng.uniform(0, np.pi) / 2)).tolist()
-        rows = quat_rows([*xyz, float(np.cos(rng.uniform(0, np.pi) / 2))])
-        spurious.append((int(marker_id), np.reshape(rows, (3, 3)), t))
-    return spurious
+        rows.append(quat_rows([*xyz, float(np.cos(rng.uniform(0, np.pi) / 2))]))
+    return ids.tolist(), np.reshape(rows, (count, 3, 3)), center + np.array(offsets) * half
 
 
 def write_scene(path, observations: list[MarkerObservation]):

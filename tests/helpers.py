@@ -671,21 +671,21 @@ def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig(), a
     return observations
 
 
-def reference_spurious_markers(rng: np.random.Generator, true_markers, count: int) -> list:
-    """`synth._spurious_markers` as it drew each rotation through numpy: the
-    quaternion joined by `np.append` and turned by one-quaternion `quat_to_matrix`."""
+def reference_spurious_markers(rng: np.random.Generator, points: np.ndarray, count: int):
+    """`synth._spurious_markers` as it drew each marker on its own, its rotation
+    through numpy: the quaternion joined by `np.append` and turned by
+    one-quaternion `quat_to_matrix`."""
     ids = SPURIOUS_ID_BASE + rng.choice(SPURIOUS_ID_SPAN, size=count, replace=False)
-    points = np.array([p.translation for _, p in true_markers])
     center = points.mean(axis=0)
     half = (points.max(axis=0) - points.min(axis=0)) / 2.0
     half = np.maximum(half * 1.2, 50.0)
-    spurious = []
-    for marker_id in ids:
-        t = center + rng.uniform(-1.0, 1.0, size=3) * half
+    rotations, translations = [], []
+    for _ in ids:
+        translations.append(center + rng.uniform(-1.0, 1.0, size=3) * half)
         q = _random_unit(rng)
         q = np.append(q * np.sin(rng.uniform(0, np.pi) / 2), np.cos(rng.uniform(0, np.pi) / 2))
-        spurious.append((int(marker_id), quat_to_matrix(q), t))
-    return spurious
+        rotations.append(quat_to_matrix(q))
+    return [int(m) for m in ids], np.array(rotations), np.array(translations)
 
 
 def reference_forward_poses(desc, joint_angles, db, base=None, assignment=None):

@@ -1095,6 +1095,30 @@ class TestEstimateJointAngle:
         with pytest.raises(NonCollinearBundles):
             estimate_joint_angle(module, UPRIGHT, None, by["G-001"], IdentifyConfig())
 
+    @pytest.mark.parametrize("epsilon2", [0.001, 0.01, 0.05, 0.3])
+    def test_tilt_threshold_matches_reference(self, db, epsilon2):
+        # Bundles tilted 1e-6 degrees past or short of the epsilon2 budget,
+        # about the x- or z-axis after the roll: the float tilt raises exactly
+        # when the numpy tilt of the reference exceeds the budget.
+        limit = math.degrees(math.acos(1.0 - epsilon2))
+        cfg = IdentifyConfig(epsilon2=epsilon2)
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            roll = float(rng.uniform(*db.types["I"].joint_limits))
+            tilt_axis = (rot_x, rot_z)[int(rng.integers(2))]
+            sign = float(rng.choice([-1.0, 1.0]))
+            for delta in (-1e-6, 1e-6):
+                tilt = tilt_axis(sign * (limit + delta)) @ rot_y(roll)
+                module = _detected(db, "I", random_base(rng), Pose(tilt, [0.0, 60.0, 0.0]))
+                misaligned = reference_bundle_twist(module)[1] > limit
+                assert misaligned == (delta > 0.0)
+                if misaligned:
+                    with pytest.raises(NonCollinearBundles):
+                        estimate_joint_angle(module, UPRIGHT, None, None, cfg)
+                else:
+                    theta, _ = estimate_joint_angle(module, UPRIGHT, None, None, cfg)
+                    assert theta.hex() == reference_bundle_twist(module)[0].hex()
+
     def test_missing_bundle(self, db):
         obs = synthesize(parse("I-G0"), [10.0], db)
         by, _, _ = detected_by_serial(obs, db)

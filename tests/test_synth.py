@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from chainforge.synth import (
 )
 
 from helpers import (
+    corpus_and_noise_rows,
     field_values,
     make_corpus,
     odd_numbers,
@@ -199,16 +202,29 @@ class TestTableForwardKinematics:
 
 class TestSynthesize:
     def test_zero_noise_equals_forward(self, db):
-        desc = parse("I-T0-G0")
-        placements = forward_poses(desc, [10.0, 20.0], db)
-        obs = synthesize(desc, [10.0, 20.0], db, cfg=SceneConfig(seed=4))
-        by_id = {o.marker_id: o.pose for o in obs}
-        assert len(obs) == 4  # three masters plus one output bundle
-        for pl, rec_serial in zip(placements, ["I-001", "T-001", "G-001"]):
-            rec = next(r for r in db.records if r.serial == pl.serial)
-            assert by_id[rec.master_marker_id].approx_equal(pl.master_pose)
-            if pl.output_pose is not None:
-                assert by_id[rec.output_marker_id].approx_equal(pl.output_pose)
+        # At zero noise every master and output marker is its forward_poses
+        # placement, bit for bit, over the corpus and the criterion-4 draws.
+        cases = [(desc, thetas, base) for desc, _, thetas, base in make_corpus(db, 500, 20260808)]
+        rng = np.random.default_rng(4242)
+        for _ in range(100):
+            thetas = [float(rng.uniform(-0.7, 0.7) * hi) for hi in (180, 120, 120, 120, 180)]
+            cases.append((parse("I-T'0-T'0-A0-t0-i0-g0"), thetas, None))
+        by_serial = {r.serial: r for r in db.records}
+        checked = 0
+        for desc, thetas, base in cases:
+            by_id = {o.marker_id: o.pose for o in synthesize(desc, thetas, db, base=base)}
+            expected = []
+            for pl in forward_poses(desc, thetas, db, base=base):
+                rec = by_serial[pl.serial]
+                expected.append((rec.master_marker_id, pl.master_pose))
+                if pl.output_pose is not None:
+                    expected.append((rec.output_marker_id, pl.output_pose))
+            assert len(by_id) == len(expected)
+            for marker_id, pose in expected:
+                assert np.array_equal(by_id[marker_id].rotation, pose.rotation)
+                assert np.array_equal(by_id[marker_id].translation, pose.translation)
+            checked += len(expected)
+        assert checked == 4651
 
     def test_total_dropout_leaves_spurious(self, db):
         obs = synthesize(
@@ -526,3 +542,26 @@ def test_write_scene_writes_once(db, tmp_path, monkeypatch):
     assert writes == [path.read_bytes()]
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=1) + "\n"
+
+
+GOLDEN_SCENES = Path(__file__).parent / "golden" / "scene_digests.txt"
+
+
+def scene_digest_lines(db, directory) -> list[str]:
+    """One JSON line per scene: its index and the sha256 of its scene file."""
+    lines = []
+    for i, obs in enumerate(corpus_and_noise_rows(db, 100, 39)):
+        write_scene(directory / "scene.json", obs)
+        digest = hashlib.sha256((directory / "scene.json").read_bytes()).hexdigest()
+        lines.append(json.dumps([i, digest]))
+    return lines
+
+
+def test_scenes_match_golden_digests(db, tmp_path):
+    # The first corpus scenes and noise draws, byte for byte as recorded:
+    # every marker's frame, noise draw and spurious marker to the last bit.
+    got = scene_digest_lines(db, tmp_path)
+    want = GOLDEN_SCENES.read_text(encoding="utf-8").splitlines()
+    assert len(got) == len(want) == 100 + 4 * 39
+    for g, w in zip(got, want):
+        assert g == w
