@@ -164,7 +164,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_identify(args) -> int:
-    db = load_database(_resolve_db_path(args))
+    db_path = _resolve_db_path(args)
+    db = load_database(db_path)
     observations = read_scene(args.scene)
     cfg = IdentifyConfig(
         epsilon1=args.eps1,
@@ -182,7 +183,7 @@ def _cmd_identify(args) -> int:
             db,
             metadata={
                 "scene_path": args.scene,
-                "database_path": args.db or os.environ.get(DB_ENV_VAR),
+                "database_path": db_path,
                 "method": args.method,
                 "config": {
                     "epsilon1": args.eps1,

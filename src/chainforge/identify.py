@@ -153,10 +153,6 @@ class DetectedModule:
     def serial(self) -> str:
         return self.record.serial
 
-    @property
-    def origin(self) -> np.ndarray:
-        return self.master_pose.translation
-
 
 @dataclass(frozen=True, slots=True)
 class ChainLink:

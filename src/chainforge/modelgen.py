@@ -321,7 +321,11 @@ def read_model(path) -> RobotModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
-            return (_read_model_xml if text.lstrip().startswith("<") else _read_model_json)(text)
+            model = (_read_model_xml if text.lstrip().startswith("<") else _read_model_json)(text)
+            for j in model.joints:
+                if j.joint_type == JOINT_REVOLUTE and j.limits is None:
+                    raise ValueError(f"revolute joint {j.name!r:.40} has no limits")
+            return model
         except (ValueError, RecursionError, ET.ParseError) as exc:
             raise ModelParseError(f"{path}: {exc}") from exc
 

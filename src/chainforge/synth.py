@@ -91,32 +91,9 @@ class ModulePlacement:
     output_pose: Pose | None = None
 
 
-def assign_instances(
-    desc: ChainDescriptor, db: ModuleDatabase, assignment: list[str] | None = None
-) -> list[ModuleRecord]:
-    """Pick a registry instance per chain entry.
-
-    Without an explicit assignment, instances of each type are consumed in
-    registry order.  An explicit assignment lists one serial per entry.
-    """
-    if assignment is not None:
-        if len(assignment) != len(desc.entries):
-            raise ValueError("assignment must name one serial per chain entry")
-        by_serial = {r.serial: r for r in db.records}
-        records = []
-        for entry, serial in zip(desc.entries, assignment):
-            rec = by_serial.get(serial)
-            if rec is None:
-                raise MissingInstance(f"serial {serial!r} is not registered")
-            if rec.type_code != entry.type_code:
-                raise MissingInstance(
-                    f"serial {serial!r} has type {rec.type_code!r}, chain needs "
-                    f"{entry.type_code!r}"
-                )
-            records.append(rec)
-        if len({r.serial for r in records}) != len(records):
-            raise MissingInstance("assignment repeats a serial")
-        return records
+def assign_instances(desc: ChainDescriptor, db: ModuleDatabase) -> list[ModuleRecord]:
+    """Pick a registry instance per chain entry: the next free one of its type in
+    registry order."""
     used: set[str] = set()
     records = []
     for entry in desc.entries:
@@ -136,7 +113,6 @@ def forward_poses(
     joint_angles: list[float],
     db: ModuleDatabase,
     base: Pose | None = None,
-    assignment: list[str] | None = None,
 ) -> list[ModulePlacement]:
     """Master (and output-bundle) poses for every module of a chain.
 
@@ -144,7 +120,7 @@ def forward_poses(
     order.  `base` is the world pose of the base module's master frame.
     The poses are views over the frames of `_marker_frames`.
     """
-    records, frames = _marker_frames(desc, joint_angles, db, base, assignment)
+    records, frames = _marker_frames(desc, joint_angles, db, base)
     poses = iter([Pose._trusted(f[:3, :3], f[:3, 3]) for f in frames])
     return [
         ModulePlacement(r.serial, next(poses), None if r.output_marker_id is None else next(poses))
@@ -152,13 +128,13 @@ def forward_poses(
     ]
 
 
-def _marker_frames(desc, joint_angles, db, base, assignment) -> tuple[list, np.ndarray]:
+def _marker_frames(desc, joint_angles, db, base) -> tuple[list, np.ndarray]:
     """The chain's registry records, and the 4x4 world frame of each true marker as one
     stack: every module's master, then its output bundle if it has one.  Frames are
     products of the catalog's zero-state matrices and the connector stack, with a
     nonzero joint state as one turn about its axis.
     """
-    records = assign_instances(desc, db, assignment)
+    records = assign_instances(desc, db)
     types = [db.types[entry.type_code] for entry in desc.entries]
     joints = sum(mt.is_joint for mt in types)
     if len(joint_angles) != joints:
@@ -220,7 +196,6 @@ def synthesize(
     db: ModuleDatabase,
     base: Pose | None = None,
     cfg: SceneConfig = SceneConfig(),
-    assignment: list[str] | None = None,
 ) -> list[MarkerObservation]:
     """Generate marker observations for a chain under the given noise model.
 
@@ -229,7 +204,7 @@ def synthesize(
     decision, with spurious markers generated last.  The kept poses meet
     the Pose constructor's checks as one stack.
     """
-    records, frames = _marker_frames(desc, joint_angles, db, base, assignment)
+    records, frames = _marker_frames(desc, joint_angles, db, base)
     rng = np.random.default_rng(cfg.seed)
     kept = []  # (index of the true marker, noise axis, noise angle, translation noise)
     for k in range(len(frames)):

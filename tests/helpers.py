@@ -69,20 +69,33 @@ from chainforge.synth import (
 MID_CODES = ["I", "i", "T", "t", "L", "l", "A"]
 TOOL_CODES = ["G", "g", "W", "S"]
 
-# The four chains shown working on hardware, with joint setups per scene.
+# The four chains shown working on hardware: descriptor, joint setup, and the
+# serials to place first, if any (see `registry_first`).
 PAPER_CHAINS = [
     ("I-T'0-T'0-A0-t0-i0-g0", [15.0, -40.0, 55.0, 20.0, -40.0], None),
     ("I-T'0-T'0-A0-t0-i0-g0", [-25.0, 30.0, -75.0, 45.0, 10.0], None),
     ("I-T'0-T0-A0-i0-t0-g0", [10.0, -30.0, 45.0, 25.0, -60.0], None),
     # Bi-directional climbing robot: either gripper may act as the chain
-    # end; assigning the end gripper the lower marker id selects the
+    # end; giving the end gripper the lower marker id selects the
     # canonical base-to-end reading.
     (
         "G'-I0-T'0-L0-T'90-T180-I'0-G0",
         [30.0, -45.0, 60.0, -30.0, 90.0],
-        ["G-002", "I-001", "T-001", "L-001", "T-002", "T-003", "I-002", "G-001"],
+        ("G-002", "I-001", "T-001", "L-001", "T-002", "T-003", "I-002", "G-001"),
     ),
 ]
+
+
+def registry_first(db: ModuleDatabase, serials) -> ModuleDatabase:
+    """`db` with the records of `serials` listed first, in that order.  Synthesis
+    takes each type's instances in registry order, so a chain that lists its
+    entries' serials here is placed on exactly those modules.  No serials leave
+    `db` as it is."""
+    if not serials:
+        return db
+    by_serial = {r.serial: r for r in db.records}
+    rest = [r for r in db.records if r.serial not in serials]
+    return ModuleDatabase(list(db.types.values()), [by_serial[s] for s in serials] + rest)
 
 
 def random_base(rng: np.random.Generator) -> Pose:
@@ -635,9 +648,9 @@ def _reference_random_unit(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig(), assignment=None):
+def reference_synthesize(desc, joint_angles, db, base=None, cfg=SceneConfig()):
     """`synth.synthesize` with every marker built and checked by the Pose constructor."""
-    placements = forward_poses(desc, joint_angles, db, base, assignment)
+    placements = forward_poses(desc, joint_angles, db, base)
     by_serial = {r.serial: r for r in db.records}
     true_markers = []
     for pl in placements:
@@ -688,11 +701,11 @@ def reference_spurious_markers(rng: np.random.Generator, points: np.ndarray, cou
     return [int(m) for m in ids], np.array(rotations), np.array(translations)
 
 
-def reference_forward_poses(desc, joint_angles, db, base=None, assignment=None):
+def reference_forward_poses(desc, joint_angles, db, base=None):
     """`synth.forward_poses` composing one Pose per catalog factor and joint state."""
     if base is None:
         base = Pose.identity()
-    records = assign_instances(desc, db, assignment)
+    records = assign_instances(desc, db)
     thetas = iter(joint_angles)
     placements = []
     childward = None

@@ -33,6 +33,7 @@ from helpers import (
     make_two_branch_scene,
     pose_distance,
     random_base,
+    registry_first,
 )
 
 CORPUS_SEED = 20260808
@@ -76,10 +77,11 @@ def _theta_truth(db, desc, thetas, chain):
 
 
 def test_criterion_1_paper_experiments(db):
+    cases = [(text, thetas, registry_first(db, serials)) for text, thetas, serials in PAPER_CHAINS]
     started = time.perf_counter()
     recovered = []
-    for text, thetas, assignment in PAPER_CHAINS:
-        obs = synthesize(parse(text), thetas, db, assignment=assignment)
+    for text, thetas, placed in cases:
+        obs = synthesize(parse(text), thetas, placed)
         chain = build_chain(obs, db)
         recovered.append(serialize(to_descriptor(chain)))
     elapsed = time.perf_counter() - started

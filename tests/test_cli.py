@@ -8,7 +8,7 @@ from chainforge.cli import main
 from chainforge.identify import AmbiguousParent, LimitExceeded, NonCollinearBundles
 from chainforge.modelgen import read_model
 from chainforge.module_db import default_database, save_database
-from helpers import save_renamed_database
+from helpers import PAPER_CHAINS, registry_first, save_renamed_database
 
 
 @pytest.fixture()
@@ -320,13 +320,8 @@ class TestIdentify:
         from chainforge.module_db import load_database
         from chainforge.synth import synthesize, write_scene
 
-        db = load_database(db_path)
-        obs = synthesize(
-            parse("G'-I0-T'0-L0-T'90-T180-I'0-G0"),
-            [30.0, -45.0, 60.0, -30.0, 90.0],
-            db,
-            assignment=["G-002", "I-001", "T-001", "L-001", "T-002", "T-003", "I-002", "G-001"],
-        )
+        text, thetas, serials = PAPER_CHAINS[3]
+        obs = synthesize(parse(text), thetas, registry_first(load_database(db_path), serials))
         write_scene(scene, obs)
         assert main(["identify", "--scene", str(scene), "--db", str(db_path), "--tree"]) == 0
         out = capsys.readouterr().out.splitlines()

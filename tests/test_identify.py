@@ -60,6 +60,7 @@ from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
     NumpyPairModel,
+    PAPER_CHAINS,
     ReferencePairModel,
     corpus_and_noise_rows,
     from_rotation,
@@ -77,6 +78,7 @@ from helpers import (
     reference_fit_joint,
     reference_master_to_childward,
     reference_parentward_to_master,
+    registry_first,
     relative,
 )
 
@@ -259,7 +261,7 @@ class TestConstraintCheck:
     def test_inverted_tool_is_no_child(self, db):
         # Read from its end, G'-L0-G0 reaches the inverted base gripper; its
         # one connector faces its child, so nothing can be its parent.
-        obs = synthesize(parse("G'-L0-G0"), [], db, assignment=["G-002", "L-001", "G-001"])
+        obs = synthesize(parse("G'-L0-G0"), [], registry_first(db, ["G-002", "L-001", "G-001"]))
         by, _, _ = detected_by_serial(obs, db)
         result = constraint_check(by["L-001"], by["G-002"], db, IdentifyConfig(), INVERTED)
         assert not result.satisfied
@@ -293,10 +295,8 @@ class TestFindParentGeometric:
 
     def test_overlapping_clone_chains_ambiguous(self, db):
         base_b = from_translation([1.0, 0.0, 0.0])
-        obs = synthesize(parse("L-g0"), [], db, assignment=["L-001", "g-001"])
-        obs += synthesize(
-            parse("L-g0"), [], db, base=base_b, assignment=["L-002", "g-002"]
-        )
+        obs = synthesize(parse("L-g0"), [], db)
+        obs += synthesize(parse("L-g0"), [], registry_first(db, ["L-002", "g-002"]), base=base_b)
         by, detected, _ = detected_by_serial(obs, db)
         child = by["g-001"]
         pool = [d for d in detected if d is not child]
@@ -356,7 +356,7 @@ class TestFindParentOptimization:
         by, _, _ = detected_by_serial(obs, db)
         child = by["G-001"]
         decoy = _detected(
-            db, "I", from_translation(child.origin + np.array([0.0, 0.0, 60.0]))
+            db, "I", from_translation(child.master_pose.translation + np.array([0.0, 0.0, 60.0]))
         )
         decoy = replace(decoy, output_pose=from_rotation(rot_x(30.0)))
         assert decoy in neighbors(child, [decoy], db, IdentifyConfig())
@@ -367,7 +367,7 @@ class TestFindParentOptimization:
         assert match.theta == pytest.approx(33.0, abs=1e-9)
 
     def test_inverted_tool_child_has_no_hypotheses(self, db):
-        obs = synthesize(parse("G'-L0-G0"), [], db, assignment=["G-002", "L-001", "G-001"])
+        obs = synthesize(parse("G'-L0-G0"), [], registry_first(db, ["G-002", "L-001", "G-001"]))
         by, _, _ = detected_by_serial(obs, db)
         cfg = IdentifyConfig()
         assert find_parent_optimization(by["G-002"], [by["L-001"]], db, cfg, INVERTED) is None
@@ -1257,7 +1257,8 @@ class TestBuildChain:
         obs = synthesize(parse("I-T0-G0"), [10.0, 20.0], db)
         for k in (1, 2):
             base = from_translation([2000.0 + k, 0.0, 0.0])
-            obs += synthesize(parse("L-g0"), [], db, base=base, assignment=[f"L-00{k}", f"g-00{k}"])
+            clone = registry_first(db, [f"L-00{k}", f"g-00{k}"])
+            obs += synthesize(parse("L-g0"), [], clone, base=base)
         chain = build_chain(obs, db)
         assert serialize(to_descriptor(chain)) == "I-T0-G0"
         assert sorted(chain.rejected_markers) == [(m, REASON_ORPHAN) for m in (55, 56, 70, 71)]
@@ -1341,9 +1342,8 @@ class TestBuildTree:
         ]
 
     def test_bidirectional_chain_two_branches(self, db):
-        desc = parse("G'-I0-T'0-L0-T'90-T180-I'0-G0")
-        assignment = ["G-002", "I-001", "T-001", "L-001", "T-002", "T-003", "I-002", "G-001"]
-        obs = synthesize(desc, [30.0, -45.0, 60.0, -30.0, 90.0], db, assignment=assignment)
+        text, thetas, serials = PAPER_CHAINS[3]
+        obs = synthesize(parse(text), thetas, registry_first(db, serials))
         branches = build_tree(obs, db)
         assert len(branches) == 2
         serials_a = [l.module.serial for l in branches[0].links]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainforge.descriptor import parse, serialize
@@ -56,6 +56,7 @@ from helpers import (
     reference_link_out,
     reference_mate,
     reference_write_model_xml,
+    registry_first,
     skewed_database,
 )
 
@@ -63,8 +64,8 @@ GOLDEN_XML = Path(__file__).parent / "golden" / "manipulator.xml"
 GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "model_digests.txt"
 
 
-def chain_for(db, text, thetas, assignment=None):
-    obs = synthesize(parse(text), thetas, db, assignment=assignment)
+def chain_for(db, text, thetas, serials=None):
+    obs = synthesize(parse(text), thetas, registry_first(db, serials))
     return build_chain(obs, db)
 
 
@@ -83,8 +84,8 @@ class TestGenerateModel:
         assert model.joints == []
 
     def test_climbing_robot_tools_at_both_ends(self, db):
-        text, thetas, assignment = PAPER_CHAINS[3]
-        model = generate_model(chain_for(db, text, thetas, assignment), db)
+        text, thetas, serials = PAPER_CHAINS[3]
+        model = generate_model(chain_for(db, text, thetas, serials), db)
         names = [l.name for l in model.links]
         assert names[0] == "G-002"  # base gripper
         assert "G-001" in names  # end gripper
@@ -143,13 +144,12 @@ class TestGenerateModel:
 class TestForwardKinematicsAgreement:
     @pytest.mark.parametrize("case", range(4))
     def test_master_positions_match_scene(self, db, case):
-        text, thetas, assignment = PAPER_CHAINS[case]
+        text, thetas, serials = PAPER_CHAINS[case]
         desc = parse(text)
         base = random_base(np.random.default_rng(40 + case))
-        placements = forward_poses(desc, thetas, db, base=base, assignment=assignment)
-        chain = build_chain(
-            synthesize(desc, thetas, db, base=base, assignment=assignment), db
-        )
+        placed = registry_first(db, serials)
+        placements = forward_poses(desc, thetas, placed, base=base)
+        chain = build_chain(synthesize(desc, thetas, placed, base=base), db)
         model = generate_model(chain, db)
         frames = model_world_frames(model, base_pose=chain.links[0].module.master_pose)
         for pl in placements:
@@ -217,12 +217,12 @@ class TestJointOrigins:
         )
 
     @pytest.mark.parametrize(
-        "text, thetas, assignment",
+        "text, thetas, serials",
         PAPER_CHAINS + [("I'-T0-G0", [20.0, 30.0], None), ("T-L0-G0", [30.0], None)],
     )
-    def test_chains_match_world_frame_reference(self, db, text, thetas, assignment):
+    def test_chains_match_world_frame_reference(self, db, text, thetas, serials):
         # The paper's chains, and roots that are an inverted I and an upright T.
-        chain = chain_for(db, text, thetas, assignment)
+        chain = chain_for(db, text, thetas, serials)
         assert to_descriptor(chain).entries[0] == parse(text).entries[0]
         assert_matches_reference(generate_model(chain, db), reference_generate_model(chain, db))
 
@@ -364,6 +364,16 @@ def _json_paths(doc, prefix=()):
 _DELETE = object()
 
 
+def assert_writes_back_or_raises_typed(path):
+    """read_model raises ModelParseError, or its model writes in both formats."""
+    try:
+        model = read_model(path)
+    except ModelParseError:
+        return
+    write_model(model, path.with_suffix(".back.json"))
+    write_model(model, path.with_suffix(".back.xml"))
+
+
 class TestModelParseErrors:
     @pytest.mark.parametrize(
         "edit",
@@ -430,6 +440,19 @@ class TestModelParseErrors:
         with pytest.raises(ModelParseError, match="must hold a JSON object"):
             read_model(path)
 
+    def test_revolute_joint_without_limits_raises_typed(self, model_dir):
+        doc = json.loads((model_dir / "robot.json").read_text())
+        doc["joints"][0]["limits_deg"] = None
+        (model_dir / "edited.json").write_text(json.dumps(doc))
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        root.find("joint").remove(root.find("joint/limit"))
+        (model_dir / "edited.xml").write_text(ET.tostring(root, encoding="unicode"))
+        name = doc["joints"][0]["name"]
+        assert root.find("joint").get("name") == name
+        for path in (model_dir / "edited.json", model_dir / "edited.xml"):
+            with pytest.raises(ModelParseError, match=f"revolute joint '{name}' has no limits"):
+                read_model(path)
+
     def test_truncated_xml_raises_typed(self, model_dir):
         text = (model_dir / "robot.xml").read_text()
         path = model_dir / "edited.xml"
@@ -447,11 +470,13 @@ class TestModelParseErrors:
         except ModelParseError:
             pass
 
-    @given(data=st.data(), value=field_values | st.just(_DELETE))
+    @given(field=st.data(), value=field_values | st.just(_DELETE))
+    @example(field=("joints", 0, "limits_deg"), value=None)  # a revolute joint without limits
     @settings(max_examples=200, deadline=None)
-    def test_any_json_field_value_reads_back_or_raises_typed(self, model_dir, data, value):
+    def test_any_json_field_value_reads_back_or_raises_typed(self, model_dir, field, value):
         doc = json.loads((model_dir / "robot.json").read_text())
-        field = data.draw(st.sampled_from(list(_json_paths(doc))))
+        if not isinstance(field, tuple):  # drawn, unless an example names it
+            field = field.draw(st.sampled_from(list(_json_paths(doc))))
         owner = doc
         for key in field[:-1]:
             owner = owner[key]
@@ -461,25 +486,26 @@ class TestModelParseErrors:
             owner[field[-1]] = value
         path = model_dir / "fuzzed.json"
         path.write_text(json.dumps(doc))
-        try:
-            read_model(path)
-        except ModelParseError:
-            pass
+        assert_writes_back_or_raises_typed(path)
 
     @given(
-        data=st.data(),
+        target=st.data(),
         value=st.none() | st.text(max_size=12) | field_values.map(json.dumps),
     )
+    @example(target=("joint/limit", None), value=None)  # a revolute joint without <limit>
     @settings(max_examples=200, deadline=None)
     def test_any_xml_attribute_or_element_reads_back_or_raises_typed(
-        self, model_dir, data, value
+        self, model_dir, target, value
     ):
         # A target is an attribute, or an element's text (None); a None value
         # deletes the attribute or the element.
         root = ET.fromstring((model_dir / "robot.xml").read_text())
         parents = {child: el for el in root.iter() for child in el}
         targets = [(el, attr) for el in root.iter() for attr in [*el.attrib, None]]
-        el, attr = data.draw(st.sampled_from(targets))
+        if isinstance(target, tuple):  # an example names its element by path
+            el, attr = root.find(target[0]), target[1]
+        else:
+            el, attr = target.draw(st.sampled_from(targets))
         if attr is not None and value is None:
             del el.attrib[attr]
         elif attr is not None:
@@ -490,10 +516,7 @@ class TestModelParseErrors:
             el.text = value
         path = model_dir / "fuzzed.xml"
         path.write_text(ET.tostring(root, encoding="unicode"))
-        try:
-            read_model(path)
-        except ModelParseError:
-            pass
+        assert_writes_back_or_raises_typed(path)
 
 
 def golden_manipulator_model(db) -> RobotModel:

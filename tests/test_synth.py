@@ -32,6 +32,7 @@ from chainforge.synth import (
 )
 
 from helpers import (
+    PAPER_CHAINS,
     corpus_and_noise_rows,
     field_values,
     make_corpus,
@@ -46,6 +47,7 @@ from helpers import (
     reference_read_scene,
     reference_spurious_markers,
     reference_synthesize,
+    registry_first,
     relative,
 )
 
@@ -95,14 +97,18 @@ class TestForwardPoses:
             forward_poses(parse("T-G0"), [150.0], db)
 
     def test_missing_instance(self, db):
-        with pytest.raises(MissingInstance):
+        # Seven L entries, and the registry holds six L modules.
+        with pytest.raises(MissingInstance, match="free module of type 'L'"):
             forward_poses(parse("L-L0-L0-L0-L0-L0-L0-G0"), [], db)
 
-    def test_assignment_respected(self, db):
-        placements = forward_poses(
-            parse("L-G0"), [], db, assignment=["L-003", "G-002"]
-        )
-        assert [p.serial for p in placements] == ["L-003", "G-002"]
+    def test_unknown_type_is_a_missing_instance(self, db):
+        with pytest.raises(MissingInstance, match="free module of type 'X'"):
+            forward_poses(parse("L-X0-G0"), [], db)
+
+    def test_instances_taken_in_registry_order(self, db):
+        # Each entry takes the next free instance of its type, whatever sits between.
+        placements = forward_poses(parse("L-T0-L0-G0"), [0.0], db)
+        assert [p.serial for p in placements] == ["L-001", "T-001", "L-002", "G-001"]
 
     @pytest.mark.parametrize("text", ["A-G'0", "G-G0", "W-S0"])
     def test_mate_without_connectors_rejected(self, db, text):
@@ -113,22 +119,6 @@ class TestForwardPoses:
 
     def test_inverted_tool_base_carries_a_child(self, db):
         assert len(forward_poses(parse("G'-I0-G0"), [0.0], db)) == 3
-
-    def test_assignment_type_checked(self, db):
-        with pytest.raises(MissingInstance):
-            forward_poses(parse("L-G0"), [], db, assignment=["T-001", "G-001"])
-
-    def test_assignment_names_one_serial_per_entry(self, db):
-        with pytest.raises(ValueError, match="one serial per chain entry"):
-            forward_poses(parse("L-G0"), [], db, assignment=["L-001"])
-
-    def test_assignment_serial_registered(self, db):
-        with pytest.raises(MissingInstance, match="'G-999' is not registered"):
-            forward_poses(parse("L-G0"), [], db, assignment=["L-001", "G-999"])
-
-    def test_assignment_serial_not_repeated(self, db):
-        with pytest.raises(MissingInstance, match="repeats a serial"):
-            forward_poses(parse("L-L0-G0"), [], db, assignment=["L-001", "L-001", "G-001"])
 
     def test_inverted_adapter_rejected(self, db):
         with pytest.raises(ValueError, match="type 'A' cannot be installed inverted"):
@@ -565,3 +555,14 @@ def test_scenes_match_golden_digests(db, tmp_path):
     assert len(got) == len(want) == 100 + 4 * 39
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_climbing_robot_scene_matches_golden_digest(db, tmp_path):
+    # The climbing robot placed on chosen serials, at zero noise and the default base.
+    text, thetas, serials = PAPER_CHAINS[3]
+    placed = registry_first(db, serials)
+    placements = forward_poses(parse(text), thetas, placed)
+    assert [p.serial for p in placements] == list(serials)
+    write_scene(tmp_path / "scene.json", synthesize(parse(text), thetas, placed))
+    digest = hashlib.sha256((tmp_path / "scene.json").read_bytes()).hexdigest()
+    assert digest == "ba53587572b5f07ca3ca6561c438fb5901c3ad04fd6abba508ccf9acb8240df3"
