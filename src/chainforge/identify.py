@@ -384,9 +384,12 @@ def find_parent_geometric(
 
 
 def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
-    """Roll about the link axis of the master-to-output rotation, and the tilt
-    left after removing that roll, in degrees; measured once per module."""
-    r00, r01, r02, _, a10, d1, a12, _, r20, r21, r22, _ = module.bundle[:3].ravel().tolist()
+    """Roll about the link axis of the joint turn in the master-to-output
+    rotation, and the tilt left after removing that roll, in degrees; measured
+    once per module.  The bundle is the turn followed by the catalog's output
+    offset, so the turn is the bundle times that offset's inverse."""
+    turn = module.bundle @ module.module_type.matrices["in", INVERTED]
+    r00, r01, r02, _, a10, d1, a12, _, r20, r21, r22, _ = turn[:3].ravel().tolist()
     roll = math.degrees(math.atan2(r02, r00))
     # The residual rot_y(-roll) @ r mixes rows 0 and 2 of r.  Its tilt is its
     # rotation angle: atan2 of its skew part against trace - 1 stays exact
@@ -720,15 +723,20 @@ def _grow_branch(
     detected: list[DetectedModule],
     db: ModuleDatabase,
     cfg: IdentifyConfig,
-) -> tuple[list[ChainLink], set[str]]:
+) -> tuple[list[ChainLink], list[str], set[str]]:
     """Walk from an end-effector toward the base.
 
     The start tool is upright; each later child keeps the direction it was
-    matched with as a parent.  Returns the base-first links and the serials
-    the walk claimed.
+    matched with as a parent.  Each link is built once its parent search
+    ends, when both its chain neighbors are known, with its joint angle; a
+    note naming the module records each angle that is soft (unobservable or
+    clamped) or left unestimated.  Returns the base-first links, their notes
+    in the same order and the serials the walk claimed.
     """
     claimed = {start.serial}
     links_end_first: list[ChainLink] = []
+    notes_end_first: list[str] = []
+    below: DetectedModule | None = None  # the module on the child's tool side
     child = start
     child_direction = UPRIGHT
     child_theta: float | None = None  # the child's state as solved when it was matched
@@ -738,46 +746,31 @@ def _grow_branch(
             match = find_parent_optimization(child, pool, db, cfg, child_direction)
         else:
             match = find_parent_geometric(child, pool, db, cfg, child_direction)
-        angle = None if match is None else match.connection_angle
-        links_end_first.append(ChainLink(child, angle, child_direction, solver_theta=child_theta))
-        if match is None:
-            break
-        claimed.add(match.module.serial)
-        child = match.module
-        child_direction = match.parent_direction
-        child_theta = match.theta
-    return list(reversed(links_end_first)), claimed
-
-
-def _estimate_chain_angles(
-    links: list[ChainLink], cfg: IdentifyConfig
-) -> tuple[list[ChainLink], list[str]]:
-    """The links with their joint angles, and a warning naming the module per
-    angle that is soft (unobservable or clamped) or left unestimated."""
-    estimated, notes = [], []
-    for i, link in enumerate(links):
-        if link.module.module_type.is_joint:
-            parent = links[i - 1].module if i > 0 else None
-            child = links[i + 1].module if i + 1 < len(links) else None
+        parent, angle = (None, None) if match is None else (match.module, match.connection_angle)
+        theta = None
+        if child.module_type.is_joint:
             try:
-                theta, why = estimate_joint_angle(link.module, link.direction, parent, child, cfg)
-                link = ChainLink(
-                    link.module, link.connection_angle, link.direction, theta, link.solver_theta
-                )
+                theta, why = estimate_joint_angle(child, child_direction, parent, below, cfg)
             except (NonCollinearBundles, LimitExceeded, DegenerateGeometry) as exc:
                 why = exc
             if why is not None:
-                notes.append(f"joint angle of {link.module.serial}: {why}")
-        estimated.append(link)
-    return estimated, notes
+                notes_end_first.append(f"joint angle of {child.serial}: {why}")
+        links_end_first.append(ChainLink(child, angle, child_direction, theta, child_theta))
+        if match is None:
+            break
+        claimed.add(parent.serial)
+        below, child = child, parent
+        child_direction = match.parent_direction
+        child_theta = match.theta
+    return links_end_first[::-1], notes_end_first[::-1], claimed
 
 
 def _identify(
     observations: list[MarkerObservation], db: ModuleDatabase, cfg: IdentifyConfig, tree: bool
 ) -> list[IdentifiedChain]:
     """Grow a branch from every tool module when `tree` is set, else keep the
-    walk `build_chain` describes, then estimate joint angles.  Detected
-    modules that join no kept branch are rejected as orphans."""
+    walk `build_chain` describes.  Detected modules that join no kept branch
+    are rejected as orphans."""
     cfg.check_against(db)
     detected, rejected = validate_markers(observations, db)
     tools = sorted(
@@ -791,23 +784,19 @@ def _identify(
     for tool in tools[1:]:
         if tree:
             walks.append(_grow_branch(tool, detected, db, cfg))
-        elif len(walks[0][1]) < len(detected):  # the best walk leaves modules unclaimed
+        elif len(walks[0][2]) < len(detected):  # the best walk leaves modules unclaimed
             try:
                 walk = _grow_branch(tool, detected, db, cfg)
             except IdentifyError:  # a later walk that fails is skipped
                 continue
-            walks = [max(walks[0], walk, key=lambda w: len(w[1]))]  # a tie keeps the lower id
-    claimed_anywhere = set().union(*(claimed for _, claimed in walks))
+            walks = [max(walks[0], walk, key=lambda w: len(w[2]))]  # a tie keeps the lower id
+    claimed_anywhere = set().union(*(claimed for *_, claimed in walks))
     rejected += [
         (m.record.master_marker_id, REASON_ORPHAN)
         for m in detected
         if m.serial not in claimed_anywhere
     ]
-    branches = []
-    for links, _ in walks:
-        links, notes = _estimate_chain_angles(links, cfg)
-        branches.append(IdentifiedChain(links, list(rejected), notes))
-    return branches
+    return [IdentifiedChain(links, list(rejected), notes) for links, notes, _ in walks]
 
 
 def build_chain(
@@ -819,10 +808,11 @@ def build_chain(
 
     Walks toward the base by repeated parent search from the detected tool
     module with the lowest marker id, and from each next tool by id while
-    the best walk so far leaves modules unclaimed.  It keeps the walk that
-    claims the most (a tie to the lower id; a later walk that raises an
-    IdentifyError is skipped), then estimates every joint angle.  Detected
-    modules that the kept walk never claims are rejected as orphans.
+    the best walk so far leaves modules unclaimed; each walk estimates the
+    joint angle of every module it links.  It keeps the walk that claims
+    the most (a tie to the lower id; a later walk that raises an
+    IdentifyError is skipped).  Detected modules that the kept walk never
+    claims are rejected as orphans.
     """
     return _identify(observations, db, cfg, tree=False)[0]
 

@@ -325,6 +325,8 @@ def read_model(path) -> RobotModel:
             for j in model.joints:
                 if j.joint_type == JOINT_REVOLUTE and j.limits is None:
                     raise ValueError(f"revolute joint {j.name!r:.40} has no limits")
+                if j.joint_type == JOINT_FIXED and j.limits is not None:
+                    raise ValueError(f"fixed joint {j.name!r:.40} has limits")
             return model
         except (ValueError, RecursionError, ET.ParseError) as exc:
             raise ModelParseError(f"{path}: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -206,12 +207,13 @@ class ModuleDatabase:
     """Immutable catalog of module types plus the fabricated-module registry."""
 
     def __init__(self, types: list[ModuleType], records: list[ModuleRecord]):
-        self.types: dict[str, ModuleType] = {}
+        by_code: dict[str, ModuleType] = {}
         for mt in types:
-            if mt.code in self.types:
+            if mt.code in by_code:
                 raise DatabaseValidationError(f"duplicate type code {mt.code!r}")
-            self.types[mt.code] = mt
-        self.records: list[ModuleRecord] = list(records)
+            by_code[mt.code] = mt
+        self.types = MappingProxyType(by_code)
+        self.records: tuple[ModuleRecord, ...] = tuple(records)
         self._by_marker: dict[int, MarkerHit] = {}
         seen_serials: set[str] = set()
         for rec in self.records:

@@ -50,6 +50,7 @@ from chainforge.module_db import (
     KIND_TOOL,
     UPRIGHT,
     ModuleDatabase,
+    ModuleRecord,
     ModuleType,
     save_database,
 )
@@ -219,17 +220,24 @@ def _skewed_type(code: str, kind: str, limits, dual_bundle: bool) -> ModuleType:
     )
 
 
-def skewed_database() -> ModuleDatabase:
-    """A catalog of four types, two joints, a link and a tool, with skewed connector offsets."""
-    return ModuleDatabase(
-        [
-            _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
-            _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
-            _skewed_type("L", "link", None, False),
-            _skewed_type("G", KIND_TOOL, None, False),
-        ],
-        [],
-    )
+def skewed_database(count: int = 0) -> ModuleDatabase:
+    """A catalog of four types, two joints, a link and a tool, with skewed connector
+    offsets, and `count` registered modules of each type.  The k-th type's modules
+    take master marker ids from 10 (k + 1), their output bundles 1000 more."""
+    types = [
+        _skewed_type("P", "joint-perpendicular", (-100.0, 110.0), False),
+        _skewed_type("C", "joint-collinear", (-170.0, 160.0), True),
+        _skewed_type("L", "link", None, False),
+        _skewed_type("G", KIND_TOOL, None, False),
+    ]
+    records = []
+    for k, mt in enumerate(types):
+        for i in range(count):
+            marker = 10 * (k + 1) + i
+            output = marker + 1000 if mt.dual_bundle else None
+            serial = f"{mt.code}-{i + 1:03d}"
+            records.append(ModuleRecord(serial, mt.code, len(records) + 1, marker, output))
+    return ModuleDatabase(types, records)
 
 
 def make_two_branch_scene(rng: np.random.Generator, db: ModuleDatabase):
@@ -605,8 +613,10 @@ def reference_connection_angle_between(parent, parent_direction, child, child_di
 
 
 def reference_bundle_twist(module) -> tuple[float, float]:
-    """`identify._bundle_twist` with numpy's trace and norm, on the bundle pose."""
-    r = relative(module.master_pose, module.output_pose).rotation
+    """`identify._bundle_twist` with numpy's trace and norm, on the joint turn: the
+    bundle pose composed with the inverse of the catalog's output offset."""
+    offset = invert(module.module_type.master_offset_output)
+    r = compose(relative(module.master_pose, module.output_pose), offset).rotation
     roll = math.degrees(math.atan2(r[0, 2], r[0, 0]))
     residual = rot_y(-roll) @ r
     skew = residual - residual.T

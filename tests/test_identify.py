@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chainforge import identify
-from chainforge.descriptor import parse, serialize
+from chainforge.descriptor import ChainDescriptor, ChainEntry, parse, serialize
 from chainforge.geometry import (
     CONNECTION_ANGLES,
     TURN_PLANES,
@@ -80,6 +80,7 @@ from helpers import (
     reference_parentward_to_master,
     registry_first,
     relative,
+    skewed_database,
 )
 
 
@@ -1272,6 +1273,35 @@ class TestBuildChain:
         chain = build_chain(obs, db)
         assert len(chain.links) == 7
 
+    def test_skewed_catalog_round_trip(self):
+        # Connector offsets that are rotated and off-center: the optimization
+        # back end reads every zero-noise chain exactly, and each collinear
+        # joint's angle from its bundle roll, taken relative to the catalog's
+        # output offset.  Perpendicular angles are not checked: their estimate
+        # assumes the connector on the master's axis.
+        db = skewed_database(4)
+        cfg = IdentifyConfig(method="optimization")
+        rng = np.random.default_rng(26)
+        collinear = 0
+        for _ in range(60):
+            entries, thetas = [], []
+            for k in range(int(rng.integers(1, 5))):
+                code = str(rng.choice(["P", "C", "L"]))
+                angle = None if k == 0 else float(rng.choice(CONNECTION_ANGLES))
+                entries.append(ChainEntry(code, bool(rng.random() < 0.5), angle))
+                if db.types[code].is_joint:
+                    thetas.append(float(rng.uniform(*db.types[code].joint_limits)))
+            entries.append(ChainEntry("G", False, float(rng.choice(CONNECTION_ANGLES))))
+            desc = ChainDescriptor(tuple(entries))
+            chain = build_chain(synthesize(desc, thetas, db, base=random_base(rng)), db, cfg)
+            assert serialize(to_descriptor(chain)) == serialize(desc)
+            joints = [l for l in chain.links if l.module.module_type.is_joint]
+            for link, theta in zip(joints, thetas, strict=True):
+                if link.module.module_type.is_collinear_joint:
+                    assert abs(link.joint_angle - theta) <= 1e-6
+                    collinear += 1
+        assert collinear > 30
+
 
 class TestWarnings:
     """Every identification caveat is a line of IdentifiedChain.warnings."""
@@ -1308,6 +1338,20 @@ class TestWarnings:
         chain = build_chain([o for o in obs if o.marker_id != output_marker], db)
         assert chain.links[0].joint_angle is None
         assert chain.warnings == ["joint angle of I-001: output bundle was not observed"]
+
+    def test_two_soft_angles_read_base_to_end(self, db):
+        # The walk meets I-001 (its output bundle dropped) before the inverted
+        # base joint T-001; the warnings follow the links, base to end, with
+        # one line per module.
+        obs = synthesize(parse("T'-L0-I0-G0"), [0.0, 10.0], db)
+        output_marker = db.records_of_type("I")[0].output_marker_id
+        chain = build_chain([o for o in obs if o.marker_id != output_marker], db)
+        assert [l.module.serial for l in chain.links] == ["T-001", "L-001", "I-001", "G-001"]
+        assert chain.warnings == [
+            "joint angle of T-001: no neighbor on the output side; "
+            "joint angle is unobservable, reporting 0",
+            "joint angle of I-001: output bundle was not observed",
+        ]
 
     def test_identify_raises_no_python_warning(self, db):
         # Over the corpus and the four noise rows, no chain or tree build of

@@ -453,6 +453,22 @@ class TestModelParseErrors:
             with pytest.raises(ModelParseError, match=f"revolute joint '{name}' has no limits"):
                 read_model(path)
 
+    def test_fixed_joint_with_limits_raises_typed(self, model_dir):
+        # The XML writer gives only revolute joints a <limit>, so limits on a
+        # fixed joint could not survive a trip through both formats.
+        doc = json.loads((model_dir / "robot.json").read_text())
+        k, joint = next((k, j) for k, j in enumerate(doc["joints"]) if j["type"] == JOINT_FIXED)
+        joint["limits_deg"] = [-10.0, 10.0]
+        (model_dir / "edited.json").write_text(json.dumps(doc))
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        fixed = root.findall("joint")[k]
+        assert fixed.get("name") == joint["name"] and fixed.find("limit") is None
+        ET.SubElement(fixed, "limit", lower="-0.1", upper="0.1")
+        (model_dir / "edited.xml").write_text(ET.tostring(root, encoding="unicode"))
+        for path in (model_dir / "edited.json", model_dir / "edited.xml"):
+            with pytest.raises(ModelParseError, match=f"fixed joint '{joint['name']}' has limits"):
+                read_model(path)
+
     def test_truncated_xml_raises_typed(self, model_dir):
         text = (model_dir / "robot.xml").read_text()
         path = model_dir / "edited.xml"
@@ -472,6 +488,7 @@ class TestModelParseErrors:
 
     @given(field=st.data(), value=field_values | st.just(_DELETE))
     @example(field=("joints", 0, "limits_deg"), value=None)  # a revolute joint without limits
+    @example(field=("joints", 2, "limits_deg"), value=[-10.0, 10.0])  # a fixed joint with limits
     @settings(max_examples=200, deadline=None)
     def test_any_json_field_value_reads_back_or_raises_typed(self, model_dir, field, value):
         doc = json.loads((model_dir / "robot.json").read_text())

@@ -56,6 +56,24 @@ def test_default_catalog_shape(db):
     assert len(db._by_marker) >= 20
 
 
+def test_database_cannot_be_mutated():
+    # A registry or catalog edited after construction would leave the marker
+    # index and the pair bounds describing the old contents.
+    db = default_database()
+    record = ModuleRecord("A-999", "A", 999, 999)
+    with pytest.raises(AttributeError):
+        db.records.append(record)
+    with pytest.raises(TypeError):
+        db.records[0] = record
+    with pytest.raises(TypeError):
+        db.types["A"] = db.types["L"]
+    with pytest.raises(AttributeError):
+        db.types.pop("A")
+    assert db.lookup_marker(999) is None
+    assert len(db.records) == 52 and "A" in db.types
+    assert db.pair_connected_distance("A", "L") == 105.0
+
+
 def test_module_types_compare_and_hash(db):
     # Their Pose fields compare by identity, so neither raises on numpy arrays.
     t, g = db.types["T"], db.types["G"]
