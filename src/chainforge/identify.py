@@ -641,8 +641,59 @@ def _observed_rows(cand: DetectedModule, child: DetectedModule) -> list[float]:
     return rows
 
 
-# Rounding the reach test allows for, relative to the magnitudes it meets.
-_REACH_ROUNDING = 1e-9
+# Rounding the reach test and the residual floors allow for: 1e-8 of each length
+# they meet (mm) and of a unit axis.  It also covers the drift from orthonormal
+# that a checked rotation may keep (ORTHONORMALITY_TOL): an observed rotation
+# stays within 3e-9 of one, which moves a floor's rotation term by 1 + sqrt(2)
+# times as much, and an origin distance by under 2e-9 of itself.
+_REACH_ROUNDING = 1e-8
+_SQRT2_W_O = math.sqrt(2.0) * W_O
+
+
+def _layer_floors(parent: SearchSide, child: SearchSide, invariants, observed) -> list[float]:
+    """A lower bound on each layer's residual at any joint states within the limits,
+    from the layers' `invariants` (see `module_db._with_invariants`; not empty).
+
+    A rotation moves a unit vector by at most its own angle, so rotations R, S
+    differ by at least sqrt(2) |R e - S e| in the Frobenius norm for a unit e.
+    With the child's joint free, that bound on column c and the translation's
+    distance turn with theta_n alone; when the parent's joint is free too, the
+    least over its limits is one `_fit_joint`, the squared bound being const -
+    2<Rn, H> with H = 2 W_O^2 o_c u_c^T + W_T^2 o_t t^T.  With only the parent's
+    joint free, row n is bound, and the translation differs at least in its
+    part along n and in its length about n.
+    """
+    if child.axis is not None:
+        o = observed[child.axis : 12 : 4] + observed[3::4]  # column c, then the translation
+        if parent.axis is not None:
+            a, b = TURN_PLANES[parent.axis]
+            wo, wt = 2.0 * W_O**2, W_T**2
+            (oa, ob), (sa, sb) = (o[a], o[b]), (o[a + 3], o[b + 3])
+            pq = [
+                (
+                    wo * (oa * x[a] + ob * x[b]) + wt * (sa * x[a + 3] + sb * x[b + 3]),
+                    wo * (ob * x[a] - oa * x[b]) + wt * (sb * x[a + 3] - sa * x[b + 3]),
+                )
+                for x in invariants
+            ]
+            turned = []
+            for x, (c, s) in zip(invariants, map(cos_sin, _fit_joint(pq, parent.limits))):
+                x = list(x)
+                for i, j in ((a, b), (a + 3, b + 3)):
+                    x[i], x[j] = c * x[i] - s * x[j], s * x[i] + c * x[j]
+                turned.append(x)
+            invariants = turned
+        return [
+            math.hypot(_SQRT2_W_O * math.dist(x[:3], o[:3]), W_T * math.dist(x[3:], o[3:]))
+            for x in invariants
+        ]
+    n, (a, b) = parent.axis, TURN_PLANES[parent.axis]
+    row, along = observed[4 * n : 4 * n + 3], observed[4 * n + 3]
+    about = math.hypot(observed[4 * a + 3], observed[4 * b + 3])
+    return [
+        math.hypot(_SQRT2_W_O * math.dist(x[:3], row), W_T * (x[3] - along), W_T * (x[4] - about))
+        for x in invariants
+    ]
 
 
 def find_parent_optimization(
@@ -655,23 +706,26 @@ def find_parent_optimization(
     """Pick the parent by minimizing the weighted pose metric.
 
     Enumerates neighbor and install directions and scores each hypothesis
-    at all four connection angles at once; joint angles that influence the
+    at every connection angle its bounds leave, all at once; joint angles that influence the
     pair transform are solved in closed form within their joint limits,
     and the residual is the metric at the solved states.  A hypothesis
-    whose bundle pair is misaligned is skipped, and so is one that cannot
-    reach the child.  No joint turn stretches the modeled child origin
-    beyond `span`, the sum of the sides' reaches, so the residual is at
-    least W_T times the observed origin distance less `span`; when that
-    bound, lowered by a rounding allowance relative to `scale` (the sum of
-    both origins' distances from the world origin) and `span`, exceeds
-    f_threshold + RESIDUAL_TIE, its residuals could neither be accepted nor
-    tie an accepted winner.  The best candidate is accepted only when its
-    residual stays within the configured threshold.
+    whose bundle pair is misaligned is skipped.  So is every connection
+    angle whose residual is bounded above f_threshold + RESIDUAL_TIE, where
+    it could neither be accepted nor tie an accepted winner; each bound is
+    lowered by a rounding allowance relative to `scale` (the sum of both
+    origins' distances from the world origin) and `span`, the sum of the
+    sides' reaches, and is tried before anything is solved:
+    - no joint turn stretches the modeled child origin beyond `span`, so the
+      residual is at least W_T times the origin distance less `span`; when
+      that skips all four angles, the observation is not even built;
+    - `_layer_floors` bounds each angle from what the free joints cannot move.
+    The best candidate is accepted only when its residual stays within the
+    configured threshold.
     Residuals within RESIDUAL_TIE of the best tie; ties resolve toward the
     lower marker id, then toward the smallest total solved joint roll, the
     geometric back end's convention of absorbing an unobservable roll into
-    the connection angle, then toward the earlier hypothesis.  Only the
-    winner is built as a ParentMatch.
+    the connection angle, then toward the earlier hypothesis and angle.
+    Only the winner is built as a ParentMatch.
     """
     if child_direction not in child.module_type.child_directions:
         return None
@@ -680,42 +734,58 @@ def find_parent_optimization(
     except NonCollinearBundles:
         return None  # a misaligned bundle pair disqualifies its own hypotheses only
     reach = cfg.f_threshold + RESIDUAL_TIE
-    child_norm = math.hypot(*child.floats[:3])
-    hypotheses = []  # (candidate, its direction, parent side, roll, thetas)
-    f_values: list[float] = []  # four per hypothesis, in CONNECTION_ANGLES order
+    c = child.floats
+    child_norm = math.hypot(*c[:3])
+    hypotheses = []  # (first f_value, candidate, its direction, parent side, roll, angles, thetas)
+    f_values: list[float] = []  # one per scored connection angle, hypothesis by hypothesis
+    owner: list[int] = []  # the hypothesis of each f_value
     for cand in neighbors(child, pool, db, cfg):
-        observed = _observed_rows(cand, child)
-        distance = math.hypot(*_TRANSLATION(observed))
-        scale = math.hypot(*cand.floats[:3]) + child_norm
+        f = cand.floats
+        distance = math.hypot(c[0] - f[0], c[1] - f[1], c[2] - f[2])
+        scale = math.hypot(*f[:3]) + child_norm
+        observed = None
         for d_p in cand.module_type.parent_directions:
             try:
                 parent_side, measured = _parent_side(cand, d_p, cfg.epsilon2)
             except NonCollinearBundles:
                 continue
             span = parent_side.reach + child_side.reach
-            if W_T * (distance - span - _REACH_ROUNDING * (scale + span)) > reach:
+            rounding = _REACH_ROUNDING * (W_T * (scale + span) + W_O)
+            if W_T * (distance - span) - rounding > reach:
                 continue
-            layers = db.pair_layers(parent_side, child_side)
+            if observed is None:
+                observed = _observed_rows(cand, child)
+            layers, invariants = db.pair_layers(parent_side, child_side)
+            kept = range(len(CONNECTION_ANGLES))
+            if invariants:
+                floors = _layer_floors(parent_side, child_side, invariants, observed)
+                kept = [k for k in kept if not floors[k] - rounding > reach]
+                if not kept:
+                    continue
+                layers = [layers[k] for k in kept]
             model = _PairModel(parent_side, child_side, layers, observed)
             theta_n, theta_c = model.solve()
+            owner += [len(hypotheses)] * len(kept)
+            hypotheses.append(
+                (len(f_values), cand, d_p, parent_side, measured, kept, theta_n, theta_c)
+            )
             f_values += model.residual(theta_n, theta_c)
-            hypotheses.append((cand, d_p, parent_side, measured, theta_n, theta_c))
     if not f_values:
         return None
-    n = len(CONNECTION_ANGLES)
 
     def order(i: int) -> tuple[int, float]:
-        cand, *_, theta_n, theta_c = hypotheses[i // n]
-        t_n, t_c = theta_n[i % n], theta_c[i % n]
+        first, cand, *_, theta_n, theta_c = hypotheses[owner[i]]
+        t_n, t_c = theta_n[i - first], theta_c[i - first]
         return cand.record.master_marker_id, abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
 
     cutoff = min(f_values) + RESIDUAL_TIE
     best = min((i for i, f in enumerate(f_values) if f <= cutoff), key=order)
     if not f_values[best] <= cfg.f_threshold:
         return None
-    (cand, d_p, parent_side, measured, theta_n, _), k = hypotheses[best // n], best % n
-    theta = measured if parent_side.axis is None else theta_n[k]
-    return ParentMatch(cand, CONNECTION_ANGLES[k], d_p, theta=theta, f_value=f_values[best])
+    first, cand, d_p, parent_side, measured, kept, theta_n, _ = hypotheses[owner[best]]
+    theta = measured if parent_side.axis is None else theta_n[best - first]
+    angle = CONNECTION_ANGLES[kept[best - first]]
+    return ParentMatch(cand, angle, d_p, theta=theta, f_value=f_values[best])
 
 
 def _grow_branch(

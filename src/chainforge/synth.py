@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,10 @@ class SceneConfig:
                 raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob must lie in [0, 1]")
-        if self.spurious_count < 0:
-            raise ValueError("spurious_count must be non-negative")
+        for name in ("spurious_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)

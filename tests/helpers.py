@@ -901,6 +901,49 @@ class ReferencePairModel(NumpyPairModel):
         return theta_n, theta_c
 
 
+def _least_turned(vectors, targets, weights, axis: int, limits) -> np.ndarray:
+    """Per layer, the least over theta within the limits of sum_j w_j |R(theta) v_j - o_j|^2,
+    R = `joint_turns(axis, [theta])`, for vectors (L, 3, m), targets (3, m) and m
+    weights.  That is const - 2<R, H> with H = sum_j w_j o_j v_j^T, a sinusoid
+    whose least value lies at a limit or at its peak atan2(q, p) turned into them."""
+    a, b = TURN_PLANES[axis]
+    h = np.einsum("j,ij,lkj->lik", weights, targets, vectors)
+    peak = np.degrees(np.arctan2(h[:, b, a] - h[:, a, b], h[:, a, a] + h[:, b, b]))
+    lo, hi = limits
+    least = []
+    for v, t in zip(vectors, peak.tolist()):
+        ends = [lo, hi] + [t + 360.0 * k for k in (-2, -1, 0, 1, 2) if lo <= t + 360.0 * k <= hi]
+        turned = joint_turns(axis, ends)[:, :3, :3] @ v
+        least.append(float(((turned - targets) ** 2 @ weights).sum(axis=1).min()))
+    return np.array(least)
+
+
+def reference_layer_floors(parent, child, observed: np.ndarray) -> np.ndarray | None:
+    """The least over theta_n of the chord bound on each layer's squared residual,
+    2 W_O^2 |M e - O e|^2 + W_T^2 |M_t - O_t|^2 for the column e of the child's
+    axis (or, with only the parent's joint free, the row of the parent's axis),
+    square-rooted: within the parent's limits when both joints are free, over the
+    circle when only the parent's is.  None when neither joint is free."""
+    base = parent.matrix @ CONNECTOR_STACK @ child.matrix
+    wo, wt = 2.0 * identify.W_O**2, identify.W_T**2
+    if child.axis is not None:
+        c = child.axis
+        vectors = np.stack([base[:, :3, c], base[:, :3, 3]], axis=-1)
+        targets = np.stack([observed[:3, c], observed[:3, 3]], axis=-1)
+        if parent.axis is None:
+            return np.sqrt(((vectors - targets) ** 2 @ [wo, wt]).sum(axis=1))
+        weights = np.array([wo, wt])
+        return np.sqrt(_least_turned(vectors, targets, weights, parent.axis, parent.limits))
+    if parent.axis is None:
+        return None
+    n = parent.axis
+    rows = wo * ((base[:, n, :3] - observed[n, :3]) ** 2).sum(axis=1)
+    translation = _least_turned(
+        base[:, :3, 3:], observed[:3, 3:], np.array([wt]), n, (-180.0, 180.0)
+    )
+    return np.sqrt(rows + translation)
+
+
 def reference_find_parent_optimization(child, pool, db, cfg, child_direction):
     """`identify.find_parent_optimization` building a ParentMatch per connection angle."""
     child_sides = []

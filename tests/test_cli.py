@@ -99,6 +99,21 @@ class TestSynth:
         assert not path.exists()
 
     @pytest.mark.parametrize("command", ["synth", "roundtrip"])
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--seed", "-1"], "seed"), (["--seed", "1", "--spurious", "-2"], "spurious_count")],
+    )
+    def test_negative_count_exit_1(self, tmp_path, db_path, capsys, command, flags, name):
+        path = tmp_path / "s.json"
+        args = [command, "--chain", "I-T0-G0", "--db", str(db_path), "--joints", "10,20", *flags]
+        args += ["--out", str(path)] if command == "synth" else ["--trials", "1"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be a non-negative integer")
+        assert "Traceback" not in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "roundtrip"])
     @pytest.mark.parametrize("chain", ["A-G'0", "G-G0", "W-S0"])
     def test_mate_without_connectors_exit_1(self, tmp_path, db_path, capsys, command, chain):
         path = tmp_path / "s.json"

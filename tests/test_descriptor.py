@@ -1,6 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainforge.descriptor import (
@@ -177,13 +180,23 @@ class TestProperties:
         assert serialize(parse(s)) == s
 
     @given(st.binary(min_size=32, max_size=32))
+    @example(b"L" + b"-G" * 15 + b"0")
     @settings(max_examples=500, deadline=None)
     def test_parse_total_on_random_bytes(self, blob):
+        # A token without an angle parses with the documented warning, and with
+        # no other.
         text = blob.decode("latin-1")
-        try:
-            parse(text)
-        except ChainSyntaxError as exc:
-            assert 0 <= exc.position <= len(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                parse(text)
+            except ChainSyntaxError as exc:
+                assert 0 <= exc.position <= len(text)
+        for w in caught:
+            assert w.category is UserWarning
+            assert re.fullmatch(
+                r"token at position \d+ has no connection angle; assuming 0", str(w.message)
+            )
 
     def test_parse_total_bulk(self):
         rng = np.random.default_rng(99)

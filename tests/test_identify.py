@@ -29,6 +29,7 @@ from chainforge.identify import (
     REASON_DUPLICATE,
     REASON_ORPHAN,
     REASON_UNKNOWN_MARKER,
+    W_O,
     W_T,
     AmbiguousParent,
     DetectedModule,
@@ -49,10 +50,10 @@ from chainforge.identify import (
     validate_markers,
     _child_side,
     _fit_joint,
+    _layer_floors,
     _observed_rows,
     _PairModel,
     _REACH_ROUNDING,
-    _TRANSLATION,
     _parent_side,
 )
 from chainforge.module_db import INVERTED, UPRIGHT, _pair_layers, default_database
@@ -76,6 +77,7 @@ from helpers import (
     reference_connection_transform,
     reference_find_parent_optimization,
     reference_fit_joint,
+    reference_layer_floors,
     reference_master_to_childward,
     reference_parentward_to_master,
     registry_first,
@@ -433,13 +435,29 @@ def _float_model(parent, child, parent_side, child_side) -> _PairModel:
     return _PairModel(parent_side, child_side, _pair_layers(parent_side, child_side), observed)
 
 
-def _reach_gap(parent, child, parent_side, child_side) -> float:
-    """One hypothesis's lower bound on the distance between the observed and the
-    modeled child origin, as find_parent_optimization takes it."""
-    distance = math.hypot(*_TRANSLATION(_observed_rows(parent, child)))
+def _rounding(parent, child, parent_side, child_side) -> float:
+    """The rounding allowance of one hypothesis's bounds, as find_parent_optimization
+    takes it."""
     scale = math.hypot(*parent.floats[:3]) + math.hypot(*child.floats[:3])
     span = parent_side.reach + child_side.reach
-    return distance - span - _REACH_ROUNDING * (scale + span)
+    return _REACH_ROUNDING * (W_T * (scale + span) + W_O)
+
+
+def _reach_bound(parent, child, parent_side, child_side) -> float:
+    """One hypothesis's lower bound on its residuals from the distance between the
+    observed origins, less the rounding allowance, as find_parent_optimization takes it."""
+    distance = math.dist(parent.floats[:3], child.floats[:3])
+    span = parent_side.reach + child_side.reach
+    return W_T * (distance - span) - _rounding(parent, child, parent_side, child_side)
+
+
+def _floors(db, parent, child, parent_side, child_side) -> list[float] | None:
+    """`_layer_floors` of one hypothesis, as find_parent_optimization takes them;
+    None when neither joint is free."""
+    _, invariants = db.pair_layers(parent_side, child_side)
+    if not invariants:
+        return None
+    return _layer_floors(parent_side, child_side, invariants, _observed_rows(parent, child))
 
 
 def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
@@ -841,13 +859,39 @@ def _hypotheses(child, pool, db, cfg, child_direction) -> list[tuple]:
     return found
 
 
+def _side_kinds(types) -> tuple[dict, dict]:
+    """Every (type code, install direction) of `types` by the parent and the child
+    kinds of `TestReachTest`."""
+    parent_kinds = {
+        "fixed": [
+            (t.code, d) for t in types for d in t.parent_directions
+            if not (t.is_joint and d == UPRIGHT)
+        ],
+        "free-y": [(t.code, UPRIGHT) for t in types if t.is_collinear_joint],
+        "free-z": [(t.code, UPRIGHT) for t in types if t.is_perpendicular_joint],
+        "bundle-measured": [(t.code, UPRIGHT) for t in types if t.is_collinear_joint],
+    }
+    child_kinds = {
+        "fixed": [
+            (t.code, d) for t in types for d in t.child_directions
+            if not (t.is_joint and d == INVERTED)
+        ],
+        "free": [(t.code, INVERTED) for t in types if t.is_joint],
+        # An inverted collinear joint whose seen bundle pair measures its state.
+        "measured-theta": [(t.code, INVERTED) for t in types if t.is_collinear_joint],
+    }
+    return parent_kinds, child_kinds
+
+
 def _draw_hypothesis(db, parent_kind, child_kind, data, seed, states, offset):
-    """A parent and a child module of the kinds of `TestReachTest`, with their sides,
-    and a connection angle index k0.  The child is drawn independently of the
-    parent when `offset` is None; otherwise it sits at the modeled pose of k0 at
-    joint states `states[:8]`, moved by `offset`.  states[8:] measure the bundles."""
-    parent_code, parent_dir = data.draw(st.sampled_from(TestReachTest.PARENT_KINDS[parent_kind]))
-    child_code, child_dir = data.draw(st.sampled_from(TestReachTest.CHILD_KINDS[child_kind]))
+    """A parent and a child module of the kinds of `TestReachTest` from `db`, with
+    their sides, and a connection angle index k0.  The child is drawn independently
+    of the parent when `offset` is None; otherwise it sits at the modeled pose of k0
+    at joint states `states[:8]`, moved by `offset`.  states[8:] measure the bundles,
+    each a roll and a tilt followed by the type's output offset."""
+    parent_kinds, child_kinds = _side_kinds(db.types.values())
+    parent_code, parent_dir = data.draw(st.sampled_from(parent_kinds[parent_kind]))
+    child_code, child_dir = data.draw(st.sampled_from(child_kinds[child_kind]))
     k0 = data.draw(st.integers(0, 3))
     rng = np.random.default_rng(seed)
     cfg = IdentifyConfig()
@@ -855,9 +899,11 @@ def _draw_hypothesis(db, parent_kind, child_kind, data, seed, states, offset):
     tilt = rot_x(states[9] / 72.0)
     parent_bundle = child_bundle = None
     if parent_kind == "bundle-measured":
-        parent_bundle = Pose(rot_y(states[8]) @ tilt, rng.uniform(-50, 50, 3))
+        offset_rotation = db.types[parent_code].master_offset_output.rotation
+        parent_bundle = Pose(rot_y(states[8]) @ tilt @ offset_rotation, rng.uniform(-50, 50, 3))
     if child_kind == "measured-theta":
-        child_bundle = Pose(rot_y(states[10]) @ tilt, rng.uniform(-50, 50, 3))
+        offset_rotation = db.types[child_code].master_offset_output.rotation
+        child_bundle = Pose(rot_y(states[10]) @ tilt @ offset_rotation, rng.uniform(-50, 50, 3))
     parent = _detected(db, parent_code, parent_pose, parent_bundle)
     child = _detected(db, child_code, random_base(rng), child_bundle)
     parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
@@ -872,37 +918,34 @@ def _draw_hypothesis(db, parent_kind, child_kind, data, seed, states, offset):
     return parent, child, parent_side, child_side, k0
 
 
-class _CountedPairModel(_PairModel):
-    built = 0
+def _within_limits(side, states) -> list[float]:
+    """Each of `states` (in [-360, 360]) taken to the same place within the side's
+    limits; zeros for a side without a free joint."""
+    if side.axis is None:
+        return [0.0] * len(states)
+    lo, hi = side.limits
+    return [lo + (hi - lo) * (s + 360.0) / 720.0 for s in states]
 
-    def __init__(self, *args):
-        type(self).built += 1
-        super().__init__(*args)
+
+class _CountedPairModel(_PairModel):
+    """Records the number of layers of each pair model built."""
+
+    built: list[int] = []
+
+    def __init__(self, parent, child, layers, observed):
+        type(self).built.append(len(layers))
+        super().__init__(parent, child, layers, observed)
+
+
+SKEWED = skewed_database(4)
 
 
 class TestReachTest:
     """A hypothesis whose modeled child origin stays out of reach of the observed
-    one is skipped before its pair model is built."""
+    one is skipped before its observation is built, and a connection angle whose
+    residual floor lies above the threshold before its pair model is solved."""
 
-    _TYPES = default_database().types.values()
-    PARENT_KINDS = {
-        "fixed": [
-            (t.code, d) for t in _TYPES for d in t.parent_directions
-            if not (t.is_joint and d == UPRIGHT)
-        ],
-        "free-y": [(t.code, UPRIGHT) for t in _TYPES if t.is_collinear_joint],
-        "free-z": [(t.code, UPRIGHT) for t in _TYPES if t.is_perpendicular_joint],
-        "bundle-measured": [(t.code, UPRIGHT) for t in _TYPES if t.is_collinear_joint],
-    }
-    CHILD_KINDS = {
-        "fixed": [
-            (t.code, d) for t in _TYPES for d in t.child_directions
-            if not (t.is_joint and d == INVERTED)
-        ],
-        "free": [(t.code, INVERTED) for t in _TYPES if t.is_joint],
-        # An inverted collinear joint whose seen bundle pair measures its state.
-        "measured-theta": [(t.code, INVERTED) for t in _TYPES if t.is_collinear_joint],
-    }
+    PARENT_KINDS, CHILD_KINDS = _side_kinds(default_database().types.values())
 
     @pytest.mark.parametrize("parent_kind", PARENT_KINDS)
     @pytest.mark.parametrize("child_kind", CHILD_KINDS)
@@ -925,43 +968,89 @@ class TestReachTest:
         )
         theta_n, theta_c = states[:4], states[4:8]
         model = _float_model(parent, child, parent_side, child_side)
-        gap = _reach_gap(parent, child, parent_side, child_side)
-        assert all(W_T * gap <= f for f in model.residual(theta_n, theta_c))
-        assert all(W_T * gap <= f for f in model.residual(*model.solve()))
+        bound = _reach_bound(parent, child, parent_side, child_side)
+        assert all(bound <= f for f in model.residual(theta_n, theta_c))
+        assert all(bound <= f for f in model.residual(*model.solve()))
+
+    @pytest.mark.parametrize("catalog", ["default", "skewed"])
+    @pytest.mark.parametrize("parent_kind", PARENT_KINDS)
+    @pytest.mark.parametrize("child_kind", CHILD_KINDS)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        near=st.booleans(),
+        states=st.lists(st.floats(-360.0, 360.0), min_size=11, max_size=11),
+        offset=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_floor_never_exceeds_the_residual(
+        self, db, catalog, parent_kind, child_kind, data, seed, near, states, offset
+    ):
+        # Each floor is at most its layer's residual at joint states within the
+        # limits and at the solved ones, and it is the least value of its chord
+        # bound over the parent's state (helpers.reference_layer_floors).
+        db = SKEWED if catalog == "skewed" else db
+        parent, child, parent_side, child_side, _ = _draw_hypothesis(
+            db, parent_kind, child_kind, data, seed, states, offset if near else None
+        )
+        floors = _floors(db, parent, child, parent_side, child_side)
+        observed = relative(parent.master_pose, child.master_pose).matrix()
+        reference = reference_layer_floors(parent_side, child_side, observed)
+        assert (floors is None) == (reference is None)
+        if floors is None:
+            assert parent_side.axis is None and child_side.axis is None
+            return
+        assert all(map(_close_f, floors, reference.tolist()))
+        model = _float_model(parent, child, parent_side, child_side)
+        within = _within_limits(parent_side, states[:4]), _within_limits(child_side, states[4:8])
+        for theta_n, theta_c in (within, model.solve()):
+            for floor, f in zip(floors, model.residual(theta_n, theta_c)):
+                assert floor <= f + F_TOL * (1.0 + f)
 
     def test_skipped_hypotheses_cannot_be_accepted(self, db, monkeypatch):
-        # Every hypothesis the search skips has a reference residual above
-        # f_threshold + RESIDUAL_TIE at all four connection angles; the others
-        # each build one pair model, and with no threshold all of them do.
+        # Every connection angle the search skips, by the reach test or by its
+        # floor, has a reference residual above f_threshold + RESIDUAL_TIE; each
+        # hypothesis with an angle left builds one pair model of those angles,
+        # and with no threshold every hypothesis builds one of all four.
         calls = _recorded_searches(db, corpus_and_noise_rows(db, 100, 3))
         monkeypatch.setattr(identify, "_PairModel", _CountedPairModel)
-        skipped = total = 0
+        skipped = by_reach = total = 0
         for args, kwargs in calls:
             child, _, _, cfg, *_ = args
             reach = cfg.f_threshold + RESIDUAL_TIE
             hypotheses = _hypotheses(*args, **kwargs)
-            kept = 0
+            kept = []
             for cand, parent_side, child_side in hypotheses:
-                if W_T * _reach_gap(cand, child, parent_side, child_side) <= reach:
-                    kept += 1
-                    continue
-                observed = relative(cand.master_pose, child.master_pose).matrix()
-                model = ReferencePairModel(parent_side, child_side, observed)
-                assert (model.residual(*model.solve()) > reach).all()
-                skipped += 1
-            total += len(hypotheses)
-            _CountedPairModel.built = 0
+                bound = _reach_bound(cand, child, parent_side, child_side)
+                if bound > reach:
+                    left = []
+                    by_reach += 1
+                else:
+                    floors = _floors(db, cand, child, parent_side, child_side)
+                    rounding = _rounding(cand, child, parent_side, child_side)
+                    left = [k for k in range(4) if floors is None or floors[k] - rounding <= reach]
+                if len(left) < 4:
+                    observed = relative(cand.master_pose, child.master_pose).matrix()
+                    model = ReferencePairModel(parent_side, child_side, observed)
+                    f = model.residual(*model.solve())
+                    assert all(f[k] > reach for k in range(4) if k not in left)
+                if left:
+                    kept.append(len(left))
+                skipped += 4 - len(left)
+            total += 4 * len(hypotheses)
+            _CountedPairModel.built = []
             find_parent_optimization(*args, **kwargs)
             assert _CountedPairModel.built == kept
             unbounded = list(args)
             unbounded[3] = replace(cfg, f_threshold=math.inf)
-            _CountedPairModel.built = 0
+            _CountedPairModel.built = []
             find_parent_optimization(*unbounded, **kwargs)
-            assert _CountedPairModel.built == len(hypotheses)
+            assert _CountedPairModel.built == [4] * len(hypotheses)
         assert len(calls) > 500
-        # The bound skips 278 of these 1377 hypotheses (20%): 19% on the corpus
-        # scenes and 31% on the noise rows.
-        assert 0.15 * total < skipped < 0.25 * total
+        # The reach test skips 278 of these 1377 hypotheses (20%), and with the
+        # floors 1935 of their 5508 connection angles are skipped (35%).
+        assert 0.15 * total < 4 * by_reach < 0.25 * total
+        assert 0.30 * total < skipped < 0.40 * total
 
 
 class TestFloatKernel:

@@ -249,6 +249,22 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="dropout_prob"):
             SceneConfig(dropout_prob=math.nan)
 
+    @pytest.mark.parametrize("name", ["spurious_count", "seed"])
+    @pytest.mark.parametrize("value", [-1, 1.5, 2.0, True, False, "3", None])
+    def test_counts_must_be_non_negative_integers(self, name, value):
+        # Caught where the configuration is made, naming the field, rather than
+        # inside numpy when a scene is drawn.
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
+            SceneConfig(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self, db):
+        def scene(cfg):
+            obs = synthesize(parse("L-G0"), [], db, cfg=cfg)
+            return [(o.marker_id, o.pose.matrix().tobytes()) for o in obs]
+
+        cfg = SceneConfig(spurious_count=np.int64(2), seed=np.uint32(5))
+        assert scene(cfg) == scene(SceneConfig(spurious_count=2, seed=5))
+
     @given(
         case_seed=st.integers(0, 2**32 - 1),
         sigma_pos=st.floats(0.0, 10.0),
