@@ -251,18 +251,13 @@ def _cmd_roundtrip(args) -> int:
     theta_errors: list[float] = []
     for trial in range(args.trials):
         observations = synthesize(desc, joints, db, cfg=_scene_config(args, trial))
-        try:
-            chain_geo = build_chain(observations, db, IdentifyConfig(method=METHOD_GEOMETRIC))
-            recovered = serialize(to_descriptor(chain_geo))
-        except IdentifyError:
-            chain_geo = None
-            recovered = None
-        try:
-            chain_opt = build_chain(
-                observations, db, IdentifyConfig(method=METHOD_OPTIMIZATION)
-            )
-        except IdentifyError:
-            chain_opt = None
+        chains = []
+        for method in (METHOD_GEOMETRIC, METHOD_OPTIMIZATION):
+            try:
+                chains.append(build_chain(observations, db, IdentifyConfig(method=method)))
+            except IdentifyError:
+                chains.append(None)
+        chain_geo, chain_opt = chains
         if (
             chain_geo is not None
             and chain_opt is not None
@@ -270,7 +265,7 @@ def _cmd_roundtrip(args) -> int:
             == [(l.module.serial, l.connection_angle) for l in chain_opt.links]
         ):
             agree += 1
-        if recovered in readings:
+        if chain_geo is not None and serialize(to_descriptor(chain_geo)) in readings:
             exact += 1
             for link in chain_geo.links:
                 if link.joint_angle is not None and link.module.serial in truth:

@@ -506,30 +506,21 @@ def _child_side(module: DetectedModule, direction: str, eps2: float) -> SearchSi
     return mt.sides["in", direction]
 
 
-def _turn_rows(layers, axis: int, thetas) -> list[list[float]]:
-    """Rn(theta) m for each 3x4 m of `layers` and its joint state, with
-    Rn = `joint_turns(axis, [theta])`: rows a and b of its plane turn."""
-    i, j = (4 * a for a in TURN_PLANES[axis])
-    turned = []
-    for m, (c, s) in zip(layers, map(cos_sin, thetas)):
-        (a0, a1, a2, a3), (b0, b1, b2, b3), m = m[i : i + 4], m[j : j + 4], list(m)
-        m[i : i + 4] = c * a0 - s * b0, c * a1 - s * b1, c * a2 - s * b2, c * a3 - s * b3
-        m[j : j + 4] = s * a0 + c * b0, s * a1 + c * b1, s * a2 + c * b2, s * a3 + c * b3
-        turned.append(m)
-    return turned
+# The (a, b) entry pairs of a 3x4 as 12 floats row by row that a turn about each axis
+# mixes (`TURN_PLANES`): Rn(theta) m mixes rows a and b, m Rc(-theta) columns a and b.
+_ROW_PAIRS = {n: [(4 * a + k, 4 * b + k) for k in range(4)] for n, (a, b) in TURN_PLANES.items()}
+_COLUMN_PAIRS = {n: [(k + a, k + b) for k in (0, 4, 8)] for n, (a, b) in TURN_PLANES.items()}
 
 
-def _turn_columns(layers, axis: int, thetas) -> list[list[float]]:
-    """m Rc(-theta) for each 3x4 m of `layers` and its joint state, with
-    Rc = `joint_turns(axis, ...)`: rotation columns a and b of its plane turn."""
-    a, b = TURN_PLANES[axis]
+def _turn(vectors, pairs, thetas) -> list[list[float]]:
+    """Each of `vectors` turned by its joint state in the plane of each (i, j) of
+    `pairs`: x_i, x_j -> c x_i - s x_j, s x_i + c x_j with (c, s) = `cos_sin`."""
     turned = []
-    for m, (c, s) in zip(layers, map(cos_sin, thetas)):
-        m = list(m)
-        for i in (0, 4, 8):
-            x, y = m[i + a], m[i + b]
-            m[i + a], m[i + b] = c * x - s * y, s * x + c * y
-        turned.append(m)
+    for x, (c, s) in zip(vectors, map(cos_sin, thetas)):
+        x = list(x)
+        for i, j in pairs:
+            x[i], x[j] = c * x[i] - s * x[j], s * x[i] + c * x[j]
+        turned.append(x)
     return turned
 
 
@@ -558,9 +549,9 @@ class _PairModel:
         """The model layers, turned by each free side whose states are given."""
         m = self._layers
         if theta_n is not None and self.parent.axis is not None:
-            m = _turn_rows(m, self.parent.axis, theta_n)
+            m = _turn(m, _ROW_PAIRS[self.parent.axis], theta_n)
         if theta_c is not None and self.child.axis is not None:
-            m = _turn_columns(m, self.child.axis, theta_c)
+            m = _turn(m, _COLUMN_PAIRS[self.child.axis], theta_c)
         return m
 
     def residual(self, theta_n, theta_c) -> list[float]:
@@ -650,49 +641,51 @@ _REACH_ROUNDING = 1e-8
 _SQRT2_W_O = math.sqrt(2.0) * W_O
 
 
-def _layer_floors(parent: SearchSide, child: SearchSide, invariants, observed) -> list[float]:
+def _layer_floors(parent: SearchSide, child: SearchSide, layers, observed) -> list[float]:
     """A lower bound on each layer's residual at any joint states within the limits,
-    from the layers' `invariants` (see `module_db._with_invariants`; not empty).
+    from the entries of `layers` that the free joints cannot move (one must be free).
 
     A rotation moves a unit vector by at most its own angle, so rotations R, S
     differ by at least sqrt(2) |R e - S e| in the Frobenius norm for a unit e.
-    With the child's joint free, that bound on column c and the translation's
-    distance turn with theta_n alone; when the parent's joint is free too, the
-    least over its limits is one `_fit_joint`, the squared bound being const -
-    2<Rn, H> with H = 2 W_O^2 o_c u_c^T + W_T^2 o_t t^T.  With only the parent's
-    joint free, row n is bound, and the translation differs at least in its
+    A child turn acts on the rotation's columns, so with the child's joint free,
+    that bound on column c and the translation's distance turn with theta_n
+    alone; when the parent's joint is free too, the least over its limits is
+    one `_fit_joint`, the squared bound being const - 2<Rn, H> with H = 2 W_O^2
+    o_c u_c^T + W_T^2 o_t t^T.  With only the parent's joint free, its turn acts
+    on the rows: row n is bound, and the translation differs at least in its
     part along n and in its length about n.
     """
     if child.axis is not None:
-        o = observed[child.axis : 12 : 4] + observed[3::4]  # column c, then the translation
+        c = child.axis
         if parent.axis is not None:
-            a, b = TURN_PLANES[parent.axis]
+            # Column c's and the translation's entries in the rows Rn turns.
+            rows = _ROW_PAIRS[parent.axis]
+            (ia, ib), (ta, tb) = pairs = rows[c], rows[3]
             wo, wt = 2.0 * W_O**2, W_T**2
-            (oa, ob), (sa, sb) = (o[a], o[b]), (o[a + 3], o[b + 3])
+            (oa, ob), (sa, sb) = (observed[ia], observed[ib]), (observed[ta], observed[tb])
             pq = [
                 (
-                    wo * (oa * x[a] + ob * x[b]) + wt * (sa * x[a + 3] + sb * x[b + 3]),
-                    wo * (ob * x[a] - oa * x[b]) + wt * (sb * x[a + 3] - sa * x[b + 3]),
+                    wo * (oa * x[ia] + ob * x[ib]) + wt * (sa * x[ta] + sb * x[tb]),
+                    wo * (ob * x[ia] - oa * x[ib]) + wt * (sb * x[ta] - sa * x[tb]),
                 )
-                for x in invariants
+                for x in layers
             ]
-            turned = []
-            for x, (c, s) in zip(invariants, map(cos_sin, _fit_joint(pq, parent.limits))):
-                x = list(x)
-                for i, j in ((a, b), (a + 3, b + 3)):
-                    x[i], x[j] = c * x[i] - s * x[j], s * x[i] + c * x[j]
-                turned.append(x)
-            invariants = turned
+            layers = _turn(layers, pairs, _fit_joint(pq, parent.limits))
+        col, t = observed[c:12:4], observed[3::4]
         return [
-            math.hypot(_SQRT2_W_O * math.dist(x[:3], o[:3]), W_T * math.dist(x[3:], o[3:]))
-            for x in invariants
+            math.hypot(_SQRT2_W_O * math.dist(x[c:12:4], col), W_T * math.dist(x[3::4], t))
+            for x in layers
         ]
-    n, (a, b) = parent.axis, TURN_PLANES[parent.axis]
-    row, along = observed[4 * n : 4 * n + 3], observed[4 * n + 3]
-    about = math.hypot(observed[4 * a + 3], observed[4 * b + 3])
+    i, (ta, tb) = 4 * parent.axis, _ROW_PAIRS[parent.axis][3]
+    row, along = observed[i : i + 3], observed[i + 3]
+    about = math.hypot(observed[ta], observed[tb])
     return [
-        math.hypot(_SQRT2_W_O * math.dist(x[:3], row), W_T * (x[3] - along), W_T * (x[4] - about))
-        for x in invariants
+        math.hypot(
+            _SQRT2_W_O * math.dist(x[i : i + 3], row),
+            W_T * (x[i + 3] - along),
+            W_T * (math.hypot(x[ta], x[tb]) - about),
+        )
+        for x in layers
     ]
 
 
@@ -732,13 +725,11 @@ def find_parent_optimization(
     try:
         child_side = _child_side(child, child_direction, cfg.epsilon2)
     except NonCollinearBundles:
-        return None  # a misaligned bundle pair disqualifies its own hypotheses only
+        return None  # a misaligned bundle pair rules out only the searches it enters
     reach = cfg.f_threshold + RESIDUAL_TIE
     c = child.floats
     child_norm = math.hypot(*c[:3])
-    hypotheses = []  # (first f_value, candidate, its direction, parent side, roll, angles, thetas)
-    f_values: list[float] = []  # one per scored connection angle, hypothesis by hypothesis
-    owner: list[int] = []  # the hypothesis of each f_value
+    scored = []  # (f_value, cand, d_p, theta, angle index, t_n, t_c) per scored angle
     for cand in neighbors(child, pool, db, cfg):
         f = cand.floats
         distance = math.hypot(c[0] - f[0], c[1] - f[1], c[2] - f[2])
@@ -755,37 +746,33 @@ def find_parent_optimization(
                 continue
             if observed is None:
                 observed = _observed_rows(cand, child)
-            layers, invariants = db.pair_layers(parent_side, child_side)
+            layers = db.pair_layers(parent_side, child_side)
             kept = range(len(CONNECTION_ANGLES))
-            if invariants:
-                floors = _layer_floors(parent_side, child_side, invariants, observed)
+            if parent_side.axis is not None or child_side.axis is not None:
+                floors = _layer_floors(parent_side, child_side, layers, observed)
                 kept = [k for k in kept if not floors[k] - rounding > reach]
                 if not kept:
                     continue
                 layers = [layers[k] for k in kept]
             model = _PairModel(parent_side, child_side, layers, observed)
             theta_n, theta_c = model.solve()
-            owner += [len(hypotheses)] * len(kept)
-            hypotheses.append(
-                (len(f_values), cand, d_p, parent_side, measured, kept, theta_n, theta_c)
-            )
-            f_values += model.residual(theta_n, theta_c)
-    if not f_values:
+            residuals = model.residual(theta_n, theta_c)
+            scored += [
+                (f_value, cand, d_p, measured if parent_side.axis is None else t_n, k, t_n, t_c)
+                for f_value, k, t_n, t_c in zip(residuals, kept, theta_n, theta_c)
+            ]
+    if not scored:
         return None
 
-    def order(i: int) -> tuple[int, float]:
-        first, cand, *_, theta_n, theta_c = hypotheses[owner[i]]
-        t_n, t_c = theta_n[i - first], theta_c[i - first]
+    def order(s: tuple) -> tuple[int, float]:
+        _, cand, _, _, _, t_n, t_c = s
         return cand.record.master_marker_id, abs(wrap_angle(t_n)) + abs(wrap_angle(t_c))
 
-    cutoff = min(f_values) + RESIDUAL_TIE
-    best = min((i for i, f in enumerate(f_values) if f <= cutoff), key=order)
-    if not f_values[best] <= cfg.f_threshold:
+    cutoff = min(s[0] for s in scored) + RESIDUAL_TIE
+    f_value, cand, d_p, theta, k, *_ = min((s for s in scored if s[0] <= cutoff), key=order)
+    if not f_value <= cfg.f_threshold:
         return None
-    first, cand, d_p, parent_side, measured, kept, theta_n, _ = hypotheses[owner[best]]
-    theta = measured if parent_side.axis is None else theta_n[best - first]
-    angle = CONNECTION_ANGLES[kept[best - first]]
-    return ParentMatch(cand, angle, d_p, theta=theta, f_value=f_values[best])
+    return ParentMatch(cand, CONNECTION_ANGLES[k], d_p, theta=theta, f_value=f_value)
 
 
 def _grow_branch(

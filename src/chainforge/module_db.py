@@ -21,7 +21,6 @@ import numpy as np
 from .descriptor import is_type_code
 from .geometry import (
     CONNECTION_ANGLES,
-    TURN_PLANES,
     Pose,
     finite_number,
     invert,
@@ -98,27 +97,6 @@ def _pair_layers(parent: SearchSide, child: SearchSide) -> tuple[tuple[float, ..
     floats, row by row."""
     layers = parent.matrix @ CONNECTOR_STACK @ child.matrix
     return tuple(map(tuple, layers[:, :3].reshape(-1, 12).tolist()))
-
-
-def _with_invariants(parent: SearchSide, child: SearchSide, layers) -> tuple[tuple, tuple]:
-    """A pair's `layers` and what the free joint turns leave unchanged in each.
-
-    A child turn Rc(-theta_c) acts on the rotation's columns: it keeps column c,
-    the child's axis, and the translation (6 floats per layer).  With only the
-    parent's joint free, its turn Rn(theta_n) acts on the rows: it keeps row n,
-    its axis, and the translation's part along n and length about n (5 floats).
-    No invariants when no joint is free.
-    """
-    if child.axis is not None:
-        c = child.axis
-        return layers, tuple(layer[c:12:4] + layer[3::4] for layer in layers)
-    if parent.axis is None:
-        return layers, ()
-    n, (a, b) = parent.axis, TURN_PLANES[parent.axis]
-    return layers, tuple(
-        (*layer[4 * n : 4 * n + 4], math.hypot(layer[4 * a + 3], layer[4 * b + 3]))
-        for layer in layers
-    )
 
 
 @dataclass(frozen=True)
@@ -255,16 +233,16 @@ class ModuleDatabase:
             self._index_marker(rec.master_marker_id, MarkerHit(rec, False))
             if rec.output_marker_id is not None:
                 self._index_marker(rec.output_marker_id, MarkerHit(rec, True))
-        # The search's pair layers of every two catalog sides and their invariants,
-        # keyed by both keys.  The layers repeat few values, so the table keeps one
-        # float per value (a zero by its sign).
+        # The search's pair layers of every two catalog sides, keyed by both keys.
+        # The layers repeat few values, so the table keeps one float per value (a
+        # zero by its sign).
         sides = [(end, s) for mt in self.types.values() for (end, _), s in mt.sides.items()]
         floats: dict[float | str, float] = {}
         self._pair_layers = {
-            (p.key, c.key): _with_invariants(p, c, tuple(
+            (p.key, c.key): tuple(
                 tuple([floats.setdefault(v or repr(v), v) for v in layer])
                 for layer in _pair_layers(p, c)
-            ))
+            )
             for p_end, p in sides if p_end == "out"
             for c_end, c in sides if c_end == "in"
         }
@@ -274,7 +252,7 @@ class ModuleDatabase:
         self._pair_bounds: dict[tuple[str, str], float] = {
             (pc, cc): 0.0 for pc in self.types for cc in self.types
         }
-        for ((pc, _), (cc, _)), (layers, _) in self._pair_layers.items():
+        for ((pc, _), (cc, _)), layers in self._pair_layers.items():
             for layer in layers:
                 bound = float(np.linalg.norm(layer[3::4]))
                 self._pair_bounds[pc, cc] = max(self._pair_bounds[pc, cc], bound)
@@ -309,12 +287,10 @@ class ModuleDatabase:
         """
         return self._pair_bounds[parent_code, child_code]
 
-    def pair_layers(self, parent: SearchSide, child: SearchSide) -> tuple[tuple, tuple]:
-        """`_pair_layers` of two search sides `_with_invariants`: read from the table
-        built with the database for catalog sides, computed for a side measured
-        from a bundle pair."""
-        entry = self._pair_layers.get((parent.key, child.key))
-        return entry or _with_invariants(parent, child, _pair_layers(parent, child))
+    def pair_layers(self, parent: SearchSide, child: SearchSide) -> tuple[tuple[float, ...], ...]:
+        """`_pair_layers` of two search sides: read from the table built with the
+        database for catalog sides, computed for a side measured from a bundle pair."""
+        return self._pair_layers.get((parent.key, child.key)) or _pair_layers(parent, child)
 
     def max_connected_distance(self) -> float:
         """Largest master-to-master distance over all ordered type pairs."""

@@ -72,6 +72,10 @@ class SceneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("sigma_pos", "sigma_rot", "dropout_prob"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if min(self.sigma_pos, self.sigma_rot, self.dropout_prob) < 0.0:
             raise ValueError("noise parameters must be non-negative")
         for name in ("sigma_pos", "sigma_rot"):

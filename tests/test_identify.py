@@ -19,6 +19,7 @@ from chainforge.geometry import (
     axis_angle,
     compose,
     invert,
+    joint_turns,
     rot_x,
     rot_y,
     rot_z,
@@ -454,10 +455,10 @@ def _reach_bound(parent, child, parent_side, child_side) -> float:
 def _floors(db, parent, child, parent_side, child_side) -> list[float] | None:
     """`_layer_floors` of one hypothesis, as find_parent_optimization takes them;
     None when neither joint is free."""
-    _, invariants = db.pair_layers(parent_side, child_side)
-    if not invariants:
+    if parent_side.axis is None and child_side.axis is None:
         return None
-    return _layer_floors(parent_side, child_side, invariants, _observed_rows(parent, child))
+    layers = db.pair_layers(parent_side, child_side)
+    return _layer_floors(parent_side, child_side, layers, _observed_rows(parent, child))
 
 
 def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
@@ -1090,6 +1091,26 @@ class TestFloatKernel:
             assert np.abs(np.array(g) - w).max() <= THETA_TOL
         want = reference.residual(*want_solved).tolist()
         assert all(map(_close_f, model.residual(*solved), want))
+
+    @pytest.mark.parametrize("axis", sorted(TURN_PLANES))
+    def test_plane_turn_matches_joint_turns(self, axis):
+        # One plane turn serves the model's rows and columns: over the row pairs
+        # it is Rn(theta) m, over the column pairs m Rc(-theta), each 3x4 m as 12
+        # floats row by row, with the rotations of `joint_turns`.  A zero state
+        # leaves every entry as it was.
+        rng = np.random.default_rng(axis)
+        thetas = [0.0, 90.0, -90.0, 180.0, *rng.uniform(-360.0, 360.0, 6).tolist()]
+        layers = [tuple(v) for v in rng.normal(0.0, 50.0, (len(thetas), 12)).tolist()]
+        m = np.array(layers).reshape(-1, 3, 4)
+        rows = identify._turn(layers, identify._ROW_PAIRS[axis], thetas)
+        columns = identify._turn(layers, identify._COLUMN_PAIRS[axis], thetas)
+        want_rows = joint_turns(axis, thetas)[:, :3, :3] @ m
+        want_columns = m @ joint_turns(axis, [-t for t in thetas])
+        for got, want in ((rows, want_rows), (columns, want_columns)):
+            assert all(type(x) is list and len(x) == 12 for x in got)
+            np.testing.assert_allclose(np.array(got), want.reshape(-1, 12), rtol=0, atol=1e-12)
+            assert got[0] == list(layers[0])
+        assert np.array(columns).reshape(-1, 3, 4)[:, :, 3].tolist() == m[:, :, 3].tolist()
 
 
 def test_zero_tilt_reads_zero(db):

@@ -261,8 +261,8 @@ def test_pair_layers_table_covers_every_side_pair(source):
     # The database builds the search's pair layers once, for every legal pair
     # of catalog sides: the top three rows of the parent factor times each
     # connector times the child factor, as floats, byte for byte the product
-    # of the factors that the type offsets compose, with what the free joint
-    # turns leave unchanged in them.  A search reads them and adds none.
+    # of the factors that the type offsets compose.  A search reads them and
+    # adds none.
     db = default_database() if source == "built" else skewed_database()
     parents = [s for mt in db.types.values() for (end, _), s in mt.sides.items() if end == "out"]
     children = [s for mt in db.types.values() for (end, _), s in mt.sides.items() if end == "in"]
@@ -275,15 +275,13 @@ def test_pair_layers_table_covers_every_side_pair(source):
             [reference_connection_transform(a).matrix() for a in CONNECTION_ANGLES]
         )
         for c in children:
-            entry = db.pair_layers(p, c)
-            assert entry is db._pair_layers[p.key, c.key]
-            layers, invariants = entry
+            layers = db.pair_layers(p, c)
+            assert layers is db._pair_layers[p.key, c.key]
             assert len(layers) == len(CONNECTION_ANGLES)
             assert all(type(v) is float for layer in layers for v in layer)
             child = reference_search_side(db.types[c.key[0]], "in", c.key[1])["matrix"]
             want = (connected @ child)[:, :3]
             assert np.array(layers).tobytes() == want.reshape(-1, 12).tobytes()
-            assert invariants == _reference_invariants(p, c, want)
     table = dict(db._pair_layers)
     if source == "built":
         obs = synthesize(parse("I-T0-G0"), [30.0, 20.0], db)
@@ -291,33 +289,16 @@ def test_pair_layers_table_covers_every_side_pair(source):
     assert db._pair_layers == table
 
 
-def _reference_invariants(parent, child, layers: np.ndarray) -> tuple:
-    """Per (3, 4) layer, the rotation column of the child's axis and the translation
-    when the child's joint is free; else the rotation row of the parent's axis, the
-    translation's entry there and its length in the other two, when that joint is."""
-    if child.axis is not None:
-        return tuple(tuple(m[:, child.axis].tolist() + m[:, 3].tolist()) for m in layers)
-    if parent.axis is None:
-        return ()
-    n = parent.axis
-    others = [i for i in range(3) if i != n]
-    return tuple(
-        tuple(m[n].tolist()) + (float(np.hypot(*m[others, 3])),) for m in layers
-    )
-
-
 def test_pair_layers_of_a_measured_side():
-    # A side measured from a seen bundle pair has no key; its layers and their
-    # invariants are computed, with a fixed child and with a free one.
+    # A side measured from a seen bundle pair has no key; its layers are
+    # computed, with a fixed child and with a free one.
     db = default_database()
     measured = module_db.SearchSide.of(joint_turns(1, [30.0])[0])
     assert measured.key is None
     for child in (db.types["G"].sides["in", UPRIGHT], db.types["T"].sides["in", INVERTED]):
-        layers, invariants = db.pair_layers(measured, child)
+        layers = db.pair_layers(measured, child)
         want = (measured.matrix @ module_db.CONNECTOR_STACK @ child.matrix)[:, :3]
         assert np.array(layers).tobytes() == want.reshape(-1, 12).tobytes()
-        assert invariants == _reference_invariants(measured, child, want)
-        assert bool(invariants) == (child.axis is not None)
 
 
 def test_connection_table_equals_fresh_compositions():

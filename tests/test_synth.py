@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,20 @@ class TestSynthesize:
                     SceneConfig(**{name: value})
         with pytest.raises(ValueError, match="dropout_prob"):
             SceneConfig(dropout_prob=math.nan)
+
+    @pytest.mark.parametrize("name", ["sigma_pos", "sigma_rot", "dropout_prob"])
+    @pytest.mark.parametrize("value", ["2", None, True, False, [1.0], 1j])
+    def test_noise_parameters_must_be_numbers(self, name, value):
+        # A value that is not a number is caught before any comparison, and the
+        # message names the field rather than the comparison that failed.
+        message = f"^{name} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SceneConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, np.float32(0.5), np.float64(0.25), np.int64(0)])
+    def test_noise_parameters_of_any_real_type_accepted(self, value):
+        cfg = SceneConfig(sigma_pos=value, sigma_rot=value, dropout_prob=value)
+        assert (cfg.sigma_pos, cfg.sigma_rot, cfg.dropout_prob) == (value,) * 3
 
     @pytest.mark.parametrize("name", ["spurious_count", "seed"])
     @pytest.mark.parametrize("value", [-1, 1.5, 2.0, True, False, "3", None])
