@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -144,23 +145,30 @@ def main(argv: list[str] | None = None) -> int:
         "parse": _cmd_parse,
         "db-validate": _cmd_db_validate,
     }[args.command]
-    try:
-        return handler(args)
-    except IdentifyError as exc:
-        stage = "build_tree" if getattr(args, "tree", False) else "build_chain"
-        print(f"identification failed in {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_IDENTIFICATION
-    except (
-        ChainSyntaxError,
-        DatabaseError,
-        InconsistentChain,
-        SceneParseError,
-        SynthError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return handler(args)
+        except IdentifyError as exc:
+            stage = "build_tree" if getattr(args, "tree", False) else "build_chain"
+            print(f"identification failed in {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_IDENTIFICATION
+        except (
+            ChainSyntaxError,
+            DatabaseError,
+            InconsistentChain,
+            SceneParseError,
+            SynthError,
+            ValueError,
+            OSError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+
+
+def _print_warning(message, *_):
+    """Show a Python warning (a parse caveat, say) as one `warning:` line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _cmd_identify(args) -> int:
@@ -184,11 +192,11 @@ def _cmd_identify(args) -> int:
             metadata={
                 "scene_path": args.scene,
                 "database_path": db_path,
-                "method": args.method,
+                "method": cfg.method,
                 "config": {
-                    "epsilon1": args.eps1,
-                    "epsilon2": args.eps2,
-                    "f_threshold": args.f_threshold,
+                    "epsilon1": cfg.epsilon1,
+                    "epsilon2": cfg.epsilon2,
+                    "f_threshold": cfg.f_threshold,
                 },
             },
         )

@@ -524,6 +524,33 @@ def _turn(vectors, pairs, thetas) -> list[list[float]]:
     return turned
 
 
+def _cross(observed, layers, terms) -> list[tuple[float, float]]:
+    """p and q of the weighted cross-covariance H of `observed` and each of `layers`
+    in a joint's turn plane, <R(t), H> = p cos t + q sin t + const: summed over each
+    (w, pairs) of `terms`, p = w (o_i x_i + o_j x_j), q = w (o_j x_i - o_i x_j) over
+    the (i, j) of `pairs`.  Each sum starts from its first product and the terms add
+    in order, so the rounding (and a zero's sign, which atan2 reads) is fixed."""
+    o, pq = observed, []
+    for x in layers:
+        p = q = None
+        for w, pairs in terms:
+            ii = None
+            for i, j in pairs:
+                oi, oj, xi, xj = o[i], o[j], x[i], x[j]
+                if ii is None:
+                    ii, jj, ji, ij = oi * xi, oj * xj, oj * xi, oi * xj
+                else:
+                    ii, jj, ji, ij = ii + oi * xi, jj + oj * xj, ji + oj * xi, ij + oi * xj
+            dp, dq = w * (ii + jj), w * (ji - ij)
+            p, q = (dp, dq) if p is None else (p + dp, q + dq)
+        pq.append((p, q))
+    return pq
+
+
+# The terms of H in a free state: a parent turn Rn X (no translation of its own) moves
+# the translation and rotation rows, a child turn Y_r Rc(-theta_c) the rotation columns.
+_PARENT_TERMS = {n: ((W_T**2, rows[3:]), (W_O**2, rows[:3])) for n, rows in _ROW_PAIRS.items()}
+_CHILD_TERMS = {n: ((W_O**2, columns),) for n, columns in _COLUMN_PAIRS.items()}
 _ROTATION = itemgetter(0, 1, 2, 4, 5, 6, 8, 9, 10)  # of a 3x4 as 12 floats, row by row
 _TRANSLATION = itemgetter(3, 7, 11)
 
@@ -563,39 +590,6 @@ class _PairModel:
             for m in self._stack(theta_n, theta_c)
         ]
 
-    def parent_cross(self, theta_c, position_only: bool = False) -> list[tuple[float, float]]:
-        """p and q of H in theta_n per layer, from its rows a and b: Rn has no
-        translation, so the model is Rn X and H = W_O^2 O_r X_r^T + W_T^2 O_t X_t^T.
-        No child turn moves X_t, so the position-only H skips it."""
-        i, j = (4 * a for a in TURN_PLANES[self.parent.axis])
-        o, wo, wt = self._observed, W_O**2, W_T**2
-        (oa0, oa1, oa2, oa3), (ob0, ob1, ob2, ob3) = o[i : i + 4], o[j : j + 4]
-        pq = []
-        for x in self._layers if position_only else self._stack(None, theta_c):
-            (xa0, xa1, xa2, xa3), (xb0, xb1, xb2, xb3) = x[i : i + 4], x[j : j + 4]
-            p = wt * (oa3 * xa3 + ob3 * xb3)
-            q = wt * (ob3 * xa3 - oa3 * xb3)
-            if not position_only:  # the rotation rows, dotted
-                aa, bb = oa0 * xa0 + oa1 * xa1 + oa2 * xa2, ob0 * xb0 + ob1 * xb1 + ob2 * xb2
-                ba, ab = ob0 * xa0 + ob1 * xa1 + ob2 * xa2, oa0 * xb0 + oa1 * xb1 + oa2 * xb2
-                p, q = p + wo * (aa + bb), q + wo * (ba - ab)
-            pq.append((p, q))
-        return pq
-
-    def child_cross(self, theta_n) -> list[tuple[float, float]]:
-        """p and q of H in theta_c per layer, from its columns a and b: Rc turns
-        only the modeled rotation, Y_r Rc(-theta_c), so H = W_O^2 O_r^T Y_r."""
-        a, b = TURN_PLANES[self.child.axis]
-        o, wo = self._observed, W_O**2
-        (oa0, oa1, oa2), (ob0, ob1, ob2) = o[a:12:4], o[b:12:4]
-        pq = []
-        for y in self._stack(theta_n, None):
-            (ya0, ya1, ya2), (yb0, yb1, yb2) = y[a:12:4], y[b:12:4]
-            aa, bb = oa0 * ya0 + oa1 * ya1 + oa2 * ya2, ob0 * yb0 + ob1 * yb1 + ob2 * yb2
-            ba, ab = ob0 * ya0 + ob1 * ya1 + ob2 * ya2, oa0 * yb0 + oa1 * yb1 + oa2 * yb2
-            pq.append((wo * (aa + bb), wo * (ba - ab)))
-        return pq
-
     def solve(self) -> tuple[list[float], list[float]]:
         """Free joint states at each connection angle in closed form; 0 where fixed.
 
@@ -604,15 +598,16 @@ class _PairModel:
         theta_c from the full metric at that theta_n; each is then re-solved
         once with the other held fixed.  Every step spans the full limits.
         """
-        p, c = self.parent, self.child
+        p, c, o = self.parent, self.child, self._observed
+        terms_n, terms_c = _PARENT_TERMS.get(p.axis), _CHILD_TERMS.get(c.axis)
         theta_n = theta_c = _ZERO_STATES
         if p.axis is not None and c.axis is not None:
-            theta_n = _fit_joint(self.parent_cross(theta_c, position_only=True), p.limits)
-            theta_c = _fit_joint(self.child_cross(theta_n), c.limits)
+            theta_n = _fit_joint(_cross(o, self._layers, terms_n[:1]), p.limits)
+            theta_c = _fit_joint(_cross(o, self._stack(theta_n, None), terms_c), c.limits)
         if p.axis is not None:
-            theta_n = _fit_joint(self.parent_cross(theta_c), p.limits)
+            theta_n = _fit_joint(_cross(o, self._stack(None, theta_c), terms_n), p.limits)
         if c.axis is not None:
-            theta_c = _fit_joint(self.child_cross(theta_n), c.limits)
+            theta_c = _fit_joint(_cross(o, self._stack(theta_n, None), terms_c), c.limits)
         return theta_n, theta_c
 
 
@@ -660,17 +655,9 @@ def _layer_floors(parent: SearchSide, child: SearchSide, layers, observed) -> li
         if parent.axis is not None:
             # Column c's and the translation's entries in the rows Rn turns.
             rows = _ROW_PAIRS[parent.axis]
-            (ia, ib), (ta, tb) = pairs = rows[c], rows[3]
-            wo, wt = 2.0 * W_O**2, W_T**2
-            (oa, ob), (sa, sb) = (observed[ia], observed[ib]), (observed[ta], observed[tb])
-            pq = [
-                (
-                    wo * (oa * x[ia] + ob * x[ib]) + wt * (sa * x[ta] + sb * x[tb]),
-                    wo * (ob * x[ia] - oa * x[ib]) + wt * (sb * x[ta] - sa * x[tb]),
-                )
-                for x in layers
-            ]
-            layers = _turn(layers, pairs, _fit_joint(pq, parent.limits))
+            terms = (2.0 * W_O**2, [rows[c]]), (W_T**2, [rows[3]])
+            pq = _cross(observed, layers, terms)
+            layers = _turn(layers, [rows[c], rows[3]], _fit_joint(pq, parent.limits))
         col, t = observed[c:12:4], observed[3::4]
         return [
             math.hypot(_SQRT2_W_O * math.dist(x[c:12:4], col), W_T * math.dist(x[3::4], t))

@@ -130,12 +130,16 @@ class ModuleType:
             raise DatabaseValidationError(f"type {self.code!r}: a type code is one ASCII letter")
         if self.kind not in KINDS:
             raise DatabaseValidationError(f"type {self.code!r}: unknown kind {self.kind!r}")
-        if self.kind != KIND_TOOL and self.body_length <= 0.0:
+        # Each range check is written so that NaN fails it.
+        if not -math.inf < self.body_length < math.inf:
+            raise DatabaseValidationError(f"type {self.code!r}: body_length must be finite")
+        if self.kind != KIND_TOOL and not self.body_length > 0.0:
             raise DatabaseValidationError(f"type {self.code!r}: body_length must be > 0")
         if self.is_joint:
-            if self.joint_limits is None or self.joint_limits[0] >= self.joint_limits[1]:
+            limits = self.joint_limits
+            if limits is None or not -math.inf < limits[0] < limits[1] < math.inf:
                 raise DatabaseValidationError(
-                    f"type {self.code!r}: joint kinds need joint_limits with min < max"
+                    f"type {self.code!r}: joint kinds need finite joint_limits with min < max"
                 )
         elif self.joint_limits is not None:
             raise DatabaseValidationError(

@@ -87,6 +87,11 @@ class SceneConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        if self.spurious_count > SPURIOUS_ID_SPAN:
+            raise ValueError(
+                f"spurious_count must be at most {SPURIOUS_ID_SPAN} (the number of spurious"
+                f" marker ids), got {self.spurious_count}"
+            )
 
 
 @dataclass(frozen=True)

@@ -851,6 +851,60 @@ class NumpyPairModel:
         return theta_n, theta_c
 
 
+# The p and q of the one-axis fit written out term by term, as `identify` formed
+# them before `_cross`: the bitwise reference for its float order.  Each takes the
+# observation and the layers as 12 floats row by row.
+
+
+def reference_parent_cross(observed, layers, axis: int, position_only=False) -> list[tuple]:
+    """p and q in theta_n from rows a and b: W_T^2 of the translation, then W_O^2
+    of the rotation rows unless `position_only`."""
+    i, j = (4 * a for a in TURN_PLANES[axis])
+    o, wo, wt = observed, identify.W_O**2, identify.W_T**2
+    (oa0, oa1, oa2, oa3), (ob0, ob1, ob2, ob3) = o[i : i + 4], o[j : j + 4]
+    pq = []
+    for x in layers:
+        (xa0, xa1, xa2, xa3), (xb0, xb1, xb2, xb3) = x[i : i + 4], x[j : j + 4]
+        p = wt * (oa3 * xa3 + ob3 * xb3)
+        q = wt * (ob3 * xa3 - oa3 * xb3)
+        if not position_only:
+            aa, bb = oa0 * xa0 + oa1 * xa1 + oa2 * xa2, ob0 * xb0 + ob1 * xb1 + ob2 * xb2
+            ba, ab = ob0 * xa0 + ob1 * xa1 + ob2 * xa2, oa0 * xb0 + oa1 * xb1 + oa2 * xb2
+            p, q = p + wo * (aa + bb), q + wo * (ba - ab)
+        pq.append((p, q))
+    return pq
+
+
+def reference_child_cross(observed, layers, axis: int) -> list[tuple]:
+    """p and q in theta_c from columns a and b, W_O^2 of the rotation."""
+    a, b = TURN_PLANES[axis]
+    o, wo = observed, identify.W_O**2
+    (oa0, oa1, oa2), (ob0, ob1, ob2) = o[a:12:4], o[b:12:4]
+    pq = []
+    for y in layers:
+        (ya0, ya1, ya2), (yb0, yb1, yb2) = y[a:12:4], y[b:12:4]
+        aa, bb = oa0 * ya0 + oa1 * ya1 + oa2 * ya2, ob0 * yb0 + ob1 * yb1 + ob2 * yb2
+        ba, ab = ob0 * ya0 + ob1 * ya1 + ob2 * ya2, oa0 * yb0 + oa1 * yb1 + oa2 * yb2
+        pq.append((wo * (aa + bb), wo * (ba - ab)))
+    return pq
+
+
+def reference_floor_cross(observed, layers, axis: int, column: int) -> list[tuple]:
+    """p and q in theta_n of the both-free floor: 2 W_O^2 of the column's entries in
+    rows a and b, then W_T^2 of the translation's."""
+    a, b = TURN_PLANES[axis]
+    ia, ib, ta, tb = 4 * a + column, 4 * b + column, 4 * a + 3, 4 * b + 3
+    wo, wt = 2.0 * identify.W_O**2, identify.W_T**2
+    (oa, ob), (sa, sb) = (observed[ia], observed[ib]), (observed[ta], observed[tb])
+    return [
+        (
+            wo * (oa * x[ia] + ob * x[ib]) + wt * (sa * x[ta] + sb * x[tb]),
+            wo * (ob * x[ia] - oa * x[ib]) + wt * (sb * x[ta] - sa * x[tb]),
+        )
+        for x in layers
+    ]
+
+
 def reference_fit_joint(axis: int, h: np.ndarray, limits) -> np.ndarray:
     """`numpy_fit_joint` weighing the limit endpoints whether or not a state leaves them."""
     a, b = TURN_PLANES[axis]

@@ -63,6 +63,13 @@ class TestSynth:
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_spurious_count_beyond_the_id_span(self, tmp_path, db_path, capsys):
+        synth = ["synth", "--chain", "I-T0-G0", "--db", str(db_path), "--seed", "1"]
+        assert main([*synth, "--spurious", "20000", "--out", str(tmp_path / "s.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spurious_count must be at most 10000")
+        assert not (tmp_path / "s.json").exists()
+
     def test_bad_chain(self, tmp_path, db_path, capsys):
         code = main(
             [
@@ -414,6 +421,23 @@ class TestParse:
     def test_out_of_set_angle(self, capsys):
         assert main(["parse", "--chain", "I-T45-G0"]) == 1
         assert "45" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["parse", "synth", "roundtrip"])
+    def test_caveats_print_as_warning_lines(self, tmp_path, db_path, capsys, command):
+        # A token without a connection angle is read as 0; every command that
+        # parses a chain says so on one `warning:` line per token, and no Python
+        # warning leaves main.
+        argv = [command, "--chain", "I-T'-G"]
+        if command != "parse":
+            argv += ["--db", str(db_path), "--joints", "10,20", "--seed", "1"]
+            argv += ["--out", str(tmp_path / "s.json")] if command == "synth" else ["--trials", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert caught == []
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: token at position {k} has no connection angle; assuming 0" for k in (2, 5)
+        ]
 
 
 class TestDbValidate:

@@ -49,7 +49,10 @@ from chainforge.identify import (
     neighbors,
     to_descriptor,
     validate_markers,
+    _CHILD_TERMS,
+    _PARENT_TERMS,
     _child_side,
+    _cross,
     _fit_joint,
     _layer_floors,
     _observed_rows,
@@ -74,12 +77,15 @@ from helpers import (
     random_chain_case,
     random_two_tool_case,
     reference_bundle_twist,
+    reference_child_cross,
     reference_connection_angle_between,
     reference_connection_transform,
     reference_find_parent_optimization,
     reference_fit_joint,
+    reference_floor_cross,
     reference_layer_floors,
     reference_master_to_childward,
+    reference_parent_cross,
     reference_parentward_to_master,
     registry_first,
     relative,
@@ -461,6 +467,12 @@ def _floors(db, parent, child, parent_side, child_side) -> list[float] | None:
     return _layer_floors(parent_side, child_side, layers, _observed_rows(parent, child))
 
 
+def _model_cross(model, theta_n, theta_c, terms) -> list[tuple[float, float]]:
+    """`_cross` of a model's layers turned by each side whose states are given, as
+    `_PairModel.solve` forms p and q."""
+    return _cross(model._observed, model._stack(theta_n, theta_c), terms)
+
+
 def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
     """The model of the hypothesis that `parent` in `parent_dir` carries `child`."""
     parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
@@ -556,15 +568,16 @@ class TestClosedFormFit:
 
         free = []
         if model.parent.axis is not None:
+            terms = _PARENT_TERMS[model.parent.axis]
             free.append((
                 lambda t: np.array(model.residual([t] * 4, held)) ** 2,
-                model.parent_cross(held),
+                _model_cross(model, None, held, terms),
             ))
-            free.append((position_metric, model.parent_cross(held, position_only=True)))
+            free.append((position_metric, _model_cross(model, None, None, terms[:1])))
         if model.child.axis is not None:
             free.append((
                 lambda t: np.array(model.residual(held, [t] * 4)) ** 2,
-                model.child_cross(held),
+                _model_cross(model, held, None, _CHILD_TERMS[model.child.axis]),
             ))
         for g, pq in free:
             p, q = np.array(pq).T
@@ -630,7 +643,8 @@ class TestClosedFormFit:
         def f(t):
             return model.residual([t] * 4, zero)[k]
 
-        theta = _fit_joint(model.parent_cross(zero), limits)[k]
+        terms = _PARENT_TERMS[model.parent.axis]
+        theta = _fit_joint(_model_cross(model, None, zero, terms), limits)[k]
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         values = [f(t) for t in scan]
         best = int(np.argmin(values))
@@ -1111,6 +1125,41 @@ class TestFloatKernel:
             np.testing.assert_allclose(np.array(got), want.reshape(-1, 12), rtol=0, atol=1e-12)
             assert got[0] == list(layers[0])
         assert np.array(columns).reshape(-1, 3, 4)[:, :, 3].tolist() == m[:, :, 3].tolist()
+
+    @pytest.mark.parametrize("axis", sorted(TURN_PLANES))
+    def test_cross_matches_hand_expansions(self, axis):
+        # `_cross` forms p and q bit for bit as the term-by-term expansions in
+        # helpers do, the sign of a zero included (atan2 reads it), for the
+        # parent, translation-only, child and floor terms.  About a third of the
+        # entries are exact zeros of either sign, and a quarter of the layers are
+        # all zero, so that whole sums come out -0.0.
+        rng = np.random.default_rng(axis)
+
+        def draw(count):
+            v = rng.normal(0.0, 50.0, (count, 12))
+            v[rng.random((count, 12)) < 0.3] = 0.0
+            v[: count // 4] = 0.0
+            return np.copysign(v, rng.choice([-1.0, 1.0], (count, 12))).tolist()
+
+        def bits(pq):
+            return [(p.hex(), q.hex()) for p, q in pq]
+
+        rows = identify._ROW_PAIRS[axis]
+        negative_zeros = 0
+        for observed in draw(16):
+            layers = draw(64)
+            cases = [
+                (_PARENT_TERMS[axis], reference_parent_cross(observed, layers, axis)),
+                (_PARENT_TERMS[axis][:1], reference_parent_cross(observed, layers, axis, True)),
+                (_CHILD_TERMS[axis], reference_child_cross(observed, layers, axis)),
+            ]
+            for c in TURN_PLANES:
+                terms = (2.0 * W_O**2, [rows[c]]), (W_T**2, [rows[3]])
+                cases.append((terms, reference_floor_cross(observed, layers, axis, c)))
+            for terms, want in cases:
+                assert bits(_cross(observed, layers, terms)) == bits(want)
+                negative_zeros += sum(p == 0.0 and math.copysign(1.0, p) < 0.0 for p, _ in want)
+        assert negative_zeros > 100
 
 
 def test_zero_tilt_reads_zero(db):

@@ -1,4 +1,6 @@
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,6 +408,27 @@ def test_joint_limit_invariants():
         centered_type("L", "link", 100.0, (-90.0, 90.0), True, False)
     with pytest.raises(DatabaseValidationError):
         centered_type("L", "link", -5.0, None, True, False)
+
+
+@pytest.mark.parametrize(
+    "code, changes",
+    [
+        ("T", {"body_length": math.nan}),
+        ("T", {"body_length": math.inf}),
+        ("G", {"body_length": math.nan}),
+        ("G", {"body_length": -math.inf}),
+        ("T", {"joint_limits": (-math.inf, math.inf)}),
+        ("T", {"joint_limits": (math.nan, math.nan)}),
+        ("T", {"joint_limits": (0.0, math.nan)}),
+        ("I", {"joint_limits": (math.nan, 90.0)}),
+        ("I", {"joint_limits": (-90.0, math.inf)}),
+    ],
+)
+def test_non_finite_numbers_rejected(db, code, changes):
+    # A type built directly, not loaded, meets the same checks, and NaN fails
+    # them: an infinite limit would reach the joint fit and overflow there.
+    with pytest.raises(DatabaseValidationError, match=f"^type {code!r}: "):
+        replace(db.types[code], **changes)
 
 
 @pytest.mark.parametrize("code", ["g-", "TT", "", "9", "é"])

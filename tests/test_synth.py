@@ -26,6 +26,7 @@ from chainforge.synth import (
     SceneConfig,
     SceneParseError,
     SPURIOUS_ID_BASE,
+    SPURIOUS_ID_SPAN,
     forward_poses,
     read_scene,
     synthesize,
@@ -271,6 +272,17 @@ class TestSynthesize:
         # inside numpy when a scene is drawn.
         with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer"):
             SceneConfig(**{name: value})
+
+    def test_spurious_count_bounded_by_the_id_span(self, db):
+        # Every spurious marker takes a distinct id of the span, so the span is
+        # the most there can be; one more is caught where the configuration is
+        # made, naming the field and the limit, rather than inside numpy.
+        span = SPURIOUS_ID_SPAN
+        obs = synthesize(parse("L-G0"), [], db, cfg=SceneConfig(spurious_count=span))
+        assert len({o.marker_id for o in obs if o.marker_id >= SPURIOUS_ID_BASE}) == span
+        message = f"^spurious_count must be at most {span} .*got {span + 1}$"
+        with pytest.raises(ValueError, match=message):
+            SceneConfig(spurious_count=span + 1)
 
     def test_numpy_integer_counts_accepted(self, db):
         def scene(cfg):
