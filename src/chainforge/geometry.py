@@ -7,6 +7,7 @@ matrices, translations are 3-vectors in millimetres, angles are degrees.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import stat
 from dataclasses import dataclass
@@ -281,6 +282,11 @@ def matrix_to_quat(r: np.ndarray) -> np.ndarray:
     if q[3] < 0.0:
         q = -q
     return q / np.linalg.norm(q)
+
+
+def is_number(value) -> bool:
+    """Whether `value` is a real number and not a bool; numpy scalars count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def finite_number(value) -> float:

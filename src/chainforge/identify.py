@@ -28,6 +28,7 @@ from .geometry import (
     Pose,
     cos_sin,
     discretize_angle,
+    is_number,
     joint_turns,
     relative_matrix,
     signed_angle,
@@ -100,6 +101,10 @@ class IdentifyConfig:
     method: str = METHOD_GEOMETRIC
 
     def __post_init__(self):
+        for name in ("epsilon1", "epsilon2", "f_threshold"):
+            value = getattr(self, name)
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # Each range check is written so that NaN fails it.
         if not self.epsilon1 > 0.0:
             raise ValueError("epsilon1 must be positive")
@@ -676,6 +681,20 @@ def _layer_floors(parent: SearchSide, child: SearchSide, layers, observed) -> li
     ]
 
 
+def _fixed_residuals(layers, observed, reach: float, rounding: float) -> list[tuple[float, int]]:
+    """(residual, index) of each layer of a hypothesis with no free joint, where
+    there is nothing to solve: the metric of `_PairModel.residual` at zero turn.
+    A residual is at least its translation term, so a layer whose term less
+    `rounding` exceeds `reach` is skipped before its rotation term is formed."""
+    ro, to = _ROTATION(observed), _TRANSLATION(observed)
+    found = []
+    for k, m in enumerate(layers):
+        t = W_T * math.dist(_TRANSLATION(m), to)
+        if not t - rounding > reach:
+            found.append((math.hypot(W_O * math.dist(_ROTATION(m), ro), t), k))
+    return found
+
+
 def find_parent_optimization(
     child: DetectedModule,
     pool: list[DetectedModule],
@@ -698,7 +717,10 @@ def find_parent_optimization(
     - no joint turn stretches the modeled child origin beyond `span`, so the
       residual is at least W_T times the origin distance less `span`; when
       that skips all four angles, the observation is not even built;
-    - `_layer_floors` bounds each angle from what the free joints cannot move.
+    - with a free joint, `_layer_floors` bounds each angle from what the free
+      joints cannot move, and only then is a `_PairModel` built and solved;
+    - with none, each angle is scored straight from its `pair_layers` entry,
+      and its translation term bounds it (`_fixed_residuals`).
     The best candidate is accepted only when its residual stays within the
     configured threshold.
     Residuals within RESIDUAL_TIE of the best tie; ties resolve toward the
@@ -734,14 +756,17 @@ def find_parent_optimization(
             if observed is None:
                 observed = _observed_rows(cand, child)
             layers = db.pair_layers(parent_side, child_side)
-            kept = range(len(CONNECTION_ANGLES))
-            if parent_side.axis is not None or child_side.axis is not None:
-                floors = _layer_floors(parent_side, child_side, layers, observed)
-                kept = [k for k in kept if not floors[k] - rounding > reach]
-                if not kept:
-                    continue
-                layers = [layers[k] for k in kept]
-            model = _PairModel(parent_side, child_side, layers, observed)
+            if parent_side.axis is None and child_side.axis is None:
+                scored += [
+                    (f_value, cand, d_p, measured, k, 0.0, 0.0)
+                    for f_value, k in _fixed_residuals(layers, observed, reach, rounding)
+                ]
+                continue
+            floors = _layer_floors(parent_side, child_side, layers, observed)
+            kept = [k for k, floor in enumerate(floors) if not floor - rounding > reach]
+            if not kept:
+                continue
+            model = _PairModel(parent_side, child_side, [layers[k] for k in kept], observed)
             theta_n, theta_c = model.solve()
             residuals = model.residual(theta_n, theta_c)
             scored += [

@@ -24,6 +24,7 @@ from .geometry import (
     Pose,
     finite_number,
     invert,
+    is_number,
     pose_from_json,
     pose_to_json,
     rot_x,
@@ -137,7 +138,16 @@ class ModuleType:
             raise DatabaseValidationError(f"type {self.code!r}: body_length must be > 0")
         if self.is_joint:
             limits = self.joint_limits
-            if limits is None or not -math.inf < limits[0] < limits[1] < math.inf:
+            if not (
+                isinstance(limits, (tuple, list))
+                and len(limits) == 2
+                and all(map(is_number, limits))
+            ):
+                raise DatabaseValidationError(
+                    f"type {self.code!r}: joint_limits must be two numbers (min, max),"
+                    f" got {limits!r:.40}"
+                )
+            if not -math.inf < limits[0] < limits[1] < math.inf:
                 raise DatabaseValidationError(
                     f"type {self.code!r}: joint kinds need finite joint_limits with min < max"
                 )

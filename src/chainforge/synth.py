@@ -17,7 +17,7 @@ import numpy as np
 
 from .descriptor import ChainDescriptor
 from .geometry import CONNECTION_ANGLES, Pose, axis_angle, checked_poses, joint_turns
-from .geometry import pose_from_json, pose_to_json, quat_rows, write_file
+from .geometry import is_number, pose_from_json, pose_to_json, quat_rows, write_file
 from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
 SPURIOUS_ID_BASE = 10**6
@@ -74,7 +74,7 @@ class SceneConfig:
     def __post_init__(self):
         for name in ("sigma_pos", "sigma_rot", "dropout_prob"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_number(value):
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if min(self.sigma_pos, self.sigma_rot, self.dropout_prob) < 0.0:
             raise ValueError("noise parameters must be non-negative")

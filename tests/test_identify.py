@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from itertools import pairwise
@@ -117,6 +118,19 @@ class TestIdentifyConfig:
     def test_nan_rejected(self, name, message):
         with pytest.raises(ValueError, match=message):
             IdentifyConfig(**{name: math.nan})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("epsilon1", "20"), ("epsilon2", None), ("f_threshold", "0.5"), ("epsilon1", True)],
+    )
+    def test_non_number_named(self, name, value):
+        message = f"^{name} must be a number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            IdentifyConfig(**{name: value})
+
+    def test_numpy_numbers_accepted(self):
+        cfg = IdentifyConfig(np.float64(20.0), np.float32(0.05), np.int64(1))
+        assert (cfg.epsilon1, cfg.f_threshold) == (20.0, 1)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'x'"):
@@ -1023,49 +1037,80 @@ class TestReachTest:
                 assert floor <= f + F_TOL * (1.0 + f)
 
     def test_skipped_hypotheses_cannot_be_accepted(self, db, monkeypatch):
-        # Every connection angle the search skips, by the reach test or by its
-        # floor, has a reference residual above f_threshold + RESIDUAL_TIE; each
-        # hypothesis with an angle left builds one pair model of those angles,
-        # and with no threshold every hypothesis builds one of all four.
+        # Every connection angle the search skips, by the reach test, by its
+        # floor or by a fixed hypothesis's translation term, has a reference
+        # residual above f_threshold + RESIDUAL_TIE.  Each hypothesis with a free
+        # joint and an angle left builds one pair model of those angles; a fixed
+        # one builds none and scores its angles left exactly as the float pair
+        # model does at zero turn.  With no threshold every free hypothesis builds
+        # a model of all four angles and every fixed one scores all four.
         calls = _recorded_searches(db, corpus_and_noise_rows(db, 100, 3))
         monkeypatch.setattr(identify, "_PairModel", _CountedPairModel)
-        skipped = by_reach = total = 0
+        fixed_residuals = identify._fixed_residuals
+        scored = []
+
+        def record(*args):
+            scored.append(fixed_residuals(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(identify, "_fixed_residuals", record)
+        skipped = by_reach = by_translation = fixed = total = 0
         for args, kwargs in calls:
             child, _, _, cfg, *_ = args
             reach = cfg.f_threshold + RESIDUAL_TIE
             hypotheses = _hypotheses(*args, **kwargs)
-            kept = []
+            kept, fixed_kept, fixed_all = [], [], []
             for cand, parent_side, child_side in hypotheses:
+                is_fixed = parent_side.axis is None and child_side.axis is None
                 bound = _reach_bound(cand, child, parent_side, child_side)
+                rounding = _rounding(cand, child, parent_side, child_side)
+                if is_fixed:
+                    # Its translation terms, as find_parent_optimization forms them.
+                    observed = _observed_rows(cand, child)
+                    layers = db.pair_layers(parent_side, child_side)
+                    floors = [W_T * math.dist(x[3::4], observed[3::4]) for x in layers]
+                else:
+                    floors = _floors(db, cand, child, parent_side, child_side)
                 if bound > reach:
                     left = []
                     by_reach += 1
                 else:
-                    floors = _floors(db, cand, child, parent_side, child_side)
-                    rounding = _rounding(cand, child, parent_side, child_side)
-                    left = [k for k in range(4) if floors is None or floors[k] - rounding <= reach]
+                    left = [k for k in range(4) if floors[k] - rounding <= reach]
+                    by_translation += is_fixed * (4 - len(left))
                 if len(left) < 4:
                     observed = relative(cand.master_pose, child.master_pose).matrix()
                     model = ReferencePairModel(parent_side, child_side, observed)
                     f = model.residual(*model.solve())
                     assert all(f[k] > reach for k in range(4) if k not in left)
-                if left:
+                if is_fixed:
+                    fixed += 1
+                    model = _float_model(cand, child, parent_side, child_side)
+                    f = model.residual(*model.solve())
+                    if bound <= reach:
+                        fixed_kept.append([(f[k], k) for k in left])
+                    fixed_all.append([(f[k], k) for k in range(4)])
+                elif left:
                     kept.append(len(left))
                 skipped += 4 - len(left)
             total += 4 * len(hypotheses)
-            _CountedPairModel.built = []
+            _CountedPairModel.built, scored[:] = [], []
             find_parent_optimization(*args, **kwargs)
             assert _CountedPairModel.built == kept
+            assert scored == fixed_kept
             unbounded = list(args)
             unbounded[3] = replace(cfg, f_threshold=math.inf)
-            _CountedPairModel.built = []
+            _CountedPairModel.built, scored[:] = [], []
             find_parent_optimization(*unbounded, **kwargs)
-            assert _CountedPairModel.built == [4] * len(hypotheses)
+            assert _CountedPairModel.built == [4] * (len(hypotheses) - len(fixed_all))
+            assert scored == fixed_all
         assert len(calls) > 500
-        # The reach test skips 278 of these 1377 hypotheses (20%), and with the
-        # floors 1935 of their 5508 connection angles are skipped (35%).
+        # The reach test skips 278 of these 1377 hypotheses (20%); 1054 of them
+        # (77%) are fixed, and their translation terms skip 1708 of the 5508
+        # connection angles (31%), which with the floors makes 3643 skipped (66%).
         assert 0.15 * total < 4 * by_reach < 0.25 * total
-        assert 0.30 * total < skipped < 0.40 * total
+        assert 0.70 * total < 4 * fixed < 0.85 * total
+        assert 0.25 * total < by_translation < 0.37 * total
+        assert 0.60 * total < skipped < 0.72 * total
 
 
 class TestFloatKernel:

@@ -431,6 +431,14 @@ def test_non_finite_numbers_rejected(db, code, changes):
         replace(db.types[code], **changes)
 
 
+@pytest.mark.parametrize("limits", [(-120.0, 0.0, 120.0), ("a", "b"), (-120.0,), (True, 5.0)])
+def test_joint_limits_are_two_numbers(db, limits):
+    # The shape and the types are checked before any limit is compared or used.
+    message = r"^type 'T': joint_limits must be two numbers \(min, max\), got "
+    with pytest.raises(DatabaseValidationError, match=message):
+        replace(db.types["T"], joint_limits=limits)
+
+
 @pytest.mark.parametrize("code", ["g-", "TT", "", "9", "é"])
 def test_type_code_is_one_ascii_letter(tmp_path, db, code):
     path = tmp_path / "db.json"
