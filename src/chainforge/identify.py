@@ -60,7 +60,6 @@ RESIDUAL_TIE = 1e-9
 # error (mm) by W_T.
 W_O = 1.0
 W_T = 0.01
-_ZERO_STATES = (0.0,) * len(CONNECTION_ANGLES)
 
 
 class IdentifyError(Exception):
@@ -461,8 +460,8 @@ def estimate_joint_angle(
     return theta, None
 
 
-def _fit_joint(pq: list[tuple[float, float]], limits: tuple[float, float]) -> list[float]:
-    """Joint states on the limits maximizing p cos t + q sin t, one per (p, q).
+def _fit_joint(p: float, q: float, limits: tuple[float, float]) -> float:
+    """The joint state on the limits maximizing p cos t + q sin t.
 
     For one free joint the squared pose metric is const - 2<R(t), H>, the
     one-axis case of Wahba's problem, with H the weighted cross-covariance of
@@ -472,18 +471,15 @@ def _fit_joint(pq: list[tuple[float, float]], limits: tuple[float, float]) -> li
     it from either end, so the better endpoint wins.
     """
     lo, hi = limits
-    theta = []
-    for p, q in pq:
-        t = math.degrees(math.atan2(q, p))
-        # The max covers a shift that rounding leaves just short of lo (for a
-        # denormal lo - t the quotient underflows to 0).  A zero shift leaves t
-        # and a tie keeps lo, so that a zero keeps its sign.
-        t = max(lo, t + 360.0 * k if (k := math.ceil((lo - t) / 360.0)) else t)
-        if t > hi:
-            (c_lo, s_lo), (c_hi, s_hi) = cos_sin(lo), cos_sin(hi)
-            t = lo if p * c_lo + q * s_lo >= p * c_hi + q * s_hi else hi
-        theta.append(t)
-    return theta
+    t = math.degrees(math.atan2(q, p))
+    # The max covers a shift that rounding leaves just short of lo (for a
+    # denormal lo - t the quotient underflows to 0).  A zero shift leaves t
+    # and a tie keeps lo, so that a zero keeps its sign.
+    t = max(lo, t + 360.0 * k if (k := math.ceil((lo - t) / 360.0)) else t)
+    if t > hi:
+        (c_lo, s_lo), (c_hi, s_hi) = cos_sin(lo), cos_sin(hi)
+        t = lo if p * c_lo + q * s_lo >= p * c_hi + q * s_hi else hi
+    return t
 
 
 def _parent_side(
@@ -517,39 +513,34 @@ _ROW_PAIRS = {n: [(4 * a + k, 4 * b + k) for k in range(4)] for n, (a, b) in TUR
 _COLUMN_PAIRS = {n: [(k + a, k + b) for k in (0, 4, 8)] for n, (a, b) in TURN_PLANES.items()}
 
 
-def _turn(vectors, pairs, thetas) -> list[list[float]]:
-    """Each of `vectors` turned by its joint state in the plane of each (i, j) of
+def _turn(x, pairs, theta: float) -> list[float]:
+    """The vector x turned by the joint state theta in the plane of each (i, j) of
     `pairs`: x_i, x_j -> c x_i - s x_j, s x_i + c x_j with (c, s) = `cos_sin`."""
-    turned = []
-    for x, (c, s) in zip(vectors, map(cos_sin, thetas)):
-        x = list(x)
-        for i, j in pairs:
-            x[i], x[j] = c * x[i] - s * x[j], s * x[i] + c * x[j]
-        turned.append(x)
-    return turned
+    c, s = cos_sin(theta)
+    x = list(x)
+    for i, j in pairs:
+        x[i], x[j] = c * x[i] - s * x[j], s * x[i] + c * x[j]
+    return x
 
 
-def _cross(observed, layers, terms) -> list[tuple[float, float]]:
-    """p and q of the weighted cross-covariance H of `observed` and each of `layers`
+def _cross(o, x, terms) -> tuple[float, float]:
+    """p and q of the weighted cross-covariance H of the observation o and the layer x
     in a joint's turn plane, <R(t), H> = p cos t + q sin t + const: summed over each
     (w, pairs) of `terms`, p = w (o_i x_i + o_j x_j), q = w (o_j x_i - o_i x_j) over
     the (i, j) of `pairs`.  Each sum starts from its first product and the terms add
     in order, so the rounding (and a zero's sign, which atan2 reads) is fixed."""
-    o, pq = observed, []
-    for x in layers:
-        p = q = None
-        for w, pairs in terms:
-            ii = None
-            for i, j in pairs:
-                oi, oj, xi, xj = o[i], o[j], x[i], x[j]
-                if ii is None:
-                    ii, jj, ji, ij = oi * xi, oj * xj, oj * xi, oi * xj
-                else:
-                    ii, jj, ji, ij = ii + oi * xi, jj + oj * xj, ji + oj * xi, ij + oi * xj
-            dp, dq = w * (ii + jj), w * (ji - ij)
-            p, q = (dp, dq) if p is None else (p + dp, q + dq)
-        pq.append((p, q))
-    return pq
+    p = q = None
+    for w, pairs in terms:
+        ii = None
+        for i, j in pairs:
+            oi, oj, xi, xj = o[i], o[j], x[i], x[j]
+            if ii is None:
+                ii, jj, ji, ij = oi * xi, oj * xj, oj * xi, oi * xj
+            else:
+                ii, jj, ji, ij = ii + oi * xi, jj + oj * xj, ji + oj * xi, ij + oi * xj
+        dp, dq = w * (ii + jj), w * (ji - ij)
+        p, q = (dp, dq) if p is None else (p + dp, q + dq)
+    return p, q
 
 
 # The terms of H in a free state: a parent turn Rn X (no translation of its own) moves
@@ -557,46 +548,47 @@ def _cross(observed, layers, terms) -> list[tuple[float, float]]:
 _PARENT_TERMS = {n: ((W_T**2, rows[3:]), (W_O**2, rows[:3])) for n, rows in _ROW_PAIRS.items()}
 _CHILD_TERMS = {n: ((W_O**2, columns),) for n, columns in _COLUMN_PAIRS.items()}
 _ROTATION = itemgetter(0, 1, 2, 4, 5, 6, 8, 9, 10)  # of a 3x4 as 12 floats, row by row
-_TRANSLATION = itemgetter(3, 7, 11)
 
 
 class _PairModel:
-    """The parent-to-child transform of one hypothesis at all four connection angles.
+    """The parent-to-child transform of one hypothesis at one connection angle.
 
-    Layer k is Rn(theta_n) B_k Rc(-theta_c): B_k is the parent factor times
-    connector k times the child factor (`ModuleDatabase.pair_layers`), and
+    It is Rn(theta_n) B Rc(-theta_c): the layer B is the parent factor times
+    the connector times the child factor (`ModuleDatabase.pair_layers`), and
     Rn, Rc turn the free joint states (`joint_turns`; an inverted child is
-    entered behind its joint, so its state turns by -theta_c).  Each layer and
-    the observation are the top three rows of the 4x4, as 12 floats row by row.
-    The metric is invariant under a rigid motion of both frames, so the
-    observation is always the child master seen from the parent master.
+    entered behind its joint, so its state turns by -theta_c).  A side with no
+    free joint turns nothing, so a hypothesis with none is its zero-turn case.
+    The layer and the observation are the top three rows of the 4x4, as 12
+    floats row by row.  The metric is invariant under a rigid motion of both
+    frames, so the observation is always the child master seen from the
+    parent master.
     """
 
-    def __init__(self, parent: SearchSide, child: SearchSide, layers, observed: list[float]):
+    def __init__(self, parent: SearchSide, child: SearchSide, layer, observed: list[float]):
         self.parent, self.child = parent, child
-        self._layers = layers
+        self._layer = layer
         self._observed = observed
 
-    def _stack(self, theta_n, theta_c) -> list:
-        """The model layers, turned by each free side whose states are given."""
-        m = self._layers
+    def _turned(self, theta_n: float | None, theta_c: float | None):
+        """The layer, turned by each free side whose state is given."""
+        m = self._layer
         if theta_n is not None and self.parent.axis is not None:
             m = _turn(m, _ROW_PAIRS[self.parent.axis], theta_n)
         if theta_c is not None and self.child.axis is not None:
             m = _turn(m, _COLUMN_PAIRS[self.child.axis], theta_c)
         return m
 
-    def residual(self, theta_n, theta_c) -> list[float]:
-        """Weighted pose metric at one joint state per connection angle (ignored if
-        fixed), from the entries of the turned layers."""
-        ro, to = _ROTATION(self._observed), _TRANSLATION(self._observed)
-        return [
-            math.hypot(W_O * math.dist(_ROTATION(m), ro), W_T * math.dist(_TRANSLATION(m), to))
-            for m in self._stack(theta_n, theta_c)
-        ]
+    def residual(self, theta_n: float, theta_c: float) -> float:
+        """Weighted pose metric at the joint states (each ignored if fixed), from the
+        entries of the turned layer."""
+        m, o = self._turned(theta_n, theta_c), self._observed
+        return math.hypot(
+            W_O * math.dist(_ROTATION(m), _ROTATION(o)),
+            W_T * math.dist(m[3::4], o[3::4]),
+        )
 
-    def solve(self) -> tuple[list[float], list[float]]:
-        """Free joint states at each connection angle in closed form; 0 where fixed.
+    def solve(self) -> tuple[float, float]:
+        """Free joint states in closed form; 0 where fixed.
 
         When both are free, the child master position depends only on the
         parent state, so theta_n comes from a translation-only fit and
@@ -605,14 +597,14 @@ class _PairModel:
         """
         p, c, o = self.parent, self.child, self._observed
         terms_n, terms_c = _PARENT_TERMS.get(p.axis), _CHILD_TERMS.get(c.axis)
-        theta_n = theta_c = _ZERO_STATES
+        theta_n = theta_c = 0.0
         if p.axis is not None and c.axis is not None:
-            theta_n = _fit_joint(_cross(o, self._layers, terms_n[:1]), p.limits)
-            theta_c = _fit_joint(_cross(o, self._stack(theta_n, None), terms_c), c.limits)
+            theta_n = _fit_joint(*_cross(o, self._layer, terms_n[:1]), p.limits)
+            theta_c = _fit_joint(*_cross(o, self._turned(theta_n, None), terms_c), c.limits)
         if p.axis is not None:
-            theta_n = _fit_joint(_cross(o, self._stack(None, theta_c), terms_n), p.limits)
+            theta_n = _fit_joint(*_cross(o, self._turned(None, theta_c), terms_n), p.limits)
         if c.axis is not None:
-            theta_c = _fit_joint(_cross(o, self._stack(theta_n, None), terms_c), c.limits)
+            theta_c = _fit_joint(*_cross(o, self._turned(theta_n, None), terms_c), c.limits)
         return theta_n, theta_c
 
 
@@ -641,9 +633,9 @@ _REACH_ROUNDING = 1e-8
 _SQRT2_W_O = math.sqrt(2.0) * W_O
 
 
-def _layer_floors(parent: SearchSide, child: SearchSide, layers, observed) -> list[float]:
-    """A lower bound on each layer's residual at any joint states within the limits,
-    from the entries of `layers` that the free joints cannot move (one must be free).
+def _layer_floor(parent: SearchSide, child: SearchSide, x, observed) -> float:
+    """A lower bound on the residual of the layer x at any joint states within the
+    limits, from the entries of x that the free joints cannot move.
 
     A rotation moves a unit vector by at most its own angle, so rotations R, S
     differ by at least sqrt(2) |R e - S e| in the Frobenius norm for a unit e.
@@ -653,7 +645,8 @@ def _layer_floors(parent: SearchSide, child: SearchSide, layers, observed) -> li
     one `_fit_joint`, the squared bound being const - 2<Rn, H> with H = 2 W_O^2
     o_c u_c^T + W_T^2 o_t t^T.  With only the parent's joint free, its turn acts
     on the rows: row n is bound, and the translation differs at least in its
-    part along n and in its length about n.
+    part along n and in its length about n.  With no free joint, the bound is
+    the residual's translation term.
     """
     if child.axis is not None:
         c = child.axis
@@ -661,38 +654,20 @@ def _layer_floors(parent: SearchSide, child: SearchSide, layers, observed) -> li
             # Column c's and the translation's entries in the rows Rn turns.
             rows = _ROW_PAIRS[parent.axis]
             terms = (2.0 * W_O**2, [rows[c]]), (W_T**2, [rows[3]])
-            pq = _cross(observed, layers, terms)
-            layers = _turn(layers, [rows[c], rows[3]], _fit_joint(pq, parent.limits))
-        col, t = observed[c:12:4], observed[3::4]
-        return [
-            math.hypot(_SQRT2_W_O * math.dist(x[c:12:4], col), W_T * math.dist(x[3::4], t))
-            for x in layers
-        ]
-    i, (ta, tb) = 4 * parent.axis, _ROW_PAIRS[parent.axis][3]
-    row, along = observed[i : i + 3], observed[i + 3]
-    about = math.hypot(observed[ta], observed[tb])
-    return [
-        math.hypot(
-            _SQRT2_W_O * math.dist(x[i : i + 3], row),
-            W_T * (x[i + 3] - along),
-            W_T * (math.hypot(x[ta], x[tb]) - about),
+            theta = _fit_joint(*_cross(observed, x, terms), parent.limits)
+            x = _turn(x, [rows[c], rows[3]], theta)
+        return math.hypot(
+            _SQRT2_W_O * math.dist(x[c:12:4], observed[c:12:4]),
+            W_T * math.dist(x[3::4], observed[3::4]),
         )
-        for x in layers
-    ]
-
-
-def _fixed_residuals(layers, observed, reach: float, rounding: float) -> list[tuple[float, int]]:
-    """(residual, index) of each layer of a hypothesis with no free joint, where
-    there is nothing to solve: the metric of `_PairModel.residual` at zero turn.
-    A residual is at least its translation term, so a layer whose term less
-    `rounding` exceeds `reach` is skipped before its rotation term is formed."""
-    ro, to = _ROTATION(observed), _TRANSLATION(observed)
-    found = []
-    for k, m in enumerate(layers):
-        t = W_T * math.dist(_TRANSLATION(m), to)
-        if not t - rounding > reach:
-            found.append((math.hypot(W_O * math.dist(_ROTATION(m), ro), t), k))
-    return found
+    if parent.axis is None:
+        return W_T * math.dist(x[3::4], observed[3::4])
+    i, (ta, tb) = 4 * parent.axis, _ROW_PAIRS[parent.axis][3]
+    return math.hypot(
+        _SQRT2_W_O * math.dist(x[i : i + 3], observed[i : i + 3]),
+        W_T * (x[i + 3] - observed[i + 3]),
+        W_T * (math.hypot(x[ta], x[tb]) - math.hypot(observed[ta], observed[tb])),
+    )
 
 
 def find_parent_optimization(
@@ -705,9 +680,10 @@ def find_parent_optimization(
     """Pick the parent by minimizing the weighted pose metric.
 
     Enumerates neighbor and install directions and scores each hypothesis
-    at every connection angle its bounds leave, all at once; joint angles that influence the
-    pair transform are solved in closed form within their joint limits,
-    and the residual is the metric at the solved states.  A hypothesis
+    at every connection angle its bounds leave, one angle at a time: joint
+    angles that influence the pair transform are solved in closed form within
+    their joint limits, and the residual is the metric at the solved states
+    (a hypothesis with no free joint has nothing to solve).  A hypothesis
     whose bundle pair is misaligned is skipped.  So is every connection
     angle whose residual is bounded above f_threshold + RESIDUAL_TIE, where
     it could neither be accepted nor tie an accepted winner; each bound is
@@ -717,10 +693,8 @@ def find_parent_optimization(
     - no joint turn stretches the modeled child origin beyond `span`, so the
       residual is at least W_T times the origin distance less `span`; when
       that skips all four angles, the observation is not even built;
-    - with a free joint, `_layer_floors` bounds each angle from what the free
-      joints cannot move, and only then is a `_PairModel` built and solved;
-    - with none, each angle is scored straight from its `pair_layers` entry,
-      and its translation term bounds it (`_fixed_residuals`).
+    - `_layer_floor` bounds each angle from what the free joints cannot move,
+      and only then is its `_PairModel` built and solved.
     The best candidate is accepted only when its residual stays within the
     configured threshold.
     Residuals within RESIDUAL_TIE of the best tie; ties resolve toward the
@@ -755,24 +729,13 @@ def find_parent_optimization(
                 continue
             if observed is None:
                 observed = _observed_rows(cand, child)
-            layers = db.pair_layers(parent_side, child_side)
-            if parent_side.axis is None and child_side.axis is None:
-                scored += [
-                    (f_value, cand, d_p, measured, k, 0.0, 0.0)
-                    for f_value, k in _fixed_residuals(layers, observed, reach, rounding)
-                ]
-                continue
-            floors = _layer_floors(parent_side, child_side, layers, observed)
-            kept = [k for k, floor in enumerate(floors) if not floor - rounding > reach]
-            if not kept:
-                continue
-            model = _PairModel(parent_side, child_side, [layers[k] for k in kept], observed)
-            theta_n, theta_c = model.solve()
-            residuals = model.residual(theta_n, theta_c)
-            scored += [
-                (f_value, cand, d_p, measured if parent_side.axis is None else t_n, k, t_n, t_c)
-                for f_value, k, t_n, t_c in zip(residuals, kept, theta_n, theta_c)
-            ]
+            for k, layer in enumerate(db.pair_layers(parent_side, child_side)):
+                if _layer_floor(parent_side, child_side, layer, observed) - rounding > reach:
+                    continue
+                model = _PairModel(parent_side, child_side, layer, observed)
+                t_n, t_c = model.solve()
+                theta = measured if parent_side.axis is None else t_n
+                scored.append((model.residual(t_n, t_c), cand, d_p, theta, k, t_n, t_c))
     if not scored:
         return None
 

@@ -55,12 +55,13 @@ from chainforge.identify import (
     _child_side,
     _cross,
     _fit_joint,
-    _layer_floors,
+    _layer_floor,
     _observed_rows,
     _PairModel,
     _REACH_ROUNDING,
     _parent_side,
 )
+from chainforge.modelgen import generate_model
 from chainforge.module_db import INVERTED, UPRIGHT, _pair_layers, default_database
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
@@ -418,11 +419,11 @@ class TestFindParentOptimization:
         child = by["g-001"]
         cfg = IdentifyConfig()
         match = find_parent_optimization(child, [by["T-001"]], db, cfg, UPRIGHT)
-        model = _pair_model(match.module, match.parent_direction, child, UPRIGHT)
+        models = _pair_models(match.module, match.parent_direction, child, UPRIGHT)
         k = CONNECTION_ANGLES.index(match.connection_angle)
 
         def f(theta_n):
-            return model.residual(np.full(4, theta_n), np.zeros(4))
+            return [model.residual(theta_n, 0.0) for model in models]
 
         best = f(match.theta)[k]
         assert best == pytest.approx(match.f_value, abs=1e-9)
@@ -450,10 +451,12 @@ class TestFindParentOptimization:
         assert opt.f_value == pytest.approx(0.0, abs=1e-9)
 
 
-def _float_model(parent, child, parent_side, child_side) -> _PairModel:
-    """One hypothesis's model, built the way find_parent_optimization builds it."""
+def _float_models(parent, child, parent_side, child_side) -> list[_PairModel]:
+    """One hypothesis's model at each connection angle, built the way
+    find_parent_optimization builds it."""
     observed = _observed_rows(parent, child)
-    return _PairModel(parent_side, child_side, _pair_layers(parent_side, child_side), observed)
+    layers = _pair_layers(parent_side, child_side)
+    return [_PairModel(parent_side, child_side, layer, observed) for layer in layers]
 
 
 def _rounding(parent, child, parent_side, child_side) -> float:
@@ -472,26 +475,25 @@ def _reach_bound(parent, child, parent_side, child_side) -> float:
     return W_T * (distance - span) - _rounding(parent, child, parent_side, child_side)
 
 
-def _floors(db, parent, child, parent_side, child_side) -> list[float] | None:
-    """`_layer_floors` of one hypothesis, as find_parent_optimization takes them;
-    None when neither joint is free."""
-    if parent_side.axis is None and child_side.axis is None:
-        return None
+def _floors(db, parent, child, parent_side, child_side) -> list[float]:
+    """`_layer_floor` of one hypothesis at each connection angle, as
+    find_parent_optimization takes it."""
+    observed = _observed_rows(parent, child)
     layers = db.pair_layers(parent_side, child_side)
-    return _layer_floors(parent_side, child_side, layers, _observed_rows(parent, child))
+    return [_layer_floor(parent_side, child_side, x, observed) for x in layers]
 
 
-def _model_cross(model, theta_n, theta_c, terms) -> list[tuple[float, float]]:
-    """`_cross` of a model's layers turned by each side whose states are given, as
+def _model_cross(model, theta_n, theta_c, terms) -> tuple[float, float]:
+    """`_cross` of a model's layer turned by each side whose state is given, as
     `_PairModel.solve` forms p and q."""
-    return _cross(model._observed, model._stack(theta_n, theta_c), terms)
+    return _cross(model._observed, model._turned(theta_n, theta_c), terms)
 
 
-def _pair_model(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> _PairModel:
-    """The model of the hypothesis that `parent` in `parent_dir` carries `child`."""
+def _pair_models(parent, parent_dir, child, child_dir, cfg=IdentifyConfig()) -> list[_PairModel]:
+    """The models of the hypothesis that `parent` in `parent_dir` carries `child`."""
     parent_side, _ = _parent_side(parent, parent_dir, cfg.epsilon2)
     child_side = _child_side(child, child_dir, cfg.epsilon2)
-    return _float_model(parent, child, parent_side, child_side)
+    return _float_models(parent, child, parent_side, child_side)
 
 
 def _plane_terms(axis: int, h: np.ndarray) -> list[tuple[float, float]]:
@@ -523,14 +525,14 @@ class TestClosedFormFit:
     def test_residual_matches_pose_distance(
         self, db, parent_side, child_side, seed, theta_n, theta_c
     ):
-        # Layer k of the stacked residual is the weighted pose metric of the
-        # pair transform composed from the catalog at the k-th connection
+        # The residual of the model at the k-th connection angle is the weighted
+        # pose metric of the pair transform composed from the catalog at that
         # angle and the k-th joint states.
         (parent_code, parent_dir), (child_code, child_dir) = parent_side, child_side
         rng = np.random.default_rng(seed)
         parent = _detected(db, parent_code, random_base(rng))
         child = _detected(db, child_code, random_base(rng))
-        got = _pair_model(parent, parent_dir, child, child_dir).residual(theta_n, theta_c)
+        models = _pair_models(parent, parent_dir, child, child_dir)
         observed = relative(parent.master_pose, child.master_pose)
         pt, ct = parent.module_type, child.module_type
         for k, angle in enumerate(CONNECTION_ANGLES):
@@ -540,7 +542,7 @@ class TestClosedFormFit:
                 reference_parentward_to_master(ct, child_dir, theta_c[k]),
             )
             expected = pose_distance(modeled, observed)
-            assert got[k] == pytest.approx(expected, rel=1e-12)
+            assert models[k].residual(theta_n[k], theta_c[k]) == pytest.approx(expected, rel=1e-12)
 
     @given(
         parent_side=st.sampled_from(PARENT_SIDES),
@@ -561,47 +563,45 @@ class TestClosedFormFit:
         rng = np.random.default_rng(seed)
         parent = _detected(db, parent_code, random_base(rng))
         child = _detected(db, child_code, random_base(rng))
-        model = _pair_model(parent, parent_dir, child, child_dir)
-        assume(model.parent.axis is not None or model.child.axis is not None)
+        models = _pair_models(parent, parent_dir, child, child_dir)
+        assume(models[0].parent.axis is not None or models[0].child.axis is not None)
         pt, ct = parent.module_type, child.module_type
-        held = [other] * 4
         observed = relative(parent.master_pose, child.master_pose).translation
 
-        def position_metric(t):
+        def position_metric(t, angle):
             # Translation part of the metric, composed from the catalog.
-            return np.array([
-                W_T**2 * float(np.sum((compose(
-                    compose(
-                        reference_master_to_childward(pt, parent_dir, t),
-                        reference_connection_transform(a),
-                    ),
-                    reference_parentward_to_master(ct, child_dir, other),
-                ).translation - observed) ** 2))
-                for a in CONNECTION_ANGLES
-            ])
+            return W_T**2 * float(np.sum((compose(
+                compose(
+                    reference_master_to_childward(pt, parent_dir, t),
+                    reference_connection_transform(angle),
+                ),
+                reference_parentward_to_master(ct, child_dir, other),
+            ).translation - observed) ** 2))
 
-        free = []
-        if model.parent.axis is not None:
-            terms = _PARENT_TERMS[model.parent.axis]
-            free.append((
-                lambda t: np.array(model.residual([t] * 4, held)) ** 2,
-                _model_cross(model, None, held, terms),
-            ))
-            free.append((position_metric, _model_cross(model, None, None, terms[:1])))
-        if model.child.axis is not None:
-            free.append((
-                lambda t: np.array(model.residual(held, [t] * 4)) ** 2,
-                _model_cross(model, held, None, _CHILD_TERMS[model.child.axis]),
-            ))
-        for g, pq in free:
-            p, q = np.array(pq).T
-            const = g(0.0) + 2.0 * p
-            mean = (g(0.0) + g(180.0)) / 2.0
-            for t in probes:
-                rad = math.radians(t)
-                predicted = const - 2.0 * (p * math.cos(rad) + q * math.sin(rad))
-                for k in range(4):
-                    assert g(t)[k] == pytest.approx(predicted[k], rel=1e-9, abs=1e-9 * mean[k])
+        for model, angle in zip(models, CONNECTION_ANGLES):
+            free = []
+            if model.parent.axis is not None:
+                terms = _PARENT_TERMS[model.parent.axis]
+                free.append((
+                    lambda t, m=model: m.residual(t, other) ** 2,
+                    _model_cross(model, None, other, terms),
+                ))
+                free.append((
+                    lambda t, a=angle: position_metric(t, a),
+                    _model_cross(model, None, None, terms[:1]),
+                ))
+            if model.child.axis is not None:
+                free.append((
+                    lambda t, m=model: m.residual(other, t) ** 2,
+                    _model_cross(model, other, None, _CHILD_TERMS[model.child.axis]),
+                ))
+            for g, (p, q) in free:
+                const = g(0.0) + 2.0 * p
+                mean = (g(0.0) + g(180.0)) / 2.0
+                for t in probes:
+                    rad = math.radians(t)
+                    predicted = const - 2.0 * (p * math.cos(rad) + q * math.sin(rad))
+                    assert g(t) == pytest.approx(predicted, rel=1e-9, abs=1e-9 * mean)
 
     @given(
         code=st.sampled_from(("I", "T")),
@@ -632,7 +632,7 @@ class TestClosedFormFit:
         # <R(t), R(0) - R(180)> = 4 cos t and <R(t), R(90) - R(-90)> = 4 sin t.
         h = (p * (r(0.0) - r(180.0)) + q * (r(90.0) - r(-90.0))) / 4.0
         limits = (lo, lo + width)
-        theta = _fit_joint(_plane_terms(1 if code == "I" else 2, h[None]), limits)[0]
+        theta = _fit_joint(*_plane_terms(1 if code == "I" else 2, h[None])[0], limits)
         assert limits[0] <= theta <= limits[1]
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         g_scan = a_excess + amplitude * (1.0 + np.cos(np.radians(scan - phase)))
@@ -650,15 +650,15 @@ class TestClosedFormFit:
     def test_matches_dense_scan_of_pair_residual(self, db, limits, expected):
         obs = synthesize(parse("T-g90"), [33.0], db)
         by, _, _ = detected_by_serial(obs, db)
-        model = _pair_model(by["T-001"], UPRIGHT, by["g-001"], UPRIGHT)
-        k = CONNECTION_ANGLES.index(90.0)
-        zero = [0.0] * 4
+        model = _pair_models(by["T-001"], UPRIGHT, by["g-001"], UPRIGHT)[
+            CONNECTION_ANGLES.index(90.0)
+        ]
 
         def f(t):
-            return model.residual([t] * 4, zero)[k]
+            return model.residual(t, 0.0)
 
         terms = _PARENT_TERMS[model.parent.axis]
-        theta = _fit_joint(_model_cross(model, None, zero, terms), limits)[k]
+        theta = _fit_joint(*_model_cross(model, None, 0.0, terms), limits)
         scan = np.append(np.arange(limits[0], limits[1], 0.01), limits[1])
         values = [f(t) for t in scan]
         best = int(np.argmin(values))
@@ -827,7 +827,7 @@ class TestParentSearchOracle:
         h = np.array(h).reshape(4, 4, 4)[:layers]
         hi = float(reference_fit_joint(axis, h, (-180.0, 180.0)).max()) + offset
         limits = (hi - span, hi)
-        got = _fit_joint(_plane_terms(axis, h), limits)
+        got = [_fit_joint(p, q, limits) for p, q in _plane_terms(axis, h)]
         for g, w in zip(got, reference_fit_joint(axis, h, limits).tolist()):
             assert limits[0] <= g <= limits[1]
             assert abs(wrap_angle(g - w)) <= THETA_TOL
@@ -957,13 +957,21 @@ def _within_limits(side, states) -> list[float]:
 
 
 class _CountedPairModel(_PairModel):
-    """Records the number of layers of each pair model built."""
+    """Records the layer of each pair model built, and the layer and residual of
+    each residual that a model with no free joint scores."""
 
-    built: list[int] = []
+    built: list[tuple] = []
+    fixed: list[tuple] = []
 
-    def __init__(self, parent, child, layers, observed):
-        type(self).built.append(len(layers))
-        super().__init__(parent, child, layers, observed)
+    def __init__(self, parent, child, layer, observed):
+        type(self).built.append(layer)
+        super().__init__(parent, child, layer, observed)
+
+    def residual(self, theta_n, theta_c):
+        f = super().residual(theta_n, theta_c)
+        if self.parent.axis is None and self.child.axis is None:
+            type(self).fixed.append((self._layer, f))
+        return f
 
 
 SKEWED = skewed_database(4)
@@ -996,10 +1004,10 @@ class TestReachTest:
             db, parent_kind, child_kind, data, seed, states, offset if near else None
         )
         theta_n, theta_c = states[:4], states[4:8]
-        model = _float_model(parent, child, parent_side, child_side)
         bound = _reach_bound(parent, child, parent_side, child_side)
-        assert all(bound <= f for f in model.residual(theta_n, theta_c))
-        assert all(bound <= f for f in model.residual(*model.solve()))
+        for k, model in enumerate(_float_models(parent, child, parent_side, child_side)):
+            assert bound <= model.residual(theta_n[k], theta_c[k])
+            assert bound <= model.residual(*model.solve())
 
     @pytest.mark.parametrize("catalog", ["default", "skewed"])
     @pytest.mark.parametrize("parent_kind", PARENT_KINDS)
@@ -1016,8 +1024,9 @@ class TestReachTest:
         self, db, catalog, parent_kind, child_kind, data, seed, near, states, offset
     ):
         # Each floor is at most its layer's residual at joint states within the
-        # limits and at the solved ones, and it is the least value of its chord
-        # bound over the parent's state (helpers.reference_layer_floors).
+        # limits and at the solved ones.  With a free joint it is the least value
+        # of its chord bound over the parent's state (helpers.reference_layer_floors);
+        # with none it is the residual's translation term.
         db = SKEWED if catalog == "skewed" else db
         parent, child, parent_side, child_side, _ = _draw_hypothesis(
             db, parent_kind, child_kind, data, seed, states, offset if near else None
@@ -1025,49 +1034,40 @@ class TestReachTest:
         floors = _floors(db, parent, child, parent_side, child_side)
         observed = relative(parent.master_pose, child.master_pose).matrix()
         reference = reference_layer_floors(parent_side, child_side, observed)
-        assert (floors is None) == (reference is None)
-        if floors is None:
+        if reference is None:
             assert parent_side.axis is None and child_side.axis is None
-            return
+            modeled = NumpyPairModel(parent_side, child_side, observed)._stack(None, None)
+            reference = W_T * np.linalg.norm(modeled[:, :3, 3] - observed[:3, 3], axis=1)
         assert all(map(_close_f, floors, reference.tolist()))
-        model = _float_model(parent, child, parent_side, child_side)
         within = _within_limits(parent_side, states[:4]), _within_limits(child_side, states[4:8])
-        for theta_n, theta_c in (within, model.solve()):
-            for floor, f in zip(floors, model.residual(theta_n, theta_c)):
-                assert floor <= f + F_TOL * (1.0 + f)
+        for k, model in enumerate(_float_models(parent, child, parent_side, child_side)):
+            for theta_n, theta_c in ((within[0][k], within[1][k]), model.solve()):
+                f = model.residual(theta_n, theta_c)
+                assert floors[k] <= f + F_TOL * (1.0 + f)
 
     def test_skipped_hypotheses_cannot_be_accepted(self, db, monkeypatch):
         # Every connection angle the search skips, by the reach test, by its
         # floor or by a fixed hypothesis's translation term, has a reference
-        # residual above f_threshold + RESIDUAL_TIE.  Each hypothesis with a free
-        # joint and an angle left builds one pair model of those angles; a fixed
-        # one builds none and scores its angles left exactly as the float pair
-        # model does at zero turn.  With no threshold every free hypothesis builds
-        # a model of all four angles and every fixed one scores all four.
+        # residual above f_threshold + RESIDUAL_TIE.  Each angle left builds one
+        # pair model, in order; a fixed hypothesis's model scores it exactly as
+        # the float pair model does at zero turn.  With no threshold every
+        # hypothesis builds a model at all four angles.
         calls = _recorded_searches(db, corpus_and_noise_rows(db, 100, 3))
         monkeypatch.setattr(identify, "_PairModel", _CountedPairModel)
-        fixed_residuals = identify._fixed_residuals
-        scored = []
-
-        def record(*args):
-            scored.append(fixed_residuals(*args))
-            return scored[-1]
-
-        monkeypatch.setattr(identify, "_fixed_residuals", record)
         skipped = by_reach = by_translation = fixed = total = 0
         for args, kwargs in calls:
             child, _, _, cfg, *_ = args
             reach = cfg.f_threshold + RESIDUAL_TIE
             hypotheses = _hypotheses(*args, **kwargs)
-            kept, fixed_kept, fixed_all = [], [], []
+            built, built_all, fixed_kept, fixed_all = [], [], [], []
             for cand, parent_side, child_side in hypotheses:
                 is_fixed = parent_side.axis is None and child_side.axis is None
                 bound = _reach_bound(cand, child, parent_side, child_side)
                 rounding = _rounding(cand, child, parent_side, child_side)
+                layers = db.pair_layers(parent_side, child_side)
                 if is_fixed:
-                    # Its translation terms, as find_parent_optimization forms them.
+                    # Its translation terms, as the pose metric forms them.
                     observed = _observed_rows(cand, child)
-                    layers = db.pair_layers(parent_side, child_side)
                     floors = [W_T * math.dist(x[3::4], observed[3::4]) for x in layers]
                 else:
                     floors = _floors(db, cand, child, parent_side, child_side)
@@ -1082,27 +1082,26 @@ class TestReachTest:
                     model = ReferencePairModel(parent_side, child_side, observed)
                     f = model.residual(*model.solve())
                     assert all(f[k] > reach for k in range(4) if k not in left)
+                built += [layers[k] for k in left]
+                built_all += layers
                 if is_fixed:
                     fixed += 1
-                    model = _float_model(cand, child, parent_side, child_side)
-                    f = model.residual(*model.solve())
-                    if bound <= reach:
-                        fixed_kept.append([(f[k], k) for k in left])
-                    fixed_all.append([(f[k], k) for k in range(4)])
-                elif left:
-                    kept.append(len(left))
+                    models = _float_models(cand, child, parent_side, child_side)
+                    f = [model.residual(*model.solve()) for model in models]
+                    fixed_kept += [(layers[k], f[k]) for k in left]
+                    fixed_all += zip(layers, f)
                 skipped += 4 - len(left)
             total += 4 * len(hypotheses)
-            _CountedPairModel.built, scored[:] = [], []
+            _CountedPairModel.built, _CountedPairModel.fixed = [], []
             find_parent_optimization(*args, **kwargs)
-            assert _CountedPairModel.built == kept
-            assert scored == fixed_kept
+            assert _CountedPairModel.built == built
+            assert _CountedPairModel.fixed == fixed_kept
             unbounded = list(args)
             unbounded[3] = replace(cfg, f_threshold=math.inf)
-            _CountedPairModel.built, scored[:] = [], []
+            _CountedPairModel.built, _CountedPairModel.fixed = [], []
             find_parent_optimization(*unbounded, **kwargs)
-            assert _CountedPairModel.built == [4] * (len(hypotheses) - len(fixed_all))
-            assert scored == fixed_all
+            assert _CountedPairModel.built == built_all
+            assert _CountedPairModel.fixed == fixed_all
         assert len(calls) > 500
         # The reach test skips 278 of these 1377 hypotheses (20%); 1054 of them
         # (77%) are fixed, and their translation terms skip 1708 of the 5508
@@ -1133,23 +1132,24 @@ class TestFloatKernel:
         parent, child, parent_side, child_side, _ = _draw_hypothesis(
             db, parent_kind, child_kind, data, seed, states, offset if near else None
         )
-        model = _float_model(parent, child, parent_side, child_side)
+        models = _float_models(parent, child, parent_side, child_side)
         observed = relative(parent.master_pose, child.master_pose).matrix()
         reference = NumpyPairModel(parent_side, child_side, observed)
         theta_n, theta_c = states[:4], states[4:8]
-        got = model.residual(theta_n, theta_c)
         want = reference.residual(np.array(theta_n), np.array(theta_c)).tolist()
-        assert all(map(_close_f, got, want))
+        for k, model in enumerate(models):
+            assert _close_f(model.residual(theta_n[k], theta_c[k]), want[k])
         # A near child can sit where a free state is unobservable or two limits
         # fit exactly as well, and rounding picks the state; independent poses
         # pin every state.
         assume(not near)
-        solved, want_solved = model.solve(), reference.solve()
-        for g, w in zip(solved, want_solved):
-            assert all(type(t) is float for t in g)
-            assert np.abs(np.array(g) - w).max() <= THETA_TOL
+        want_solved = reference.solve()
         want = reference.residual(*want_solved).tolist()
-        assert all(map(_close_f, model.residual(*solved), want))
+        for k, model in enumerate(models):
+            solved = model.solve()
+            for g, w in zip(solved, want_solved):
+                assert type(g) is float and abs(g - w[k]) <= THETA_TOL
+            assert _close_f(model.residual(*solved), want[k])
 
     @pytest.mark.parametrize("axis", sorted(TURN_PLANES))
     def test_plane_turn_matches_joint_turns(self, axis):
@@ -1161,8 +1161,10 @@ class TestFloatKernel:
         thetas = [0.0, 90.0, -90.0, 180.0, *rng.uniform(-360.0, 360.0, 6).tolist()]
         layers = [tuple(v) for v in rng.normal(0.0, 50.0, (len(thetas), 12)).tolist()]
         m = np.array(layers).reshape(-1, 3, 4)
-        rows = identify._turn(layers, identify._ROW_PAIRS[axis], thetas)
-        columns = identify._turn(layers, identify._COLUMN_PAIRS[axis], thetas)
+        rows = [identify._turn(x, identify._ROW_PAIRS[axis], t) for x, t in zip(layers, thetas)]
+        columns = [
+            identify._turn(x, identify._COLUMN_PAIRS[axis], t) for x, t in zip(layers, thetas)
+        ]
         want_rows = joint_turns(axis, thetas)[:, :3, :3] @ m
         want_columns = m @ joint_turns(axis, [-t for t in thetas])
         for got, want in ((rows, want_rows), (columns, want_columns)):
@@ -1202,7 +1204,7 @@ class TestFloatKernel:
                 terms = (2.0 * W_O**2, [rows[c]]), (W_T**2, [rows[3]])
                 cases.append((terms, reference_floor_cross(observed, layers, axis, c)))
             for terms, want in cases:
-                assert bits(_cross(observed, layers, terms)) == bits(want)
+                assert bits([_cross(observed, x, terms) for x in layers]) == bits(want)
                 negative_zeros += sum(p == 0.0 and math.copysign(1.0, p) < 0.0 for p, _ in want)
         assert negative_zeros > 100
 
@@ -1505,6 +1507,58 @@ class TestBuildChain:
                     assert abs(link.joint_angle - theta) <= 1e-6
                     collinear += 1
         assert collinear > 30
+
+
+class TestTotality:
+    """Every scene ends in a result or an IdentifyError, and every result can be
+    described and modeled."""
+
+    @pytest.mark.parametrize("catalog", ["default", "skewed"])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(0, 24),
+        spread=st.floats(10.0, 600.0),
+        unregistered=st.floats(0.0, 0.5),
+        duplicates=st.integers(0, 4),
+        epsilon1=st.floats(1e-6, 0.999),
+        f_threshold=st.floats(min_value=0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_call_ends_in_a_result_or_an_identify_error(
+        self, db, catalog, seed, count, spread, unregistered, duplicates, epsilon1, f_threshold
+    ):
+        # Marker ids are drawn from the registry, or outside it with probability
+        # `unregistered`, at random poses within `spread` mm of the origin; some
+        # ids are seen again at another pose, and the sightings are shuffled.
+        # epsilon1 is a fraction of its bound, and f_threshold may be infinite.
+        db = SKEWED if catalog == "skewed" else db
+        rng = np.random.default_rng(seed)
+        registered = [
+            m for r in db.records for m in (r.master_marker_id, r.output_marker_id) if m is not None
+        ]
+
+        def sighting(marker_id):
+            rotation = axis_angle(rng.normal(size=3), float(rng.uniform(0.0, 180.0)))
+            return MarkerObservation(int(marker_id), Pose(rotation, rng.uniform(-spread, spread, 3)))
+
+        obs = [
+            sighting(rng.integers(5000) if rng.random() < unregistered else rng.choice(registered))
+            for _ in range(count)
+        ]
+        if obs:
+            obs += [sighting(obs[rng.integers(len(obs))].marker_id) for _ in range(duplicates)]
+        obs = [obs[i] for i in rng.permutation(len(obs))]
+        limit = 0.5 * db.max_connected_distance()
+        for method in ("geometric", "optimization"):
+            cfg = IdentifyConfig(epsilon1=epsilon1 * limit, f_threshold=f_threshold, method=method)
+            for build in (build_chain, build_tree):
+                try:
+                    result = build(obs, db, cfg)
+                except IdentifyError:
+                    continue
+                for chain in result if isinstance(result, list) else [result]:
+                    to_descriptor(chain)
+                generate_model(result, db)
 
 
 class TestWarnings:
