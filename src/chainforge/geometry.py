@@ -289,9 +289,14 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_integer(value) -> bool:
+    """Whether `value` is an integer and not a bool; numpy integers count."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def finite_number(value) -> float:
-    """A JSON number (not a bool) as a finite float; ValueError otherwise."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A real number (`is_number`) as a finite float; ValueError otherwise, as for 10**400."""
+    if is_number(value):
         try:
             number = float(value)
         except OverflowError:

@@ -51,6 +51,8 @@ class ModelLink:
 
 @dataclass(frozen=True)
 class ModelJoint:
+    """A revolute joint has limits and a fixed joint none; ValueError otherwise."""
+
     name: str
     joint_type: str
     parent: str
@@ -59,6 +61,14 @@ class ModelJoint:
     axis: tuple[float, float, float]
     limits: tuple[float, float] | None = None
     angle: float | None = None
+
+    def __post_init__(self):
+        if self.joint_type not in (JOINT_REVOLUTE, JOINT_FIXED):
+            raise ValueError(f"unknown joint type {self.joint_type!r:.40}")
+        if self.joint_type == JOINT_REVOLUTE and self.limits is None:
+            raise ValueError(f"revolute joint {self.name!r:.40} has no limits")
+        if self.joint_type == JOINT_FIXED and self.limits is not None:
+            raise ValueError(f"fixed joint {self.name!r:.40} has limits")
 
 
 @dataclass
@@ -321,13 +331,7 @@ def read_model(path) -> RobotModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
-            model = (_read_model_xml if text.lstrip().startswith("<") else _read_model_json)(text)
-            for j in model.joints:
-                if j.joint_type == JOINT_REVOLUTE and j.limits is None:
-                    raise ValueError(f"revolute joint {j.name!r:.40} has no limits")
-                if j.joint_type == JOINT_FIXED and j.limits is not None:
-                    raise ValueError(f"fixed joint {j.name!r:.40} has limits")
-            return model
+            return (_read_model_xml if text.lstrip().startswith("<") else _read_model_json)(text)
         except (ValueError, RecursionError, ET.ParseError) as exc:
             raise ModelParseError(f"{path}: {exc}") from exc
 
@@ -345,12 +349,6 @@ def _numbers(values, n: int, what: str) -> tuple[float, ...]:
     return tuple(finite_number(v) for v in values)
 
 
-def _joint_type(value: str) -> str:
-    if value not in (JOINT_REVOLUTE, JOINT_FIXED):
-        raise ValueError(f"unknown joint type {value!r:.40}")
-    return value
-
-
 def _read_model_json(text: str) -> RobotModel:
     doc = json.loads(text)
     links = [
@@ -363,7 +361,7 @@ def _read_model_json(text: str) -> RobotModel:
         joints.append(
             ModelJoint(
                 name=_field(j, "name", str),
-                joint_type=_joint_type(_field(j, "type", str)),
+                joint_type=_field(j, "type", str),
                 parent=_field(j, "parent", str),
                 child=_field(j, "child", str),
                 origin=pose_from_json(_field(origin, "t"), _field(origin, "q")),
@@ -407,7 +405,7 @@ def _read_model_xml(text: str) -> RobotModel:
         joints.append(
             ModelJoint(
                 name=name,
-                joint_type=_joint_type(_attr(el, ".", "type")),
+                joint_type=_attr(el, ".", "type"),
                 parent=_attr(el, "parent", "link"),
                 child=_attr(el, "child", "link"),
                 origin=Pose(

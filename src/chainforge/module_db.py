@@ -24,6 +24,7 @@ from .geometry import (
     Pose,
     finite_number,
     invert,
+    is_integer,
     is_number,
     pose_from_json,
     pose_to_json,
@@ -127,34 +128,38 @@ class ModuleType:
     sides: dict[tuple[str, str], SearchSide] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        def fail(message: str):
+            raise DatabaseValidationError(f"type {self.code!r}: {message}")
+
         if not is_type_code(self.code):
-            raise DatabaseValidationError(f"type {self.code!r}: a type code is one ASCII letter")
-        if self.kind not in KINDS:
-            raise DatabaseValidationError(f"type {self.code!r}: unknown kind {self.kind!r}")
-        # Each range check is written so that NaN fails it.
-        if not -math.inf < self.body_length < math.inf:
-            raise DatabaseValidationError(f"type {self.code!r}: body_length must be finite")
-        if self.kind != KIND_TOOL and not self.body_length > 0.0:
-            raise DatabaseValidationError(f"type {self.code!r}: body_length must be > 0")
+            fail("a type code is one ASCII letter")
+        if not (isinstance(self.kind, str) and self.kind in KINDS):
+            fail(f"unknown kind {self.kind!r:.40}")
+        for name, kind in (("invertible", bool), ("dual_bundle", bool),
+                           ("master_offset_input", Pose), ("master_offset_output", Pose)):
+            if not isinstance(getattr(self, name), kind):
+                fail(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r:.40}")
+        try:
+            length = finite_number(self.body_length)
+        except ValueError:
+            fail(f"body_length must be finite, got {self.body_length!r:.40}")
+        if self.kind != KIND_TOOL and not length > 0.0:
+            fail("body_length must be > 0")
+        limits = self.joint_limits
         if self.is_joint:
-            limits = self.joint_limits
-            if not (
-                isinstance(limits, (tuple, list))
-                and len(limits) == 2
-                and all(map(is_number, limits))
-            ):
-                raise DatabaseValidationError(
-                    f"type {self.code!r}: joint_limits must be two numbers (min, max),"
-                    f" got {limits!r:.40}"
-                )
-            if not -math.inf < limits[0] < limits[1] < math.inf:
-                raise DatabaseValidationError(
-                    f"type {self.code!r}: joint kinds need finite joint_limits with min < max"
-                )
-        elif self.joint_limits is not None:
-            raise DatabaseValidationError(
-                f"type {self.code!r}: joint_limits only apply to joint kinds"
-            )
+            if not (isinstance(limits, (tuple, list)) and len(limits) == 2
+                    and all(map(is_number, limits))):
+                fail(f"joint_limits must be two numbers (min, max), got {limits!r:.40}")
+            try:
+                limits = tuple(map(finite_number, limits))
+            except ValueError:
+                limits = None
+            if not (limits and limits[0] < limits[1]):
+                fail("joint kinds need finite joint_limits with min < max")
+        elif limits is not None:
+            fail("joint_limits only apply to joint kinds")
+        object.__setattr__(self, "body_length", length)
+        object.__setattr__(self, "joint_limits", limits)
         frames = {
             ("in", UPRIGHT): self.master_offset_input,
             ("in", INVERTED): invert(self.master_offset_output),
@@ -210,6 +215,23 @@ class ModuleRecord:
     bus_id: int
     master_marker_id: int
     output_marker_id: int | None = None
+
+    def __post_init__(self):
+        def fail(message: str):
+            raise DatabaseValidationError(f"module {self.serial!r:.40}: {message}")
+
+        for name in ("serial", "type_code"):
+            if not isinstance(getattr(self, name), str):
+                fail(f"{name} must be a str, got {getattr(self, name)!r:.40}")
+        for name in ("bus_id", "master_marker_id", "output_marker_id"):
+            value = getattr(self, name)
+            if value is None and name == "output_marker_id":
+                continue
+            if not is_integer(value):
+                fail(f"{name} must be an integer, got {value!r:.40}")
+            if value < 0 and name != "bus_id":
+                fail(f"{name}: marker id {value} is negative")
+            object.__setattr__(self, name, int(value))
 
 
 class MarkerHit(NamedTuple):
@@ -275,10 +297,6 @@ class ModuleDatabase:
         self._max_bound: float = max(self._pair_bounds.values(), default=0.0)
 
     def _index_marker(self, marker_id: int, hit: MarkerHit):
-        if marker_id < 0:
-            raise DatabaseValidationError(
-                f"module {hit.record.serial!r}: marker id {marker_id} is negative"
-            )
         if marker_id in self._by_marker:
             raise DatabaseValidationError(f"marker id {marker_id} registered twice")
         self._by_marker[marker_id] = hit
@@ -313,28 +331,10 @@ class ModuleDatabase:
         return self._max_bound
 
 
-def _pose_from_json(obj, where: str) -> Pose:
+def _pose_from_json(obj) -> Pose:
     if not isinstance(obj, dict) or set(obj) != {"t", "q"}:
-        raise DatabaseValidationError(f"{where}: pose must have exactly keys 't' and 'q'")
-    try:
-        return pose_from_json(obj["t"], obj["q"])
-    except ValueError as exc:
-        raise DatabaseValidationError(f"{where}: {exc}") from exc
-
-
-def _number(value, where: str) -> float:
-    try:
-        return finite_number(value)
-    except ValueError as exc:
-        raise DatabaseValidationError(f"{where}: {exc}") from exc
-
-
-def _typed(value, kinds: tuple[type, ...], where: str):
-    """The value itself when it is one of `kinds`; bools count only as bool."""
-    if isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)):
-        return value
-    names = " or ".join(k.__name__ for k in kinds)
-    raise DatabaseValidationError(f"{where}: expected {names}, got {value!r:.40}")
+        raise ValueError("pose must have exactly keys 't' and 'q'")
+    return pose_from_json(obj["t"], obj["q"])
 
 
 _TYPE_KEYS = {
@@ -350,53 +350,42 @@ _TYPE_KEYS = {
 _MODULE_KEYS = {"serial", "type_code", "bus_id", "master_marker_id", "output_marker_id"}
 
 
-def _check_keys(obj, allowed: set, required: set, where: str):
+def _check_keys(obj, allowed: set, required: set):
     if not isinstance(obj, dict):
-        raise DatabaseValidationError(f"{where}: expected an object")
+        raise ValueError("expected an object")
     unknown = set(obj) - allowed
     if unknown:
-        raise DatabaseValidationError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise ValueError(f"unknown key {sorted(unknown)[0]!r}")
     missing = required - set(obj)
     if missing:
-        raise DatabaseValidationError(f"{where}: missing key {sorted(missing)[0]!r}")
+        raise ValueError(f"missing key {sorted(missing)[0]!r}")
 
 
-def _type_from_json(entry, where: str) -> ModuleType:
-    _check_keys(entry, _TYPE_KEYS, _TYPE_KEYS - {"joint_limits_deg"}, where)
-    limits = entry.get("joint_limits_deg")
-    if limits is not None:
-        if not isinstance(limits, list) or len(limits) != 2:
-            raise DatabaseValidationError(f"{where}: joint_limits_deg must be [min, max]")
-        limits = tuple(_number(v, f"{where}.joint_limits_deg") for v in limits)
+def _type_from_json(entry) -> ModuleType:
+    _check_keys(entry, _TYPE_KEYS, _TYPE_KEYS - {"joint_limits_deg"})
     return ModuleType(
-        code=_typed(entry["code"], (str,), f"{where}.code"),
-        kind=_typed(entry["kind"], (str,), f"{where}.kind"),
-        body_length=_number(entry["body_length_mm"], f"{where}.body_length_mm"),
-        master_offset_input=_pose_from_json(entry["master_offset_input"], where),
-        master_offset_output=_pose_from_json(entry["master_offset_output"], where),
-        joint_limits=limits,
-        invertible=_typed(entry["invertible"], (bool,), f"{where}.invertible"),
-        dual_bundle=_typed(entry["dual_bundle"], (bool,), f"{where}.dual_bundle"),
+        code=entry["code"],
+        kind=entry["kind"],
+        body_length=entry["body_length_mm"],
+        master_offset_input=_pose_from_json(entry["master_offset_input"]),
+        master_offset_output=_pose_from_json(entry["master_offset_output"]),
+        joint_limits=entry.get("joint_limits_deg"),
+        invertible=entry["invertible"],
+        dual_bundle=entry["dual_bundle"],
     )
 
 
-def _record_from_json(entry, where: str) -> ModuleRecord:
-    _check_keys(entry, _MODULE_KEYS, _MODULE_KEYS - {"output_marker_id"}, where)
-    return ModuleRecord(
-        serial=_typed(entry["serial"], (str,), f"{where}.serial"),
-        type_code=_typed(entry["type_code"], (str,), f"{where}.type_code"),
-        bus_id=_typed(entry["bus_id"], (int,), f"{where}.bus_id"),
-        master_marker_id=_typed(entry["master_marker_id"], (int,), f"{where}.master_marker_id"),
-        output_marker_id=_typed(
-            entry.get("output_marker_id"), (int, type(None)), f"{where}.output_marker_id"
-        ),
-    )
+def _record_from_json(entry) -> ModuleRecord:
+    _check_keys(entry, _MODULE_KEYS, _MODULE_KEYS - {"output_marker_id"})
+    return ModuleRecord(**entry)
 
 
 def load_database(path) -> ModuleDatabase:
     """Load and validate a module database file.
 
-    Every malformed document raises a DatabaseError.
+    The records check their own fields, and a fault's message is prefixed with
+    its entry (`types[i]: `, `modules[i]: `).  Every malformed document raises a
+    DatabaseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -410,11 +399,14 @@ def load_database(path) -> ModuleDatabase:
     for key in ("types", "modules"):
         if not isinstance(doc[key], list):
             raise DatabaseValidationError(f"{path}: {key!r} must be an array")
-    types = [_type_from_json(entry, f"types[{i}]") for i, entry in enumerate(doc["types"])]
-    records = [
-        _record_from_json(entry, f"modules[{i}]") for i, entry in enumerate(doc["modules"])
-    ]
-    return ModuleDatabase(types, records)
+    entries = {"types": [], "modules": []}
+    for key, read in (("types", _type_from_json), ("modules", _record_from_json)):
+        for i, entry in enumerate(doc[key]):
+            try:
+                entries[key].append(read(entry))
+            except (ValueError, DatabaseValidationError) as exc:
+                raise DatabaseValidationError(f"{key}[{i}]: {exc}") from exc
+    return ModuleDatabase(entries["types"], entries["modules"])
 
 
 def save_database(db: ModuleDatabase, path):

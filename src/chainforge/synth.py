@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descriptor import ChainDescriptor
 from .geometry import CONNECTION_ANGLES, Pose, axis_angle, checked_poses, joint_turns
-from .geometry import is_number, pose_from_json, pose_to_json, quat_rows, write_file
+from .geometry import is_integer, is_number, pose_from_json, pose_to_json, quat_rows, write_file
 from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
 SPURIOUS_ID_BASE = 10**6
@@ -57,8 +56,15 @@ class MarkerObservation:
     pose: Pose
 
     def __post_init__(self):
-        if self.marker_id < 0:
-            raise ValueError("marker ids are non-negative")
+        check_marker_id(self.marker_id)
+        if not isinstance(self.pose, Pose):
+            raise ValueError(f"pose must be a Pose, got {self.pose!r:.40}")
+
+
+def check_marker_id(value):
+    """ValueError unless `value` is a marker id: a non-negative integer, bools excluded."""
+    if not (is_integer(value) and value >= 0):
+        raise ValueError("marker_id must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class SceneConfig:
             raise ValueError("dropout_prob must lie in [0, 1]")
         for name in ("spurious_count", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            if not is_integer(value) or value < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.spurious_count > SPURIOUS_ID_SPAN:
             raise ValueError(
@@ -167,8 +173,6 @@ def _marker_frames(desc, joint_angles, db, base) -> tuple[list, np.ndarray]:
         direction = INVERTED if entry.inverted else UPRIGHT
         if direction not in mt.directions:
             raise ValueError(f"type {entry.type_code!r} cannot be installed inverted")
-        if mt.is_tool and 0 < i < len(records) - 1:
-            raise ValueError("tool modules may only sit at the ends of a chain")
         if i and not (
             parent_direction in parent.parent_directions and direction in mt.child_directions
         ):
@@ -287,12 +291,10 @@ def read_scene(path) -> list[MarkerObservation]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or entry.keys() != SCENE_KEYS:
             raise SceneParseError(f"observation {i}: must have exactly keys marker_id, t, q")
-        marker_id = entry["marker_id"]
-        if not isinstance(marker_id, int) or isinstance(marker_id, bool) or marker_id < 0:
-            raise SceneParseError(f"observation {i}: marker_id must be a non-negative integer")
-        try:
+        try:  # the id first, so that its fault is named before the pose's
+            check_marker_id(entry["marker_id"])
             pose = pose_from_json(entry["t"], entry["q"])
         except ValueError as exc:
             raise SceneParseError(f"observation {i}: {exc}") from exc
-        observations.append(MarkerObservation(marker_id, pose))
+        observations.append(MarkerObservation(entry["marker_id"], pose))
     return observations

@@ -75,9 +75,11 @@ class TestParseErrors:
             parse("I-L(-90-G0")
 
     def test_mid_chain_tool(self, db):
-        # The grammar admits it; forward_poses checks the tool rule against the catalog.
+        # The grammar admits it; forward_poses rejects it against the catalog: an
+        # upright tool has no connector to carry a child.
         desc = parse("I-G0-T0")
-        with pytest.raises(ValueError, match="ends of a chain"):
+        message = r"^chain position 2: no connector mates 'G' \(upright\) to 'T' \(upright\)$"
+        with pytest.raises(ValueError, match=message):
             forward_poses(desc, [0.0, 0.0], db)
 
     def test_garbage_after_token(self):

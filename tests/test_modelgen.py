@@ -374,6 +374,23 @@ def assert_writes_back_or_raises_typed(path):
     write_model(model, path.with_suffix(".back.xml"))
 
 
+class TestModelJoint:
+    """A joint checks its type and limits when it is built, so a bad one never
+    reaches a writer."""
+
+    @pytest.mark.parametrize(
+        "joint_type, limits, message",
+        [
+            (JOINT_REVOLUTE, None, "^revolute joint 'j' has no limits$"),
+            (JOINT_FIXED, (-10.0, 10.0), "^fixed joint 'j' has limits$"),
+            ("prismatic", (-10.0, 10.0), "^unknown joint type 'prismatic'$"),
+        ],
+    )
+    def test_invalid_joint_rejected(self, joint_type, limits, message):
+        with pytest.raises(ValueError, match=message):
+            ModelJoint("j", joint_type, "a", "b", Pose.identity(), (0.0, 0.0, 1.0), limits)
+
+
 class TestModelParseErrors:
     @pytest.mark.parametrize(
         "edit",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from chainforge.geometry import (
 from chainforge.module_db import (
     EmptyCatalog,
     INVERTED,
+    KINDS,
     KIND_TOOL,
     UPRIGHT,
     DatabaseError,
@@ -39,6 +41,7 @@ from chainforge.synth import synthesize
 
 from helpers import (
     field_values,
+    odd_numbers,
     record_writes,
     reference_connection_transform,
     reference_directions,
@@ -439,6 +442,75 @@ def test_joint_limits_are_two_numbers(db, limits):
         replace(db.types["T"], joint_limits=limits)
 
 
+def test_limits_too_large_for_a_float_rejected(db):
+    # An int past the float range compares as finite but would overflow in the
+    # joint fit; the catalog rejects it as it is built, before build_chain.
+    with pytest.raises(DatabaseValidationError, match="^type 'T': joint kinds need finite"):
+        ModuleDatabase(
+            [replace(mt, joint_limits=(-10**400, 10**400)) if mt.code == "T" else mt
+             for mt in db.types.values()],
+            db.records,
+        )
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"invertible": "no"}, "invertible must be a bool, got 'no'"),
+        ({"dual_bundle": 1}, "dual_bundle must be a bool, got 1"),
+        ({"body_length": 10**400}, "body_length must be finite, got 1000"),
+        ({"master_offset_input": np.eye(4)}, "master_offset_input must be a Pose, got array"),
+    ],
+)
+def test_type_fields_checked(db, changes, message):
+    with pytest.raises(DatabaseValidationError, match=f"^type 'T': {re.escape(message)}"):
+        replace(db.types["T"], **changes)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("master_marker_id", True),
+        ("master_marker_id", 7.5),
+        ("master_marker_id", "7"),
+        ("master_marker_id", None),
+        ("serial", 5),
+    ],
+)
+def test_record_fields_checked(field, value):
+    # A bool id would collide with marker 1; a string would fail at the first comparison.
+    fields = {"serial": "X-001", "type_code": "G", "bus_id": 1, "master_marker_id": 7}
+    fields[field] = value
+    module = re.escape(repr(fields["serial"]))
+    with pytest.raises(DatabaseValidationError, match=f"^module {module}: {field} must be a"):
+        ModuleRecord(**fields)
+
+
+def test_loaded_record_fault_names_its_entry(tmp_path, db):
+    path = tmp_path / "db.json"
+    save_database(db, path)
+    doc = json.loads(path.read_text())
+    doc["modules"][0]["master_marker_id"] = True
+    path.write_text(json.dumps(doc))
+    message = r"^modules\[0\]: module 'T-001': master_marker_id must be an integer, got True$"
+    with pytest.raises(DatabaseValidationError, match=message):
+        load_database(path)
+
+
+def test_numpy_scalars_stored_as_python_numbers(db, tmp_path):
+    limits = (np.int64(-120), np.float32(120))
+    t = replace(db.types["T"], body_length=np.int64(120), joint_limits=limits)
+    assert type(t.body_length) is float and [type(v) for v in t.joint_limits] == [float, float]
+    record = ModuleRecord("T-001", "T", np.int32(1), np.int64(10))
+    assert type(record.bus_id) is int and type(record.master_marker_id) is int
+    # Saved like the same type and record built from plain numbers.
+    plain = replace(db.types["T"], body_length=120.0, joint_limits=(-120.0, 120.0))
+    plain_record = ModuleRecord("T-001", "T", 1, 10)
+    for mt, rec, name in ((t, record, "numpy.json"), (plain, plain_record, "plain.json")):
+        save_database(ModuleDatabase([mt], [rec]), tmp_path / name)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
 @pytest.mark.parametrize("code", ["g-", "TT", "", "9", "é"])
 def test_type_code_is_one_ascii_letter(tmp_path, db, code):
     path = tmp_path / "db.json"
@@ -506,7 +578,7 @@ def test_any_field_value_loads_or_raises_typed(saved_db_doc, field, value):
         (lambda doc: doc.update(version=2), "top level must be an object with keys"),
         (
             lambda doc: doc["types"][0].update(joint_limits_deg=[-90]),
-            r"types\[0\]: joint_limits_deg must be \[min, max\]",
+            r"types\[0\]: type 'T': joint_limits must be two numbers \(min, max\), got \[-90\]",
         ),
     ],
     ids=["kind", "type-code", "serial", "marker-id", "missing-key", "top-level", "limits"],
@@ -540,3 +612,68 @@ def test_save_database_writes_once(db, tmp_path, monkeypatch):
     assert writes == [path.read_bytes()]
     text = path.read_text(encoding="utf-8")
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+_numpy_scalars = (
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1))
+    | st.builds(np.float64, st.floats())
+    | st.builds(np.float32, st.floats(width=32))
+    | st.builds(np.bool_, st.booleans())
+)
+_numbers = st.integers() | st.floats() | odd_numbers | _numpy_scalars
+_TYPE_FIELD_NAMES = [
+    "code", "kind", "body_length", "master_offset_input", "master_offset_output",
+    "joint_limits", "invertible", "dual_bundle",
+]
+
+
+class TestDirectlyBuiltCatalog:
+    """Every record built by a library caller ends in a record or a
+    DatabaseValidationError, and holds plain Python numbers."""
+
+    @given(
+        code=st.sampled_from("TtIGLA"),
+        changes=st.dictionaries(
+            st.sampled_from(_TYPE_FIELD_NAMES),
+            field_values
+            | _numbers
+            | st.tuples(_numbers, _numbers)
+            | st.sampled_from([*KINDS, None, Pose.identity(), np.eye(4)]),
+            max_size=3,
+        ),
+    )
+    @example(code="T", changes={"body_length": np.int64(7), "joint_limits": (np.float32(-1), 9)})
+    @example(code="T", changes={"joint_limits": (-(10**400), 10**400)})
+    @settings(max_examples=150, deadline=None)
+    def test_type_builds_or_raises_typed(self, db, code, changes):
+        try:
+            mt = replace(db.types[code], **changes)
+        except DatabaseValidationError:
+            return
+        assert type(mt.body_length) is float
+        assert mt.joint_limits is None or (
+            type(mt.joint_limits) is tuple and [type(v) for v in mt.joint_limits] == [float, float]
+        )
+
+    @given(
+        fields=st.fixed_dictionaries(
+            {
+                name: st.text(max_size=4) | st.integers(-5, 10**6) | _numbers | field_values
+                for name in _MODULE_FIELDS
+            }
+        )
+    )
+    @example(fields={"serial": "X", "type_code": "G", "bus_id": np.int8(1),
+                     "master_marker_id": np.uint64(7), "output_marker_id": None})
+    @example(fields={"serial": "X", "type_code": "G", "bus_id": 1,
+                     "master_marker_id": True, "output_marker_id": None})
+    @settings(max_examples=150, deadline=None)
+    def test_record_builds_or_raises_typed(self, fields):
+        try:
+            record = ModuleRecord(**fields)
+        except DatabaseValidationError:
+            return
+        assert type(record.serial) is str and type(record.type_code) is str
+        assert type(record.bus_id) is int and type(record.master_marker_id) is int
+        assert record.output_marker_id is None or type(record.output_marker_id) is int
+        assert min(record.master_marker_id, record.output_marker_id or 0) >= 0

@@ -122,6 +122,19 @@ class TestForwardPoses:
     def test_inverted_tool_base_carries_a_child(self, db):
         assert len(forward_poses(parse("G'-I0-G0"), [0.0], db)) == 3
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("A-G0-L0", 2), ("A-G'0-L0", 1), ("L-G0-L0-G0", 2), ("G'-L0-G0", None)],
+    )
+    def test_tool_in_mid_chain_fails_the_mate_check(self, db, text, position):
+        # A tool has one connector: upright it carries no child, inverted it
+        # has no parent, so the mate check alone keeps tools at the chain ends.
+        if position is None:
+            assert len(synthesize(parse(text), [], db)) == 3
+            return
+        with pytest.raises(ValueError, match=f"^chain position {position}: no connector mates"):
+            synthesize(parse(text), [], db)
+
     def test_inverted_adapter_rejected(self, db):
         with pytest.raises(ValueError, match="type 'A' cannot be installed inverted"):
             forward_poses(parse("A'-G0"), [], db)
@@ -407,6 +420,19 @@ class TestSceneFiles:
     def test_negative_marker_rejected(self):
         with pytest.raises(ValueError):
             MarkerObservation(-1, Pose.identity())
+
+    @pytest.mark.parametrize("marker_id", [True, "7", 1.5, None])
+    def test_non_integer_marker_id_rejected(self, marker_id):
+        with pytest.raises(ValueError, match="^marker_id must be a non-negative integer$"):
+            MarkerObservation(marker_id, Pose.identity())
+
+    @pytest.mark.parametrize("pose", [None, np.eye(4), [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]])
+    def test_pose_must_be_a_pose(self, pose):
+        with pytest.raises(ValueError, match="^pose must be a Pose, got "):
+            MarkerObservation(7, pose)
+
+    def test_numpy_integer_marker_id_accepted(self):
+        assert MarkerObservation(np.int64(7), Pose.identity()).marker_id == 7
 
 
 ONE_ENTRY = [(1, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])]
