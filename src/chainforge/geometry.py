@@ -202,7 +202,7 @@ def relative_matrix(n: Pose, c: Pose) -> np.ndarray:
 def unit_between(p: Pose, c: Pose) -> np.ndarray:
     """Unit vector from the origin of p to the origin of c."""
     d = c.translation - p.translation
-    n = np.linalg.norm(d)
+    n = math.sqrt(d.dot(d))
     if n <= 1e-6:
         raise DegenerateGeometry("frame origins coincide; no direction defined")
     return d / n

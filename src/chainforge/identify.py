@@ -131,18 +131,21 @@ class DetectedModule:
     origin at 0, its x-, y- and z-axes at 3, 6 and 9, and, when the output
     bundle is seen, the bundle's z-axis at 12, all as floats.  For a seen
     output bundle, `bundle` is the master-to-output transform as a read-only
-    4x4 and `twist` its roll and tilt (see `_bundle_twist`).
+    4x4 and `twist` its roll and tilt (see `_bundle_twist`).  `serial` is the
+    record's.
     """
 
     record: ModuleRecord
     module_type: ModuleType
     master_pose: Pose
     output_pose: Pose | None = None
+    serial: str = field(init=False, repr=False, compare=False)
     floats: array = field(init=False, repr=False, compare=False)
     bundle: np.ndarray | None = field(init=False, repr=False, compare=False)
     twist: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "serial", self.record.serial)
         master = self.master_pose
         floats = array("d", master.translation.tobytes() + master.rotation.T.tobytes())
         bundle = None
@@ -152,10 +155,6 @@ class DetectedModule:
         object.__setattr__(self, "floats", floats)
         object.__setattr__(self, "bundle", bundle)
         object.__setattr__(self, "twist", None if bundle is None else _bundle_twist(self))
-
-    @property
-    def serial(self) -> str:
-        return self.record.serial
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,6 +182,10 @@ class ConstraintResult:
     satisfied: bool
     parent_direction: str | None = None
     reason: str = ""
+
+
+# A pass holds nothing but its parent direction, so there are two.
+_PASSES = {d: ConstraintResult(True, d) for d in (UPRIGHT, INVERTED)}
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,7 @@ def constraint_check(
         return ConstraintResult(False, reason="child collinearity")
     elif (UPRIGHT if yc_dot >= 0.0 else INVERTED) != child_direction:
         return ConstraintResult(False, reason="child direction mismatch")
-    return ConstraintResult(True, parent_direction)
+    return _PASSES[parent_direction]
 
 
 def _mating_z(module: DetectedModule, presents_output: bool) -> int:
@@ -392,7 +395,7 @@ def _bundle_twist(module: DetectedModule) -> tuple[float, float]:
     rotation, and the tilt left after removing that roll, in degrees; measured
     once per module.  The bundle is the turn followed by the catalog's output
     offset, so the turn is the bundle times that offset's inverse."""
-    turn = module.bundle @ module.module_type.matrices["in", INVERTED]
+    turn = module.bundle.dot(module.module_type.matrices["in", INVERTED])
     r00, r01, r02, _, a10, d1, a12, _, r20, r21, r22, _ = turn[:3].ravel().tolist()
     roll = math.degrees(math.atan2(r02, r00))
     # The residual rot_y(-roll) @ r mixes rows 0 and 2 of r.  Its tilt is its
@@ -503,7 +506,7 @@ def _child_side(module: DetectedModule, direction: str, eps2: float) -> SearchSi
     mt = module.module_type
     if mt.is_collinear_joint and direction == INVERTED and module.bundle is not None:
         turn = joint_turns(mt.joint_axis, [-_measure_collinear_theta(module, eps2)])[0]
-        return SearchSide.of(mt.matrices["in", direction] @ turn)
+        return SearchSide.of(mt.matrices["in", direction].dot(turn))
     return mt.sides["in", direction]
 
 

@@ -199,9 +199,9 @@ def _emit_module(
         mate = CONNECTOR_STACK[CONNECTION_ANGLES.index(link.connection_angle)]
         # An inverted dual-bundle module is attached by its output link.
         if upright or not mt.dual_bundle:
-            mate = mate @ mt.matrices["in", link.direction]
+            mate = mate.dot(mt.matrices["in", link.direction])
         # Grouped as out @ (connector @ in); the other grouping rounds some origins differently.
-        origin = _pose(parent_out @ mate)
+        origin = _pose(parent_out.dot(mate))
         if mt.is_perpendicular_joint and not mt.dual_bundle:
             # The joint axis passes through this module's master frame; modeling
             # the swing at its own mount keeps all downstream positions exact.

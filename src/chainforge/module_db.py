@@ -126,6 +126,13 @@ class ModuleType:
     child_directions: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # Search sides for each legal direction d: ("out", d) as a parent, ("in", d) as a child.
     sides: dict[tuple[str, str], SearchSide] = field(init=False, repr=False, compare=False)
+    # What `kind` implies, built with the type.  `joint_axis` is the base axis
+    # the joint turns about (1 = y, 2 = z); None without a joint.
+    is_joint: bool = field(init=False, repr=False, compare=False)
+    is_tool: bool = field(init=False, repr=False, compare=False)
+    is_collinear_joint: bool = field(init=False, repr=False, compare=False)
+    is_perpendicular_joint: bool = field(init=False, repr=False, compare=False)
+    joint_axis: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         def fail(message: str):
@@ -135,6 +142,12 @@ class ModuleType:
             fail("a type code is one ASCII letter")
         if not (isinstance(self.kind, str) and self.kind in KINDS):
             fail(f"unknown kind {self.kind!r:.40}")
+        for name, value in (("is_joint", self.kind in JOINT_KINDS),
+                            ("is_tool", self.kind == KIND_TOOL),
+                            ("is_collinear_joint", self.kind == KIND_JOINT_COLLINEAR),
+                            ("is_perpendicular_joint", self.kind == KIND_JOINT_PERPENDICULAR),
+                            ("joint_axis", _JOINT_AXES.get(self.kind))):
+            object.__setattr__(self, name, value)
         for name, kind in (("invertible", bool), ("dual_bundle", bool),
                            ("master_offset_input", Pose), ("master_offset_output", Pose)):
             if not isinstance(getattr(self, name), kind):
@@ -143,7 +156,7 @@ class ModuleType:
             length = finite_number(self.body_length)
         except ValueError:
             fail(f"body_length must be finite, got {self.body_length!r:.40}")
-        if self.kind != KIND_TOOL and not length > 0.0:
+        if not self.is_tool and not length > 0.0:
             fail("body_length must be > 0")
         limits = self.joint_limits
         if self.is_joint:
@@ -184,27 +197,6 @@ class ModuleType:
                     matrices[end, d], key=(self.code, d), **free if d == turned else {})
         object.__setattr__(self, "sides", sides)
 
-    @property
-    def is_joint(self) -> bool:
-        return self.kind in JOINT_KINDS
-
-    @property
-    def is_tool(self) -> bool:
-        return self.kind == KIND_TOOL
-
-    @property
-    def is_collinear_joint(self) -> bool:
-        return self.kind == KIND_JOINT_COLLINEAR
-
-    @property
-    def is_perpendicular_joint(self) -> bool:
-        return self.kind == KIND_JOINT_PERPENDICULAR
-
-    @property
-    def joint_axis(self) -> int | None:
-        """Base axis the joint turns about (1 = y, 2 = z); None without a joint."""
-        return _JOINT_AXES.get(self.kind)
-
 
 @dataclass(frozen=True)
 class ModuleRecord:
@@ -243,32 +235,42 @@ class ModuleDatabase:
     """Immutable catalog of module types plus the fabricated-module registry."""
 
     def __init__(self, types: list[ModuleType], records: list[ModuleRecord]):
+        """Checks the members and the faults between them; a fault's message is
+        prefixed with its entry (`types[i]: `, `modules[i]: `)."""
+        types, self.records = tuple(types), tuple(records)
+
+        def fail(key: str, i: int, message: str):
+            raise DatabaseValidationError(f"{key}[{i}]: {message}")
+
+        for key, members, cls in (("types", types, ModuleType),
+                                  ("modules", self.records, ModuleRecord)):
+            for i, member in enumerate(members):
+                if not isinstance(member, cls):
+                    fail(key, i, f"expected a {cls.__name__}, got {member!r:.40}")
         by_code: dict[str, ModuleType] = {}
-        for mt in types:
+        for i, mt in enumerate(types):
             if mt.code in by_code:
-                raise DatabaseValidationError(f"duplicate type code {mt.code!r}")
+                fail("types", i, f"duplicate type code {mt.code!r}")
             by_code[mt.code] = mt
         self.types = MappingProxyType(by_code)
-        self.records: tuple[ModuleRecord, ...] = tuple(records)
         self._by_marker: dict[int, MarkerHit] = {}
         seen_serials: set[str] = set()
-        for rec in self.records:
+        for i, rec in enumerate(self.records):
             if rec.serial in seen_serials:
-                raise DatabaseValidationError(f"duplicate serial {rec.serial!r}")
+                fail("modules", i, f"duplicate serial {rec.serial!r}")
             seen_serials.add(rec.serial)
             if rec.type_code not in self.types:
-                raise DatabaseValidationError(
-                    f"module {rec.serial!r} references unknown type {rec.type_code!r}"
-                )
-            mt = self.types[rec.type_code]
-            if mt.dual_bundle != (rec.output_marker_id is not None):
-                raise DatabaseValidationError(
-                    f"module {rec.serial!r}: output_marker_id must be present exactly "
-                    f"for dual-bundle types"
-                )
-            self._index_marker(rec.master_marker_id, MarkerHit(rec, False))
-            if rec.output_marker_id is not None:
-                self._index_marker(rec.output_marker_id, MarkerHit(rec, True))
+                fail("modules", i,
+                     f"module {rec.serial!r} references unknown type {rec.type_code!r}")
+            if self.types[rec.type_code].dual_bundle != (rec.output_marker_id is not None):
+                fail("modules", i, f"module {rec.serial!r}: output_marker_id must be present "
+                                   f"exactly for dual-bundle types")
+            for marker_id, is_output in ((rec.master_marker_id, False),
+                                         (rec.output_marker_id, True)):
+                if marker_id in self._by_marker:
+                    fail("modules", i, f"marker id {marker_id} registered twice")
+                if marker_id is not None:
+                    self._by_marker[marker_id] = MarkerHit(rec, is_output)
         # The search's pair layers of every two catalog sides, keyed by both keys.
         # The layers repeat few values, so the table keeps one float per value (a
         # zero by its sign).
@@ -295,11 +297,6 @@ class ModuleDatabase:
         if not np.isfinite(list(self._pair_bounds.values())).all():
             raise DatabaseValidationError("master offsets too large: a pair bound overflows")
         self._max_bound: float = max(self._pair_bounds.values(), default=0.0)
-
-    def _index_marker(self, marker_id: int, hit: MarkerHit):
-        if marker_id in self._by_marker:
-            raise DatabaseValidationError(f"marker id {marker_id} registered twice")
-        self._by_marker[marker_id] = hit
 
     def lookup_marker(self, marker_id: int) -> MarkerHit | None:
         """Resolve a marker id to its module record, or None for unknown ids."""

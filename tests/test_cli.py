@@ -455,6 +455,17 @@ class TestDbValidate:
         assert main(["db-validate", "--db", str(path)]) == 1
         assert str(doc["modules"][0]["master_marker_id"]) in capsys.readouterr().err
 
+    def test_duplicate_serial_names_its_entry(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        save_database(default_database(), path)
+        doc = json.loads(path.read_text())
+        doc["modules"][1]["serial"] = doc["modules"][0]["serial"]
+        path.write_text(json.dumps(doc))
+        assert main(["db-validate", "--db", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: modules[1]: duplicate serial 'T-001'")
+        assert "Traceback" not in err
+
 
 class TestRoundtrip:
     def test_zero_noise_all_exact(self, db_path, capsys):

@@ -33,6 +33,7 @@ from chainforge.geometry import (
     wrap_angle,
     write_file,
 )
+from chainforge.module_db import CONNECTOR_STACK, default_database
 
 from helpers import (
     circular_difference,
@@ -399,6 +400,28 @@ class TestUnitBetween:
     def test_coincident_raises(self):
         with pytest.raises(DegenerateGeometry):
             unit_between(I, from_translation([0, 0, 5e-7]))
+
+    def test_sqrt_of_dot_is_norm(self):
+        # unit_between (and synth._random_unit) take a 3-vector's length as
+        # sqrt(d.dot(d)); np.linalg.norm of a 1-D float vector computes the same.
+        rng = np.random.default_rng(11)
+        for magnitude in np.geomspace(1e-3, 1e6, 400):
+            d = rng.normal(size=3) * magnitude
+            assert math.sqrt(d.dot(d)) == float(np.linalg.norm(d))
+
+
+def test_dot_is_matmul_on_4x4s():
+    # Per-scene products of two C-contiguous 4x4s go through ndarray.dot; it
+    # must round as `@` does, on fresh arrays and on the read-only catalog ones.
+    rng = np.random.default_rng(5)
+    catalog = [m for mt in default_database().types.values() for m in mt.matrices.values()]
+    fixed = list(CONNECTOR_STACK) + catalog
+    assert all(m.flags.c_contiguous for m in fixed)
+    for k in range(300):
+        a, b = rng.normal(size=(2, 4, 4)) * 10.0 ** rng.integers(-3, 4, size=2)[:, None, None]
+        f, g = fixed[k % len(fixed)], fixed[(3 * k + 1) % len(fixed)]
+        for x, y in ((a, b), (f, b), (a, g), (f, g)):
+            assert x.dot(y).tobytes() == (x @ y).tobytes()
 
 
 class TestRawConnectionAngle:

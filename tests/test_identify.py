@@ -216,6 +216,15 @@ class TestValidateMarkers:
         assert sorted(measured) == sorted(dual)
 
 
+    def test_serial_stored_from_the_record(self, db):
+        obs = synthesize(parse("L-G0"), [], db)
+        by, _, _ = detected_by_serial(obs, db)
+        other = db.records_of_type("L")[1]
+        moved = replace(by["L-001"], record=other)
+        assert (moved.serial, by["L-001"].serial) == (other.serial, "L-001")
+        assert moved == replace(by["L-001"], record=other)
+
+
 class TestNeighbors:
     def test_middle_module_sees_both_ends(self, db):
         obs = synthesize(parse("L-l0-G0"), [], db)
@@ -253,6 +262,13 @@ class TestConstraintCheck:
         result = constraint_check(by["G-001"], by["L-001"], db, IdentifyConfig(), INVERTED)
         assert result.satisfied
         assert result.parent_direction == INVERTED
+
+    def test_pass_equals_a_fresh_result(self, db):
+        obs = synthesize(parse("L-G0"), [], db)
+        by, _, _ = detected_by_serial(obs, db)
+        for parent, child, d in (("L-001", "G-001", UPRIGHT), ("G-001", "L-001", INVERTED)):
+            result = constraint_check(by[parent], by[child], db, IdentifyConfig(), d)
+            assert result == identify.ConstraintResult(True, d)
 
     def test_perpendicular_offset_fails_collinearity(self, db):
         obs = synthesize(parse("L-G0"), [], db)

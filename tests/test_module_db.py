@@ -122,6 +122,32 @@ def test_output_marker_requires_dual_bundle():
         ModuleDatabase(types, [ModuleRecord("G-001", "G", 1, 7, output_marker_id=8)])
 
 
+@pytest.mark.parametrize(
+    "types, records, message",
+    [
+        (["T"], [], "types[0]: expected a ModuleType, got 'T'"),
+        ([], [None], "modules[0]: expected a ModuleRecord, got None"),
+        ("GG", [], "types[1]: duplicate type code 'G'"),
+        ("G", [("G-001", "G", 1, 7), ("G-001", "G", 2, 8)], "modules[1]: duplicate serial 'G-001'"),
+        ("G", [("G-001", "G", 1, 7), ("G-002", "G", 2, 7)], "modules[1]: marker id 7 registered twice"),
+        ("G", [("G-001", "G", 1, 7), ("Q-001", "Q", 2, 8)], "modules[1]: module 'Q-001' references"),
+        ("G", [("G-001", "G", 1, 7, 8)], "modules[0]: module 'G-001': output_marker_id"),
+        ("I", [("I-001", "I", 1, 7, 7)], "modules[0]: marker id 7 registered twice"),
+    ],
+    ids=["type", "record", "type-code", "serial", "marker-id", "unknown-type", "dual", "own-marker"],
+)
+def test_member_fault_names_its_entry(types, records, message):
+    # A string stands for centered types by code and a tuple for a record's
+    # fields; anything else goes in as it is.
+    kinds = {"G": (KIND_TOOL, 50.0, None), "I": (module_db.KIND_JOINT_COLLINEAR, 80.0, (-1.0, 1.0))}
+    if isinstance(types, str):
+        types = [centered_type(c, *kinds[c], True, c == "I") for c in types]
+    records = [ModuleRecord(*r) if isinstance(r, tuple) else r for r in records]
+    with pytest.raises(DatabaseValidationError) as caught:
+        ModuleDatabase(types, records)
+    assert str(caught.value).startswith(message)
+
+
 def test_load_save_round_trip(tmp_path, db):
     path = tmp_path / "db.json"
     save_database(db, path)
@@ -316,6 +342,22 @@ def test_connection_table_equals_fresh_compositions():
 def test_joint_axis_by_kind(db):
     axes = {code: mt.joint_axis for code, mt in db.types.items()}
     assert axes == {c: 1 for c in "Ii"} | {c: 2 for c in "Tt"} | {c: None for c in "GgWSLlA"}
+
+
+def test_kind_flags_stored_with_the_type(db):
+    for mt in db.types.values():
+        assert (mt.is_joint, mt.is_tool, mt.is_collinear_joint, mt.is_perpendicular_joint) == (
+            mt.kind in module_db.JOINT_KINDS,
+            mt.kind == KIND_TOOL,
+            mt.kind == module_db.KIND_JOINT_COLLINEAR,
+            mt.kind == module_db.KIND_JOINT_PERPENDICULAR,
+        )
+    # `replace` builds the type again, so its flags follow the new kind.
+    link = replace(db.types["T"], kind=module_db.KIND_LINK, joint_limits=None)
+    assert (link.is_joint, link.is_perpendicular_joint, link.joint_axis) == (False, False, None)
+    # The flags are derived, so they stay out of repr and ==.
+    assert replace(db.types["T"]) == db.types["T"]
+    assert "is_joint" not in repr(db.types["T"]) and "joint_axis" not in repr(db.types["T"])
 
 
 def test_tool_only_catalog_hand_sum():
