@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .descriptor import ChainDescriptor, ChainEntry, ChainSyntaxError, parse, serialize
+from .descriptor import ChainDescriptor, ChainEntry, parse, serialize
 from .geometry import wrap_angle
 from .identify import (
     METHOD_GEOMETRIC,
@@ -25,17 +25,9 @@ from .identify import (
     build_tree,
     to_descriptor,
 )
-from .modelgen import InconsistentChain, generate_model, write_model
-from .module_db import DatabaseError, load_database
-from .synth import (
-    SceneConfig,
-    SceneParseError,
-    SynthError,
-    assign_instances,
-    read_scene,
-    synthesize,
-    write_scene,
-)
+from .modelgen import generate_model, write_model
+from .module_db import load_database
+from .synth import SceneConfig, assign_instances, read_scene, synthesize, write_scene
 
 DB_ENV_VAR = "CHAINFORGE_DB"
 
@@ -153,15 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             stage = "build_tree" if getattr(args, "tree", False) else "build_chain"
             print(f"identification failed in {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_IDENTIFICATION
-        except (
-            ChainSyntaxError,
-            DatabaseError,
-            InconsistentChain,
-            SceneParseError,
-            SynthError,
-            ValueError,
-            OSError,
-        ) as exc:
+        except (ValueError, OSError) as exc:  # every input fault is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
@@ -174,17 +158,14 @@ def _print_warning(message, *_):
 def _cmd_identify(args) -> int:
     db_path = _resolve_db_path(args)
     db = load_database(db_path)
-    observations = read_scene(args.scene)
+    scene = read_scene(args.scene)
     cfg = IdentifyConfig(
         epsilon1=args.eps1,
         epsilon2=args.eps2,
         f_threshold=args.f_threshold,
         method=args.method,
     )
-    if args.tree:
-        chains = build_tree(observations, db, cfg)
-    else:
-        chains = [build_chain(observations, db, cfg)]
+    chains = build_tree(scene, db, cfg) if args.tree else [build_chain(scene, db, cfg)]
     if args.out:
         model = generate_model(
             chains,
@@ -237,8 +218,7 @@ def _reversed(desc: ChainDescriptor) -> ChainDescriptor:
 
 def _cmd_roundtrip(args) -> int:
     if args.trials <= 0:
-        print("error: --trials must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--trials must be positive")
     db = load_database(_resolve_db_path(args))
     desc = parse(args.chain)
     joints = _parse_joints(args.joints)

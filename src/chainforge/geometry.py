@@ -296,6 +296,8 @@ def is_integer(value) -> bool:
 
 def finite_number(value) -> float:
     """A real number (`is_number`) as a finite float; ValueError otherwise, as for 10**400."""
+    if type(value) is float and math.isfinite(value):  # without the ABC check of is_number
+        return value
     if is_number(value):
         try:
             number = float(value)

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .descriptor import ChainDescriptor, ChainEntry
+from .descriptor import ANGLES, ChainDescriptor, ChainEntry
 from .geometry import (
     CONNECTION_ANGLES,
     TURN_PLANES,
@@ -159,7 +159,8 @@ class DetectedModule:
 
 @dataclass(frozen=True, slots=True)
 class ChainLink:
-    """One chain position: module, connection angle, install direction, state."""
+    """One chain position: module, connection angle, install direction, state, each
+    checked against the module's type (a fault raises ValueError naming the serial)."""
 
     module: DetectedModule
     connection_angle: float | None
@@ -167,14 +168,37 @@ class ChainLink:
     joint_angle: float | None = None
     solver_theta: float | None = None
 
+    def __post_init__(self):
+        mt, angle, theta = self.module.module_type, self.connection_angle, self.joint_angle
+        if self.direction not in mt.directions:
+            fault = f"type {mt.code!r} cannot be installed {self.direction!r:.40}"
+        elif angle is not None and angle not in CONNECTION_ANGLES:
+            fault = f"connection angle must be one of {ANGLES}, got {angle!r:.40}"
+        elif theta is not None and not mt.is_joint:
+            fault = f"type {mt.code!r} has no joint"
+        elif theta is not None and not mt.joint_limits[0] <= theta <= mt.joint_limits[1]:
+            fault = "joint angle {} outside [{}, {}]".format(theta, *mt.joint_limits)
+        else:
+            return
+        raise ValueError(f"{self.module.serial}: {fault}")
+
 
 @dataclass(frozen=True)
 class IdentifiedChain:
-    """Links ordered base to end plus everything that was rejected."""
+    """Links ordered base to end, as a tuple, plus everything that was rejected.
+    Only the base link has no connection angle (ValueError otherwise)."""
 
-    links: list[ChainLink]
+    links: tuple[ChainLink, ...]
     rejected_markers: list[tuple[int, str]]
     warnings: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        object.__setattr__(self, "links", tuple(self.links))
+        if not self.links:
+            raise ValueError("a chain needs at least one link")
+        for i, link in enumerate(self.links):
+            if (link.connection_angle is None) != (i == 0):
+                raise ValueError(f"{link.module.serial}: only the base has no connection angle")
 
 
 @dataclass(frozen=True)
@@ -437,24 +461,26 @@ def estimate_joint_angle(
     Perpendicular joints measure the signed angle, about their master
     z-axis, of the direction toward the neighbor on their output side:
     the chain child when upright, the chain parent when inverted.
-    Returns the angle and None, or the angle and why it is soft: with no
-    neighbor on the output side it is unobservable and reported as 0, and
-    an estimate just outside the limits is clamped to them.  Neither that
-    reason nor the message of an error raised here names the module.
+    Returns the angle and None, or the angle and why it is soft: an angle
+    with no neighbor on the output side is unobservable, reported as 0 or
+    the limit nearest it, and an estimate just outside the limits is clamped
+    to them.  Neither that reason nor an error raised here names the module.
     """
     mt = module.module_type
     if not mt.is_joint:
         raise ValueError(f"{module.serial}: type {mt.code!r} has no joint")
+    lo, hi = mt.joint_limits
     if mt.is_collinear_joint:
         theta = _measure_collinear_theta(module, cfg.epsilon2)
     else:
         reference = child if direction == UPRIGHT else parent
         if reference is None:
-            return 0.0, "no neighbor on the output side; joint angle is unobservable, reporting 0"
+            theta = min(max(0.0, lo), hi)
+            return theta, (
+                f"no neighbor on the output side; joint angle is unobservable, reporting {theta:g}")
         u = unit_between(module.master_pose, reference.master_pose)
         local = module.master_pose.rotation.T @ u
         theta = math.degrees(math.atan2(-local[0], local[1]))
-    lo, hi = mt.joint_limits
     if theta < lo - LIMIT_SLACK or theta > hi + LIMIT_SLACK:
         raise LimitExceeded(f"estimated angle {theta:.2f} far outside [{lo}, {hi}]")
     if theta < lo or theta > hi:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor import ANGLES, serialize
+from .descriptor import serialize
 from .geometry import (
     CONNECTION_ANGLES,
     Pose,
@@ -35,23 +35,39 @@ JOINT_FIXED = "fixed"
 VISUAL_RADIUS = 25.0
 
 
-class InconsistentChain(Exception):
-    """The chain cannot form a valid model (duplicate names, bad limits)."""
+class InconsistentChain(ValueError):
+    """The chains cannot form a valid model (none given, duplicate link names)."""
 
 
-class ModelParseError(Exception):
+class ModelParseError(ValueError):
     """A model file is malformed."""
+
+
+def _check_strs(record, *keys: str):
+    """ValueError unless each field of `record` named in `keys` is a str."""
+    for key in keys:
+        if not isinstance(getattr(record, key), str):
+            raise ValueError(f"expected {key!r} holding a str")
 
 
 @dataclass(frozen=True)
 class ModelLink:
+    """A link: `name` is a str and `visual_length` a finite real, stored as a float;
+    ValueError otherwise."""
+
     name: str
     visual_length: float
+
+    def __post_init__(self):
+        _check_strs(self, "name")
+        object.__setattr__(self, "visual_length", finite_number(self.visual_length))
 
 
 @dataclass(frozen=True)
 class ModelJoint:
-    """A revolute joint has limits and a fixed joint none; ValueError otherwise."""
+    """A joint: the names are strs and `origin` a Pose; `axis` is three finite reals,
+    `limits` two and `angle` one or None, stored as floats.  A revolute joint has
+    limits and a fixed joint none.  ValueError otherwise."""
 
     name: str
     joint_type: str
@@ -63,12 +79,20 @@ class ModelJoint:
     angle: float | None = None
 
     def __post_init__(self):
+        _check_strs(self, "name", "parent", "child")
         if self.joint_type not in (JOINT_REVOLUTE, JOINT_FIXED):
             raise ValueError(f"unknown joint type {self.joint_type!r:.40}")
         if self.joint_type == JOINT_REVOLUTE and self.limits is None:
             raise ValueError(f"revolute joint {self.name!r:.40} has no limits")
         if self.joint_type == JOINT_FIXED and self.limits is not None:
             raise ValueError(f"fixed joint {self.name!r:.40} has limits")
+        if not isinstance(self.origin, Pose):
+            raise ValueError(f"origin must be a Pose, got {self.origin!r:.40}")
+        object.__setattr__(self, "axis", _numbers(self.axis, 3, "axis"))
+        if self.limits is not None:
+            object.__setattr__(self, "limits", _numbers(self.limits, 2, "limits"))
+        if self.angle is not None:
+            object.__setattr__(self, "angle", finite_number(self.angle))
 
 
 @dataclass
@@ -77,17 +101,6 @@ class RobotModel:
     links: list[ModelLink]
     joints: list[ModelJoint]
     metadata: dict = field(default_factory=dict)
-
-
-def _check_angle(link: ChainLink):
-    mt = link.module.module_type
-    if link.joint_angle is None or not mt.is_joint:
-        return
-    lo, hi = mt.joint_limits
-    if not lo <= link.joint_angle <= hi:
-        raise InconsistentChain(
-            f"{link.module.serial}: joint angle {link.joint_angle} outside [{lo}, {hi}]"
-        )
 
 
 def generate_model(
@@ -105,14 +118,11 @@ def generate_model(
     fixed joint otherwise.  Each joint origin is a per-mate product of the
     two mated types' 4x4 tables (`ModuleType.matrices`) and the connector of
     the connection angle, so it does not depend on the module's place in the
-    chain.  Every branch is described first, so a connection angle off the
-    grid raises before any joint is emitted.  `db` is not read: each link
-    carries its module type.
+    chain.  `db` is not read: each link carries its module type.
     """
     branches = chain if isinstance(chain, list) else [chain]
-    if not branches or not all(b.links for b in branches):
+    if not branches:
         raise InconsistentChain("model generation needs at least one non-empty chain")
-    description = [_describe(b) for b in branches]
     links: list[ModelLink] = []
     joints: list[ModelJoint] = []
     names: set[str] = set()
@@ -126,13 +136,12 @@ def generate_model(
             if serial in visited:
                 prev = visited[serial]
                 continue
-            _check_angle(link)
             prev = visited[serial] = _emit_module(link, prev, links, joints, names)
     bus_ids = {
         l.module.serial: l.module.record.bus_id for b in branches for l in b.links
     }
     meta = {
-        "description": description,
+        "description": [serialize(to_descriptor(b)) for b in branches],
         "bus_ids": bus_ids,
         "joint_angles_deg": {
             l.module.serial: l.joint_angle
@@ -144,14 +153,6 @@ def generate_model(
     if metadata:
         meta.update(metadata)
     return RobotModel(name=name, links=links, joints=joints, metadata=meta)
-
-
-def _describe(branch: IdentifiedChain) -> str:
-    try:
-        return serialize(to_descriptor(branch))
-    except ValueError as exc:  # no chain string has a connection angle off the grid
-        off = [l.module.serial for l in branch.links[1:] if l.connection_angle not in ANGLES]
-        raise InconsistentChain(f"{', '.join(off)}: {exc}") from exc
 
 
 def _add_link(links: list[ModelLink], names: set[str], link: ModelLink):
@@ -310,7 +311,7 @@ def _write_model_xml(model: RobotModel, path: str):
             f' rpy="{roll!r} {pitch!r} {yaw!r}" />'
         )
         if joint.joint_type == JOINT_REVOLUTE:
-            (lo, hi), (ax, ay, az) = joint.limits, map(float, joint.axis)
+            (lo, hi), (ax, ay, az) = joint.limits, joint.axis
             parts.append(
                 f'\n    <axis xyz="{ax!r} {ay!r} {az!r}" />'
                 f'\n    <limit lower="{math.radians(lo)!r}" upper="{math.radians(hi)!r}"'
@@ -344,30 +345,30 @@ def _field(doc, key: str, kind: type = object):
 
 
 def _numbers(values, n: int, what: str) -> tuple[float, ...]:
-    if not isinstance(values, list) or len(values) != n:
+    if not isinstance(values, (list, tuple)) or len(values) != n:
         raise ValueError(f"{what} must hold {n} numbers")
-    return tuple(finite_number(v) for v in values)
+    return tuple(map(finite_number, values))
 
 
 def _read_model_json(text: str) -> RobotModel:
     doc = json.loads(text)
     links = [
-        ModelLink(_field(l, "name", str), finite_number(_field(l, "visual_length_mm")))
+        ModelLink(_field(l, "name"), _field(l, "visual_length_mm"))
         for l in _field(doc, "links", list)
     ]
     joints = []
     for j in _field(doc, "joints", list):
-        origin, limits, angle = (_field(j, key) for key in ("origin", "limits_deg", "angle_deg"))
+        origin = _field(j, "origin")
         joints.append(
             ModelJoint(
-                name=_field(j, "name", str),
-                joint_type=_field(j, "type", str),
-                parent=_field(j, "parent", str),
-                child=_field(j, "child", str),
+                name=_field(j, "name"),
+                joint_type=_field(j, "type"),
+                parent=_field(j, "parent"),
+                child=_field(j, "child"),
                 origin=pose_from_json(_field(origin, "t"), _field(origin, "q")),
-                axis=_numbers(_field(j, "axis"), 3, "axis"),
-                limits=None if limits is None else _numbers(limits, 2, "limits_deg"),
-                angle=None if angle is None else finite_number(angle),
+                axis=_field(j, "axis"),
+                limits=_field(j, "limits_deg"),
+                angle=_field(j, "angle_deg"),
             )
         )
     return RobotModel(_field(doc, "name", str), links, joints, _field(doc, "metadata", dict))
@@ -401,7 +402,6 @@ def _read_model_xml(text: str) -> RobotModel:
     joints = []
     for el in robot.findall("joint"):
         name = _attr(el, ".", "name")
-        angle = angles.get(name)
         joints.append(
             ModelJoint(
                 name=name,
@@ -416,7 +416,7 @@ def _read_model_xml(text: str) -> RobotModel:
                 limits=None if el.find("limit") is None else tuple(
                     math.degrees(_attr(el, "limit", key, 1)[0]) for key in ("lower", "upper")
                 ),
-                angle=None if angle is None else finite_number(angle),
+                angle=angles.get(name),
             )
         )
     return RobotModel(_attr(robot, ".", "name"), links, joints, _field(blob, "metadata", dict))

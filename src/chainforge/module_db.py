@@ -50,7 +50,7 @@ JOINT_KINDS = (KIND_JOINT_COLLINEAR, KIND_JOINT_PERPENDICULAR)
 UPRIGHT = "upright"
 INVERTED = "inverted"
 
-class DatabaseError(Exception):
+class DatabaseError(ValueError):
     """Base class for database loading and validation failures."""
 
 
@@ -215,6 +215,9 @@ class ModuleRecord:
         for name in ("serial", "type_code"):
             if not isinstance(getattr(self, name), str):
                 fail(f"{name} must be a str, got {getattr(self, name)!r:.40}")
+        serial = self.serial  # printed in `theta SERIAL ANGLE` lines and model XML
+        if not (serial and serial.isprintable()) or any(c.isspace() for c in serial):
+            fail("serial must be non-empty and printable, with no whitespace")
         for name in ("bus_id", "master_marker_id", "output_marker_id"):
             value = getattr(self, name)
             if value is None and name == "output_marker_id":
@@ -401,7 +404,7 @@ def load_database(path) -> ModuleDatabase:
         for i, entry in enumerate(doc[key]):
             try:
                 entries[key].append(read(entry))
-            except (ValueError, DatabaseValidationError) as exc:
+            except ValueError as exc:
                 raise DatabaseValidationError(f"{key}[{i}]: {exc}") from exc
     return ModuleDatabase(entries["types"], entries["modules"])
 

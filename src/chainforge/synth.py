@@ -15,17 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descriptor import ChainDescriptor
-from .geometry import CONNECTION_ANGLES, Pose, axis_angle, checked_poses, joint_turns
+from .geometry import CONNECTION_ANGLES, Pose, axis_angle, checked_poses, finite_number, joint_turns
 from .geometry import is_integer, is_number, pose_from_json, pose_to_json, quat_rows, write_file
 from .module_db import CONNECTOR_STACK, INVERTED, UPRIGHT, ModuleDatabase, ModuleRecord
 
 SPURIOUS_ID_BASE = 10**6
 SPURIOUS_ID_SPAN = 10**4
+# The largest noise sigma: a draw overflows a float only beyond 1e8 sigmas.
+SIGMA_MAX = 1e300
 
 SCENE_KEYS = frozenset(("marker_id", "t", "q"))
 
 
-class SynthError(Exception):
+class SynthError(ValueError):
     """Base class for scene-synthesis failures."""
 
 
@@ -37,7 +39,7 @@ class MissingInstance(SynthError):
     """The registry has no free module of a required type."""
 
 
-class SceneParseError(Exception):
+class SceneParseError(ValueError):
     """A scene file is malformed; carries the failing location."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
@@ -85,8 +87,12 @@ class SceneConfig:
         if min(self.sigma_pos, self.sigma_rot, self.dropout_prob) < 0.0:
             raise ValueError("noise parameters must be non-negative")
         for name in ("sigma_pos", "sigma_rot"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            try:  # as a float: numpy scalars would cast SIGMA_MAX to their own type
+                sigma = finite_number(getattr(self, name))
+            except ValueError:
+                sigma = math.inf
+            if not sigma <= SIGMA_MAX:
+                raise ValueError(f"{name} must be finite and at most {SIGMA_MAX:g}")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob must lie in [0, 1]")
         for name in ("spurious_count", "seed"):

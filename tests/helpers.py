@@ -1107,7 +1107,6 @@ def reference_generate_model(chain, db, name="robot", metadata=None):
             if serial in visited:
                 prev = visited[serial]
                 continue
-            modelgen._check_angle(link)
             prev = visited[serial] = _reference_emit_module(link, prev, links, joints, names)
     meta = {
         "description": [serialize(identify.to_descriptor(b)) for b in branches],

@@ -1,14 +1,26 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainforge import cli
 from chainforge.cli import main
+from chainforge.descriptor import parse
 from chainforge.identify import AmbiguousParent, LimitExceeded, NonCollinearBundles
 from chainforge.modelgen import read_model
 from chainforge.module_db import default_database, save_database
-from helpers import PAPER_CHAINS, registry_first, save_renamed_database
+from chainforge.synth import synthesize, write_scene
+from helpers import (
+    PAPER_CHAINS,
+    field_values,
+    json_values,
+    registry_first,
+    save_renamed_database,
+)
 
 
 @pytest.fixture()
@@ -387,10 +399,23 @@ def test_help_exits_0(argv, capsys):
     assert "usage:" in capsys.readouterr().out
 
 
-def test_cli_error_bases_exported():
-    from chainforge import IdentifyError, SynthError
+def test_cli_error_families():
+    # main maps IdentifyError to exit 2 and ValueError (or OSError) to exit 1.
+    from chainforge import (
+        ChainSyntaxError,
+        DatabaseError,
+        IdentifyError,
+        ModelParseError,
+        SceneParseError,
+        SynthError,
+    )
+    from chainforge.modelgen import InconsistentChain
 
-    assert (IdentifyError, SynthError) == (cli.IdentifyError, cli.SynthError)
+    for fault in (ChainSyntaxError, DatabaseError, InconsistentChain, ModelParseError,
+                  SceneParseError, SynthError):
+        assert issubclass(fault, ValueError), fault
+    assert not issubclass(IdentifyError, ValueError)
+    assert cli.IdentifyError is IdentifyError
 
 
 class TestCustomCatalog:
@@ -454,6 +479,19 @@ class TestDbValidate:
         path.write_text(json.dumps(doc))
         assert main(["db-validate", "--db", str(path)]) == 1
         assert str(doc["modules"][0]["master_marker_id"]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("serial", ["T 001", "T\u0001001"])
+    def test_serial_that_breaks_an_output_names_its_entry(self, tmp_path, capsys, serial):
+        # A space would split a `theta` line; a control character is not
+        # well-formed in the model XML.
+        path = tmp_path / "bad.json"
+        save_database(default_database(), path)
+        doc = json.loads(path.read_text())
+        doc["modules"][0]["serial"] = serial
+        path.write_text(json.dumps(doc))
+        assert main(["db-validate", "--db", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: modules[0]: ") and "Traceback" not in err
 
     def test_duplicate_serial_names_its_entry(self, tmp_path, capsys):
         path = tmp_path / "dup.json"
@@ -579,3 +617,136 @@ class TestRoundtrip:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("flag", ["--sigma-pos", "--sigma-rot"])
+    def test_sigma_that_can_overflow_a_draw_exit_1(self, db_path, capsys, flag):
+        argv = ["roundtrip", "--chain", "I-T0-G0", "--db", str(db_path), "--joints", "10,20"]
+        assert main([*argv, "--seed", "1", "--trials", "2", flag, "1e308"]) == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite and at most 1e+300\n"
+
+
+# Flag values: valid ones per flag, then the odd ones every flag may be given.
+# Some valid chains need more modules of a type than the registry holds, or
+# joints beyond their limits.
+_VALID = {
+    "--chain": ["I-T0-G0", "I-T'0-T'0-A0-t0-i0-g0", "T'-L0-G0", "G", "I-T0", "A-G'0", "I-T'-G",
+                "G'-L0-L0-L0-L0-L0-L0-L0-G0"],
+    "--joints": ["10,20", "", "15,-40,55,20,-40", "30", "500,0", "500"],
+    "--sigma-pos": ["0", "2", "1e300"],
+    "--sigma-rot": ["0", "2", "1e300"],
+    "--dropout": ["0", "0.05", "1"],
+    "--spurious": ["0", "3"],
+    "--seed": ["0", "7"],
+    "--eps1": ["20", "1"],
+    "--eps2": ["0.05", "0.5"],
+    "--f-threshold": ["0.5", "0"],
+    "--method": ["geometric", "optimization"],
+    "--format": ["xml", "json"],
+    "--trials": [str(n) for n in range(-1, 4)],
+}
+_ODD = st.sampled_from(["nan", "inf", "-inf", "1e308", "-1", str(10**30)]) | st.text(max_size=8)
+_SCENE_FLAGS = ["--chain", "--db", "--joints", "--sigma-pos", "--sigma-rot", "--dropout",
+                "--spurious", "--seed"]
+_COMMANDS = {
+    "identify": ["--scene", "--db", "--method", "--eps1", "--eps2", "--f-threshold", "--out",
+                 "--format", "--tree"],
+    "synth": [*_SCENE_FLAGS, "--out"],
+    "roundtrip": [*_SCENE_FLAGS, "--trials"],
+    "parse": ["--chain"],
+    "db-validate": ["--db"],
+}
+# (path into the saved default database or scene) of fields an edited file changes.
+_DB_FIELDS = [("types", 2, key) for key in ("kind", "body_length_mm", "joint_limits_deg")] + [
+    ("modules", 12, key) for key in ("serial", "type_code", "master_marker_id")
+]
+_SCENE_FIELDS = [(k, key) for k in (0, 2) for key in ("marker_id", "t", "q")]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A directory holding a valid database and scenes, a scene without a tool,
+    malformed files, and the paths of missing ones."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    db = default_database()
+    save_database(db, root / "db.json")
+    write_scene(root / "scene.json", synthesize(parse("I-T0-G0"), [10.0, 20.0], db))
+    write_scene(root / "notool.json", synthesize(parse("I-T0"), [10.0, 20.0], db))
+    for name in ("bad_db.json", "bad_scene.json", "bad_notool.json"):
+        (root / name).write_text("[1, 2")
+    (root / "out").mkdir()
+    return root
+
+
+def _edited(root, name: str, field: tuple, value) -> str:
+    """The name of a copy of root/name with the value at `field` replaced."""
+    doc = json.loads((root / name).read_text())
+    owner = doc
+    for key in field[:-1]:
+        owner = owner[key]
+    owner[field[-1]] = value
+    (root / f"edited_{name}").write_text(json.dumps(doc))
+    return f"edited_{name}"
+
+
+def _one_in(draw, n: int) -> bool:
+    return draw(st.sampled_from(range(n))) == 0
+
+
+def _file(draw, root, name: str, fields: list, values) -> str:
+    """`name`, or one time in five a missing, malformed or edited file's name."""
+    if not _one_in(draw, 5):
+        return name
+    edit = draw(st.sampled_from(["missing", "malformed", "edited"]))
+    if edit == "edited":
+        return _edited(root, name, draw(st.sampled_from(fields)), draw(values))
+    return "missing.json" if edit == "missing" else f"bad_{name}"
+
+
+@st.composite
+def _argv(draw, root):
+    """A command line of one subcommand: each flag given nine times in ten, each
+    file valid four times in five and each value valid nine times in ten."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for flag in _COMMANDS[command]:
+        if _one_in(draw, 10):
+            continue
+        if flag == "--tree":
+            argv.append(flag)
+            continue
+        if flag == "--db":
+            value = str(root / _file(draw, root, "db.json", _DB_FIELDS, field_values))
+        elif flag == "--scene":
+            name = draw(st.sampled_from(["scene.json", "notool.json"]))
+            value = str(root / _file(draw, root, name, _SCENE_FIELDS, json_values))
+        elif flag == "--out":
+            value = str(root / "out" / draw(st.sampled_from(["m.xml", "m.json", "s.json", ""])))
+        elif flag == "--trials" or not _one_in(draw, 10):
+            value = draw(st.sampled_from(_VALID[flag]))
+        else:
+            value = draw(_ODD)
+        argv += [flag, value]
+    return argv
+
+
+class TestTotality:
+    """Every command line ends in exit 0, 1 or 2 (or argparse's usage exit), and
+    no traceback reaches standard error."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_every_command_line_ends_in_an_exit_code(self, cli_files, monkeypatch, data):
+        monkeypatch.delenv(cli.DB_ENV_VAR, raising=False)
+        argv = data.draw(_argv(cli_files), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 1)
+            else:
+                assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

@@ -62,7 +62,13 @@ from chainforge.identify import (
     _parent_side,
 )
 from chainforge.modelgen import generate_model
-from chainforge.module_db import INVERTED, UPRIGHT, _pair_layers, default_database
+from chainforge.module_db import (
+    INVERTED,
+    UPRIGHT,
+    ModuleDatabase,
+    _pair_layers,
+    default_database,
+)
 from chainforge.synth import MarkerObservation, SceneConfig, synthesize
 
 from helpers import (
@@ -1577,6 +1583,43 @@ class TestTotality:
                 generate_model(result, db)
 
 
+class TestChainRecords:
+    """A chain link checks its fields against its module's type, and a chain its
+    links' connection angles, when they are built."""
+
+    @pytest.fixture()
+    def chain(self, db):
+        return build_chain(synthesize(parse("I-T0-L0-G0"), [25.0, -40.0], db), db)
+
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (2, {"direction": "sideways"}, "^L-001: type 'L' cannot be installed 'sideways'$"),
+            (2, {"connection_angle": float("nan")}, "^L-001: connection angle must be one of"),
+            (2, {"connection_angle": "0"}, "^L-001: connection angle must be one of"),
+            (2, {"joint_angle": 0.0}, "^L-001: type 'L' has no joint$"),
+            (1, {"joint_angle": -121.0}, r"^T-001: joint angle -121.0 outside \[-120.0, 120.0\]$"),
+            (1, {"joint_angle": float("nan")}, "^T-001: joint angle nan outside"),
+        ],
+    )
+    def test_link_fault_names_its_serial(self, chain, index, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(chain.links[index], **change)
+
+    def test_links_are_a_tuple(self, chain):
+        assert isinstance(chain.links, tuple)
+        assert replace(chain, links=list(chain.links)).links == chain.links
+
+    @pytest.mark.parametrize(
+        "index, angle, serial", [(0, 0.0, "I-001"), (2, None, "L-001"), (3, None, "G-001")]
+    )
+    def test_only_the_base_has_no_connection_angle(self, chain, index, angle, serial):
+        links = list(chain.links)
+        links[index] = replace(links[index], connection_angle=angle)
+        with pytest.raises(ValueError, match=f"^{serial}: only the base has no connection angle$"):
+            replace(chain, links=links)
+
+
 class TestWarnings:
     """Every identification caveat is a line of IdentifiedChain.warnings."""
 
@@ -1589,6 +1632,24 @@ class TestWarnings:
             "joint angle of T-001: no neighbor on the output side; "
             "joint angle is unobservable, reporting 0"
         ]
+
+    @pytest.mark.parametrize("method", ["geometric", "optimization"])
+    def test_unobservable_angle_reports_the_limit_nearest_0(self, db, method):
+        # Where T's limits exclude 0, the unobservable angle reads the limit
+        # nearest 0, and the chain gets its model.
+        narrow = replace(db.types["T"], joint_limits=(10.0, 120.0))
+        types = [narrow if mt.code == "T" else mt for mt in db.types.values()]
+        catalog = ModuleDatabase(types, db.records)
+        obs = synthesize(parse("T'-L0-G0"), [30.0], catalog)
+        chain = build_chain(obs, catalog, IdentifyConfig(method=method))
+        assert serialize(to_descriptor(chain)) == "T'-L0-G0"
+        assert chain.links[0].joint_angle == 10.0
+        assert chain.warnings == [
+            "joint angle of T-001: no neighbor on the output side; "
+            "joint angle is unobservable, reporting 10"
+        ]
+        model = generate_model(chain, catalog)
+        assert model.metadata["joint_angles_deg"]["T-001"] == 10.0
 
     def test_clamped_angle(self, db):
         # The tool turned 2 more degrees about the joint axis of T-001 at its

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -101,9 +102,9 @@ class TestGenerateModel:
 
     def test_limit_violation_rejected(self, db):
         chain = chain_for(db, "T-G0", [30.0])
-        chain.links[0] = replace(chain.links[0], joint_angle=500.0)
-        with pytest.raises(InconsistentChain):
-            generate_model(chain, db)
+        message = r"^T-001: joint angle 500.0 outside \[-120.0, 120.0\]$"
+        with pytest.raises(ValueError, match=message):
+            replace(chain.links[0], joint_angle=500.0)
 
     def test_joint_graph_is_tree(self, db):
         model = generate_model(chain_for(db, "I-T0-G0", [25.0, -40.0]), db)
@@ -111,17 +112,21 @@ class TestGenerateModel:
         assert len(children) == len(set(children))
         model_world_frames(model)  # raises if not a rooted tree
 
-    @pytest.mark.parametrize("chain", [[], IdentifiedChain([], [])])
-    def test_empty_chain_rejected(self, db, chain):
+    def test_empty_branch_list_rejected(self, db):
         with pytest.raises(InconsistentChain, match="at least one non-empty chain"):
-            generate_model(chain, db)
+            generate_model([], db)
+
+    def test_empty_chain_cannot_be_built(self):
+        with pytest.raises(ValueError, match="^a chain needs at least one link$"):
+            IdentifiedChain([], [])
 
     def test_duplicate_link_name_rejected(self, db):
         # A link module registered under the name of I-001's input link.
         chain = chain_for(db, "I-L0-G0", [25.0])
         link = chain.links[1]
         record = replace(link.module.record, serial="I-001_in")
-        chain.links[1] = replace(link, module=replace(link.module, record=record))
+        renamed = replace(link, module=replace(link.module, record=record))
+        chain = replace(chain, links=(chain.links[0], renamed, *chain.links[2:]))
         with pytest.raises(InconsistentChain, match="duplicate link name 'I-001_in'"):
             generate_model(chain, db)
 
@@ -191,8 +196,9 @@ def assert_matches_reference(model, reference):
     assert (model.name, model.links, model.metadata) == (
         reference.name, reference.links, reference.metadata
     )
-    assert [replace(j, origin=None) for j in model.joints] == [
-        replace(j, origin=None) for j in reference.joints
+    same = Pose.identity()  # one object, so that only the other fields are compared
+    assert [replace(j, origin=same) for j in model.joints] == [
+        replace(j, origin=same) for j in reference.joints
     ]
     for ours, theirs in zip(model.joints, reference.joints):
         assert np.abs(ours.origin.rotation - theirs.origin.rotation).max() <= 1e-12
@@ -280,9 +286,8 @@ class TestJointOrigins:
 
     def test_connection_angle_outside_the_table_raises(self, db):
         chain = chain_for(db, "I-T0-L0-G0", [25.0, -40.0])
-        chain.links[2] = replace(chain.links[2], connection_angle=45.0)
-        with pytest.raises(InconsistentChain, match="L-001: .*connection angle"):
-            generate_model(chain, db)  # no chain string has a 45-degree angle
+        with pytest.raises(ValueError, match="^L-001: connection angle must be one of"):
+            replace(chain.links[2], connection_angle=45.0)  # no chain string has a 45-degree angle
 
 
 class TestModelFiles:
@@ -389,6 +394,69 @@ class TestModelJoint:
     def test_invalid_joint_rejected(self, joint_type, limits, message):
         with pytest.raises(ValueError, match=message):
             ModelJoint("j", joint_type, "a", "b", Pose.identity(), (0.0, 0.0, 1.0), limits)
+
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"name": 5}, "^expected 'name' holding a str$"),
+            ({"parent": None}, "^expected 'parent' holding a str$"),
+            ({"child": b"b"}, "^expected 'child' holding a str$"),
+            ({"origin": np.eye(4)}, "^origin must be a Pose, got "),
+            ({"axis": (0.0, 1.0)}, "^axis must hold 3 numbers$"),
+            ({"axis": "xyz"}, "^axis must hold 3 numbers$"),
+            ({"axis": (0.0, math.nan, 1.0)}, "^expected a finite number, got nan$"),
+            ({"axis": (0.0, True, 0.0)}, "^expected a finite number, got True$"),
+            ({"limits": [-10.0]}, "^limits must hold 2 numbers$"),
+            ({"limits": (-10.0, math.inf)}, "^expected a finite number, got inf$"),
+            ({"angle": "5"}, "^expected a finite number, got '5'$"),
+            ({"angle": 10**400}, "^expected a finite number, got 1000"),
+        ],
+    )
+    def test_invalid_field_rejected(self, change, message):
+        fields = {"name": "j", "joint_type": JOINT_REVOLUTE, "parent": "a", "child": "b",
+                  "origin": Pose.identity(), "axis": (0.0, 0.0, 1.0), "limits": (-10.0, 10.0)}
+        with pytest.raises(ValueError, match=message):
+            ModelJoint(**{**fields, **change})
+
+    def test_numbers_stored_as_floats(self):
+        joint = ModelJoint("j", JOINT_REVOLUTE, "a", "b", Pose.identity(), [0, 0, 1],
+                           [np.int64(-10), np.float32(10.5)], np.float64(2.5))
+        assert (joint.axis, joint.limits, joint.angle) == ((0.0, 0.0, 1.0), (-10.0, 10.5), 2.5)
+        assert {type(v) for v in (*joint.axis, *joint.limits, joint.angle)} == {float}
+
+
+class TestModelLink:
+    @pytest.mark.parametrize(
+        "name, length, message",
+        [
+            (5, 1.0, "^expected 'name' holding a str$"),
+            ("a", "5", "^expected a finite number, got '5'$"),
+            ("a", math.nan, "^expected a finite number, got nan$"),
+            ("a", False, "^expected a finite number, got False$"),
+        ],
+    )
+    def test_invalid_link_rejected(self, name, length, message):
+        with pytest.raises(ValueError, match=message):
+            ModelLink(name, length)
+
+    def test_length_stored_as_a_float(self):
+        assert [type(ModelLink("a", v).visual_length) for v in (5, np.float32(2.5))] == [float] * 2
+
+    def test_bad_link_never_reaches_a_writer(self, tmp_path):
+        # Built as a link of a model, it used to fail in the XML writer with a TypeError.
+        with pytest.raises(ValueError, match="got '5'"):
+            write_model(RobotModel("r", [ModelLink("a", "5")], []), tmp_path / "x.xml")
+        assert not (tmp_path / "x.xml").exists()
+
+    def test_xml_length_overflowing_a_float_raises_typed(self, model_dir):
+        # A length that is finite in metres but not in millimetres.
+        root = ET.fromstring((model_dir / "robot.xml").read_text())
+        root.find("link/visual/geometry/cylinder").set("length", "1e307")
+        path = model_dir / "edited.xml"
+        path.write_text(ET.tostring(root, encoding="unicode"))
+        with pytest.raises(ModelParseError, match="expected a finite number, got inf"):
+            read_model(path)
 
 
 class TestModelParseErrors:

@@ -539,6 +539,26 @@ def test_loaded_record_fault_names_its_entry(tmp_path, db):
         load_database(path)
 
 
+@pytest.mark.parametrize("serial", ["", "T 001", "T\u0001001", "T\t001", "T\u00a0001", "T-001\n"])
+def test_serial_that_breaks_an_output_rejected(tmp_path, db, serial):
+    # A serial is printed in `theta SERIAL ANGLE` lines and written into the
+    # model XML, which holds no control character.
+    path = tmp_path / "db.json"
+    save_database(db, path)
+    doc = json.loads(path.read_text())
+    doc["modules"][0]["serial"] = serial
+    path.write_text(json.dumps(doc))
+    message = "^modules\\[0\\]: module .*: serial must be non-empty and printable"
+    message += ", with no whitespace$"
+    with pytest.raises(DatabaseValidationError, match=message):
+        load_database(path)
+
+
+@pytest.mark.parametrize("serial", ["T-001", "T_001.a", "\u6a21\u5757-1", "T'(x)"])
+def test_printable_serial_accepted(serial):
+    assert ModuleRecord(serial, "T", 1, 7).serial == serial
+
+
 def test_numpy_scalars_stored_as_python_numbers(db, tmp_path):
     limits = (np.int64(-120), np.float32(120))
     t = replace(db.types["T"], body_length=np.int64(120), joint_limits=limits)

@@ -264,6 +264,19 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="dropout_prob"):
             SceneConfig(dropout_prob=math.nan)
 
+    @pytest.mark.parametrize("name", ["sigma_pos", "sigma_rot"])
+    def test_sigma_that_can_overflow_a_draw_is_named(self, db, name):
+        # A sigma of 1e308 overflows some draws (sigma_rot at seeds 2, 7, 9, 14
+        # and 16 of these), so it is refused by name; at the largest sigma
+        # allowed every draw stays finite.
+        desc = parse("I-T0-G0")
+        for seed in range(20):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and at most 1e\\+300$"):
+                synthesize(desc, [10.0, 20.0], db, cfg=SceneConfig(**{name: 1e308}, seed=seed))
+            cfg = SceneConfig(**{name: synth.SIGMA_MAX}, spurious_count=2, seed=seed)
+            obs = synthesize(desc, [10.0, 20.0], db, cfg=cfg)
+            assert len(obs) == 6
+
     @pytest.mark.parametrize("name", ["sigma_pos", "sigma_rot", "dropout_prob"])
     @pytest.mark.parametrize("value", ["2", None, True, False, [1.0], 1j])
     def test_noise_parameters_must_be_numbers(self, name, value):
